@@ -24,6 +24,9 @@ Wire protocol, in consumption order:
                  file bytes).  Parsing emits control 0 for 0..255 values
                  and control 3 plus the file bytes otherwise.
   token choice   for lookahead-driven chunk ordering; see choose_token.
+
+The event log keeps only lookahead calls and stream switches: the
+positions that smart mutations splice at.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ class StreamMode(Enum):
 
 
 # Event kinds.
-EVIL_GATE = "evil_gate"
-INDEX_CHOICE = "index_choice"
-RAW_BYTES = "raw_bytes"
 LOOKAHEAD_CALL = "lookahead_call"
 STREAM_SWITCH = "stream_switch"
 
@@ -59,9 +59,6 @@ class ChoiceEvent:
     start: int
     end: int
     node_id: int | None = None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "span": [self.start, self.end], "node": self.node_id}
 
 
 @dataclass
@@ -87,6 +84,46 @@ def bounded_width(span: int) -> int:
     return 8
 
 
+# Seed bytes of one unconstrained one-byte element: [gate] control byte,
+# or [gate] byte when the gate is evil.  Either way the element's file
+# byte is its last seed byte.  _EVIL_MARK maps a gate byte to 1 if evil.
+_EVIL_MARK = bytes(b % EVIL_MODULUS == EVIL_RESIDUE for b in range(256))
+_RUN = 128  # gates scanned per step; one in 128 random gates is evil
+
+
+def _decode_bytes(buf: bytes, i: int, n: int, gated: bool) -> tuple[bytes, int]:
+    """File bytes of up to n such elements read from buf[i:], stopping at
+    the first element buf cannot complete, plus the offset after the last
+    complete one."""
+    if not gated:
+        m = min(n, (len(buf) - i) // 2)
+        return bytes(buf[i + 1:i + 2 * m:2]), i + 2 * m
+    out = bytearray()
+    end = len(buf)
+    while len(out) < n:
+        # a run of three-byte elements up to the next evil gate
+        k = min(n - len(out), (end - i) // 3, _RUN)
+        run = buf[i:i + 3 * k:3].translate(_EVIL_MARK).find(1)
+        if run < 0:
+            run = k
+        out += buf[i + 2:i + 3 * run:3]
+        i += 3 * run
+        if run == k:
+            if k == _RUN or len(out) == n:
+                continue
+            # under three bytes left: only an evil element can still fit
+            if i + 2 > end or not _EVIL_MARK[buf[i]]:
+                break
+        out.append(buf[i + 1])
+        i += 2
+    return bytes(out), i
+
+
+# Control byte emitted per file byte of a signed one-byte element: bytes
+# 0x80..0xff decode to negative values, which only the FULL class holds.
+_SIGNED_CONTROL = bytes(SMALL_CLASSES if b >= 0x80 else 0 for b in range(256))
+
+
 # --- byte sources for generation ------------------------------------------
 
 
@@ -110,6 +147,14 @@ class _RandomSource:
 
     def draw(self, n: int) -> bytes:
         return self.rng.randbytes(n)
+
+    def draw_singles(self, n: int) -> bytes:
+        """The bytes of n successive draw(1) calls, fetched at once.
+
+        draw(1) is the top byte of one MT19937 word, and randbytes(4*n)
+        holds n words little-endian, so this uses the same n words and
+        leaves the generator in the same state."""
+        return self.rng.randbytes(4 * n)[3::4]
 
 
 class _SpliceSource:
@@ -181,8 +226,8 @@ class DecisionStream:
 
     Generation modes consume bytes (from a fixed seed or a seeded PRNG,
     recording everything so any run is replayable).  Parse mode emits the
-    canonical encoding of observed values.  All modes share the choice
-    event log; consecutive event spans tile the consumed or emitted bytes.
+    canonical encoding of observed values.  All modes log lookahead calls
+    and stream switches in `events`.
     """
 
     def __init__(self, mode: StreamMode, *, seed: bytes | None = None,
@@ -196,6 +241,7 @@ class DecisionStream:
         self._recorded = bytearray()
         self._lookahead_depth = 0
         self._lookahead_start = 0
+        self.last_lookahead_end = -1
         self._source = None
         if mode is StreamMode.GEN_FROM_SEED:
             if splice is not None:
@@ -235,10 +281,6 @@ class DecisionStream:
             return self._source.phase
         return None
 
-    def _log(self, kind: str, start: int):
-        if self._lookahead_depth == 0:
-            self.events.append(ChoiceEvent(kind, start, len(self._recorded), self.node_id))
-
     def _log_switch(self):
         # phase transitions are zero-width markers, logged even inside
         # lookahead grouping so splice points stay visible
@@ -252,6 +294,7 @@ class DecisionStream:
     def end_lookahead(self):
         self._lookahead_depth -= 1
         if self._lookahead_depth == 0:
+            self.last_lookahead_end = self.cursor
             self.events.append(
                 ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start, self.cursor, self.node_id))
 
@@ -294,43 +337,29 @@ class DecisionStream:
         self._recorded.extend(out)
         return out
 
-    def draw_raw(self, n: int, kind: str = RAW_BYTES) -> bytes:
+    def draw_raw(self, n: int) -> bytes:
         """Consume n verbatim bytes (codec payloads, length substitutes)."""
-        start = self.cursor
-        out = self._draw(n)
-        self._log(kind, start)
-        return out
+        return self._draw(n)
 
     def evil_gate(self) -> bool:
         if not self.evil_enabled:
             return False
-        start = self.cursor
-        b0 = self._draw(1)[0]
-        self._log(EVIL_GATE, start)
-        return b0 % EVIL_MODULUS == EVIL_RESIDUE
+        return self._draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE
 
     def choose_index(self, k: int) -> int:
         if k < 1:
             raise ValueError(f"choose_index over {k} options")
         if k == 1 and not self.evil_enabled:
             return 0
-        start = self.cursor
         if k <= 256:
-            idx = self._draw(1)[0] % k
-        elif k <= 65536:
-            raw = self._draw(2)
-            idx = int.from_bytes(raw, "little") % k
-        else:
-            raise ValueError(f"choose_index supports at most 65536 options, got {k}")
-        self._log(INDEX_CHOICE, start)
-        return idx
+            return self._draw(1)[0] % k
+        if k <= 65536:
+            return int.from_bytes(self._draw(2), "little") % k
+        raise ValueError(f"choose_index supports at most 65536 options, got {k}")
 
     def _choose_bounded(self, lo: int, hi: int) -> int:
         span = hi - lo + 1
-        width = bounded_width(span)
-        start = self.cursor
-        raw = int.from_bytes(self._draw(width), "little")
-        self._log(RAW_BYTES, start)
+        raw = int.from_bytes(self._draw(bounded_width(span)), "little")
         return lo + raw % span
 
     def choose_bounded(self, lo: int, hi: int) -> int:
@@ -356,15 +385,53 @@ class DecisionStream:
         if spec.bounds is not None:
             lo, hi = spec.bounds
             return ("value", self._choose_bounded(lo, hi))
-        start = self.cursor
         control = self._draw(1)[0]
         if control % 4 < SMALL_CLASSES:
-            value = self._draw(1)[0]
-            self._log(RAW_BYTES, start)
-            return ("value", value)
-        raw = self._draw(spec.width)
-        self._log(RAW_BYTES, start)
-        return ("raw", raw)
+            return ("value", self._draw(1)[0])
+        return ("raw", self._draw(spec.width))
+
+    def choose_bytes(self, n: int) -> bytes:
+        """File bytes of n unconstrained one-byte elements.
+
+        Consumes and records the same seed bytes, and leaves the same RNG
+        state, as choose_value(ChoiceSpec()) once per element; seed and
+        random sources decode the whole array in one pass.
+        """
+        source = self._source
+        gated = self.evil_enabled
+        if isinstance(source, _SeedSource):
+            data, pos = source.data, source.pos
+            out, end = _decode_bytes(data, pos, n, gated)
+            if len(out) < n:
+                # per element, the first draw past the end is the one that fails
+                self._recorded += data[pos:]
+                source.pos = len(data)
+                source.draw(1)
+            self._recorded += data[pos:end]
+            source.pos = end
+            return out
+        if isinstance(source, _RandomSource):
+            # Fetch a lower bound of the draws still needed (at least 2
+            # per element, exactly known once its gate is seen), so every
+            # word fetched is used and the RNG ends where it would per element.
+            out = bytearray()
+            pending = b""  # the draws of an element not yet complete
+            while len(out) < n:
+                cost = 3 - _EVIL_MARK[pending[0]] if gated and pending else 2
+                block = pending + source.draw_singles(
+                    cost - len(pending) + 2 * (n - len(out) - 1))
+                got, end = _decode_bytes(block, 0, n - len(out), gated)
+                out += got
+                self._recorded += block[:end]
+                pending = block[end:]
+            return bytes(out)
+        # a splice can switch sources between any two draws
+        spec = ChoiceSpec()
+        out = bytearray()
+        for _ in range(n):
+            kind, payload = self.choose_value(spec)
+            out.append(payload[0] if kind == "raw" else payload)
+        return bytes(out)
 
     def choose_token(self, spec: ChoiceSpec) -> bytes | None:
         """Token choice for lookahead-driven ordering.
@@ -384,9 +451,7 @@ class DecisionStream:
         if self.evil_gate():
             return self.draw_raw(spec.width)
         threshold = int(spec.pref_prob * 256)
-        start = self.cursor
         branch = self._draw(1)[0]
-        self._log(RAW_BYTES, start)
         if branch < threshold:
             if not preferred:
                 return None
@@ -400,26 +465,19 @@ class DecisionStream:
         self._recorded.extend(payload)
 
     def _emit_gate(self, evil: bool):
-        if not self.evil_enabled:
-            return
-        start = self.cursor
-        self._emit(bytes([EVIL_RESIDUE if evil else 0]))
-        self._log(EVIL_GATE, start)
+        if self.evil_enabled:
+            self._emit(bytes([EVIL_RESIDUE if evil else 0]))
 
     def emit_index(self, k: int, idx: int):
         if k == 1 and not self.evil_enabled:
             return
-        start = self.cursor
         if k <= 256:
             self._emit(bytes([idx]))
         else:
             self._emit(idx.to_bytes(2, "little"))
-        self._log(INDEX_CHOICE, start)
 
-    def emit_raw(self, payload: bytes, kind: str = RAW_BYTES):
-        start = self.cursor
+    def emit_raw(self, payload: bytes):
         self._emit(payload)
-        self._log(kind, start)
 
     def emit_value(self, spec: ChoiceSpec, value: object, raw: bytes):
         """Emit the canonical encoding of an observed field value.
@@ -453,6 +511,17 @@ class DecisionStream:
         raise UnrepresentableValue(
             f"value {value!r} has no encoding under the active constraints with evil disabled")
 
+    def emit_bytes(self, raw: bytes, signed: bool):
+        """Inverse of choose_bytes: what emit_value emits for each byte of
+        an unconstrained one-byte array, in one pass."""
+        gate = 1 if self.evil_enabled else 0
+        stride = gate + 2
+        out = bytearray(stride * len(raw))
+        out[stride - 1::stride] = raw
+        if signed:
+            out[gate::stride] = raw.translate(_SIGNED_CONTROL)
+        self._recorded += out
+
     def emit_token(self, spec: ChoiceSpec, observed: bytes | None) -> bytes | None:
         """Inverse of choose_token.  `observed` is the token found in the
         file, or None at end of input."""
@@ -485,6 +554,3 @@ class DecisionStream:
             return observed
         raise UnrepresentableValue(
             f"token {observed!r} is not among the allowed chunk tokens and evil is disabled")
-
-    def events_json(self) -> list[dict]:
-        return [event.to_json() for event in self.events]

@@ -13,14 +13,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum, auto
 
-from .decisionstream import (
-    LOOKAHEAD_CALL,
-    STREAM_SWITCH,
-    ChoiceEvent,
-    ChoiceSpec,
-    DecisionStream,
-    StreamMode,
-)
+from .decisionstream import ChoiceEvent, ChoiceSpec, DecisionStream, StreamMode
 from .errors import (
     BudgetExceeded,
     ChecksumAlgoUnknown,
@@ -142,7 +135,7 @@ class GenResult:
     file: bytes
     tree: ParseNode
     seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)
+    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads, stream switches
     covered: set[int] = dc_field(default_factory=set)
     log: list[tuple[str, str]] = dc_field(default_factory=list)
     spliced_consumed: int | None = None
@@ -155,7 +148,7 @@ class GenResult:
 class ParseOutcome:
     tree: ParseNode
     seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)
+    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads, stream switches
     covered: set[int] = dc_field(default_factory=set)
     log: list[tuple[str, str]] = dc_field(default_factory=list)
 
@@ -201,7 +194,8 @@ class Execution:
         node.seed_start = node.seed_end = self.ds.cursor
         if self.ds.splice_node_started() and self._splice_target is None:
             self._splice_target = node
-        node.optional = self._after_lookahead()
+        # optional: generated right after a lookahead call
+        node.optional = self.ds.last_lookahead_end == node.seed_start
         self.node_stack[-1].children.append(node)
         self.node_stack.append(node)
         self.ds.node_id = node.id
@@ -215,14 +209,6 @@ class Execution:
         self.ds.node_id = self.node_stack[-1].id
         if node is self._splice_target:
             self.ds.splice_end_alt()
-
-    def _after_lookahead(self) -> bool:
-        cursor = self.ds.cursor
-        for event in reversed(self.ds.events):
-            if event.kind == STREAM_SWITCH and event.start == cursor:
-                continue
-            return event.kind == LOOKAHEAD_CALL and event.end == cursor
-        return False
 
     # -- toplevel -------------------------------------------------------
 
@@ -521,15 +507,24 @@ class Execution:
     def _array_elements(self, decl, length, width, signed, enum_cands, is_char):
         """Element-by-element array body.  The choice spec is hoisted out
         of the loop unless some element has its own mined magic, and
-        buffer traffic is batched when no reservation overlaps the span."""
+        buffer traffic is batched when no reservation overlaps the span.
+        An unconstrained one-byte array is decided in one stream call."""
         ds, buf = self.ds, self.buf
         big = self.big_endian
         per_index = (decl.init_list is not None
                      or any(k[1] is not None and k[0] == decl.name for k in self.unit.magic))
         spec0 = None if per_index else self._field_spec(decl, width, signed, enum_cands, -1)
         pos0 = buf.position
-        span_clear = not any(off in buf.reservations
-                             for off in range(pos0, pos0 + length * width))
+        span_clear = not buf.reserved_offsets(pos0, pos0 + length * width)
+        if (span_clear and width == 1 and spec0 is not None
+                and not spec0.candidates and spec0.bounds is None):
+            if self.gen:
+                raw = ds.choose_bytes(length)
+                buf.write(raw)
+            else:
+                raw = buf.read(length)
+                ds.emit_bytes(raw, signed)
+            return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
         elems = []
         if self.gen:
             raws = bytearray()

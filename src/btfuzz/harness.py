@@ -44,8 +44,9 @@ class Outcome:
     duration: float = 0.0
 
     def __post_init__(self):
-        # crash if and only if the target died to a signal
-        assert (self.kind == "crash") == (self.signal is not None)
+        if (self.kind == "crash") != (self.signal is not None):
+            raise ValueError(f"outcome {self.kind!r} with signal {self.signal}: "
+                             "crash if and only if the target died to a signal")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "exit_code": self.exit_code,

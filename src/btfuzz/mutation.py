@@ -209,8 +209,7 @@ def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
     return _regenerate_exact(unit, mutated, pool).file
 
 
-def _applicable_ops(pool: ChunkPool, base, base_records, deletable,
-                    positions, insert_donors) -> list[str]:
+def _applicable_ops(base_records, deletable, positions, insert_donors) -> list[str]:
     ops = []
     if base_records:
         ops += ["abstract", "replace"]
@@ -237,8 +236,7 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
     positions = pool.lookahead_events(base)
     insert_donors = [r for r in pool.records()
                      if r.optional and r.preceded_by_lookahead]
-    ops = _applicable_ops(pool, base, base_records, deletable,
-                          positions, insert_donors)
+    ops = _applicable_ops(base_records, deletable, positions, insert_donors)
     if not ops:
         raise NoApplicableMutation(f"no operator applies to base {base!r}")
 

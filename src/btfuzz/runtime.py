@@ -58,10 +58,9 @@ class FileBuffer:
             # forward seek left a hole; it must be filled before finalize
             self._gaps.update(range(len(self.data), pos))
             self.data.extend(b"\x00" * (pos - len(self.data)))
-        for i, b in enumerate(payload):
-            off = pos + i
-            held = self.reservations.get(off)
-            if held is not None and held != b:
+        for off in self.reserved_offsets(pos, end):
+            b, held = payload[off - pos], self.reservations[off]
+            if held != b:
                 raise ReservationConflict(
                     f"byte {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
         if end <= len(self.data):
@@ -91,6 +90,16 @@ class FileBuffer:
                         f"reservation {b:#04x} at offset {off} conflicts with written "
                         f"{self.data[off]:#04x}")
             self.reservations[off] = b
+
+    def reserved_offsets(self, pos: int, end: int) -> list[int]:
+        """The reserved offsets in [pos, end), ascending.  Costs the smaller
+        of the span length and the reservation count."""
+        res = self.reservations
+        if not res:
+            return []
+        if len(res) < end - pos:
+            return sorted(off for off in res if pos <= off < end)
+        return [off for off in range(pos, end) if off in res]
 
     def reserved_block(self, pos: int, length: int) -> bytes | None:
         """The reserved bytes covering [pos, pos+length), or None if any

@@ -11,7 +11,6 @@ from .analysis import (
     BUILTINS,
     NATIVE_INTS,
     NATIVE_TYPES,
-    list_declarations,
     mine_magic,
     resolve,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "parse_source",
     "resolve",
     "mine_magic",
-    "list_declarations",
     "format_template",
     "format_expr",
     "tokenize",

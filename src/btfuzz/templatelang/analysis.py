@@ -315,8 +315,3 @@ def mine_magic(unit: TemplateUnit) -> dict[tuple[str, int | None], list[object]]
     unit.magic.clear()
     unit.magic.update(table)
     return table
-
-
-def list_declarations(unit: TemplateUnit) -> list[Declaration]:
-    """Catalog of every input-declaration statement with its stable id."""
-    return list(unit.declarations)

@@ -1,6 +1,8 @@
 """Target execution, outcome classification, and the CLI surface."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,10 +83,21 @@ def test_crash_stub_behaviour():
 
 
 def test_outcome_crash_requires_signal():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Outcome(kind="crash", exit_code=None, signal=None)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Outcome(kind="valid", exit_code=0, signal=11)
+
+
+def test_outcome_check_survives_optimize_flag():
+    # -O strips assert statements; the crash/signal check must still run
+    src = Path(__file__).parents[1] / "src"
+    code = ("from btfuzz.harness import Outcome\n"
+            "try:\n    Outcome('crash')\nexcept ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
 
 
 def test_outcome_to_json_roundtrips():

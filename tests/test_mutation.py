@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from btfuzz.decisionstream import LOOKAHEAD_CALL
+from btfuzz.decisionstream import STREAM_SWITCH, ChoiceEvent
 from btfuzz.engine import generate_from_seed, parse
 from btfuzz.errors import NoApplicableMutation, NotOptional, TypeMismatch
 from btfuzz.formats.mini import verify_mini
@@ -150,7 +150,7 @@ def test_delete_insert_roundtrip(mini, pool):
 def test_insert_rejects_non_lookahead_position(mini, pool):
     combo = index_corpus(mini, [TWO_FILES[0]])
     donor = combo.by_type["DATA"][0]
-    bad = next(ev for ev in combo.events[0] if ev.kind != LOOKAHEAD_CALL)
+    bad = ChoiceEvent(STREAM_SWITCH, 0, 0)
     with pytest.raises(NotOptional):
         smart_insert(mini, combo, 0, bad, donor)
 
