@@ -176,12 +176,15 @@ class _SpliceSource:
         self.consumed = 0
         self.alt_consumed = 0
 
-    def enter_alt_if_at_boundary(self) -> bool:
+    def enter_alt_if_at_boundary(self):
         if self.phase == self.PREFIX and self.consumed == self.start:
             self.phase = self.ALT
             self.on_switch()
-            return True
-        return False
+
+    def node_started(self) -> bool:
+        """True when the node starting now is the splice target."""
+        self.enter_alt_if_at_boundary()
+        return self.phase == self.ALT
 
     def end_alt(self):
         if self.phase != self.ALT:
@@ -243,6 +246,7 @@ class DecisionStream:
         self._lookahead_start = 0
         self.last_lookahead_end = -1
         self._source = None
+        self.splice: _SpliceSource | None = None  # the source, during a splice
         if mode is StreamMode.GEN_FROM_SEED:
             if splice is not None:
                 span, alt = splice
@@ -250,7 +254,8 @@ class DecisionStream:
                     alt_source = _SeedSource(bytes(alt))
                 else:
                     alt_source = _RandomSource(self._coerce_rng(alt))
-                self._source = _SpliceSource(seed or b"", span, alt_source, self._log_switch)
+                self._source = self.splice = _SpliceSource(
+                    seed or b"", span, alt_source, self._log_switch)
             else:
                 self._source = _SeedSource(seed or b"")
         elif mode is StreamMode.GEN_RANDOM:
@@ -275,12 +280,6 @@ class DecisionStream:
         """Bytes consumed (generation) or emitted (parse) so far."""
         return bytes(self._recorded)
 
-    @property
-    def splice_phase(self) -> int | None:
-        if isinstance(self._source, _SpliceSource):
-            return self._source.phase
-        return None
-
     def _log_switch(self):
         # phase transitions are zero-width markers, logged even inside
         # lookahead grouping so splice points stay visible
@@ -302,33 +301,6 @@ class DecisionStream:
         previous = self.evil_enabled
         self.evil_enabled = bool(enabled)
         return previous
-
-    # -- splice plumbing (driven by the engine) -------------------------
-
-    def splice_node_started(self) -> bool:
-        """True when the node starting now is the splice target."""
-        if isinstance(self._source, _SpliceSource):
-            self._source.enter_alt_if_at_boundary()
-            return self._source.phase == _SpliceSource.ALT
-        return False
-
-    def splice_end_alt(self):
-        if isinstance(self._source, _SpliceSource):
-            self._source.end_alt()
-
-    def splice_suffix_position(self) -> int:
-        """Position within the base seed; only meaningful once the splice
-        has moved to the suffix phase."""
-        source = self._source
-        return source.pos if isinstance(source, _SpliceSource) else 0
-
-    def splice_alt_consumed(self) -> int | None:
-        source = self._source
-        return source.alt_consumed if isinstance(source, _SpliceSource) else None
-
-    def splice_unfinished(self) -> bool:
-        return (isinstance(self._source, _SpliceSource)
-                and self._source.phase != _SpliceSource.SUFFIX)
 
     # -- generation primitives ------------------------------------------
 
@@ -357,14 +329,11 @@ class DecisionStream:
             return int.from_bytes(self._draw(2), "little") % k
         raise ValueError(f"choose_index supports at most 65536 options, got {k}")
 
-    def _choose_bounded(self, lo: int, hi: int) -> int:
+    def choose_bounded(self, lo: int, hi: int) -> int:
+        """A value in [lo, hi], gate-free (codec payload lengths)."""
         span = hi - lo + 1
         raw = int.from_bytes(self._draw(bounded_width(span)), "little")
         return lo + raw % span
-
-    def choose_bounded(self, lo: int, hi: int) -> int:
-        """A value in [lo, hi], gate-free (codec payload lengths)."""
-        return self._choose_bounded(lo, hi)
 
     def emit_bounded(self, value: int, lo: int, hi: int):
         """Canonical gate-free inverse of choose_bounded."""
@@ -384,7 +353,7 @@ class DecisionStream:
             return ("value", spec.candidates[idx])
         if spec.bounds is not None:
             lo, hi = spec.bounds
-            return ("value", self._choose_bounded(lo, hi))
+            return ("value", self.choose_bounded(lo, hi))
         control = self._draw(1)[0]
         if control % 4 < SMALL_CLASSES:
             return ("value", self._draw(1)[0])
@@ -461,23 +430,20 @@ class DecisionStream:
 
     # -- parse-side inverses ----------------------------------------------
 
-    def _emit(self, payload: bytes):
-        self._recorded.extend(payload)
-
     def _emit_gate(self, evil: bool):
         if self.evil_enabled:
-            self._emit(bytes([EVIL_RESIDUE if evil else 0]))
+            self.emit_raw(bytes([EVIL_RESIDUE if evil else 0]))
 
     def emit_index(self, k: int, idx: int):
         if k == 1 and not self.evil_enabled:
             return
         if k <= 256:
-            self._emit(bytes([idx]))
+            self.emit_raw(bytes([idx]))
         else:
-            self._emit(idx.to_bytes(2, "little"))
+            self.emit_raw(idx.to_bytes(2, "little"))
 
     def emit_raw(self, payload: bytes):
-        self._emit(payload)
+        self._recorded.extend(payload)
 
     def emit_value(self, spec: ChoiceSpec, value: object, raw: bytes):
         """Emit the canonical encoding of an observed field value.
@@ -494,8 +460,7 @@ class DecisionStream:
             lo, hi = spec.bounds
             if isinstance(value, int) and lo <= value <= hi:
                 self._emit_gate(False)
-                width = bounded_width(hi - lo + 1)
-                self.emit_raw((value - lo).to_bytes(width, "little"))
+                self.emit_bounded(value, lo, hi)
                 return
         else:
             self._emit_gate(False)

@@ -31,7 +31,6 @@ from .errors import (
 from .runtime import DEFAULT_BUDGET, FileBuffer, ParseNode, RecordVal, Scope
 from .templatelang import NATIVE_INTS, TemplateUnit
 from .templatelang import nodes as ast
-from .templatelang.analysis import _resolve_typedef
 
 # Checksum algorithm selectors, available to templates as globals.
 CHECKSUM_CRC32 = 0
@@ -192,7 +191,8 @@ class Execution:
         self._next_node_id += 1
         node.file_start = node.file_end = self.buf.position
         node.seed_start = node.seed_end = self.ds.cursor
-        if self.ds.splice_node_started() and self._splice_target is None:
+        splice = self.ds.splice
+        if splice is not None and splice.node_started() and self._splice_target is None:
             self._splice_target = node
         # optional: generated right after a lookahead call
         node.optional = self.ds.last_lookahead_end == node.seed_start
@@ -208,7 +208,7 @@ class Execution:
         assert popped is node
         self.ds.node_id = self.node_stack[-1].id
         if node is self._splice_target:
-            self.ds.splice_end_alt()
+            self.ds.splice.end_alt()
 
     # -- toplevel -------------------------------------------------------
 
@@ -266,7 +266,7 @@ class Execution:
                         raise EvalError(f"negative length for local array {stmt.name!r}")
                 fill = b"" if stmt.type_name == "string" else 0
                 value = [fill] * length
-        self.scope.declare_local(stmt.name, value)
+        self.scope.bind(stmt.name, value)
 
     def _exec_assign(self, stmt: ast.Assign):
         value = self._eval(stmt.value)
@@ -355,36 +355,23 @@ class Execution:
 
     # -- input declarations ----------------------------------------------
 
-    def _native_name(self, type_name: str) -> str:
-        name = type_name
-        seen = set()
-        while name not in NATIVE_INTS and name != "string":
-            tdef = self.unit.typedefs.get(name)
-            if tdef is None or tdef.kind != "alias" or name in seen:
-                break
-            seen.add(name)
-            name = tdef.underlying
-        return name
-
     def _exec_input_decl(self, decl: ast.InputDecl):
         self.covered.add(decl.decl_id)
-        tdef = _resolve_typedef(self.unit, decl.type_name)
+        tdef, native = decl.resolved
         if tdef is not None and tdef.kind == "record":
             self._declare_record(decl, tdef)
             return
-        if tdef is not None and tdef.kind == "enum":
-            native = self._native_name(tdef.underlying)
-            enum_cands = [m.value for m in tdef.members]
-            type_label = tdef.name
-        else:
-            native = self._native_name(decl.type_name)
-            enum_cands = None
-            type_label = native
         if native == "string":
             raise EvalError(f"input field {decl.name!r}: string inputs are not supported; "
                             "declare a char array with an explicit length")
         if native not in NATIVE_INTS:
             raise EvalError(f"cannot declare input of type {decl.type_name!r}")
+        if tdef is not None:
+            enum_cands = [m.value for m in tdef.members]
+            type_label = tdef.name
+        else:
+            enum_cands = None
+            type_label = native
         width, signed = NATIVE_INTS[native]
         if decl.array_len is None:
             self._declare_scalar(decl, native, width, signed, enum_cands, type_label)
@@ -526,44 +513,36 @@ class Execution:
                 ds.emit_bytes(raw, signed)
             return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
         elems = []
-        if self.gen:
+        if not span_clear:
             raws = bytearray()
-            if span_clear:
-                for i in range(length):
-                    spec = spec0 if spec0 is not None else self._field_spec(
-                        decl, width, signed, enum_cands, i)
-                    kind, payload = ds.choose_value(spec)
-                    raw = payload if kind == "raw" else encode_int(payload, width, big)
-                    raws += raw
-                    if not is_char:
-                        elems.append(decode_int(raw, signed, big))
-                buf.write(bytes(raws))
-            else:
-                for i in range(length):
-                    spec = spec0 if spec0 is not None else self._field_spec(
-                        decl, width, signed, enum_cands, i)
-                    elem, raw = self._scalar_int_choice(spec, width, signed)
-                    elems.append(elem)
-                    raws += raw
-            return bytes(raws) if is_char else elems
-        if span_clear:
-            raw_all = buf.read(length * width)
             for i in range(length):
                 spec = spec0 if spec0 is not None else self._field_spec(
                     decl, width, signed, enum_cands, i)
-                raw = raw_all[i * width:(i + 1) * width]
-                value = decode_int(raw, signed, big)
-                ds.emit_value(spec, value, raw)
-                elems.append(value)
-            return raw_all if is_char else elems
-        raws = bytearray()
+                elem, raw = self._scalar_int_choice(spec, width, signed)
+                elems.append(elem)
+                raws += raw
+            return bytes(raws) if is_char else elems
+        if self.gen:
+            raws = bytearray()
+            for i in range(length):
+                spec = spec0 if spec0 is not None else self._field_spec(
+                    decl, width, signed, enum_cands, i)
+                kind, payload = ds.choose_value(spec)
+                raw = payload if kind == "raw" else encode_int(payload, width, big)
+                raws += raw
+                if not is_char:
+                    elems.append(decode_int(raw, signed, big))
+            buf.write(bytes(raws))
+            return bytes(raws) if is_char else elems
+        raw_all = buf.read(length * width)
         for i in range(length):
             spec = spec0 if spec0 is not None else self._field_spec(
                 decl, width, signed, enum_cands, i)
-            elem, raw = self._scalar_int_choice(spec, width, signed)
-            elems.append(elem)
-            raws += raw
-        return bytes(raws) if is_char else elems
+            raw = raw_all[i * width:(i + 1) * width]
+            value = decode_int(raw, signed, big)
+            ds.emit_value(spec, value, raw)
+            elems.append(value)
+        return raw_all if is_char else elems
 
     def _whole_array_candidates(self, decl, length: int) -> list[bytes] | None:
         if decl.init_list is not None:
@@ -700,46 +679,11 @@ class Execution:
         left = self._eval(expr.left)
         right = self._eval(expr.right)
         if isinstance(left, bytes) and isinstance(right, bytes):
-            if op == "==":
-                return 1 if left == right else 0
-            if op == "!=":
-                return 1 if left != right else 0
-            raise EvalError(f"operator {op} not defined on strings")
-        if not isinstance(left, int) or not isinstance(right, int):
+            if op not in ("==", "!="):
+                raise EvalError(f"operator {op} not defined on strings")
+        elif not isinstance(left, int) or not isinstance(right, int):
             raise EvalError(f"operator {op} on {type(left).__name__} and {type(right).__name__}")
-        if op == "+":
-            return wrap64(left + right)
-        if op == "-":
-            return wrap64(left - right)
-        if op == "*":
-            return wrap64(left * right)
-        if op == "/":
-            return c_div(left, right)
-        if op == "%":
-            return c_mod(left, right)
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "&":
-            return wrap64(left & right)
-        if op == "|":
-            return wrap64(left | right)
-        if op == "^":
-            return wrap64(left ^ right)
-        if op in ("<<", ">>"):
-            if not 0 <= right < 64:
-                raise EvalError(f"shift amount {right} outside [0, 63]")
-            return wrap64(left << right) if op == "<<" else wrap64(left >> right)
-        raise EvalError(f"unknown operator {op}")
+        return _BINARY_OPS[op](left, right)
 
     def _eval_ternary(self, expr: ast.Ternary):
         return self._eval(expr.then if _truthy(self._eval(expr.cond)) else expr.other)
@@ -982,6 +926,34 @@ class Execution:
             self._pop_node(node)
 
 
+def _shift(n: int) -> int:
+    if not 0 <= n < 64:
+        raise EvalError(f"shift amount {n} outside [0, 63]")
+    return n
+
+
+# Binary operators on two ints; == and != also compare two strings.  Holds
+# every operator the parser builds a Binary node for, except && and ||.
+_BINARY_OPS = {
+    "+": lambda a, b: wrap64(a + b),
+    "-": lambda a, b: wrap64(a - b),
+    "*": lambda a, b: wrap64(a * b),
+    "/": c_div,
+    "%": c_mod,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "&": lambda a, b: wrap64(a & b),
+    "|": lambda a, b: wrap64(a | b),
+    "^": lambda a, b: wrap64(a ^ b),
+    "<<": lambda a, b: wrap64(a << _shift(b)),
+    ">>": lambda a, b: wrap64(a >> _shift(b)),
+}
+
+
 def _truthy(v) -> bool:
     if isinstance(v, int):
         return v != 0
@@ -1103,6 +1075,7 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
         alt = random.Random(alt)
     ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base_seed, evil_enabled=evil,
                         splice=(span, alt))
+    splice = ds.splice
     buf = FileBuffer(budget)
     ex = Execution(unit, ds, buf)
     try:
@@ -1111,16 +1084,15 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     except SpliceMisaligned:
         raise
     except GenerationFailed as exc:
-        phase = ds.splice_phase
-        if phase is not None and ds.splice_unfinished() and ex._splice_target is None:
+        if splice.phase != splice.SUFFIX and ex._splice_target is None:
             raise SpliceMisaligned(f"replay failed before the splice region: {exc}") from exc
-        if phase is not None and not ds.splice_unfinished():
+        if splice.phase == splice.SUFFIX:
             raise SpliceMisaligned(f"replay failed after the splice region: {exc}") from exc
         raise
-    if ds.splice_unfinished():
+    if splice.phase != splice.SUFFIX:
         raise SpliceMisaligned("generation finished before the splice region completed")
-    leftover = len(base_seed) - ds.splice_suffix_position()
+    leftover = len(base_seed) - splice.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")
     return GenResult(data, ex.root, ds.seed, ds.events, ex.covered, ex.log,
-                     spliced_consumed=ds.splice_alt_consumed())
+                     spliced_consumed=splice.alt_consumed)

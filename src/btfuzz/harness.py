@@ -34,6 +34,11 @@ OUTCOME_KINDS = ("valid", "invalid", "crash", "timeout", "gen_failed")
 RNG_STRIDE = 1_000_003
 
 
+def _iteration_rng(master: int, index: int) -> random.Random:
+    """The rng of file `index` in a run with master seed `master`."""
+    return random.Random(master * RNG_STRIDE + index)
+
+
 @dataclass
 class Outcome:
     """One target execution, classified."""
@@ -120,7 +125,7 @@ def _fuzz_worker(cfg: dict) -> dict:
     started = time.perf_counter()
     for i in range(cfg["count"]):
         index = cfg["start"] + i
-        rng = random.Random(cfg["rng_seed"] * RNG_STRIDE + index)
+        rng = _iteration_rng(cfg["rng_seed"], index)
         seed_bytes = None
         try:
             if pool is None:
@@ -208,7 +213,7 @@ def cmd_generate(args) -> int:
     ok = failed = 0
     started = time.perf_counter()
     for i in range(args.count):
-        rng = random.Random(master * RNG_STRIDE + i)
+        rng = _iteration_rng(master, i)
         try:
             result = generate_random(unit, rng, evil=evil, budget=args.max_size)
         except GenerationFailed:
@@ -277,11 +282,7 @@ def cmd_replay(args) -> int:
 def cmd_mutate(args) -> int:
     unit = load_template(args.template)
     evil = not args.no_evil
-    try:
-        corpus = _load_corpus_dir(args.corpus)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    corpus = _load_corpus_dir(args.corpus)
     if not corpus:
         print(f"corpus directory is empty: {args.corpus}", file=sys.stderr)
         return 1
@@ -298,7 +299,7 @@ def cmd_mutate(args) -> int:
     ok = 0
     with open(out_dir / "mutations.jsonl", "w") as log:
         for i in range(args.count):
-            rng = random.Random(master * RNG_STRIDE + i)
+            rng = _iteration_rng(master, i)
             base = rng.choice(bases)
             try:
                 data, desc = random_smart_mutation(unit, pool, base, rng)
@@ -316,13 +317,7 @@ def cmd_mutate(args) -> int:
 def cmd_fuzz(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = None
-    if args.corpus:
-        try:
-            corpus = _load_corpus_dir(args.corpus)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+    corpus = _load_corpus_dir(args.corpus) if args.corpus else None
     master = _master_seed(args)
     base_cfg = {
         "template": args.template,
@@ -382,12 +377,7 @@ def cmd_roundtrip(args) -> int:
     failures = 0
 
     if args.corpus:
-        try:
-            corpus = _load_corpus_dir(args.corpus)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        for name, data in corpus.items():
+        for name, data in _load_corpus_dir(args.corpus).items():
             try:
                 outcome = parse(unit, data, evil=evil)
             except ParseRejected as exc:
@@ -404,7 +394,7 @@ def cmd_roundtrip(args) -> int:
     master = _master_seed(args)
     gen_failed = checked = 0
     for i in range(args.count):
-        rng = random.Random(master * RNG_STRIDE + i)
+        rng = _iteration_rng(master, i)
         try:
             result = generate_random(unit, rng, evil=evil, budget=args.max_size)
         except GenerationFailed:
@@ -438,7 +428,7 @@ def cmd_coverage(args) -> int:
     hits: Counter = Counter()
     gen_failed = 0
     for i in range(args.count):
-        rng = random.Random(master * RNG_STRIDE + i)
+        rng = _iteration_rng(master, i)
         try:
             result = generate_random(unit, rng, evil=evil, budget=args.max_size)
         except GenerationFailed:

@@ -141,32 +141,23 @@ class FileBuffer:
 
 
 class Scope:
-    """Name binding frames with C-style activation boundaries.
+    """Name bindings, one frame per activation.
 
-    Reads fall through every frame so record bodies can consult enclosing
-    locals.  A `local` declaration rebinds an existing binding within the
-    current activation (so loop-carried state survives braces) but shadows
-    bindings that live outside it (record and function bodies start new
-    activations).
+    Reads and assignments fall through every frame, so record and function
+    bodies can consult and update enclosing locals.  A declaration binds in
+    the innermost frame: it rebinds a name declared earlier in the same
+    activation (so loop-carried state survives braces) and shadows one
+    that lives outside it.
     """
 
     def __init__(self):
         self.frames: list[dict[str, object]] = [{}]
-        self.activation_bases: list[int] = [0]
-
-    def push_frame(self):
-        self.frames.append({})
-
-    def pop_frame(self):
-        self.frames.pop()
 
     def push_activation(self):
-        self.activation_bases.append(len(self.frames))
         self.frames.append({})
 
     def pop_activation(self):
-        base = self.activation_bases.pop()
-        del self.frames[base:]
+        self.frames.pop()
 
     def read(self, name: str) -> object:
         for frame in reversed(self.frames):
@@ -174,26 +165,12 @@ class Scope:
                 return frame[name]
         raise EvalError(f"undefined variable {name!r}")
 
-    def try_read(self, name: str):
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        return None
-
     def assign(self, name: str, value: object):
         for frame in reversed(self.frames):
             if name in frame:
                 frame[name] = value
                 return
         raise EvalError(f"assignment to undefined variable {name!r}")
-
-    def declare_local(self, name: str, value: object):
-        base = self.activation_bases[-1]
-        for idx in range(len(self.frames) - 1, base - 1, -1):
-            if name in self.frames[idx]:
-                self.frames[idx][name] = value
-                return
-        self.frames[-1][name] = value
 
     def bind(self, name: str, value: object):
         self.frames[-1][name] = value

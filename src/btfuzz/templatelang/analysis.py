@@ -187,20 +187,27 @@ def resolve(unit: TemplateUnit) -> None:
         if name in unit.functions:
             raise ResolveError(f"{name!r} defined as both type and function")
 
-    def check_type(name: str, span):
+    def check_type(name: str, span) -> tuple[TypeDef | None, str | None]:
+        """Chase aliases from `name`.  Returns the record or enum TypeDef
+        reached (None for a native type) and the native type the value is
+        stored as (None for a record, or for an enum not over a native)."""
         seen = set()
-        while True:
-            if name in NATIVE_TYPES:
-                return
+        tdef = None
+        while name not in NATIVE_TYPES:
             td = unit.typedefs.get(name)
             if td is None:
                 raise ResolveError(f"unknown type {name!r}", *span)
-            if td.kind != "alias":
-                return
-            if name in seen:
+            if td.kind == "record":
+                return tdef or td, None
+            if td.kind == "enum":
+                if tdef is not None:
+                    return tdef, None  # an enum over an enum
+                tdef, seen = td, set()  # chase the enum's storage type
+            elif name in seen:
                 raise ResolveError(f"alias cycle through {name!r}", *span)
             seen.add(name)
             name = td.underlying
+        return tdef, name
 
     for td in unit.typedefs.values():
         if td.kind == "enum":
@@ -219,8 +226,8 @@ def resolve(unit: TemplateUnit) -> None:
     unit.declarations.clear()
     for stmt in _all_stmts(unit):
         if isinstance(stmt, InputDecl):
-            check_type(stmt.type_name, stmt.span)
-            td = _resolve_typedef(unit, stmt.type_name)
+            stmt.resolved = check_type(stmt.type_name, stmt.span)
+            td = stmt.resolved[0]
             if td is not None and td.kind == "record":
                 want = len(td.params)
                 if len(stmt.args) != want:
@@ -249,21 +256,6 @@ def resolve(unit: TemplateUnit) -> None:
                     raise ArityError(f"{expr.name} takes {want} argument(s), got {len(expr.args)}")
             else:
                 raise ResolveError(f"unknown function {expr.name!r}")
-
-
-def _resolve_typedef(unit: TemplateUnit, name: str) -> TypeDef | None:
-    """Chase aliases; returns the final TypeDef or None for native types."""
-    seen = set()
-    while True:
-        if name in NATIVE_TYPES:
-            return None
-        td = unit.typedefs.get(name)
-        if td is None or name in seen:
-            return None
-        if td.kind != "alias":
-            return td
-        seen.add(name)
-        name = td.underlying
 
 
 def _path_key(expr: Expr) -> tuple[str, int | None] | None:

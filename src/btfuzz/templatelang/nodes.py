@@ -109,6 +109,9 @@ class InputDecl(Stmt):
     init_list: list[Expr] | None = None
     attrs: dict[str, Expr] = field(default_factory=dict)
     decl_id: int = field(compare=False, default=-1)
+    # (record or enum TypeDef or None, native type name), set by resolve
+    resolved: tuple[TypeDef | None, str | None] = field(
+        compare=False, repr=False, default=(None, None))
 
 
 @dataclass

@@ -155,6 +155,25 @@ def test_division_is_c_style():
     parse(unit, b"\x01")
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("7 + 3", 10), ("7 - 3", 4), ("7 * 3", 21), ("7 / 3", 2), ("7 % 3", 1),
+    ("7 == 3", 0), ("7 != 3", 1), ("7 < 3", 0), ("7 <= 7", 1), ("7 > 3", 1),
+    ("3 >= 7", 0), ("6 & 3", 2), ("6 | 3", 7), ("6 ^ 3", 5), ("1 << 4", 16),
+    ("32 >> 2", 8), ("1 && 0", 0), ("1 || 0", 1), ("\"ab\" == \"ab\"", 1),
+    ("\"ab\" != \"ab\"", 0),
+])
+def test_binary_operators(expr, want):
+    unit = parse_template(f"ubyte x = {{ {expr} }};")
+    assert generate_random(unit, random.Random(0), evil=False).file == bytes([want])
+
+
+@pytest.mark.parametrize("expr", ["1 << 64", "1 >> -1", "\"a\" < \"b\"", "\"a\" + 1"])
+def test_binary_operator_rejections(expr):
+    unit = parse_template(f"local int v = {expr}; ubyte x;")
+    with pytest.raises(EvalError):
+        generate_random(unit, random.Random(0))
+
+
 def test_division_by_zero_fails():
     unit = parse_template("local int a = 1 / 0; ubyte x;")
     with pytest.raises(EvalError):
@@ -184,6 +203,44 @@ def test_user_function_with_return():
         parse(unit, b"\x03\x07", evil=False)
 
 
+# -- scopes --------------------------------------------------------------------
+
+
+def test_local_redeclared_in_block_keeps_new_value():
+    unit = parse_template("""
+        local int x = 1;
+        if (x == 1) { local int x = 2; }
+        ubyte a = { x };
+        { local int x = 3; }
+        ubyte b = { x };
+    """)
+    assert generate_random(unit, random.Random(0), evil=False).file == b"\x02\x03"
+
+
+def test_assignment_in_record_writes_through_to_toplevel_local():
+    unit = parse_template("""
+        local int seen = 0;
+        typedef struct { ubyte v; seen = v; } R;
+        R r;
+        ubyte echo = { seen };
+    """)
+    file = generate_random(unit, random.Random(0), evil=False).file
+    assert file[1] == file[0]
+    parse(unit, b"\x05\x05", evil=False)
+    with pytest.raises(ParseRejected):
+        parse(unit, b"\x05\x00", evil=False)
+
+
+def test_record_local_shadows_toplevel_until_record_ends():
+    unit = parse_template("""
+        local int x = 7;
+        typedef struct { ubyte before = { x }; local int x = 1; ubyte inner = { x }; } R;
+        R r;
+        ubyte after = { x };
+    """)
+    assert generate_random(unit, random.Random(0), evil=False).file == b"\x07\x01\x07"
+
+
 # -- arrays, enums, parameterized records -------------------------------------
 
 
@@ -197,6 +254,37 @@ def test_enum_field_candidates():
         assert f in (b"\x01", b"\x04")
     with pytest.raises(ParseRejected):
         parse(unit, b"\x02", evil=False)
+
+
+def test_enum_through_aliases_roundtrips():
+    unit = parse_template("""
+        typedef ubyte U;
+        typedef enum <U> { A = 1, B = 4 } E;
+        typedef E F;
+        F f;
+    """)
+    for i in range(8):
+        result = generate_random(unit, random.Random(i), evil=False)
+        assert result.file in (b"\x01", b"\x04")
+        assert result.tree.children[0].type_name == "E"
+        outcome = parse(unit, result.file, evil=False)
+        assert generate_from_seed(unit, outcome.seed, evil=False).file == result.file
+
+
+def test_enum_over_record_cannot_be_declared():
+    unit = parse_template("""
+        typedef struct { ubyte v; } R;
+        typedef enum <R> { A = 1 } E;
+        E e;
+    """)
+    with pytest.raises(EvalError, match="cannot declare input of type 'E'"):
+        generate_random(unit, random.Random(0))
+
+
+def test_string_alias_input_rejected():
+    unit = parse_template("typedef string S; S s;")
+    with pytest.raises(EvalError, match="string inputs are not supported"):
+        generate_random(unit, random.Random(0))
 
 
 def test_array_length_from_prior_field():

@@ -220,10 +220,23 @@ def test_mutate_writes_jsonl(tmp_path):
     assert produced == sum(1 for r in records if r["ok"])
 
 
-def test_mutate_missing_corpus(tmp_path):
+def test_mutate_missing_corpus(tmp_path, capsys):
     rc = run_cli("mutate", "--template", "mini",
                  "--corpus", tmp_path / "nope", "--out", tmp_path / "m")
     assert rc == 1
+    assert "btfuzz: corpus directory not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fuzz", ("--target", f"{PY} -c pass")),
+    ("roundtrip", ()),
+])
+def test_missing_corpus_exits_one(tmp_path, monkeypatch, capsys, command, extra):
+    monkeypatch.chdir(tmp_path)  # fuzz creates its default --out directory first
+    rc = run_cli(command, "--template", "mini", "--corpus", tmp_path / "nope",
+                 "--rng-seed", 1, *extra)
+    assert rc == 1
+    assert "btfuzz: corpus directory not found" in capsys.readouterr().err
 
 
 def test_roundtrip_random_only(tmp_path):

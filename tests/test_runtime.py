@@ -1,4 +1,4 @@
-"""File buffer, scopes, and parse-tree plumbing."""
+"""File buffer and parse-tree plumbing."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from btfuzz.errors import (
     OutOfRange,
     ReservationConflict,
 )
-from btfuzz.runtime import FileBuffer, ParseNode, Scope, trees_agree
+from btfuzz.runtime import FileBuffer, ParseNode, trees_agree
 
 
 def test_write_advances_and_tracks_high_water():
@@ -97,41 +97,6 @@ def test_parse_mode_read_and_peek():
         buf.peek(-1, 1)
     with pytest.raises(OutOfRange):
         buf.read(4)
-
-
-def test_local_redeclaration_rebinds_within_activation():
-    # re-declaring a local in an inner block updates the existing binding
-    # rather than shadowing it; the value survives the block
-    sc = Scope()
-    sc.push_frame()
-    sc.declare_local("x", 1)
-    sc.push_frame()
-    sc.declare_local("x", 2)
-    assert sc.read("x") == 2
-    sc.pop_frame()
-    assert sc.read("x") == 2
-
-
-def test_assignment_writes_through_to_declaring_frame():
-    sc = Scope()
-    sc.push_frame()
-    sc.declare_local("x", 1)
-    sc.push_frame()
-    sc.assign("x", 9)
-    sc.pop_frame()
-    assert sc.read("x") == 9
-
-
-def test_activation_reads_globals_but_declares_locally():
-    sc = Scope()
-    sc.push_frame()
-    sc.declare_local("x", 1)
-    sc.push_activation()
-    assert sc.try_read("x") == 1  # outer bindings stay visible
-    sc.declare_local("x", 7)  # but declarations stop at the activation base
-    assert sc.read("x") == 7
-    sc.pop_activation()
-    assert sc.read("x") == 1
 
 
 def _node(nid, name, tname, fspan, sspan, children=()):
