@@ -23,6 +23,7 @@ from .errors import (
     InvalidFieldAccess,
     OutOfRange,
     ParseRejected,
+    RecursionTooDeep,
     SpliceMisaligned,
     TemplateAbort,
     TrailingBytes,
@@ -222,6 +223,8 @@ class Execution:
             code = sig.value if isinstance(sig.value, int) else 0
         except _BreakSignal:
             raise EvalError("break outside of a loop or switch")
+        except RecursionError:
+            raise RecursionTooDeep("template recursion exceeds the interpreter stack") from None
         if code < 0:
             if self.gen:
                 raise TemplateAbort(code)
@@ -653,7 +656,10 @@ class Execution:
         if isinstance(base, (list, bytes, bytearray)):
             if not 0 <= idx < len(base):
                 raise InvalidFieldAccess(f"index {idx} outside array of {len(base)}")
-            return base[idx]
+            v = base[idx]
+            if isinstance(base, list):
+                return v
+            return v - 256 if v >= 0x80 else v  # bytes hold chars, and char is signed
         raise EvalError(f"indexing non-array value {type(base).__name__}")
 
     def _eval_unary(self, expr: ast.Unary):

@@ -77,6 +77,10 @@ class TemplateAbort(GenerationFailed):
         self.code = code
 
 
+class RecursionTooDeep(GenerationFailed):
+    """Template functions or records nested deeper than the interpreter stack."""
+
+
 class EvalError(GenerationFailed):
     """Expression evaluation failed (bad types, division by zero, ...)."""
 

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import random
+import select
 import shlex
 import subprocess
 import sys
@@ -58,6 +59,142 @@ class Outcome:
                 "signal": self.signal, "duration": round(self.duration, 6)}
 
 
+class _Run:
+    """One target execution in flight: started by the constructor, ended by
+    finish() or kill().
+
+    With `stdin_data` the input goes to the target's stdin through a
+    non-blocking pipe; what the pipe does not take at once is written while
+    finish() waits.  On Linux finish() blocks on a pidfd, which wakes the
+    moment the target exits; without one it falls back to Popen.wait.
+    """
+
+    def __init__(self, argv: list[str], stdin_data: bytes | None, timeout_ms: int):
+        self.started = time.perf_counter()
+        self.deadline = self.started + timeout_ms / 1000.0
+        self.proc = subprocess.Popen(
+            argv, stdin=None if stdin_data is None else subprocess.PIPE,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        self.pidfd = None
+        self.pending = memoryview(stdin_data or b"")
+        try:
+            self.pidfd = os.pidfd_open(self.proc.pid)
+        except (AttributeError, OSError):
+            pass
+        try:
+            if self.proc.stdin is not None:
+                os.set_blocking(self.proc.stdin.fileno(), False)
+                self._feed()
+        except BaseException:
+            self.kill()
+            raise
+
+    def _feed(self) -> bool:
+        """Write what the stdin pipe takes now; close it, and return False,
+        once all is written or the target stopped reading."""
+        try:
+            self.pending = self.pending[os.write(self.proc.stdin.fileno(), self.pending):]
+        except BlockingIOError:
+            return True
+        except BrokenPipeError:
+            self.pending = memoryview(b"")
+        if self.pending:
+            return True
+        self.proc.stdin.close()
+        return False
+
+    def _wait(self) -> None:
+        """Return once the target has exited or its deadline has passed."""
+        poller = select.poll()
+        if self.pidfd is not None:
+            poller.register(self.pidfd, select.POLLIN)
+        if self.pending:
+            poller.register(self.proc.stdin.fileno(), select.POLLOUT)
+        while self.pidfd is not None or self.pending:
+            left = self.deadline - time.perf_counter()
+            if left <= 0:
+                return
+            for fd, _ in poller.poll(left * 1000):  # ms, rounded up
+                if fd == self.pidfd:
+                    return
+                if not self._feed():
+                    poller.unregister(fd)
+        try:
+            self.proc.wait(max(0.0, self.deadline - time.perf_counter()))
+        except subprocess.TimeoutExpired:
+            pass
+
+    def finish(self) -> Outcome:
+        """Wait for the target until its deadline, then classify it; a target
+        still running at the deadline is killed and counts as a timeout."""
+        try:
+            self._wait()
+            code = self.proc.poll()
+        finally:
+            self.kill()
+        duration = time.perf_counter() - self.started
+        if code is None:
+            return Outcome("timeout", duration=duration)
+        if code < 0:
+            return Outcome("crash", signal=-code, duration=duration)
+        return Outcome("valid" if code == 0 else "invalid", exit_code=code,
+                       duration=duration)
+
+    def kill(self) -> None:
+        """Kill and reap the target if it still runs; release the pipe and pidfd."""
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+        if self.proc.stdin is not None:
+            self.proc.stdin.close()
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
+
+
+class _Target:
+    """A target command, run on one input after another.
+
+    The input goes to stdin unless the command contains a `{}` token; then
+    every input is written to one temporary file, created here and removed
+    by close(), whose path replaces the token.
+    """
+
+    def __init__(self, target: str, timeout_ms: int):
+        argv = shlex.split(target)
+        if not argv:
+            raise ValueError("empty target command")
+        self.timeout_ms = timeout_ms
+        self.path = None
+        if any("{}" in word for word in argv):
+            fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_")
+            os.close(fd)
+            argv = [word.replace("{}", self.path) for word in argv]
+        self.argv = argv
+
+    def spawn(self, data: bytes) -> _Run:
+        """Start the target on `data`.  With a `{}` command the previous
+        target must have exited, since its file is overwritten."""
+        if self.path is None:
+            return _Run(self.argv, data, self.timeout_ms)
+        with open(self.path, "wb") as fh:
+            fh.write(data)
+        return _Run(self.argv, None, self.timeout_ms)
+
+    def close(self) -> None:
+        if self.path is not None:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
     """Deliver one input to the target command and classify the result.
 
@@ -65,40 +202,8 @@ def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
     is substituted with the path of a temporary file holding the input.
     Spawn failures (missing executable) raise OSError to the caller.
     """
-    argv = shlex.split(target)
-    if not argv:
-        raise ValueError("empty target command")
-    uses_path = any("{}" in word for word in argv)
-    tmp_path = None
-    started = time.perf_counter()
-    try:
-        if uses_path:
-            fd, tmp_path = tempfile.mkstemp(prefix="btfuzz_in_")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            argv = [word.replace("{}", tmp_path) for word in argv]
-            stdin_data = None
-        else:
-            stdin_data = data
-        try:
-            proc = subprocess.run(argv, input=stdin_data,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL,
-                                  timeout=timeout_ms / 1000.0)
-        except subprocess.TimeoutExpired:
-            return Outcome("timeout", duration=time.perf_counter() - started)
-        duration = time.perf_counter() - started
-        code = proc.returncode
-        if code < 0:
-            return Outcome("crash", signal=-code, duration=duration)
-        kind = "valid" if code == 0 else "invalid"
-        return Outcome(kind, exit_code=code, duration=duration)
-    finally:
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+    with _Target(target, timeout_ms) as tgt:
+        return tgt.spawn(data).finish()
 
 
 def _stats_line(counts: Counter, iters: int, elapsed: float) -> str:
@@ -109,7 +214,13 @@ def _stats_line(counts: Counter, iters: int, elapsed: float) -> str:
 
 
 def _fuzz_worker(cfg: dict) -> dict:
-    """One fuzzing loop; top-level so multiprocessing can pickle it."""
+    """One fuzzing loop; top-level so multiprocessing can pickle it.
+
+    The loop is a two-stage pipeline: the input of iteration i+1 is built
+    while target i runs, then target i is settled (counted, persisted if it
+    is a finding) and target i+1 started.  Every input comes from its own
+    iteration's rng, so counts and findings do not depend on the overlap.
+    """
     unit = load_template(cfg["template"])
     evil, budget = cfg["evil"], cfg["budget"]
     out_dir = Path(cfg["out"])
@@ -120,24 +231,40 @@ def _fuzz_worker(cfg: dict) -> dict:
         bases = sorted(pool.seeds)
         if not bases:
             raise NoApplicableMutation("no corpus file parsed")
-    counts: Counter = Counter()
-    findings = []
-    started = time.perf_counter()
-    for i in range(cfg["count"]):
-        index = cfg["start"] + i
+
+    def produce(index: int):
+        """(data, seed or None), or None when no input could be built."""
         rng = _iteration_rng(cfg["rng_seed"], index)
-        seed_bytes = None
         try:
             if pool is None:
                 result = generate_random(unit, rng, evil=evil, budget=budget)
-                data, seed_bytes = result.file, result.seed
-            else:
-                data, _ = random_smart_mutation(unit, pool, rng.choice(bases), rng)
+                return result.file, result.seed
+            data, _ = random_smart_mutation(unit, pool, rng.choice(bases), rng)
+            return data, None
         except (GenerationFailed, NoApplicableMutation):
-            counts["gen_failed"] += 1
-            continue
-        outcome = run_target(cfg["target"], data, cfg["timeout_ms"])
-        counts[outcome.kind] += 1
+            return None
+
+    counts: Counter = Counter()
+    findings = []
+    started = time.perf_counter()
+    done = 0
+    running = None  # (index, data, seed or None, _Run) of the target in flight
+
+    def settle(kind: str) -> None:
+        nonlocal done
+        counts[kind] += 1
+        done += 1
+        if cfg["progress_every"] and done % cfg["progress_every"] == 0:
+            print(_stats_line(counts, done, time.perf_counter() - started),
+                  flush=True)
+
+    def settle_running() -> None:
+        nonlocal running
+        if running is None:
+            return
+        index, data, seed_bytes, run = running
+        running = None  # finish() kills and reaps the target whatever happens
+        outcome = run.finish()
         if outcome.kind in ("crash", "timeout"):
             if seed_bytes is None:
                 # mutated inputs: recover the canonical seed for replay
@@ -146,10 +273,21 @@ def _fuzz_worker(cfg: dict) -> dict:
             (out_dir / f"{name}.bin").write_bytes(data)
             (out_dir / f"{name}.seed").write_bytes(seed_bytes)
             findings.append(name)
-        done = i + 1
-        if cfg["progress_every"] and done % cfg["progress_every"] == 0:
-            print(_stats_line(counts, done, time.perf_counter() - started),
-                  flush=True)
+        settle(outcome.kind)
+
+    with _Target(cfg["target"], cfg["timeout_ms"]) as target:
+        try:
+            for index in range(cfg["start"], cfg["start"] + cfg["count"]):
+                made = produce(index)  # while the previous target runs
+                settle_running()
+                if made is None:
+                    settle("gen_failed")
+                else:
+                    running = (index, *made, target.spawn(made[0]))
+            settle_running()
+        finally:
+            if running is not None:
+                running[3].kill()
     return {"counts": dict(counts), "findings": findings,
             "duration": time.perf_counter() - started}
 
@@ -315,9 +453,9 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    corpus = _load_corpus_dir(args.corpus) if args.corpus else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_dir(args.corpus) if args.corpus else None
     master = _master_seed(args)
     base_cfg = {
         "template": args.template,

@@ -7,7 +7,7 @@ in file bytes, recorded seed, cursor, RNG state and SeedExhausted errors.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btfuzz.decisionstream import ChoiceSpec, DecisionStream, StreamMode
@@ -112,6 +112,7 @@ def _fold(values) -> int:
 @settings(max_examples=60, deadline=None)
 @given(type_name=st.sampled_from(["char", "byte", "ubyte", "uchar"]),
        n=LENGTHS, evil=st.booleans(), seed=SEED_BYTES)
+@example(type_name="char", n=2, evil=False, seed=b"\x03\x03\x03\x83")  # a[1] is -125
 def test_engine_byte_arrays_match_reference(type_name, n, evil, seed):
     signed = type_name in ("char", "byte")
     unit = _checksum_template(type_name, n)

@@ -19,6 +19,7 @@ from btfuzz.errors import (
     EvalError,
     GenerationFailed,
     ParseRejected,
+    RecursionTooDeep,
     SpliceMisaligned,
     TrailingBytes,
     UnrepresentableValue,
@@ -565,3 +566,15 @@ def test_random_generation_deterministic(mini):
     a = generate_random(mini, random.Random(123)).file
     b = generate_random(mini, random.Random(123)).file
     assert a == b
+
+
+def test_runaway_recursion_is_a_typed_error():
+    # the self-recursive probe: a raw RecursionError would end a campaign
+    unit = parse_template("int f(int n) { return f(n + 1); }\nlocal int x = f(0);\n")
+    with pytest.raises(RecursionTooDeep):
+        generate_random(unit, random.Random(0))
+    with pytest.raises(RecursionTooDeep):
+        generate_from_seed(unit, b"")
+    with pytest.raises(ParseRejected, match="RecursionTooDeep"):
+        parse(unit, b"")
+    assert issubclass(RecursionTooDeep, GenerationFailed)

@@ -2,13 +2,15 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from btfuzz import cli
+from btfuzz import cli, harness
 from btfuzz.engine import generate_from_seed
 from btfuzz.formats import load_template
 from btfuzz.harness import Outcome, run_target
@@ -59,13 +61,42 @@ def test_file_substitution():
 
 def test_file_substitution_cleans_up(tmp_path, monkeypatch):
     monkeypatch.setenv("TMPDIR", str(tmp_path))
-    import tempfile
     tempfile.tempdir = None
     try:
         run_target(f"{PY} -c 'pass' {{}}", b"x", timeout_ms=5000)
         assert list(tmp_path.iterdir()) == []
     finally:
         tempfile.tempdir = None
+
+
+BIG = bytes(range(256)) * 800  # 200 KiB, more than a pipe buffer holds
+
+
+@pytest.fixture(params=["pidfd", "fallback"])
+def wait_mode(request, monkeypatch):
+    """Run a test with the pidfd wait and again with the Popen.wait fallback."""
+    if request.param == "fallback":
+        def no_pidfd(pid):
+            raise OSError("pidfd_open unavailable")
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd, raising=False)
+    return request.param
+
+
+def test_stdin_unread_large_input_times_out(wait_mode):
+    out = run_target(f"{PY} -c 'import time; time.sleep(5)'", BIG, timeout_ms=300)
+    assert out.kind == "timeout"
+    assert 0.3 <= out.duration < 4
+
+
+def test_stdin_large_input_reaches_reader(wait_mode):
+    code = ("import sys; raise SystemExit(0 if sys.stdin.buffer.read() == "
+            "bytes(range(256)) * 800 else 1)")
+    assert run_target(f'{PY} -c "{code}"', BIG, timeout_ms=10000).kind == "valid"
+
+
+def test_stdin_target_exiting_early_is_classified(wait_mode):
+    out = run_target(f"{PY} -c 'raise SystemExit(4)'", BIG, timeout_ms=10000)
+    assert out.kind == "invalid" and out.exit_code == 4
 
 
 def test_empty_target_rejected():
@@ -232,11 +263,12 @@ def test_mutate_missing_corpus(tmp_path, capsys):
     ("roundtrip", ()),
 ])
 def test_missing_corpus_exits_one(tmp_path, monkeypatch, capsys, command, extra):
-    monkeypatch.chdir(tmp_path)  # fuzz creates its default --out directory first
+    monkeypatch.chdir(tmp_path)  # so a default --out directory would land here
     rc = run_cli(command, "--template", "mini", "--corpus", tmp_path / "nope",
                  "--rng-seed", 1, *extra)
     assert rc == 1
     assert "btfuzz: corpus directory not found" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no --out directory left behind
 
 
 def test_roundtrip_random_only(tmp_path):
@@ -323,3 +355,61 @@ def test_fuzz_bad_target(tmp_path):
     rc = run_cli("fuzz", "--template", "mini", "--target", "/no/such/binary",
                  "--count", 3, "--rng-seed", 1, "--out", tmp_path / "f")
     assert rc == 1
+
+
+@pytest.fixture
+def spawned(tmp_path, monkeypatch):
+    """The processes a test starts; temp files go to tmp_path / "tmp"."""
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+def _assert_reaped(procs):
+    assert procs
+    for proc in procs:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):  # no zombie left to wait for
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+def test_fuzz_leaves_no_input_file_or_child(tmp_path, spawned):
+    rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass {{}}",
+                 "--count", 6, "--rng-seed", 2, "--out", tmp_path / "f")
+    assert rc == 0
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert len(spawned) == 6
+    _assert_reaped(spawned)
+
+
+def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, monkeypatch):
+    real = harness.random_smart_mutation
+    calls = []
+
+    def failing_mutation(*args):
+        calls.append(1)
+        if len(calls) == 2:  # the first input's target is still running
+            raise RuntimeError("mutator failed")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "random_smart_mutation", failing_mutation)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    with pytest.raises(RuntimeError, match="mutator failed"):
+        run_cli("fuzz", "--template", "mini", "--corpus", corpus,
+                "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
+                "--count", 5, "--rng-seed", 2, "--timeout-ms", 60000,
+                "--out", tmp_path / "f")
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert len(spawned) == 1
+    _assert_reaped(spawned)
+    assert spawned[0].returncode == -signal.SIGKILL  # killed, not waited out
