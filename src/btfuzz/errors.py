@@ -108,7 +108,7 @@ class TrailingBytes(ParseRejected):
 # --- checksums and codecs ------------------------------------------------
 
 
-class ChecksumAlgoUnknown(Error):
+class ChecksumAlgoUnknown(GenerationFailed):
     """Checksum() called with an algorithm the engine does not implement."""
 
 

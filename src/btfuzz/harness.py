@@ -177,8 +177,18 @@ class _Target:
         target must have exited, since its file is overwritten."""
         if self.path is None:
             return _Run(self.argv, data, self.timeout_ms)
-        with open(self.path, "wb") as fh:
-            fh.write(data)
+        # Written in place and cut to length: truncating to zero and closing
+        # makes ext4 (auto_da_alloc) start writeback on every input.
+        # O_CREAT recreates the file if the target removed or renamed it.
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o600)
+        try:
+            view = memoryview(data)
+            written = 0
+            while written < len(view):
+                written += os.pwrite(fd, view[written:], written)
+            os.ftruncate(fd, len(view))
+        finally:
+            os.close(fd)
         return _Run(self.argv, None, self.timeout_ms)
 
     def close(self) -> None:
@@ -224,13 +234,8 @@ def _fuzz_worker(cfg: dict) -> dict:
     unit = load_template(cfg["template"])
     evil, budget = cfg["evil"], cfg["budget"]
     out_dir = Path(cfg["out"])
-    pool = None
-    bases = []
-    if cfg["corpus"] is not None:
-        pool = index_corpus(unit, cfg["corpus"], evil=evil, budget=budget)
-        bases = sorted(pool.seeds)
-        if not bases:
-            raise NoApplicableMutation("no corpus file parsed")
+    pool = cfg["pool"]
+    bases = sorted(pool.seeds) if pool is not None else []
 
     def produce(index: int):
         """(data, seed or None), or None when no input could be built."""
@@ -454,6 +459,14 @@ def cmd_mutate(args) -> int:
 
 def cmd_fuzz(args) -> int:
     corpus = _load_corpus_dir(args.corpus) if args.corpus else None
+    unit = load_template(args.template)
+    evil = not args.no_evil
+    pool = None
+    if corpus is not None:
+        pool = index_corpus(unit, corpus, evil=evil, budget=args.max_size)
+        if not pool.seeds:
+            print("no corpus file parsed", file=sys.stderr)
+            return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)
@@ -461,10 +474,10 @@ def cmd_fuzz(args) -> int:
         "template": args.template,
         "target": args.target,
         "timeout_ms": args.timeout_ms,
-        "evil": not args.no_evil,
+        "evil": evil,
         "budget": args.max_size,
         "out": str(out_dir),
-        "corpus": corpus,
+        "pool": pool,
         "rng_seed": master,
     }
     jobs = max(1, args.jobs)
@@ -488,9 +501,6 @@ def cmd_fuzz(args) -> int:
                 results = mp.map(_fuzz_worker, cfgs)
     except OSError as exc:
         print(f"cannot run target: {exc}", file=sys.stderr)
-        return 1
-    except NoApplicableMutation as exc:
-        print(str(exc), file=sys.stderr)
         return 1
     wall = time.perf_counter() - started
     counts: Counter = Counter()

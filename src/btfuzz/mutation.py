@@ -55,9 +55,16 @@ class ChunkRecord:
 
 @dataclass
 class ChunkPool:
-    """Immutable after index_corpus; shareable across mutation calls."""
+    """Immutable after index_corpus; shareable across mutation calls.
+
+    by_base and insert_donors are the mutation menus, built once by
+    index_corpus: each file's records in records(base) order, and every
+    optional record that a lookahead selected, in records() order.
+    """
 
     by_type: dict[str, list[ChunkRecord]] = field(default_factory=dict)
+    by_base: dict[object, list[ChunkRecord]] = field(default_factory=dict)
+    insert_donors: list[ChunkRecord] = field(default_factory=list)
     seeds: dict[object, bytes] = field(default_factory=dict)
     files: dict[object, bytes] = field(default_factory=dict)
     events: dict[object, list[ChoiceEvent]] = field(default_factory=dict)
@@ -66,10 +73,11 @@ class ChunkPool:
     budget: int = DEFAULT_BUDGET
 
     def records(self, base=None):
-        for recs in self.by_type.values():
-            for rec in recs:
-                if base is None or rec.source_file == base:
-                    yield rec
+        """Every record by type, in first-seen type order, then file order;
+        with `base`, that file's records in the same order."""
+        if base is not None:
+            return iter(self.by_base.get(base, ()))
+        return (rec for recs in self.by_type.values() for rec in recs)
 
     def lookahead_events(self, base) -> list[ChoiceEvent]:
         """Candidate insertion points within one corpus file."""
@@ -123,6 +131,10 @@ def index_corpus(unit, files, *, evil: bool = True,
                 tail_start=node.seed_end if followed else -1,
             )
             pool.by_type.setdefault(node.type_name, []).append(rec)
+    for rec in pool.records():
+        pool.by_base.setdefault(rec.source_file, []).append(rec)
+        if rec.optional and rec.preceded_by_lookahead:
+            pool.insert_donors.append(rec)
     return pool
 
 
@@ -230,13 +242,11 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
     """
     if base not in pool.seeds:
         raise NoApplicableMutation(f"base {base!r} is not in the pool")
-    base_records = list(pool.records(base))
+    base_records = pool.by_base.get(base, [])
     deletable = [r for r in base_records
                  if r.preceded_by_lookahead and r.followed_by_lookahead]
     positions = pool.lookahead_events(base)
-    insert_donors = [r for r in pool.records()
-                     if r.optional and r.preceded_by_lookahead]
-    ops = _applicable_ops(base_records, deletable, positions, insert_donors)
+    ops = _applicable_ops(base_records, deletable, positions, pool.insert_donors)
     if not ops:
         raise NoApplicableMutation(f"no operator applies to base {base!r}")
 
@@ -256,7 +266,7 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
                 target = rng.choice(deletable)
                 data = smart_delete(unit, pool, target)
             else:
-                target = donor = rng.choice(insert_donors)
+                target = donor = rng.choice(pool.insert_donors)
                 position = rng.choice(positions)
                 data = smart_insert(unit, pool, base, position, donor)
         except (MutationError, GenerationFailed) as exc:

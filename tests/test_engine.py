@@ -363,6 +363,8 @@ def test_unknown_checksum_algo():
     unit = parse_template("ubyte x; local uint32 s = Checksum(9, 0, 1);")
     with pytest.raises(ChecksumAlgoUnknown):
         generate_random(unit, random.Random(0))
+    with pytest.raises(ParseRejected, match="ChecksumAlgoUnknown"):
+        parse(unit, b"\x01")
 
 
 def test_read_byte_lookahead_reserves(magic16):

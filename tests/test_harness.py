@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from btfuzz import cli, harness
-from btfuzz.engine import generate_from_seed
+from btfuzz.engine import generate_from_seed, generate_random
 from btfuzz.formats import load_template
 from btfuzz.harness import Outcome, run_target
 
@@ -67,6 +67,68 @@ def test_file_substitution_cleans_up(tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == []
     finally:
         tempfile.tempdir = None
+
+
+def _recorder(log_dir: Path, then: str = "pass") -> str:
+    """A `{}` target that copies its input to log_dir/NNN.bin, numbered from
+    000 in delivery order, then runs `then` with the input's path as `p`."""
+    log_dir.mkdir()
+    code = ("import os, shutil, sys; p, d = sys.argv[1:]; "
+            "shutil.copyfile(p, os.path.join(d, '%03d.bin' % len(os.listdir(d)))); "
+            + then)
+    return f'{PY} -c "{code}" {{}} {log_dir}'
+
+
+def _delivered(target: str, inputs: list[bytes]) -> None:
+    with harness._Target(target, timeout_ms=10000) as tgt:
+        for data in inputs:
+            assert tgt.spawn(data).finish().kind == "valid"
+
+
+def test_file_input_shrinks_to_each_length(tmp_path):
+    inputs = [bytes(range(256)) + b"x" * 44, b"12345", b"", b"ab"]
+    _delivered(_recorder(tmp_path / "log"), inputs)
+    seen = [p.read_bytes() for p in sorted((tmp_path / "log").iterdir())]
+    assert seen == inputs
+
+
+@pytest.mark.parametrize("then", ["os.unlink(p)", "os.rename(p, p + '.moved')"])
+def test_file_input_recreated_after_target_removes_it(tmp_path, monkeypatch, then):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    inputs = [b"first", b"second", b"3"]
+    _delivered(_recorder(tmp_path / "log", then), inputs)
+    seen = [p.read_bytes() for p in sorted((tmp_path / "log").iterdir())]
+    assert seen == inputs
+
+
+def test_file_input_truncated_to_zero_only_when_empty(tmp_path, monkeypatch):
+    import builtins
+    inputs = [b"abcdef", b"abc", b"", b"xy"]
+    with harness._Target(f"{PY} -c pass {{}}", timeout_ms=10000) as tgt:
+        opens, truncations = [], []
+        real_os_open, real_open, real_ftruncate = os.open, builtins.open, os.ftruncate
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            if path == tgt.path:
+                opens.append(flags)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, *args, **kwargs):
+            assert file != tgt.path, "input file reopened with open()"
+            return real_open(file, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            truncations.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        for data in inputs:
+            tgt.spawn(data).finish()
+    assert len(opens) == len(inputs)
+    assert not any(flags & os.O_TRUNC for flags in opens)
+    assert truncations == [len(data) for data in inputs]
 
 
 BIG = bytes(range(256)) * 800  # 200 KiB, more than a pipe buffer holds
@@ -349,6 +411,68 @@ def test_fuzz_mutation_mode(tmp_path):
     stats = json.loads((out / "stats.json").read_text())
     assert sum(stats[k] for k in
                ("valid", "invalid", "crash", "timeout", "gen_failed")) == 15
+
+
+def test_fuzz_jobs_share_one_corpus_index(tmp_path, monkeypatch):
+    real = harness.index_corpus
+    calls = tmp_path / "index_calls"
+
+    def counting_index(*args, **kwargs):
+        with open(calls, "a") as fh:  # a worker process appends here too
+            fh.write("1")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "index_corpus", counting_index)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    (corpus / "b.mini").write_bytes(b"MINI\x01\x02\x00hi\xd3\x01\x01\x00BB\xff")
+    counts = []
+    for jobs in (1, 2):
+        out = tmp_path / f"findings-{jobs}"
+        rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} {STUB}",
+                     "--count", 16, "--rng-seed", 7, "--timeout-ms", 10000,
+                     "--corpus", corpus, "--jobs", jobs, "--out", out)
+        assert rc == 0
+        assert calls.read_text() == "1"
+        calls.unlink()
+        stats = json.loads((out / "stats.json").read_text())
+        counts.append({k: stats[k] for k in harness.OUTCOME_KINDS})
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) == 16 and counts[0]["crash"] >= 1
+
+
+def test_fuzz_unparsable_corpus_exits_one(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "junk.bin").write_bytes(b"JUNK")
+    rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass",
+                 "--corpus", corpus, "--rng-seed", 1, "--out", tmp_path / "f")
+    assert rc == 1
+    assert "no corpus file parsed" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_fuzz_unknown_checksum_counts_as_gen_failed(tmp_path):
+    from btfuzz.errors import ChecksumAlgoUnknown
+    template = tmp_path / "ck.bt"
+    template.write_text("ubyte a; if (a > 200) { local int c = Checksum(9, 0, 1); } "
+                        "ubyte b;")
+    out = tmp_path / "f"
+    rc = run_cli("fuzz", "--template", template, "--target", "true",
+                 "--count", 300, "--rng-seed", 1, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    unit = load_template(str(template))
+    expected = 0
+    for i in range(300):
+        try:
+            generate_random(unit, harness._iteration_rng(1, i))
+        except ChecksumAlgoUnknown:
+            expected += 1
+    assert expected > 0
+    assert stats["gen_failed"] == expected
+    assert stats["valid"] == 300 - expected
 
 
 def test_fuzz_bad_target(tmp_path):

@@ -177,6 +177,30 @@ def test_random_mutation_descriptor(mini, pool):
     parse(mini, mutated)
 
 
+@pytest.mark.parametrize("template", ["mini", "pnglite"])
+def test_mutation_menus_keep_record_order(request, template):
+    # random_smart_mutation draws from these lists by index, so their order
+    # is part of what a fixed rng produces
+    from btfuzz.engine import generate_random
+    from btfuzz.errors import Error
+    unit = request.getfixturevalue(template)
+    files = []
+    for i in range(40):
+        try:
+            files.append(generate_random(unit, random.Random(i), budget=1024).file)
+        except Error:
+            pass
+    pool = index_corpus(unit, files)
+    assert len(pool.seeds) >= 30 and pool.insert_donors
+    for base in pool.seeds:
+        reference = [r for recs in pool.by_type.values() for r in recs
+                     if r.source_file == base]
+        assert pool.by_base.get(base, []) == reference
+        assert list(pool.records(base)) == reference
+    assert pool.insert_donors == [r for r in pool.records()
+                                  if r.optional and r.preceded_by_lookahead]
+
+
 def test_random_mutation_unknown_base(mini, pool):
     with pytest.raises(NoApplicableMutation):
         random_smart_mutation(mini, pool, 99, random.Random(0))
