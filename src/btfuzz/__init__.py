@@ -37,7 +37,7 @@ from .mutation import (
     smart_insert,
     smart_replace,
 )
-from .runtime import DEFAULT_BUDGET, ParseNode, trees_agree
+from .runtime import DEFAULT_BUDGET, ParseNode
 from .templatelang import parse_template
 
 from . import formats  # noqa: E402  (registers the bundled codec)
@@ -76,5 +76,4 @@ __all__ = [
     "smart_delete",
     "smart_insert",
     "smart_replace",
-    "trees_agree",
 ]

@@ -59,6 +59,7 @@ class ChoiceEvent:
     start: int
     end: int
     node_id: int | None = None
+    token: bytes | None = None  # the file bytes a lookahead reserved
 
 
 @dataclass
@@ -160,8 +161,9 @@ class _RandomSource:
 class _SpliceSource:
     """Prefix from a base seed, a spliced-in middle, then the base suffix.
 
-    The middle starts when consumption reaches span start and ends when the
-    engine reports that the node under construction there has completed.
+    The engine marks the middle: begin_alt when it starts the target node,
+    which must be where the base's prefix runs out, and end_alt when that
+    node has completed.
     """
 
     PREFIX, ALT, SUFFIX = 0, 1, 2
@@ -173,22 +175,16 @@ class _SpliceSource:
         self.on_switch = on_switch
         self.phase = self.PREFIX
         self.pos = 0  # position within base for prefix/suffix
-        self.consumed = 0
         self.alt_consumed = 0
 
-    def enter_alt_if_at_boundary(self):
-        if self.phase == self.PREFIX and self.consumed == self.start:
-            self.phase = self.ALT
-            self.on_switch()
-
-    def node_started(self) -> bool:
-        """True when the node starting now is the splice target."""
-        self.enter_alt_if_at_boundary()
-        return self.phase == self.ALT
+    def begin_alt(self):
+        if self.pos != self.start:
+            raise SpliceMisaligned(
+                f"splice target starts at seed offset {self.pos}, not {self.start}")
+        self.phase = self.ALT
+        self.on_switch()
 
     def end_alt(self):
-        if self.phase != self.ALT:
-            raise SpliceMisaligned("splice target completed outside the spliced region")
         if isinstance(self.alt, _SeedSource) and self.alt.pos != len(self.alt.data):
             left = len(self.alt.data) - self.alt.pos
             raise SpliceMisaligned(f"{left} donor decision byte(s) left unconsumed")
@@ -197,14 +193,11 @@ class _SpliceSource:
         self.on_switch()
 
     def draw(self, n: int) -> bytes:
-        self.enter_alt_if_at_boundary()
         if self.phase == self.PREFIX:
             if self.pos + n > self.start:
                 raise SpliceMisaligned(
                     f"draw of {n} byte(s) at {self.pos} crosses the splice boundary {self.start}")
             out = self.base[self.pos:self.pos + n]
-            if len(out) < n:
-                raise SeedExhausted("base seed exhausted before splice point")
             self.pos += n
         elif self.phase == self.ALT:
             try:
@@ -217,7 +210,6 @@ class _SpliceSource:
                 raise SpliceMisaligned("base seed suffix exhausted after splice")
             out = self.base[self.pos:self.pos + n]
             self.pos += n
-        self.consumed += n
         return out
 
 
@@ -290,12 +282,12 @@ class DecisionStream:
         if self._lookahead_depth == 1:
             self._lookahead_start = self.cursor
 
-    def end_lookahead(self):
+    def end_lookahead(self, token: bytes | None = None):
         self._lookahead_depth -= 1
         if self._lookahead_depth == 0:
             self.last_lookahead_end = self.cursor
-            self.events.append(
-                ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start, self.cursor, self.node_id))
+            self.events.append(ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start,
+                                           self.cursor, self.node_id, token))
 
     def set_evil(self, enabled: bool) -> bool:
         previous = self.evil_enabled

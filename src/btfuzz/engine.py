@@ -159,7 +159,8 @@ class ParseOutcome:
 class Execution:
     """One generation or parse run over a template."""
 
-    def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer):
+    def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
+                 splice_id: int = -1):
         self.unit = unit
         self.ds = ds
         self.buf = buf
@@ -174,7 +175,7 @@ class Execution:
         self._next_node_id = 1
         self.node_stack = [self.root]
         self.record_stack = [RecordVal("<toplevel>")]
-        self._splice_target: ParseNode | None = None
+        self._splice_id = splice_id  # the node ds.splice's middle belongs to
         self._bind_globals()
 
     def _bind_globals(self):
@@ -192,9 +193,8 @@ class Execution:
         self._next_node_id += 1
         node.file_start = node.file_end = self.buf.position
         node.seed_start = node.seed_end = self.ds.cursor
-        splice = self.ds.splice
-        if splice is not None and splice.node_started() and self._splice_target is None:
-            self._splice_target = node
+        if node.id == self._splice_id:
+            self.ds.splice.begin_alt()
         # optional: generated right after a lookahead call
         node.optional = self.ds.last_lookahead_end == node.seed_start
         self.node_stack[-1].children.append(node)
@@ -208,7 +208,7 @@ class Execution:
         popped = self.node_stack.pop()
         assert popped is node
         self.ds.node_id = self.node_stack[-1].id
-        if node is self._splice_target:
+        if node.id == self._splice_id:
             self.ds.splice.end_alt()
 
     # -- toplevel -------------------------------------------------------
@@ -610,6 +610,8 @@ class Execution:
     def _instantiate_record(self, decl: ast.InputDecl, tdef) -> tuple[RecordVal, ParseNode]:
         args = [self._eval(a) for a in decl.args]
         node = self._push_node(decl.name, tdef.name)
+        if args:  # a snapshot: local arrays may change after the call
+            node.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
         rec = RecordVal(tdef.name)
         self.record_stack.append(rec)
         self.scope.push_activation()
@@ -792,24 +794,24 @@ class Execution:
         cands = [c & 0xFF for c in choices] if choices else None
         spec = ChoiceSpec(width=1, candidates=cands)
         self.ds.begin_lookahead()
+        token = None
         try:
             if self.gen:
-                reserved = self.buf.reserved_block(pos, 1)
-                if reserved is not None:
-                    return reserved[0]
-                kind, payload = self.ds.choose_value(spec)
-                value = payload[0] if kind == "raw" else payload & 0xFF
-                self.buf.reserve(pos, bytes([value]))
-                return value
-            got = self.buf.peek(pos, 1)
-            if got is None:
+                token = self.buf.reserved_block(pos, 1)
+                if token is None:
+                    kind, payload = self.ds.choose_value(spec)
+                    token = payload if kind == "raw" else bytes([payload & 0xFF])
+                    self.buf.reserve(pos, token)
+                return token[0]
+            token = self.buf.peek(pos, 1)
+            if token is None:
                 raise OutOfRange(f"lookahead at {pos} is past the end of input")
             if self.buf.reserved_block(pos, 1) is None:
-                self.ds.emit_value(spec, got[0], got)
-                self.buf.reserve(pos, got)
-            return got[0]
+                self.ds.emit_value(spec, token[0], token)
+                self.buf.reserve(pos, token)
+            return token[0]
         finally:
-            self.ds.end_lookahead()
+            self.ds.end_lookahead(token)
 
     def _bi_read_bytes(self, expr):
         out = expr.args[0]
@@ -825,6 +827,7 @@ class Execution:
         spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
                           pref_prob=float(prob))
         self.ds.begin_lookahead()
+        token = None
         try:
             if self.gen:
                 token = self.ds.choose_token(spec)
@@ -838,7 +841,7 @@ class Execution:
             self.scope.assign(out.name, token)
             return 1
         finally:
-            self.ds.end_lookahead()
+            self.ds.end_lookahead(token)
 
     def _bi_checksum(self, expr):
         algo = self._eval_int(expr.args[0])
@@ -1067,12 +1070,13 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True,
 
 
 def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
-                    alt, *, evil: bool = True,
+                    node_id: int, alt, *, evil: bool = True,
                     budget: int = DEFAULT_BUDGET) -> GenResult:
     """Generate with base_seed's decisions replayed around `span` and `alt`
     (donor seed bytes, or an int/Random for random bytes) consumed inside
-    it.  The splice ends when the first node begun inside the span has
-    been fully constructed; any desynchronization raises SpliceMisaligned.
+    it.  The prefix replays the base exactly, so node ids match the base's
+    parse tree; the splice covers node `node_id`, which must begin at the
+    span start.  Any desynchronization raises SpliceMisaligned.
     """
     start, end = span
     if not 0 <= start <= end <= len(base_seed):
@@ -1083,20 +1087,20 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
                         splice=(span, alt))
     splice = ds.splice
     buf = FileBuffer(budget)
-    ex = Execution(unit, ds, buf)
+    ex = Execution(unit, ds, buf, node_id)
     try:
         ex.run()
         data = buf.finalize()
     except SpliceMisaligned:
         raise
     except GenerationFailed as exc:
-        if splice.phase != splice.SUFFIX and ex._splice_target is None:
+        if splice.phase == splice.PREFIX:
             raise SpliceMisaligned(f"replay failed before the splice region: {exc}") from exc
         if splice.phase == splice.SUFFIX:
             raise SpliceMisaligned(f"replay failed after the splice region: {exc}") from exc
         raise
     if splice.phase != splice.SUFFIX:
-        raise SpliceMisaligned("generation finished before the splice region completed")
+        raise SpliceMisaligned(f"generation finished before node {node_id} completed")
     leftover = len(base_seed) - splice.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")

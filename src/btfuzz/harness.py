@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import generate_from_seed, generate_random, parse
-from .errors import GenerationFailed, NoApplicableMutation, ParseRejected, TrailingBytes
+from .errors import Error, GenerationFailed, NoApplicableMutation, ParseRejected, TrailingBytes
 from .formats import VERIFIERS, load_template, resolve_template, verify
 from .mutation import index_corpus, random_smart_mutation
 from .runtime import DEFAULT_BUDGET
@@ -246,7 +246,7 @@ def _fuzz_worker(cfg: dict) -> dict:
                 return result.file, result.seed
             data, _ = random_smart_mutation(unit, pool, rng.choice(bases), rng)
             return data, None
-        except (GenerationFailed, NoApplicableMutation):
+        except Error:  # any typed failure of the generator or the mutator
             return None
 
     counts: Counter = Counter()

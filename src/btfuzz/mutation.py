@@ -38,7 +38,9 @@ class ChunkRecord:
     the start of the lookahead event that ends exactly at the span start
     (the token decision that selected this chunk), tail_start the start of
     the lookahead event that begins exactly at the span end.  Both are -1
-    when no such event exists.
+    when no such event exists.  token is the file bytes that lead lookahead
+    reserved and site the type of the node it ran in; args holds the
+    record's argument values.
     """
 
     source_file: object
@@ -51,20 +53,48 @@ class ChunkRecord:
     followed_by_lookahead: bool
     lead_start: int = -1
     tail_start: int = -1
+    args: tuple = ()
+    token: bytes | None = None
+    site: str | None = None
+
+    @property
+    def key(self) -> tuple:
+        """Records with equal keys can stand in for one another: the same
+        type, built with the same arguments, chosen by the same token."""
+        return (self.type_name, self.args, self.token)
+
+
+@dataclass
+class BaseMenu:
+    """What random_smart_mutation may pick for one base file.
+
+    insert_donors are the pool's donors whose site has a lookahead in this
+    base, and positions those lookaheads by site; a donor is only offered
+    at a lookahead of the kind that selected it."""
+
+    records: list[ChunkRecord]
+    deletable: list[ChunkRecord]
+    insert_donors: list[ChunkRecord]
+    positions: dict[str, list[ChoiceEvent]]
+    ops: list[str]
 
 
 @dataclass
 class ChunkPool:
     """Immutable after index_corpus; shareable across mutation calls.
 
-    by_base and insert_donors are the mutation menus, built once by
-    index_corpus: each file's records in records(base) order, and every
-    optional record that a lookahead selected, in records() order.
+    The mutation menus are built once by index_corpus: by_base holds each
+    file's records in records(base) order, insert_donors every optional
+    record that a lookahead selected, in records() order, donors the
+    replacement candidates by ChunkRecord.key, and menus one BaseMenu per
+    file.
     """
 
     by_type: dict[str, list[ChunkRecord]] = field(default_factory=dict)
     by_base: dict[object, list[ChunkRecord]] = field(default_factory=dict)
     insert_donors: list[ChunkRecord] = field(default_factory=list)
+    donors: dict[tuple, list[ChunkRecord]] = field(default_factory=dict)
+    menus: dict[object, BaseMenu] = field(default_factory=dict)
     seeds: dict[object, bytes] = field(default_factory=dict)
     files: dict[object, bytes] = field(default_factory=dict)
     events: dict[object, list[ChoiceEvent]] = field(default_factory=dict)
@@ -94,6 +124,7 @@ def index_corpus(unit, files, *, evil: bool = True,
     """
     record_types = {name for name, td in unit.typedefs.items() if td.kind == "record"}
     pool = ChunkPool(evil=evil, budget=budget)
+    positions = {}  # file id -> its lookahead events by site
     items = files.items() if isinstance(files, Mapping) else enumerate(files)
     for cid, data in items:
         data = bytes(data)
@@ -105,18 +136,23 @@ def index_corpus(unit, files, *, evil: bool = True,
         pool.seeds[cid] = outcome.seed
         pool.files[cid] = data
         pool.events[cid] = outcome.events
+        type_of = {None: outcome.tree.type_name}  # events before the first node
+        nodes = []
+        for node in outcome.tree.walk():
+            type_of[node.id] = node.type_name
+            if node.type_name in record_types:
+                nodes.append(node)
         # Later events overwrite earlier ones, so lead_by_end[p] is the
         # lookahead immediately before the node that starts at p.
-        lead_by_end: dict[int, int] = {}
+        lead_by_end: dict[int, ChoiceEvent] = {}
         tail_starts: set[int] = set()
-        for ev in outcome.events:
-            if ev.kind == LOOKAHEAD_CALL:
-                lead_by_end[ev.end] = ev.start
-                tail_starts.add(ev.start)
-        for node in outcome.tree.walk():
-            if node.type_name not in record_types:
-                continue
-            preceded = node.seed_start in lead_by_end
+        by_site = positions[cid] = {}
+        for ev in pool.lookahead_events(cid):
+            lead_by_end[ev.end] = ev
+            tail_starts.add(ev.start)
+            by_site.setdefault(type_of[ev.node_id], []).append(ev)
+        for node in nodes:
+            lead = lead_by_end.get(node.seed_start)
             followed = node.seed_end in tail_starts
             rec = ChunkRecord(
                 source_file=cid,
@@ -125,16 +161,33 @@ def index_corpus(unit, files, *, evil: bool = True,
                 file_span=(node.file_start, node.file_end),
                 decision_span=(node.seed_start, node.seed_end),
                 optional=node.optional,
-                preceded_by_lookahead=preceded,
+                preceded_by_lookahead=lead is not None,
                 followed_by_lookahead=followed,
-                lead_start=lead_by_end[node.seed_start] if preceded else -1,
+                lead_start=-1 if lead is None else lead.start,
                 tail_start=node.seed_end if followed else -1,
+                args=node.args,
+                token=None if lead is None else lead.token,
+                site=None if lead is None else type_of[lead.node_id],
             )
             pool.by_type.setdefault(node.type_name, []).append(rec)
     for rec in pool.records():
         pool.by_base.setdefault(rec.source_file, []).append(rec)
+        pool.donors.setdefault(rec.key, []).append(rec)
         if rec.optional and rec.preceded_by_lookahead:
             pool.insert_donors.append(rec)
+    donor_sites = {r.site for r in pool.insert_donors}
+    for cid, by_site in positions.items():
+        records = pool.by_base.get(cid, [])
+        deletable = [r for r in records
+                     if r.preceded_by_lookahead and r.followed_by_lookahead]
+        insert_donors = (pool.insert_donors if donor_sites <= by_site.keys()
+                         else [r for r in pool.insert_donors if r.site in by_site])
+        ops = ["abstract", "replace"] if records else []
+        if deletable:
+            ops.append("delete")
+        if insert_donors:
+            ops.append("insert")
+        pool.menus[cid] = BaseMenu(records, deletable, insert_donors, by_site, ops)
     return pool
 
 
@@ -168,7 +221,7 @@ def smart_abstract(unit, pool: ChunkPool, target: ChunkRecord, rng) -> bytes:
     decision bytes reproduces the base file).
     """
     base = pool.seeds[target.source_file]
-    result = run_with_splice(unit, base, target.decision_span, rng,
+    result = run_with_splice(unit, base, target.decision_span, target.node_id, rng,
                              evil=pool.evil, budget=pool.budget)
     return result.file
 
@@ -185,8 +238,8 @@ def smart_replace(unit, pool: ChunkPool, target: ChunkRecord,
             f"cannot replace {target.type_name} with {donor.type_name}")
     donor_bytes = _seed_slice(pool, donor)
     base = pool.seeds[target.source_file]
-    result = run_with_splice(unit, base, target.decision_span, donor_bytes,
-                             evil=pool.evil, budget=pool.budget)
+    result = run_with_splice(unit, base, target.decision_span, target.node_id,
+                             donor_bytes, evil=pool.evil, budget=pool.budget)
     return result.file
 
 
@@ -221,53 +274,40 @@ def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
     return _regenerate_exact(unit, mutated, pool).file
 
 
-def _applicable_ops(base_records, deletable, positions, insert_donors) -> list[str]:
-    ops = []
-    if base_records:
-        ops += ["abstract", "replace"]
-    if deletable:
-        ops.append("delete")
-    if positions and insert_donors:
-        ops.append("insert")
-    return ops
-
-
 def random_smart_mutation(unit, pool: ChunkPool, base,
                           rng: random.Random) -> tuple[bytes, dict]:
     """Apply one randomly chosen smart mutation to a corpus file.
 
     Picks uniformly among the operators applicable to `base`, retrying on
-    rejection up to RETRY_LIMIT times.  Returns the mutated file plus a
-    description dict ready for JSONL logging.
+    rejection up to RETRY_LIMIT times.  A replacement donor has the
+    target's key, and an insertion goes to a lookahead of the donor's
+    site.  Returns the mutated file plus a description dict ready for
+    JSONL logging.
     """
-    if base not in pool.seeds:
+    menu = pool.menus.get(base)
+    if menu is None:
         raise NoApplicableMutation(f"base {base!r} is not in the pool")
-    base_records = pool.by_base.get(base, [])
-    deletable = [r for r in base_records
-                 if r.preceded_by_lookahead and r.followed_by_lookahead]
-    positions = pool.lookahead_events(base)
-    ops = _applicable_ops(base_records, deletable, positions, pool.insert_donors)
-    if not ops:
+    if not menu.ops:
         raise NoApplicableMutation(f"no operator applies to base {base!r}")
 
     last = "never attempted"
     for _ in range(RETRY_LIMIT):
-        op = rng.choice(ops)
+        op = rng.choice(menu.ops)
         donor = None
         try:
             if op == "abstract":
-                target = rng.choice(base_records)
+                target = rng.choice(menu.records)
                 data = smart_abstract(unit, pool, target, rng)
             elif op == "replace":
-                target = rng.choice(base_records)
-                donor = rng.choice(pool.by_type[target.type_name])
+                target = rng.choice(menu.records)
+                donor = rng.choice(pool.donors[target.key])
                 data = smart_replace(unit, pool, target, donor)
             elif op == "delete":
-                target = rng.choice(deletable)
+                target = rng.choice(menu.deletable)
                 data = smart_delete(unit, pool, target)
             else:
-                target = donor = rng.choice(pool.insert_donors)
-                position = rng.choice(positions)
+                target = donor = rng.choice(menu.insert_donors)
+                position = rng.choice(menu.positions[donor.site])
                 data = smart_insert(unit, pool, base, position, donor)
         except (MutationError, GenerationFailed) as exc:
             last = f"{op}: {exc}"

@@ -201,11 +201,12 @@ class ParseNode:
 
     file span and seed span are half-open offset pairs.  optional marks
     nodes generated right after a lookahead call; rewritten marks nodes
-    whose bytes were overwritten by a later fix-up declaration.
+    whose bytes were overwritten by a later fix-up declaration.  args holds
+    a parameterized record's argument values.
     """
 
     __slots__ = ("id", "name", "type_name", "file_start", "file_end",
-                 "seed_start", "seed_end", "optional", "rewritten", "children")
+                 "seed_start", "seed_end", "optional", "rewritten", "args", "children")
 
     def __init__(self, node_id: int, name: str, type_name: str):
         self.id = node_id
@@ -217,6 +218,7 @@ class ParseNode:
         self.seed_end = 0
         self.optional = False
         self.rewritten = False
+        self.args = ()
         self.children: list[ParseNode] = []
 
     @property
@@ -246,23 +248,3 @@ class ParseNode:
     def __repr__(self) -> str:
         return (f"ParseNode({self.id}, {self.name!r}, {self.type_name!r}, "
                 f"file={self.file_span}, seed={self.seed_span})")
-
-
-def trees_agree(a: ParseNode, b: ParseNode, compare_seed_spans: bool = True) -> bool:
-    """Structural identity of two parse trees.
-
-    Seed spans are encoding dependent: a tree generated from a hand-made
-    seed can differ in span widths from the canonical parse of the same
-    file, so callers comparing across encodings pass compare_seed_spans
-    False.  The rewritten flag never participates (only the generator
-    observes fix-ups).
-    """
-    if (a.name != b.name or a.type_name != b.type_name
-            or a.file_span != b.file_span or a.optional != b.optional
-            or len(a.children) != len(b.children)):
-        return False
-    if compare_seed_spans and a.seed_span != b.seed_span:
-        return False
-    return all(
-        trees_agree(ca, cb, compare_seed_spans)
-        for ca, cb in zip(a.children, b.children))

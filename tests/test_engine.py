@@ -24,8 +24,9 @@ from btfuzz.errors import (
     TrailingBytes,
     UnrepresentableValue,
 )
-from btfuzz.runtime import trees_agree
 from btfuzz.templatelang import parse_template
+
+from conftest import trees_agree
 
 # Known seeds for the bundled MINI template, traced by hand:
 # token (gate, branch, index) | per-field decisions as commented below.
@@ -522,7 +523,7 @@ def test_splice_identity(mini):
     chunk = next(n for n in outcome.tree.walk() if n.name == "data")
     span = (chunk.seed_start, chunk.seed_end)
     alt = outcome.seed[span[0]:span[1]]
-    result = run_with_splice(mini, outcome.seed, span, alt)
+    result = run_with_splice(mini, outcome.seed, span, chunk.id, alt)
     assert result.file == MINI_ONE_DATA_FILE
     assert result.spliced_consumed == len(alt)
 
@@ -532,7 +533,7 @@ def test_splice_random_chunk_parses(mini):
     chunk = next(n for n in outcome.tree.walk() if n.name == "data")
     span = (chunk.seed_start, chunk.seed_end)
     for i in range(10):
-        result = run_with_splice(mini, outcome.seed, span, random.Random(i))
+        result = run_with_splice(mini, outcome.seed, span, chunk.id, random.Random(i))
         reparsed = parse(mini, result.file)
         assert generate_from_seed(mini, reparsed.seed).file == result.file
 
@@ -542,12 +543,14 @@ def test_splice_short_donor_misaligns(mini):
     chunk = next(n for n in outcome.tree.walk() if n.name == "data")
     span = (chunk.seed_start, chunk.seed_end)
     with pytest.raises(SpliceMisaligned):
-        run_with_splice(mini, outcome.seed, span, b"\x00")
+        run_with_splice(mini, outcome.seed, span, chunk.id, b"\x00")
 
 
 def test_splice_span_outside_seed(mini):
+    outcome = parse(mini, MINI_ONE_DATA_FILE)
+    chunk = next(n for n in outcome.tree.walk() if n.name == "data")
     with pytest.raises(SpliceMisaligned):
-        run_with_splice(mini, b"\x00\x00\x00", (1, 99), b"")
+        run_with_splice(mini, b"\x00\x00\x00", (1, 99), chunk.id, b"")
 
 
 # -- generation axioms ----------------------------------------------------------

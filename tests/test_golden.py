@@ -23,7 +23,7 @@ MUTATIONS = 200
 
 GOLDEN = {
     "mini": "15725bb46eabb6e5dd07c93b4a59cfd9c5a524b98d8669326b86188040029b95",
-    "pnglite": "0359b649c20ea5e9a8229b947fd5907c12cb94f330f3aaf656dc2c095e428665",
+    "pnglite": "23fad0520b298e097cb8978328a51c734f7605a88568027c73f1dd856ad08ea6",
     "magic16": "36014be2cae301ef192fcfa18638a4bda4f31f7317a4361cff76229a008be88f",
 }
 

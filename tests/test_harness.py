@@ -475,6 +475,30 @@ def test_fuzz_unknown_checksum_counts_as_gen_failed(tmp_path):
     assert stats["valid"] == 300 - expected
 
 
+def test_fuzz_mutator_errors_count_as_gen_failed(tmp_path, monkeypatch):
+    from btfuzz.errors import ParseRejected
+    real = harness.random_smart_mutation
+    calls = []
+
+    def flaky_mutation(*args):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise ParseRejected("mutant rejected")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "random_smart_mutation", flaky_mutation)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    out = tmp_path / "f"
+    rc = run_cli("fuzz", "--template", "mini", "--target", "true", "--corpus", corpus,
+                 "--count", 12, "--rng-seed", 3, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert sum(stats[k] for k in harness.OUTCOME_KINDS) == 12
+    assert stats["gen_failed"] >= 4
+
+
 def test_fuzz_bad_target(tmp_path):
     rc = run_cli("fuzz", "--template", "mini", "--target", "/no/such/binary",
                  "--count", 3, "--rng-seed", 1, "--out", tmp_path / "f")

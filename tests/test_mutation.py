@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from btfuzz import formats
 from btfuzz.decisionstream import STREAM_SWITCH, ChoiceEvent
-from btfuzz.engine import generate_from_seed, parse
-from btfuzz.errors import NoApplicableMutation, NotOptional, TypeMismatch
+from btfuzz.engine import generate_from_seed, parse, run_with_splice
+from btfuzz.errors import NoApplicableMutation, NotOptional, SpliceMisaligned, TypeMismatch
 from btfuzz.formats.mini import verify_mini
 from btfuzz.mutation import (
     index_corpus,
@@ -225,3 +226,83 @@ def test_mutations_on_pnglite_parse_back(pnglite):
         parse(pnglite, mutated)
         accepted += 1
     assert accepted == 30
+
+
+def _bundled_pool(unit, evil):
+    from btfuzz.engine import generate_random
+    from btfuzz.errors import Error
+    files = []
+    for i in range(30):
+        try:
+            files.append(generate_random(unit, random.Random(i), evil=evil, budget=1024).file)
+        except Error:
+            pass
+    return index_corpus(unit, files, budget=1024)
+
+
+@pytest.mark.parametrize("evil", [False, True])
+@pytest.mark.parametrize("template", formats.BUNDLED)
+def test_every_record_restores_itself(template, evil):
+    # replace-with-self and abstraction fed the record's own decisions
+    # regenerate the base bit-exactly, nested records included
+    unit = formats.load_template(template)
+    pool = _bundled_pool(unit, evil)
+    assert not pool.failures
+    for rec in pool.records():
+        base = pool.files[rec.source_file]
+        assert smart_replace(unit, pool, rec, rec) == base, rec
+        own = pool.seeds[rec.source_file][slice(*rec.decision_span)]
+        assert smart_abstract(unit, pool, rec, own) == base, rec
+    if template == "pnglite":
+        assert {"PNG_CHUNK", "PNG_CHUNK_IHDR", "PNG_CHUNK_TIME", "PNG_CHUNK_PLTE",
+                "PNG_PALETTE_PIXEL"} <= set(pool.by_type)
+
+
+def test_splice_target_must_start_at_span_start(mini):
+    outcome = parse(mini, TWO_FILES[0])
+    data = next(n for n in outcome.tree.walk() if n.type_name == "DATA")
+    payload = next(n for n in data.children if n.name == "payload")
+    own = outcome.seed[payload.seed_start:data.seed_end]
+    # the record begins before the span, its payload after the span start
+    with pytest.raises(SpliceMisaligned, match="starts at seed offset"):
+        run_with_splice(mini, outcome.seed, (payload.seed_start, data.seed_end),
+                        data.id, own)
+    with pytest.raises(SpliceMisaligned):
+        run_with_splice(mini, outcome.seed, (data.seed_start, data.seed_end),
+                        payload.id, outcome.seed[data.seed_start:data.seed_end])
+
+
+def test_pnglite_attempts_per_accepted_mutation(pnglite, monkeypatch):
+    # a 50-file corpus (evil off, 1 KiB budget) indexed with evil on, then
+    # 600 mutations: each rejected attempt is a wasted regeneration
+    from btfuzz import mutation
+    from btfuzz.engine import generate_random
+    from btfuzz.errors import Error
+    files = []
+    for i in range(200):
+        try:
+            files.append(generate_random(pnglite, random.Random(i), evil=False,
+                                         budget=1024).file)
+        except Error:
+            continue
+        if len(files) == 50:
+            break
+    pool = index_corpus(pnglite, files, evil=True, budget=1024)
+    assert len(pool.seeds) == 50
+    calls = {"attempts": 0, "accepts": 0}
+    for op in ("abstract", "replace", "delete", "insert"):
+        def spy(*args, _fn=getattr(mutation, f"smart_{op}"), **kwargs):
+            calls["attempts"] += 1
+            out = _fn(*args, **kwargs)
+            calls["accepts"] += 1
+            return out
+        monkeypatch.setattr(mutation, f"smart_{op}", spy)
+    rng = random.Random(71)
+    bases = sorted(pool.seeds)
+    for _ in range(600):
+        try:
+            random_smart_mutation(pnglite, pool, rng.choice(bases), rng)
+        except NoApplicableMutation:
+            pass
+    assert calls["accepts"] > 0
+    assert calls["attempts"] / calls["accepts"] <= 2.0, calls

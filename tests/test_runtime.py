@@ -8,7 +8,9 @@ from btfuzz.errors import (
     OutOfRange,
     ReservationConflict,
 )
-from btfuzz.runtime import FileBuffer, ParseNode, trees_agree
+from btfuzz.runtime import FileBuffer, ParseNode
+
+from conftest import trees_agree
 
 
 def test_write_advances_and_tracks_high_water():
