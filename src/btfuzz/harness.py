@@ -8,18 +8,23 @@ QA commands (round-trip, coverage) exposed by the CLI.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import multiprocessing
 import os
 import random
 import select
 import shlex
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from .engine import generate_from_seed, generate_random, parse
@@ -33,6 +38,9 @@ OUTCOME_KINDS = ("valid", "invalid", "crash", "timeout", "gen_failed")
 # Successive files draw from independent rngs derived from one master seed,
 # so runs are reproducible regardless of how work is split across jobs.
 RNG_STRIDE = 1_000_003
+
+# Names the fd pair and the user's LD_PRELOAD for the fork-server shim.
+_HANDSHAKE_VAR = "BTFUZZ_FORKSRV"
 
 
 def _iteration_rng(master: int, index: int) -> random.Random:
@@ -57,6 +65,18 @@ class Outcome:
     def to_json(self) -> dict:
         return {"kind": self.kind, "exit_code": self.exit_code,
                 "signal": self.signal, "duration": round(self.duration, 6)}
+
+
+def _outcome(code: int | None, duration: float) -> Outcome:
+    """Classify a return code as Popen reports it: None for a target still
+    running at its deadline, minus the signal number for one that a signal
+    killed, else the exit status."""
+    if code is None:
+        return Outcome("timeout", duration=duration)
+    if code < 0:
+        return Outcome("crash", signal=-code, duration=duration)
+    return Outcome("valid" if code == 0 else "invalid", exit_code=code,
+                   duration=duration)
 
 
 class _Run:
@@ -132,13 +152,7 @@ class _Run:
             code = self.proc.poll()
         finally:
             self.kill()
-        duration = time.perf_counter() - self.started
-        if code is None:
-            return Outcome("timeout", duration=duration)
-        if code < 0:
-            return Outcome("crash", signal=-code, duration=duration)
-        return Outcome("valid" if code == 0 else "invalid", exit_code=code,
-                       duration=duration)
+        return _outcome(code, time.perf_counter() - self.started)
 
     def kill(self) -> None:
         """Kill and reap the target if it still runs; release the pipe and pidfd."""
@@ -153,12 +167,14 @@ class _Run:
 
 
 class _Target:
-    """A target command, run on one input after another.
+    """A target command, run on one input after another, one process each.
 
     The input goes to stdin unless the command contains a `{}` token; then
     every input is written to one temporary file, created here and removed
     by close(), whose path replaces the token.
     """
+
+    delivery = "spawn"
 
     def __init__(self, target: str, timeout_ms: int):
         argv = shlex.split(target)
@@ -167,16 +183,13 @@ class _Target:
         self.timeout_ms = timeout_ms
         self.path = None
         if any("{}" in word for word in argv):
-            fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_")
-            os.close(fd)
+            self.path = _input_file()
             argv = [word.replace("{}", self.path) for word in argv]
         self.argv = argv
 
-    def spawn(self, data: bytes) -> _Run:
-        """Start the target on `data`.  With a `{}` command the previous
-        target must have exited, since its file is overwritten."""
-        if self.path is None:
-            return _Run(self.argv, data, self.timeout_ms)
+    def _write(self, data: bytes) -> None:
+        """Write `data` to the input file.  The previous target must have
+        exited, since the file is overwritten."""
         # Written in place and cut to length: truncating to zero and closing
         # makes ext4 (auto_da_alloc) start writeback on every input.
         # O_CREAT recreates the file if the target removed or renamed it.
@@ -189,6 +202,12 @@ class _Target:
             os.ftruncate(fd, len(view))
         finally:
             os.close(fd)
+
+    def spawn(self, data: bytes) -> _Run:
+        """Start the target on `data`."""
+        if self.path is None:
+            return _Run(self.argv, data, self.timeout_ms)
+        self._write(data)
         return _Run(self.argv, None, self.timeout_ms)
 
     def close(self) -> None:
@@ -203,6 +222,201 @@ class _Target:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _input_file() -> str:
+    fd, path = tempfile.mkstemp(prefix="btfuzz_in_")
+    os.close(fd)
+    return path
+
+
+class _NoForkServer(Exception):
+    """Why a target cannot run under the fork server."""
+
+
+def _shim() -> str:
+    """The path of the fork-server shim (forkserver.c), compiled with `cc`
+    into the per-user cache on first use."""
+    source = resources.files(__package__).joinpath("forkserver.c").read_bytes()
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    cache = Path(cache if os.path.isabs(cache) else Path.home() / ".cache") / "btfuzz"
+    lib = cache / f"forkserver-{hashlib.sha256(source).hexdigest()[:16]}.so"
+    if " " in str(lib) or ":" in str(lib):
+        raise _NoForkServer(f"LD_PRELOAD cannot name {lib}")
+    if lib.is_file():
+        return str(lib)
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _NoForkServer("no cc to build the shim with")
+    tmp = None
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=lib.name + ".", dir=cache)
+        os.close(fd)
+        built = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", tmp, "-x", "c", "-"],
+                               input=source, capture_output=True, timeout=120)
+        if built.returncode != 0:
+            raise _NoForkServer("cc failed: "
+                                + built.stderr.decode(errors="replace").strip()[-300:])
+        os.replace(tmp, lib)  # whole or not at all, whichever worker builds it
+        tmp = None
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise _NoForkServer(f"cannot build the shim: {exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):  # cc removes it when it fails
+                os.unlink(tmp)
+    return str(lib)
+
+
+class _ForkServer(_Target):
+    """A target started once with the shim preloaded; the shim forks it
+    before `main` for every input, and the child runs `main` on that input.
+
+    The input is written as _Target writes it.  Without `{}` it still goes
+    to a temporary file, which is the server's stdin: each child seeks it
+    back to 0.  The constructor raises _NoForkServer when the shim cannot
+    be built, or when the target exits or stays silent for `timeout_ms`
+    instead of saying hello (a static or setuid target ignores LD_PRELOAD).
+    """
+
+    delivery = "fork-server"
+
+    def __init__(self, target: str, timeout_ms: int):
+        shim = _shim()
+        super().__init__(target, timeout_ms)
+        self.proc = None
+        self.pending = b""
+        self.ctl = self.replies = None
+        try:
+            theirs = []  # the server's ends, closed here once it has them
+            try:
+                stdin = None
+                if self.path is None:
+                    self.path = _input_file()
+                    stdin = os.open(self.path, os.O_RDONLY)
+                    theirs.append(stdin)
+                ctl, self.ctl = os.pipe()
+                theirs.append(ctl)
+                self.replies, out = os.pipe()
+                theirs.append(out)
+                preload = os.environ.get("LD_PRELOAD")
+                env = dict(os.environ, LD_PRELOAD=f"{shim} {preload}" if preload else shim)
+                env[_HANDSHAKE_VAR] = f"{ctl},{out}" + ("" if preload is None
+                                                         else f"={preload}")
+                self.proc = subprocess.Popen(
+                    self.argv, stdin=stdin, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL, env=env, pass_fds=(ctl, out))
+            finally:
+                for fd in theirs:
+                    os.close(fd)
+            self.poller = select.poll()
+            self.poller.register(self.replies, select.POLLIN)
+            hello = self.recv(time.perf_counter() + timeout_ms / 1000.0)
+            if hello != b"BTFZ":
+                raise _NoForkServer(f"no handshake within {timeout_ms} ms" if hello is None
+                                    else "the target exited before the handshake, "
+                                         "as a static or setuid binary does")
+        except BaseException:
+            self.close()
+            raise
+
+    def recv(self, deadline: float | None) -> bytes | None:
+        """The server's next 4-byte word: None if `deadline` (perf_counter
+        seconds; None waits for ever) passes first, b"" once it exited."""
+        while len(self.pending) < 4:
+            if deadline is not None and not self.poller.poll(
+                    max(0.0, deadline - time.perf_counter()) * 1000):
+                return None
+            chunk = os.read(self.replies, 4096)
+            if not chunk:
+                return b""
+            self.pending += chunk
+        word, self.pending = self.pending[:4], self.pending[4:]
+        return word
+
+    def spawn(self, data: bytes) -> _ForkRun:
+        """Fork the target on `data`."""
+        self._write(data)
+        os.write(self.ctl, b"\0\0\0\0")
+        return _ForkRun(self)
+
+    def close(self) -> None:
+        """Kill and reap the server, whose children are already settled."""
+        try:
+            if self.proc is not None:
+                self.proc.kill()
+                self.proc.wait()
+            for fd in (self.ctl, self.replies):
+                if fd is not None:
+                    os.close(fd)
+            self.ctl = self.replies = None
+        finally:
+            super().close()
+
+
+class _ForkRun:
+    """One input in flight in a fork server: started by _ForkServer.spawn,
+    ended by finish() or kill().  The server reports the child's pid, then
+    its wait status."""
+
+    def __init__(self, server: _ForkServer):
+        self.server = server
+        self.started = time.perf_counter()
+        self.deadline = self.started + server.timeout_ms / 1000.0
+        self.pid = self.status = None
+
+    def _read(self, deadline: float | None) -> bool:
+        """Take the next of pid and status; False if `deadline` passed first."""
+        word = self.server.recv(deadline)
+        if word is None:
+            return False
+        if not word:
+            raise ChildProcessError("the fork server exited")
+        value = int.from_bytes(word, sys.byteorder, signed=True)
+        if self.pid is None:
+            self.pid = value
+        else:
+            self.status = value
+        return True
+
+    def finish(self) -> Outcome:
+        """Wait for the child until its deadline, then classify it as _Run
+        does; a child still running at the deadline is killed."""
+        try:
+            while self.status is None and self._read(self.deadline):
+                pass
+            code = None if self.status is None else os.waitstatus_to_exitcode(self.status)
+        finally:
+            self.kill()
+        return _outcome(code, time.perf_counter() - self.started)
+
+    def kill(self) -> None:
+        """Kill the child if it still runs, and take its status, which leaves
+        the server ready for the next input."""
+        if self.status is not None:
+            return
+        try:
+            if self.pid is None:
+                self._read(None)
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # reaped by the server already; the status is on its way
+            self._read(None)
+        except ChildProcessError:
+            pass  # the server died, and PR_SET_PDEATHSIG took the child along
+
+
+def _open_target(target: str, timeout_ms: int) -> _Target:
+    """The target behind a fork server; the spawn path, with a warning, when
+    the server cannot start."""
+    try:
+        return _ForkServer(target, timeout_ms)
+    except _NoForkServer as exc:
+        print(f"btfuzz: fork server unavailable: {exc}; starting the target once "
+              "per input", file=sys.stderr)
+        return _Target(target, timeout_ms)
 
 
 def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
@@ -253,7 +467,8 @@ def _fuzz_worker(cfg: dict) -> dict:
     findings = []
     started = time.perf_counter()
     done = 0
-    running = None  # (index, data, seed or None, _Run) of the target in flight
+    produce_s = blocked_s = 0.0
+    running = None  # (index, data, seed or None, run) of the target in flight
 
     def settle(kind: str) -> None:
         nonlocal done
@@ -263,13 +478,15 @@ def _fuzz_worker(cfg: dict) -> dict:
             print(_stats_line(counts, done, time.perf_counter() - started),
                   flush=True)
 
-    def settle_running() -> None:
-        nonlocal running
+    def settle_running(since: float) -> None:
+        """Settle the target in flight; the wait from `since` is blocked time."""
+        nonlocal running, blocked_s
         if running is None:
             return
         index, data, seed_bytes, run = running
         running = None  # finish() kills and reaps the target whatever happens
         outcome = run.finish()
+        blocked_s += time.perf_counter() - since
         if outcome.kind in ("crash", "timeout"):
             if seed_bytes is None:
                 # mutated inputs: recover the canonical seed for replay
@@ -280,21 +497,28 @@ def _fuzz_worker(cfg: dict) -> dict:
             findings.append(name)
         settle(outcome.kind)
 
-    with _Target(cfg["target"], cfg["timeout_ms"]) as target:
+    interrupted = False
+    with _open_target(cfg["target"], cfg["timeout_ms"]) as target:
         try:
             for index in range(cfg["start"], cfg["start"] + cfg["count"]):
+                began = time.perf_counter()
                 made = produce(index)  # while the previous target runs
-                settle_running()
+                built = time.perf_counter()
+                produce_s += built - began
+                settle_running(built)
                 if made is None:
                     settle("gen_failed")
                 else:
                     running = (index, *made, target.spawn(made[0]))
-            settle_running()
+            settle_running(time.perf_counter())
+        except KeyboardInterrupt:
+            interrupted = True
         finally:
             if running is not None:
                 running[3].kill()
     return {"counts": dict(counts), "findings": findings,
-            "duration": time.perf_counter() - started}
+            "duration": time.perf_counter() - started, "delivery": target.delivery,
+            "produce_s": produce_s, "blocked_s": blocked_s, "interrupted": interrupted}
 
 
 def _load_corpus_dir(corpus_dir: str) -> dict[str, bytes]:
@@ -509,13 +733,20 @@ def cmd_fuzz(args) -> int:
         counts.update(res["counts"])
         findings.extend(res["findings"])
     iters = sum(counts[k] for k in OUTCOME_KINDS)
+    interrupted = any(res["interrupted"] for res in results)
     print(_stats_line(counts, iters, wall))
     stats = {k: counts[k] for k in OUTCOME_KINDS}
     stats.update(iterations=iters, execs_per_s=round(iters / wall, 1) if wall else 0.0,
-                 duration_s=round(wall, 3), findings=findings)
+                 duration_s=round(wall, 3), findings=findings, interrupted=interrupted,
+                 delivery=[res["delivery"] for res in results],
+                 produce_s=[round(res["produce_s"], 3) for res in results],
+                 blocked_s=[round(res["blocked_s"], 3) for res in results])
     (out_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n")
     print(f"{counts['crash']} crash(es), {counts['timeout']} timeout(s) "
           f"-> {out_dir}")
+    if interrupted:
+        print(f"interrupted after {iters} iteration(s)", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -1,6 +1,35 @@
+import shutil
+
 import pytest
 
 from btfuzz import formats
+
+
+@pytest.fixture(scope="session")
+def shim_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
+
+
+@pytest.fixture(autouse=True)
+def private_shim_cache(shim_cache, monkeypatch):
+    """Build the fork-server shim once per session, outside the user's cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(shim_cache))
+
+
+def force_spawn(monkeypatch, where) -> None:
+    """Leave the fuzz loop no fork server, as a host without a C compiler
+    does: an empty shim cache and no cc on PATH (`where` is a new directory)."""
+    no_cc = where / "no-cc"
+    no_cc.mkdir(parents=True)
+    for tool in ("sh", "true"):
+        (no_cc / tool).symlink_to(shutil.which(tool))
+    monkeypatch.setenv("PATH", str(no_cc))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(where / "empty-cache"))
+
+
+@pytest.fixture
+def no_fork_server(tmp_path, monkeypatch):
+    force_spawn(monkeypatch, tmp_path / "spawn-only")
 
 
 @pytest.fixture(scope="session")

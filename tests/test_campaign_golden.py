@@ -5,7 +5,8 @@ how the loop schedules target runs must not change what it counts or
 persists.  Each campaign pins the outcome counts in stats.json, the finding
 names, and one sha256 over every persisted .bin/.seed (name, then bytes).
 The generation campaign feeds the stub on stdin; the mutation campaign
-hands it a `{}` file path through the shell.
+hands it a `{}` file path through the shell.  Both campaigns run under the
+fork server and under the spawn path, and must pin the same figures.
 """
 
 import hashlib
@@ -42,7 +43,7 @@ CAMPAIGNS = {
 }
 
 
-def run_campaign(tmp_path: Path, spec: dict) -> tuple[dict, list, str]:
+def run_campaign(tmp_path: Path, spec: dict) -> tuple[dict, list, str, list]:
     out = tmp_path / "findings"
     argv = ["fuzz", "--template", "mini", "--target", spec["target"],
             "--count", str(spec["count"]), "--rng-seed", str(spec["rng_seed"]),
@@ -59,13 +60,24 @@ def run_campaign(tmp_path: Path, spec: dict) -> tuple[dict, list, str]:
     for path in sorted(out.iterdir()):
         if path.suffix in (".bin", ".seed"):
             h.update(f"{path.name}:{path.stat().st_size}:".encode() + path.read_bytes())
-    return {k: stats[k] for k in OUTCOME_KINDS}, stats["findings"], h.hexdigest()
+    counts = {k: stats[k] for k in OUTCOME_KINDS}
+    return counts, stats["findings"], h.hexdigest(), stats["delivery"]
+
+
+def check_campaign(tmp_path: Path, name: str, delivery: str) -> None:
+    spec = CAMPAIGNS[name]
+    counts, findings, digest, used = run_campaign(tmp_path, spec)
+    assert used == [delivery]
+    assert counts == spec["counts"]
+    assert findings == spec["findings"]
+    assert digest == spec["sha256"]
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_golden(tmp_path, name):
-    spec = CAMPAIGNS[name]
-    counts, findings, digest = run_campaign(tmp_path, spec)
-    assert counts == spec["counts"]
-    assert findings == spec["findings"]
-    assert digest == spec["sha256"]
+    check_campaign(tmp_path, name, "fork-server")
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_golden_spawn_fallback(tmp_path, name, no_fork_server):
+    check_campaign(tmp_path, name, "spawn")

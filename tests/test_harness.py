@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from btfuzz import cli, harness
 from btfuzz.engine import generate_from_seed, generate_random
 from btfuzz.formats import load_template
 from btfuzz.harness import Outcome, run_target
+from conftest import force_spawn
 
 PY = f"{sys.executable} -S -E"
 STUB = Path(__file__).with_name("crash_stub.py")
@@ -521,6 +523,19 @@ def spawned(tmp_path, monkeypatch):
     return started
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """Every target run the fuzz loop starts, under either delivery."""
+    started = []
+    for cls in (harness._Target, harness._ForkServer):
+        def spawn(self, data, real=cls.spawn):
+            run = real(self, data)
+            started.append(run)
+            return run
+        monkeypatch.setattr(cls, "spawn", spawn)
+    return started
+
+
 def _assert_reaped(procs):
     assert procs
     for proc in procs:
@@ -529,22 +544,50 @@ def _assert_reaped(procs):
             os.waitpid(proc.pid, os.WNOHANG)
 
 
-def test_fuzz_leaves_no_input_file_or_child(tmp_path, spawned):
-    rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass {{}}",
-                 "--count", 6, "--rng-seed", 2, "--out", tmp_path / "f")
-    assert rc == 0
-    assert list((tmp_path / "tmp").iterdir()) == []
-    assert len(spawned) == 6
-    _assert_reaped(spawned)
+def _pid_and_code(run) -> tuple[int, int]:
+    """A settled run's target pid and its return code as Popen reports it."""
+    if isinstance(run, harness._Run):
+        return run.proc.pid, run.proc.returncode
+    return run.pid, os.waitstatus_to_exitcode(run.status)
 
 
-def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, monkeypatch):
+def _assert_gone(pid):
+    with pytest.raises(ProcessLookupError):  # neither running nor a zombie
+        os.kill(pid, 0)
+
+
+def _deliveries(tmp_path, monkeypatch):
+    """Yield each delivery in turn; the spawn path, forced, comes last."""
+    yield "fork-server"
+    force_spawn(monkeypatch, tmp_path / "spawn-only")
+    yield "spawn"
+
+
+def test_fuzz_leaves_no_input_file_or_child(tmp_path, monkeypatch, spawned, runs):
+    for delivery in _deliveries(tmp_path, monkeypatch):
+        spawned.clear()
+        runs.clear()
+        out = tmp_path / delivery
+        rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass {{}}",
+                     "--count", 6, "--rng-seed", 2, "--out", out)
+        assert rc == 0
+        assert json.loads((out / "stats.json").read_text())["delivery"] == [delivery]
+        assert list((tmp_path / "tmp").iterdir()) == []
+        _assert_reaped(spawned)  # the targets, or the server
+        assert len(runs) == 6
+        for run in runs:
+            pid, code = _pid_and_code(run)
+            assert code == 0
+            _assert_gone(pid)
+
+
+def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, runs, monkeypatch):
     real = harness.random_smart_mutation
     calls = []
 
     def failing_mutation(*args):
         calls.append(1)
-        if len(calls) == 2:  # the first input's target is still running
+        if len(calls) % 2 == 0:  # the first input's target is still running
             raise RuntimeError("mutator failed")
         return real(*args)
 
@@ -552,12 +595,168 @@ def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, monkeypat
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
-    with pytest.raises(RuntimeError, match="mutator failed"):
-        run_cli("fuzz", "--template", "mini", "--corpus", corpus,
-                "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
-                "--count", 5, "--rng-seed", 2, "--timeout-ms", 60000,
-                "--out", tmp_path / "f")
-    assert list((tmp_path / "tmp").iterdir()) == []
-    assert len(spawned) == 1
-    _assert_reaped(spawned)
-    assert spawned[0].returncode == -signal.SIGKILL  # killed, not waited out
+    for delivery in _deliveries(tmp_path, monkeypatch):
+        spawned.clear()
+        runs.clear()
+        with pytest.raises(RuntimeError, match="mutator failed"):
+            run_cli("fuzz", "--template", "mini", "--corpus", corpus,
+                    "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
+                    "--count", 5, "--rng-seed", 2, "--timeout-ms", 60000,
+                    "--out", tmp_path / delivery)
+        assert list((tmp_path / "tmp").iterdir()) == []
+        _assert_reaped(spawned)
+        assert len(runs) == 1
+        pid, code = _pid_and_code(runs[0])
+        assert code == -signal.SIGKILL  # killed, not waited out
+        _assert_gone(pid)
+        assert isinstance(runs[0], harness._Run) == (delivery == "spawn")
+
+
+def test_fuzz_ctrl_c_writes_partial_stats(tmp_path, spawned, runs, monkeypatch):
+    real = harness.random_smart_mutation
+    calls = []
+
+    def interrupted_mutation(*args):
+        calls.append(1)
+        if len(calls) % 4 == 0:  # inputs 1-2 settled, input 3 in flight
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(harness, "random_smart_mutation", interrupted_mutation)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    for delivery in _deliveries(tmp_path, monkeypatch):
+        spawned.clear()
+        runs.clear()
+        out = tmp_path / delivery
+        rc = run_cli("fuzz", "--template", "mini", "--corpus", corpus,
+                     "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
+                     "--count", 10, "--rng-seed", 2, "--timeout-ms", 200, "--out", out)
+        assert rc == 130
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["interrupted"] is True and stats["delivery"] == [delivery]
+        assert stats["iterations"] == stats["timeout"] == 2
+        assert sum(stats[k] for k in harness.OUTCOME_KINDS) == 2
+        assert list((tmp_path / "tmp").iterdir()) == []
+        _assert_reaped(spawned)
+        assert len(runs) == 3
+        for run in runs:
+            pid, code = _pid_and_code(run)
+            assert code == -signal.SIGKILL
+            _assert_gone(pid)
+
+
+def test_fuzz_hanging_target_times_out(tmp_path, spawned, runs, monkeypatch):
+    for delivery in _deliveries(tmp_path, monkeypatch):
+        spawned.clear()
+        runs.clear()
+        out = tmp_path / delivery
+        started = time.perf_counter()
+        rc = run_cli("fuzz", "--template", "mini", "--rng-seed", 1, "--count", 3,
+                     "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
+                     "--timeout-ms", 300, "--out", out)
+        assert rc == 0
+        assert time.perf_counter() - started < 10
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["timeout"] == 3 and stats["delivery"] == [delivery]
+        assert stats["blocked_s"][0] > 0.6  # most of three 300 ms deadlines
+        assert list((tmp_path / "tmp").iterdir()) == []
+        _assert_reaped(spawned)
+        for run in runs:
+            pid, code = _pid_and_code(run)
+            assert code == -signal.SIGKILL
+            _assert_gone(pid)
+
+
+def test_fork_server_stdin_is_each_input_exactly(tmp_path):
+    log = tmp_path / "log"
+    log.mkdir()
+    code = ("import os, sys; d = sys.argv[1]; "
+            "open(os.path.join(d, '%03d.bin' % len(os.listdir(d))), 'wb')"
+            ".write(sys.stdin.buffer.read())")
+    inputs = [BIG, b"abc", b"", b"xy"]
+    with harness._ForkServer(f'{PY} -c "{code}" {log}', timeout_ms=10000) as tgt:
+        for data in inputs:
+            assert tgt.spawn(data).finish().kind == "valid"
+    assert [p.read_bytes() for p in sorted(log.iterdir())] == inputs
+
+
+@pytest.mark.parametrize("preload", [None, "libm.so.6"])
+def test_fork_server_restores_ld_preload(tmp_path, monkeypatch, preload):
+    if preload is None:
+        monkeypatch.delenv("LD_PRELOAD", raising=False)
+    else:
+        monkeypatch.setenv("LD_PRELOAD", preload)
+    check = tmp_path / "check.py"
+    check.write_text(
+        "import os, sys\n"
+        f"ok = os.environ.get('LD_PRELOAD') == {preload!r} "
+        f"and {harness._HANDSHAKE_VAR!r} not in os.environ\n"
+        "sys.exit(0 if ok else 1)\n")
+    # the shell's child is a grandchild of the server: `; exit` stops an exec
+    target = f"sh -c '{PY} {check}; exit $?'"
+    with harness._ForkServer(target, timeout_ms=10000) as tgt:
+        assert tgt.spawn(b"").finish().kind == "valid"
+
+
+VALIDATOR_C = r"""
+#include <signal.h>
+#include <stdio.h>
+#include <string.h>
+int main(int argc, char **argv) {
+    unsigned char buf[4096];
+    FILE *f = fopen(argv[1], "rb");
+    size_t n = f ? fread(buf, 1, sizeof buf, f) : 0;
+    if (n > 4 && buf[4] == 0xFF)
+        raise(SIGSEGV);
+    return n >= 4 && memcmp(buf, "MINI", 4) == 0 ? 0 : 1;
+}
+"""
+
+
+def _fuzz_warnings(capfd, target: str, out: Path, jobs: int = 1) -> tuple[dict, int]:
+    rc = run_cli("fuzz", "--template", "mini", "--target", target, "--count", 30,
+                 "--rng-seed", 4, "--jobs", jobs, "--timeout-ms", 5000, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    return stats, capfd.readouterr().err.count("fork server unavailable")
+
+
+def test_static_target_falls_back_with_one_warning(tmp_path, capfd):
+    source = tmp_path / "validator.c"
+    source.write_text(VALIDATOR_C)
+    static, dynamic = tmp_path / "static", tmp_path / "dynamic"
+    if subprocess.run(["cc", "-static", "-O2", "-o", static, source],
+                      capture_output=True).returncode != 0:
+        pytest.skip("cc cannot link a static binary here")
+    subprocess.run(["cc", "-O2", "-o", dynamic, source], check=True)
+    forked, warned = _fuzz_warnings(capfd, f"{dynamic} {{}}", tmp_path / "d")
+    assert forked["delivery"] == ["fork-server"] and warned == 0
+    spawned, warned = _fuzz_warnings(capfd, f"{static} {{}}", tmp_path / "s")
+    assert spawned["delivery"] == ["spawn"] and warned == 1
+    for key in (*harness.OUTCOME_KINDS, "findings"):
+        assert spawned[key] == forked[key]
+    assert forked["crash"] > 0 and forked["valid"] > 0
+
+
+@pytest.mark.parametrize("cc", ["missing", "failing"])
+def test_no_cc_falls_back_with_one_warning_per_worker(tmp_path, capfd, no_fork_server, cc):
+    if cc == "failing":
+        fake = Path(os.environ["PATH"]) / "cc"
+        fake.write_text("#!/bin/sh\nexit 1\n")
+        fake.chmod(0o755)
+    for jobs in (1, 2):
+        stats, warned = _fuzz_warnings(capfd, f"{PY} {STUB}", tmp_path / f"j{jobs}", jobs)
+        assert stats["delivery"] == ["spawn"] * jobs and warned == jobs
+        assert sum(stats[k] for k in harness.OUTCOME_KINDS) == 30
+
+
+def test_fork_server_source_ships_as_package_data():
+    from importlib import resources
+    source = resources.files("btfuzz").joinpath("forkserver.c")
+    assert "PR_SET_PDEATHSIG" in source.read_text()
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    assert "forkserver.c" in package_data["btfuzz"]
