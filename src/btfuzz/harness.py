@@ -83,62 +83,28 @@ class _Run:
     """One target execution in flight: started by the constructor, ended by
     finish() or kill().
 
-    With `stdin_data` the input goes to the target's stdin through a
-    non-blocking pipe; what the pipe does not take at once is written while
-    finish() waits.  On Linux finish() blocks on a pidfd, which wakes the
-    moment the target exits; without one it falls back to Popen.wait.
+    `stdin` is the open input file of a stdin target, None for a `{}`
+    target.  On Linux finish() blocks on a pidfd, which wakes the moment the
+    target exits; without one it falls back to Popen.wait.
     """
 
-    def __init__(self, argv: list[str], stdin_data: bytes | None, timeout_ms: int):
+    def __init__(self, argv: list[str], stdin: int | None, timeout_ms: int):
         self.started = time.perf_counter()
         self.deadline = self.started + timeout_ms / 1000.0
-        self.proc = subprocess.Popen(
-            argv, stdin=None if stdin_data is None else subprocess.PIPE,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        self.pidfd = None
-        self.pending = memoryview(stdin_data or b"")
+        self.proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.DEVNULL)
         try:
             self.pidfd = os.pidfd_open(self.proc.pid)
         except (AttributeError, OSError):
-            pass
-        try:
-            if self.proc.stdin is not None:
-                os.set_blocking(self.proc.stdin.fileno(), False)
-                self._feed()
-        except BaseException:
-            self.kill()
-            raise
-
-    def _feed(self) -> bool:
-        """Write what the stdin pipe takes now; close it, and return False,
-        once all is written or the target stopped reading."""
-        try:
-            self.pending = self.pending[os.write(self.proc.stdin.fileno(), self.pending):]
-        except BlockingIOError:
-            return True
-        except BrokenPipeError:
-            self.pending = memoryview(b"")
-        if self.pending:
-            return True
-        self.proc.stdin.close()
-        return False
+            self.pidfd = None
 
     def _wait(self) -> None:
         """Return once the target has exited or its deadline has passed."""
-        poller = select.poll()
         if self.pidfd is not None:
+            poller = select.poll()
             poller.register(self.pidfd, select.POLLIN)
-        if self.pending:
-            poller.register(self.proc.stdin.fileno(), select.POLLOUT)
-        while self.pidfd is not None or self.pending:
-            left = self.deadline - time.perf_counter()
-            if left <= 0:
-                return
-            for fd, _ in poller.poll(left * 1000):  # ms, rounded up
-                if fd == self.pidfd:
-                    return
-                if not self._feed():
-                    poller.unregister(fd)
+            left = max(0.0, self.deadline - time.perf_counter())
+            poller.poll(left * 1000)  # ms, rounded up
         try:
             self.proc.wait(max(0.0, self.deadline - time.perf_counter()))
         except subprocess.TimeoutExpired:
@@ -155,12 +121,10 @@ class _Run:
         return _outcome(code, time.perf_counter() - self.started)
 
     def kill(self) -> None:
-        """Kill and reap the target if it still runs; release the pipe and pidfd."""
+        """Kill and reap the target if it still runs; release the pidfd."""
         if self.proc.returncode is None:
             self.proc.kill()
             self.proc.wait()
-        if self.proc.stdin is not None:
-            self.proc.stdin.close()
         if self.pidfd is not None:
             os.close(self.pidfd)
             self.pidfd = None
@@ -169,9 +133,10 @@ class _Run:
 class _Target:
     """A target command, run on one input after another, one process each.
 
-    The input goes to stdin unless the command contains a `{}` token; then
-    every input is written to one temporary file, created here and removed
-    by close(), whose path replaces the token.
+    Every input is written to one temporary file, created here and removed
+    by close().  The file's path replaces a `{}` token in the command; a
+    command without one reads the file as its stdin, from offset 0 for
+    every input.
     """
 
     delivery = "spawn"
@@ -181,10 +146,17 @@ class _Target:
         if not argv:
             raise ValueError("empty target command")
         self.timeout_ms = timeout_ms
-        self.path = None
-        if any("{}" in word for word in argv):
-            self.path = _input_file()
-            argv = [word.replace("{}", self.path) for word in argv]
+        self.stdin = None
+        fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_")
+        os.close(fd)
+        try:
+            if any("{}" in word for word in argv):
+                argv = [word.replace("{}", self.path) for word in argv]
+            else:
+                self.stdin = os.open(self.path, os.O_RDONLY)
+        except BaseException:
+            self.close()
+            raise
         self.argv = argv
 
     def _write(self, data: bytes) -> None:
@@ -205,29 +177,23 @@ class _Target:
 
     def spawn(self, data: bytes) -> _Run:
         """Start the target on `data`."""
-        if self.path is None:
-            return _Run(self.argv, data, self.timeout_ms)
         self._write(data)
-        return _Run(self.argv, None, self.timeout_ms)
+        if self.stdin is not None:
+            os.lseek(self.stdin, 0, os.SEEK_SET)
+        return _Run(self.argv, self.stdin, self.timeout_ms)
 
     def close(self) -> None:
-        if self.path is not None:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+        if self.stdin is not None:
+            os.close(self.stdin)
+            self.stdin = None
+        with contextlib.suppress(OSError):
+            os.unlink(self.path)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         self.close()
-
-
-def _input_file() -> str:
-    fd, path = tempfile.mkstemp(prefix="btfuzz_in_")
-    os.close(fd)
-    return path
 
 
 class _NoForkServer(Exception):
@@ -273,11 +239,11 @@ class _ForkServer(_Target):
     """A target started once with the shim preloaded; the shim forks it
     before `main` for every input, and the child runs `main` on that input.
 
-    The input is written as _Target writes it.  Without `{}` it still goes
-    to a temporary file, which is the server's stdin: each child seeks it
-    back to 0.  The constructor raises _NoForkServer when the shim cannot
-    be built, or when the target exits or stays silent for `timeout_ms`
-    instead of saying hello (a static or setuid target ignores LD_PRELOAD).
+    The input file is _Target's.  A stdin target's file is the server's
+    stdin, and each child seeks it back to 0.  The constructor raises
+    _NoForkServer when the shim cannot be built, or when the target exits
+    or stays silent for `timeout_ms` instead of saying hello (a static or
+    setuid target ignores LD_PRELOAD).
     """
 
     delivery = "fork-server"
@@ -291,11 +257,6 @@ class _ForkServer(_Target):
         try:
             theirs = []  # the server's ends, closed here once it has them
             try:
-                stdin = None
-                if self.path is None:
-                    self.path = _input_file()
-                    stdin = os.open(self.path, os.O_RDONLY)
-                    theirs.append(stdin)
                 ctl, self.ctl = os.pipe()
                 theirs.append(ctl)
                 self.replies, out = os.pipe()
@@ -305,7 +266,7 @@ class _ForkServer(_Target):
                 env[_HANDSHAKE_VAR] = f"{ctl},{out}" + ("" if preload is None
                                                          else f"={preload}")
                 self.proc = subprocess.Popen(
-                    self.argv, stdin=stdin, stdout=subprocess.DEVNULL,
+                    self.argv, stdin=self.stdin, stdout=subprocess.DEVNULL,
                     stderr=subprocess.DEVNULL, env=env, pass_fds=(ctl, out))
             finally:
                 for fd in theirs:
@@ -422,9 +383,10 @@ def _open_target(target: str, timeout_ms: int) -> _Target:
 def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
     """Deliver one input to the target command and classify the result.
 
-    The input goes to stdin unless the command contains a `{}` token, which
-    is substituted with the path of a temporary file holding the input.
-    Spawn failures (missing executable) raise OSError to the caller.
+    The input is written to a temporary file, removed before this returns,
+    whose path replaces a `{}` token in the command; without one the file
+    is the target's stdin.  Spawn failures (missing executable) raise
+    OSError to the caller.
     """
     with _Target(target, timeout_ms) as tgt:
         return tgt.spawn(data).finish()
@@ -467,7 +429,7 @@ def _fuzz_worker(cfg: dict) -> dict:
     findings = []
     started = time.perf_counter()
     done = 0
-    produce_s = blocked_s = 0.0
+    produce_s = spawn_s = blocked_s = 0.0
     running = None  # (index, data, seed or None, run) of the target in flight
 
     def settle(kind: str) -> None:
@@ -500,17 +462,21 @@ def _fuzz_worker(cfg: dict) -> dict:
     interrupted = False
     with _open_target(cfg["target"], cfg["timeout_ms"]) as target:
         try:
+            began = time.perf_counter()
             for index in range(cfg["start"], cfg["start"] + cfg["count"]):
-                began = time.perf_counter()
                 made = produce(index)  # while the previous target runs
                 built = time.perf_counter()
                 produce_s += built - began
                 settle_running(built)
                 if made is None:
                     settle("gen_failed")
-                else:
-                    running = (index, *made, target.spawn(made[0]))
-            settle_running(time.perf_counter())
+                    began = time.perf_counter()
+                    continue
+                spawning = time.perf_counter()
+                running = (index, *made, target.spawn(made[0]))
+                began = time.perf_counter()
+                spawn_s += began - spawning
+            settle_running(began)
         except KeyboardInterrupt:
             interrupted = True
         finally:
@@ -518,7 +484,8 @@ def _fuzz_worker(cfg: dict) -> dict:
                 running[3].kill()
     return {"counts": dict(counts), "findings": findings,
             "duration": time.perf_counter() - started, "delivery": target.delivery,
-            "produce_s": produce_s, "blocked_s": blocked_s, "interrupted": interrupted}
+            "produce_s": produce_s, "spawn_s": spawn_s, "blocked_s": blocked_s,
+            "interrupted": interrupted}
 
 
 def _load_corpus_dir(corpus_dir: str) -> dict[str, bytes]:
@@ -740,6 +707,7 @@ def cmd_fuzz(args) -> int:
                  duration_s=round(wall, 3), findings=findings, interrupted=interrupted,
                  delivery=[res["delivery"] for res in results],
                  produce_s=[round(res["produce_s"], 3) for res in results],
+                 spawn_s=[round(res["spawn_s"], 3) for res in results],
                  blocked_s=[round(res["blocked_s"], 3) for res in results])
     (out_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n")
     print(f"{counts['crash']} crash(es), {counts['timeout']} timeout(s) "

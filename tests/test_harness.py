@@ -1,5 +1,6 @@
 """Target execution, outcome classification, and the CLI surface."""
 
+import contextlib
 import json
 import os
 import signal
@@ -61,14 +62,35 @@ def test_file_substitution():
     assert out.kind == "valid"
 
 
-def test_file_substitution_cleans_up(tmp_path, monkeypatch):
+@pytest.mark.parametrize("target, raises", [
+    (f"{PY} -c 'pass'", None),
+    (f"{PY} -c 'pass' {{}}", None),
+    ("/no/such/binary", OSError),
+], ids=["stdin", "file", "missing"])
+def test_file_substitution_cleans_up(tmp_path, monkeypatch, target, raises):
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     tempfile.tempdir = None
     try:
-        run_target(f"{PY} -c 'pass' {{}}", b"x", timeout_ms=5000)
+        fds = os.listdir("/proc/self/fd")
+        with pytest.raises(raises) if raises else contextlib.nullcontext():
+            run_target(target, b"x", timeout_ms=5000)
         assert list(tmp_path.iterdir()) == []
+        assert os.listdir("/proc/self/fd") == fds
     finally:
         tempfile.tempdir = None
+
+
+def test_target_removes_input_file_when_init_fails(tmp_path, monkeypatch):
+    def failing_open(path, flags, *args, real=os.open):
+        if flags == os.O_RDONLY:  # the stdin fd, after mkstemp made the file
+            raise OSError("no fd left")
+        return real(path, flags, *args)
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "open", failing_open)
+    with pytest.raises(OSError, match="no fd left"):
+        harness._Target(f"{PY} -c 'pass'", timeout_ms=5000)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _recorder(log_dir: Path, then: str = "pass") -> str:
@@ -133,7 +155,9 @@ def test_file_input_truncated_to_zero_only_when_empty(tmp_path, monkeypatch):
     assert truncations == [len(data) for data in inputs]
 
 
-BIG = bytes(range(256)) * 800  # 200 KiB, more than a pipe buffer holds
+# 200 KiB: a stdin target must read the input file to its end, and a
+# shorter input after it must not see its tail
+BIG = bytes(range(256)) * 800
 
 
 @pytest.fixture(params=["pidfd", "fallback"])
@@ -669,17 +693,41 @@ def test_fuzz_hanging_target_times_out(tmp_path, spawned, runs, monkeypatch):
             _assert_gone(pid)
 
 
-def test_fork_server_stdin_is_each_input_exactly(tmp_path):
+@pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],
+                         ids=["spawn", "fork-server"])
+def test_stdin_is_each_input_exactly(tmp_path, delivery):
     log = tmp_path / "log"
     log.mkdir()
-    code = ("import os, sys; d = sys.argv[1]; "
+    code = ("import os, stat, sys; d = sys.argv[1]; "
+            "assert stat.S_ISREG(os.fstat(0).st_mode); "
             "open(os.path.join(d, '%03d.bin' % len(os.listdir(d))), 'wb')"
             ".write(sys.stdin.buffer.read())")
     inputs = [BIG, b"abc", b"", b"xy"]
-    with harness._ForkServer(f'{PY} -c "{code}" {log}', timeout_ms=10000) as tgt:
+    with delivery(f'{PY} -c "{code}" {log}', timeout_ms=10000) as tgt:
         for data in inputs:
             assert tgt.spawn(data).finish().kind == "valid"
     assert [p.read_bytes() for p in sorted(log.iterdir())] == inputs
+
+
+def test_fuzz_accounts_for_spawn_time(tmp_path, monkeypatch):
+    results = []
+
+    def recording_worker(cfg, real=harness._fuzz_worker):
+        results.append(real(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "_fuzz_worker", recording_worker)
+    for delivery in _deliveries(tmp_path, monkeypatch):
+        results.clear()
+        out = tmp_path / delivery
+        rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass",
+                     "--count", 6, "--rng-seed", 2, "--out", out)
+        assert rc == 0
+        (res,) = results
+        assert res["delivery"] == delivery and res["spawn_s"] > 0
+        assert res["produce_s"] + res["spawn_s"] + res["blocked_s"] <= res["duration"]
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["spawn_s"] == [round(res["spawn_s"], 3)]
 
 
 @pytest.mark.parametrize("preload", [None, "libm.so.6"])
