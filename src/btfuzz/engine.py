@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from enum import Enum, auto
 
 from .decisionstream import ChoiceEvent, ChoiceSpec, DecisionStream, StreamMode
 from .errors import (
@@ -125,11 +124,6 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-class Mode(Enum):
-    GEN = auto()
-    PARSE = auto()
-
-
 @dataclass
 class GenResult:
     file: bytes
@@ -164,8 +158,7 @@ class Execution:
         self.unit = unit
         self.ds = ds
         self.buf = buf
-        self.mode = Mode.PARSE if ds.mode is StreamMode.PARSE_RECORD else Mode.GEN
-        self.gen = self.mode is Mode.GEN
+        self.gen = ds.mode is not StreamMode.PARSE_RECORD
         self.scope = Scope()
         self.big_endian = False
         self.hint_mode = False
@@ -377,7 +370,7 @@ class Execution:
             type_label = native
         width, signed = NATIVE_INTS[native]
         if decl.array_len is None:
-            self._declare_scalar(decl, native, width, signed, enum_cands, type_label)
+            self._declare_scalar(decl, width, signed, enum_cands, type_label)
         else:
             self._declare_int_array(decl, native, width, signed, enum_cands, type_label)
 
@@ -420,25 +413,38 @@ class Execution:
             return ChoiceSpec(width=width, bounds=(lo, hi))
         return ChoiceSpec(width=width)
 
-    def _scalar_int_choice(self, spec: ChoiceSpec, width: int, signed: bool) -> tuple[int, bytes]:
-        """One integer field's value and file bytes, mode dependent."""
-        pos = self.buf.position
-        if self.gen:
-            reserved = self.buf.reserved_block(pos, width)
-            if reserved is not None:
-                raw = reserved
-            else:
-                kind, payload = self.ds.choose_value(spec)
-                raw = payload if kind == "raw" else encode_int(payload, width, self.big_endian)
-            self.buf.write(raw)
-        else:
-            raw = self.buf.read(width)
-            if self.buf.reserved_block(pos, width) is None:
-                value = decode_int(raw, signed, self.big_endian)
-                self.ds.emit_value(spec, value, raw)
-        return decode_int(raw, signed, self.big_endian), raw
+    def _choose_raw(self, spec: ChoiceSpec) -> bytes:
+        """A drawn value as file bytes; an integer is encoded at the spec's width."""
+        _, payload = self.ds.choose_value(spec)
+        if isinstance(payload, bytes):
+            return payload
+        return encode_int(payload, spec.width, self.big_endian)
 
-    def _declare_scalar(self, decl, native, width, signed, enum_cands, type_label):
+    def _field(self, spec: ChoiceSpec, signed: bool | None) -> bytes:
+        """One field's file bytes, written (GEN) or read (PARSE) at the
+        current position.  Bytes a lookahead reserved are taken as they
+        are and cost no decision.  signed is None for a whole char array,
+        whose value is its bytes."""
+        reserved = self.buf.reserved_block(self.buf.position, spec.width)
+        if self.gen:
+            raw = self._choose_raw(spec) if reserved is None else reserved
+            self.buf.write(raw)
+            return raw
+        raw = self.buf.read(spec.width)
+        if reserved is None:
+            value = raw if signed is None else decode_int(raw, signed, self.big_endian)
+            self.ds.emit_value(spec, value, raw)
+        return raw
+
+    def _bind_field(self, instance: RecordVal, name: str, value, node: ParseNode | None):
+        """Bind a declared field in its record instance and in scope.  An
+        empty record array has no node and keeps the name's earlier one."""
+        instance.fields[name] = value
+        if node is not None:
+            instance.field_nodes[name] = node
+        self.scope.bind(name, value)
+
+    def _declare_scalar(self, decl, width, signed, enum_cands, type_label):
         instance = self.record_stack[-1]
         existing = instance.field_nodes.get(decl.name)
         if existing is not None:
@@ -447,31 +453,26 @@ class Execution:
         node = self._push_node(decl.name, type_label)
         try:
             spec = self._field_spec(decl, width, signed, enum_cands, None)
-            value, _ = self._scalar_int_choice(spec, width, signed)
+            value = decode_int(self._field(spec, signed), signed, self.big_endian)
         finally:
             self._pop_node(node)
-        instance.fields[decl.name] = value
-        instance.field_nodes[decl.name] = node
-        self.scope.bind(decl.name, value)
+        self._bind_field(instance, decl.name, value, node)
 
     def _redeclare_scalar(self, decl, node, width, signed, enum_cands, instance):
         """Fix-up declaration: same name, same record instance.  The bytes
         at the current position are rewritten (GEN) or revalidated (PARSE);
         the node is updated in place and keeps its original decision span."""
-        if decl.array_len is not None:
-            raise EvalError(f"cannot re-declare {decl.name!r} as an array")
         prev_id = self.ds.node_id
         self.ds.node_id = node.id
         start = self.buf.position
         spec = self._field_spec(decl, width, signed, enum_cands, None)
         try:
-            value, _ = self._scalar_int_choice(spec, width, signed)
+            value = decode_int(self._field(spec, signed), signed, self.big_endian)
         finally:
             self.ds.node_id = prev_id
         node.file_start, node.file_end = start, self.buf.position
         node.rewritten = True
-        instance.fields[decl.name] = value
-        self.scope.bind(decl.name, value)
+        self._bind_field(instance, decl.name, value, node)
 
     def _declare_int_array(self, decl, native, width, signed, enum_cands, type_label):
         # a repeated array declaration (loop body) starts a fresh instance
@@ -480,72 +481,43 @@ class Execution:
         node = self._push_node(decl.name, f"{type_label}[{length}]")
         try:
             is_char = native == "char"
-            whole = None
-            if is_char:
-                whole = self._whole_array_candidates(decl, length)
+            whole = self._whole_array_candidates(decl, length) if is_char else None
             if whole is not None:
-                value = self._char_array_whole(whole, length)
+                value = self._field(ChoiceSpec(width=length, candidates=whole), None)
             else:
                 value = self._array_elements(decl, length, width, signed,
                                              enum_cands, is_char)
         finally:
             self._pop_node(node)
-        instance.fields[decl.name] = value
-        instance.field_nodes[decl.name] = node
-        self.scope.bind(decl.name, value)
+        self._bind_field(instance, decl.name, value, node)
 
     def _array_elements(self, decl, length, width, signed, enum_cands, is_char):
         """Element-by-element array body.  The choice spec is hoisted out
-        of the loop unless some element has its own mined magic, and
-        buffer traffic is batched when no reservation overlaps the span.
-        An unconstrained one-byte array is decided in one stream call."""
-        ds, buf = self.ds, self.buf
-        big = self.big_endian
+        of the loop unless some element has its own mined magic.  An
+        unconstrained one-byte array with no reservation over its span is
+        decided in one stream call."""
         per_index = (decl.init_list is not None
                      or any(k[1] is not None and k[0] == decl.name for k in self.unit.magic))
         spec0 = None if per_index else self._field_spec(decl, width, signed, enum_cands, -1)
-        pos0 = buf.position
-        span_clear = not buf.reserved_offsets(pos0, pos0 + length * width)
-        if (span_clear and width == 1 and spec0 is not None
-                and not spec0.candidates and spec0.bounds is None):
+        pos0 = self.buf.position
+        if (width == 1 and spec0 is not None and not spec0.candidates
+                and spec0.bounds is None and not self.buf.reserved_offsets(pos0, pos0 + length)):
             if self.gen:
-                raw = ds.choose_bytes(length)
-                buf.write(raw)
+                raw = self.ds.choose_bytes(length)
+                self.buf.write(raw)
             else:
-                raw = buf.read(length)
-                ds.emit_bytes(raw, signed)
+                raw = self.buf.read(length)
+                self.ds.emit_bytes(raw, signed)
             return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
+        raws = bytearray()
         elems = []
-        if not span_clear:
-            raws = bytearray()
-            for i in range(length):
-                spec = spec0 if spec0 is not None else self._field_spec(
-                    decl, width, signed, enum_cands, i)
-                elem, raw = self._scalar_int_choice(spec, width, signed)
-                elems.append(elem)
-                raws += raw
-            return bytes(raws) if is_char else elems
-        if self.gen:
-            raws = bytearray()
-            for i in range(length):
-                spec = spec0 if spec0 is not None else self._field_spec(
-                    decl, width, signed, enum_cands, i)
-                kind, payload = ds.choose_value(spec)
-                raw = payload if kind == "raw" else encode_int(payload, width, big)
-                raws += raw
-                if not is_char:
-                    elems.append(decode_int(raw, signed, big))
-            buf.write(bytes(raws))
-            return bytes(raws) if is_char else elems
-        raw_all = buf.read(length * width)
         for i in range(length):
             spec = spec0 if spec0 is not None else self._field_spec(
                 decl, width, signed, enum_cands, i)
-            raw = raw_all[i * width:(i + 1) * width]
-            value = decode_int(raw, signed, big)
-            ds.emit_value(spec, value, raw)
-            elems.append(value)
-        return raw_all if is_char else elems
+            raw = self._field(spec, signed)
+            raws += raw
+            elems.append(decode_int(raw, signed, self.big_endian))
+        return bytes(raws) if is_char else elems
 
     def _whole_array_candidates(self, decl, length: int) -> list[bytes] | None:
         if decl.init_list is not None:
@@ -558,31 +530,8 @@ class Execution:
                         f"array holds {length}")
                 return cands
             return None
-        mined = self.unit.magic.get((decl.name, None))
-        if mined:
-            cands = [v for v in mined if isinstance(v, bytes) and len(v) == length]
-            if cands:
-                return cands
-        return None
-
-    def _char_array_whole(self, candidates: list[bytes], length: int) -> bytes:
-        spec = ChoiceSpec(width=length, candidates=candidates)
-        pos = self.buf.position
-        if self.gen:
-            reserved = self.buf.reserved_block(pos, length)
-            if reserved is not None:
-                raw = reserved
-            else:
-                kind, payload = self.ds.choose_value(spec)
-                raw = payload
-                if not isinstance(raw, bytes) or len(raw) != length:
-                    raise EvalError("char array candidate has the wrong width")
-            self.buf.write(raw)
-            return raw
-        raw = self.buf.read(length)
-        if self.buf.reserved_block(pos, length) is None:
-            self.ds.emit_value(spec, raw, raw)
-        return raw
+        mined = self.unit.magic.get((decl.name, None), ())
+        return [v for v in mined if isinstance(v, bytes) and len(v) == length] or None
 
     def _declare_record(self, decl: ast.InputDecl, tdef):
         # repeated declarations of one record name (chunk loops) each
@@ -591,21 +540,14 @@ class Execution:
             raise EvalError(f"record field {decl.name!r} takes no initializer or bounds")
         instance = self.record_stack[-1]
         if decl.array_len is None:
-            rec = self._instantiate_record(decl, tdef)
-            instance.fields[decl.name] = rec[0]
-            instance.field_nodes[decl.name] = rec[1]
-            self.scope.bind(decl.name, rec[0])
+            value, node = self._instantiate_record(decl, tdef)
         else:
-            length = self._array_length(decl, 1)
-            values = []
-            last_node = None
-            for _ in range(length):
-                rec, last_node = self._instantiate_record(decl, tdef)
-                values.append(rec)
-            instance.fields[decl.name] = values
-            if last_node is not None:
-                instance.field_nodes[decl.name] = last_node
-            self.scope.bind(decl.name, values)
+            value = []
+            node = None
+            for _ in range(self._array_length(decl, 1)):
+                rec, node = self._instantiate_record(decl, tdef)
+                value.append(rec)
+        self._bind_field(instance, decl.name, value, node)
 
     def _instantiate_record(self, decl: ast.InputDecl, tdef) -> tuple[RecordVal, ParseNode]:
         args = [self._eval(a) for a in decl.args]
@@ -646,7 +588,7 @@ class Execution:
         obj = self._eval(expr.obj)
         if isinstance(obj, RecordVal):
             try:
-                return obj.get(expr.name)
+                return obj.fields[expr.name]
             except KeyError:
                 raise InvalidFieldAccess(
                     f"record {obj.type_name} has no field {expr.name!r}") from None
@@ -796,18 +738,16 @@ class Execution:
         self.ds.begin_lookahead()
         token = None
         try:
-            if self.gen:
-                token = self.buf.reserved_block(pos, 1)
-                if token is None:
-                    kind, payload = self.ds.choose_value(spec)
-                    token = payload if kind == "raw" else bytes([payload & 0xFF])
-                    self.buf.reserve(pos, token)
-                return token[0]
-            token = self.buf.peek(pos, 1)
+            # a reserved byte is taken as it is and costs no decision
+            token = self.buf.reserved_block(pos, 1)
             if token is None:
-                raise OutOfRange(f"lookahead at {pos} is past the end of input")
-            if self.buf.reserved_block(pos, 1) is None:
-                self.ds.emit_value(spec, token[0], token)
+                if self.gen:
+                    token = self._choose_raw(spec)
+                else:
+                    token = self.buf.peek(pos, 1)
+                    if token is None:
+                        raise OutOfRange(f"lookahead at {pos} is past the end of input")
+                    self.ds.emit_value(spec, token[0], token)
                 self.buf.reserve(pos, token)
             return token[0]
         finally:

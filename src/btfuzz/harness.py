@@ -130,6 +130,14 @@ class _Run:
             self.pidfd = None
 
 
+def _target_argv(target: str) -> list[str]:
+    """A target command's words; ValueError if none, or if a quote is left open."""
+    argv = shlex.split(target)
+    if not argv:
+        raise ValueError("empty target command")
+    return argv
+
+
 class _Target:
     """A target command, run on one input after another, one process each.
 
@@ -142,9 +150,7 @@ class _Target:
     delivery = "spawn"
 
     def __init__(self, target: str, timeout_ms: int):
-        argv = shlex.split(target)
-        if not argv:
-            raise ValueError("empty target command")
+        argv = _target_argv(target)
         self.timeout_ms = timeout_ms
         self.stdin = None
         fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_")
@@ -603,8 +609,8 @@ def cmd_replay(args) -> int:
     if args.target:
         try:
             outcome = run_target(args.target, result.file, args.timeout_ms)
-        except OSError as exc:
-            print(f"cannot run target: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
             return 1
         print(json.dumps(outcome.to_json()))
     elif not args.out:
@@ -649,6 +655,11 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    try:
+        _target_argv(args.target)  # a bad command fails before --out is made
+    except ValueError as exc:
+        print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
+        return 1
     corpus = _load_corpus_dir(args.corpus) if args.corpus else None
     unit = load_template(args.template)
     evil = not args.no_evil

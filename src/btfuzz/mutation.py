@@ -49,8 +49,6 @@ class ChunkRecord:
     file_span: tuple[int, int]
     decision_span: tuple[int, int]
     optional: bool
-    preceded_by_lookahead: bool
-    followed_by_lookahead: bool
     lead_start: int = -1
     tail_start: int = -1
     args: tuple = ()
@@ -83,15 +81,13 @@ class BaseMenu:
 class ChunkPool:
     """Immutable after index_corpus; shareable across mutation calls.
 
-    The mutation menus are built once by index_corpus: by_base holds each
-    file's records in records(base) order, insert_donors every optional
-    record that a lookahead selected, in records() order, donors the
-    replacement candidates by ChunkRecord.key, and menus one BaseMenu per
-    file.
+    The mutation menus are built once by index_corpus: insert_donors holds
+    every optional record that a lookahead selected, in records() order,
+    donors the replacement candidates by ChunkRecord.key, and menus one
+    BaseMenu per file, whose records are the file's in records() order.
     """
 
     by_type: dict[str, list[ChunkRecord]] = field(default_factory=dict)
-    by_base: dict[object, list[ChunkRecord]] = field(default_factory=dict)
     insert_donors: list[ChunkRecord] = field(default_factory=list)
     donors: dict[tuple, list[ChunkRecord]] = field(default_factory=dict)
     menus: dict[object, BaseMenu] = field(default_factory=dict)
@@ -106,7 +102,7 @@ class ChunkPool:
         """Every record by type, in first-seen type order, then file order;
         with `base`, that file's records in the same order."""
         if base is not None:
-            return iter(self.by_base.get(base, ()))
+            return iter(self.menus[base].records if base in self.menus else ())
         return (rec for recs in self.by_type.values() for rec in recs)
 
     def lookahead_events(self, base) -> list[ChoiceEvent]:
@@ -161,8 +157,6 @@ def index_corpus(unit, files, *, evil: bool = True,
                 file_span=(node.file_start, node.file_end),
                 decision_span=(node.seed_start, node.seed_end),
                 optional=node.optional,
-                preceded_by_lookahead=lead is not None,
-                followed_by_lookahead=followed,
                 lead_start=-1 if lead is None else lead.start,
                 tail_start=node.seed_end if followed else -1,
                 args=node.args,
@@ -170,16 +164,16 @@ def index_corpus(unit, files, *, evil: bool = True,
                 site=None if lead is None else type_of[lead.node_id],
             )
             pool.by_type.setdefault(node.type_name, []).append(rec)
+    by_base: dict[object, list[ChunkRecord]] = {}
     for rec in pool.records():
-        pool.by_base.setdefault(rec.source_file, []).append(rec)
+        by_base.setdefault(rec.source_file, []).append(rec)
         pool.donors.setdefault(rec.key, []).append(rec)
-        if rec.optional and rec.preceded_by_lookahead:
+        if rec.optional and rec.lead_start >= 0:
             pool.insert_donors.append(rec)
     donor_sites = {r.site for r in pool.insert_donors}
     for cid, by_site in positions.items():
-        records = pool.by_base.get(cid, [])
-        deletable = [r for r in records
-                     if r.preceded_by_lookahead and r.followed_by_lookahead]
+        records = by_base.get(cid, [])
+        deletable = [r for r in records if r.lead_start >= 0 and r.tail_start >= 0]
         insert_donors = (pool.insert_donors if donor_sites <= by_site.keys()
                          else [r for r in pool.insert_donors if r.site in by_site])
         ops = ["abstract", "replace"] if records else []
@@ -247,7 +241,7 @@ def smart_delete(unit, pool: ChunkPool, target: ChunkRecord) -> bytes:
     """Remove an optional chunk: its decisions and the token decision that
     selected it, i.e. the seed range [lead lookahead start, following
     lookahead start)."""
-    if not (target.preceded_by_lookahead and target.followed_by_lookahead):
+    if target.lead_start < 0 or target.tail_start < 0:
         raise NotOptional(
             f"{target.type_name} chunk is not bracketed by lookahead calls")
     seed = pool.seeds[target.source_file]
@@ -265,7 +259,7 @@ def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
     """
     if getattr(position, "kind", None) != LOOKAHEAD_CALL:
         raise NotOptional("insertion position is not a lookahead call")
-    if not (donor.optional and donor.preceded_by_lookahead):
+    if not donor.optional or donor.lead_start < 0:
         raise NotOptional(f"donor {donor.type_name} chunk is not optional")
     donor_seed = pool.seeds[donor.source_file]
     piece = donor_seed[donor.lead_start:donor.decision_span[1]]

@@ -186,12 +186,6 @@ class RecordVal:
         self.fields: dict[str, object] = {}
         self.field_nodes: dict[str, ParseNode] = {}
 
-    def get(self, name: str) -> object:
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise KeyError(name) from None
-
     def __repr__(self) -> str:
         return f"RecordVal({self.type_name}, {list(self.fields)})"
 

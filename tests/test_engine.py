@@ -1,5 +1,6 @@
 """Dual-mode template evaluation: frozen vectors, builtins, splicing."""
 
+import hashlib
 import random
 
 import pytest
@@ -383,6 +384,40 @@ def test_read_byte_lookahead_reserves(magic16):
     assert [n.name for n in ob.tree.walk()][-1] == "b"
     with pytest.raises(ParseRejected):
         parse(unit, b"\x05", evil=False)
+
+
+# A lookahead reserves hdr[2] before hdr is declared, so hdr cannot take
+# the byte kernel and goes element by element; tail is bounded.
+RESERVED_ARRAY = """
+    local ubyte want[] = { 7, 9 };
+    ReadByte(FTell() + 2, want);
+    ubyte hdr[4];
+    uint16 tail[2] <min=1, max=9>;
+"""
+# sha256 over RNG seeds 0..199 of file | seed | parse seed, per evil setting
+RESERVED_ARRAY_DIGEST = {
+    False: "8915e0e7dba8ac390957b42b1a11a6cfaa6b5a6d417af8b31a8ba884e80c2220",
+    True: "b2d9d47008e5074214c9eb8dddfe529029a21de6d5e25d8b26c6747be25f1c28",
+}
+
+
+@pytest.mark.parametrize("evil", [False, True])
+def test_int_array_over_a_reservation(evil):
+    unit = parse_template(RESERVED_ARRAY)
+    per_element = 3 if evil else 2  # [gate] control payload, canonically
+    h = hashlib.sha256()
+    for s in range(200):
+        result = generate_random(unit, random.Random(s), evil=evil)
+        outcome = parse(unit, result.file, evil=evil)
+        assert generate_from_seed(unit, result.seed, evil=evil).file == result.file
+        assert generate_from_seed(unit, outcome.seed, evil=evil).file == result.file
+        hdr = next(n for n in outcome.tree.walk() if n.name == "hdr")
+        # three decided elements; the reserved byte costs no seed byte
+        assert hdr.seed_end - hdr.seed_start == 3 * per_element
+        if not evil:
+            assert result.file[2] in (7, 9)
+        h.update(result.file + b"|" + result.seed + b"|" + outcome.seed + b"\n")
+    assert h.hexdigest() == RESERVED_ARRAY_DIGEST[evil]
 
 
 def test_warning_and_printf_never_reject():

@@ -359,6 +359,28 @@ def test_missing_corpus_exits_one(tmp_path, monkeypatch, capsys, command, extra)
     assert list(tmp_path.iterdir()) == []  # no --out directory left behind
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fuzz_empty_target_exits_one(tmp_path, capsys, jobs):
+    out = tmp_path / "findings"
+    rc = run_cli("fuzz", "--template", "mini", "--target", "", "--count", 4,
+                 "--jobs", jobs, "--rng-seed", 1, "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["btfuzz: cannot run target: empty target command"]
+    assert not out.exists()  # the command is checked before --out is made
+
+
+def test_replay_unsplittable_target_exits_one(tmp_path, capsys):
+    seed = tmp_path / "x.seed"
+    seed.write_bytes(generate_random(load_template("mini"), 1).seed)
+    rc = run_cli("replay", "--template", "mini", "--seed", seed,
+                 "--target", "cat 'x", "--out", tmp_path / "x.bin")
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("btfuzz: ")
+    assert "No closing quotation" in err[0]
+
+
 def test_roundtrip_random_only(tmp_path):
     assert run_cli("roundtrip", "--template", "mini", "--count", 40,
                    "--rng-seed", 11) == 0

@@ -51,10 +51,8 @@ def test_pool_spans_are_plausible(pool):
 def test_data_chunks_are_optional_with_lookahead_context(pool):
     for rec in pool.records():
         assert rec.optional
-        assert rec.preceded_by_lookahead
         assert rec.lead_start >= 0
         if rec.type_name == "DATA":
-            assert rec.followed_by_lookahead
             assert rec.tail_start == rec.decision_span[1]
 
 
@@ -128,7 +126,7 @@ def test_delete_removes_one_chunk(mini, pool):
 
 def test_delete_requires_lookahead_context(mini, pool):
     rec = pool.by_type["DATA"][0]
-    clipped = dataclasses.replace(rec, preceded_by_lookahead=False)
+    clipped = dataclasses.replace(rec, lead_start=-1)
     with pytest.raises(NotOptional):
         smart_delete(mini, pool, clipped)
 
@@ -196,10 +194,10 @@ def test_mutation_menus_keep_record_order(request, template):
     for base in pool.seeds:
         reference = [r for recs in pool.by_type.values() for r in recs
                      if r.source_file == base]
-        assert pool.by_base.get(base, []) == reference
+        assert pool.menus[base].records == reference
         assert list(pool.records(base)) == reference
     assert pool.insert_donors == [r for r in pool.records()
-                                  if r.optional and r.preceded_by_lookahead]
+                                  if r.optional and r.lead_start >= 0]
 
 
 def test_random_mutation_unknown_base(mini, pool):
