@@ -60,6 +60,7 @@ class ChoiceEvent:
     end: int
     node_id: int | None = None
     token: bytes | None = None  # the file bytes a lookahead reserved
+    spec: ChoiceSpec | None = None  # what a lookahead chose among
 
 
 @dataclass
@@ -236,7 +237,7 @@ class DecisionStream:
         self._recorded = bytearray()
         self._lookahead_depth = 0
         self._lookahead_start = 0
-        self.last_lookahead_end = -1
+        self.last_lookahead: ChoiceEvent | None = None
         self._source = None
         self.splice: _SpliceSource | None = None  # the source, during a splice
         if mode is StreamMode.GEN_FROM_SEED:
@@ -282,12 +283,12 @@ class DecisionStream:
         if self._lookahead_depth == 1:
             self._lookahead_start = self.cursor
 
-    def end_lookahead(self, token: bytes | None = None):
+    def end_lookahead(self, token: bytes | None = None, spec: ChoiceSpec | None = None):
         self._lookahead_depth -= 1
         if self._lookahead_depth == 0:
-            self.last_lookahead_end = self.cursor
-            self.events.append(ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start,
-                                           self.cursor, self.node_id, token))
+            self.last_lookahead = ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start,
+                                              self.cursor, self.node_id, token, spec)
+            self.events.append(self.last_lookahead)
 
     def set_evil(self, enabled: bool) -> bool:
         previous = self.evil_enabled

@@ -188,8 +188,10 @@ class Execution:
         node.seed_start = node.seed_end = self.ds.cursor
         if node.id == self._splice_id:
             self.ds.splice.begin_alt()
-        # optional: generated right after a lookahead call
-        node.optional = self.ds.last_lookahead_end == node.seed_start
+        # optional: generated right after a lookahead call, its lead
+        lead = self.ds.last_lookahead
+        if lead is not None and lead.end == node.seed_start:
+            node.lead = lead
         self.node_stack[-1].children.append(node)
         self.node_stack.append(node)
         self.ds.node_id = node.id
@@ -446,9 +448,12 @@ class Execution:
 
     def _declare_scalar(self, decl, width, signed, enum_cands, type_label):
         instance = self.record_stack[-1]
-        existing = instance.field_nodes.get(decl.name)
-        if existing is not None:
-            self._redeclare_scalar(decl, existing, width, signed, enum_cands, instance)
+        if decl.name in instance.fields:
+            if not isinstance(instance.fields[decl.name], int):
+                raise EvalError(f"field {decl.name!r} is redeclared as a scalar, "
+                                "but its current field is not one")
+            self._redeclare_scalar(decl, instance.field_nodes[decl.name], width, signed,
+                                   enum_cands, instance)
             return
         node = self._push_node(decl.name, type_label)
         try:
@@ -751,7 +756,7 @@ class Execution:
                 self.buf.reserve(pos, token)
             return token[0]
         finally:
-            self.ds.end_lookahead(token)
+            self.ds.end_lookahead(token, spec)
 
     def _bi_read_bytes(self, expr):
         out = expr.args[0]
@@ -781,7 +786,7 @@ class Execution:
             self.scope.assign(out.name, token)
             return 1
         finally:
-            self.ds.end_lookahead(token)
+            self.ds.end_lookahead(token, spec)
 
     def _bi_checksum(self, expr):
         algo = self._eval_int(expr.args[0])

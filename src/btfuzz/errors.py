@@ -136,4 +136,9 @@ class SpliceMisaligned(MutationError):
 
 
 class NoApplicableMutation(MutationError):
-    """No mutation could be applied after the retry budget."""
+    """No mutation could be applied after the retry budget.  rejected lists
+    [op, error class] per rejected attempt."""
+
+    def __init__(self, message: str, rejected: list | None = None):
+        super().__init__(message)
+        self.rejected = rejected or []

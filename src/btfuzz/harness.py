@@ -405,6 +405,37 @@ def _stats_line(counts: Counter, iters: int, elapsed: float) -> str:
                        "crashes": counts["crash"], "execs/s": round(rate, 1)})
 
 
+def _count_ops(ops: dict, accepted: str | None, rejected: list) -> None:
+    """Add one random_smart_mutation call to per-operator counts, kept as
+    op -> {"attempts", "accepts", "rejects": {error class: n}}."""
+    for op, cls in [*rejected, (accepted, None)]:
+        if op is None:
+            continue
+        entry = ops.setdefault(op, {"attempts": 0, "accepts": 0, "rejects": {}})
+        entry["attempts"] += 1
+        if cls is None:
+            entry["accepts"] += 1
+        else:
+            entry["rejects"][cls] = entry["rejects"].get(cls, 0) + 1
+
+
+def _sum_ops(per_worker: list[dict]) -> dict:
+    """Per-operator counts of several workers, summed, by operator name."""
+    total: dict = {}
+    for ops in per_worker:
+        for op, entry in ops.items():
+            summed = total.setdefault(op, {"attempts": 0, "accepts": 0, "rejects": {}})
+            summed["attempts"] += entry["attempts"]
+            summed["accepts"] += entry["accepts"]
+            for cls, n in entry["rejects"].items():
+                summed["rejects"][cls] = summed["rejects"].get(cls, 0) + n
+    return dict(sorted(total.items()))
+
+
+def _ops_line(ops: dict) -> str:
+    return json.dumps({"mutations": dict(sorted(ops.items()))})
+
+
 def _fuzz_worker(cfg: dict) -> dict:
     """One fuzzing loop; top-level so multiprocessing can pickle it.
 
@@ -419,6 +450,9 @@ def _fuzz_worker(cfg: dict) -> dict:
     pool = cfg["pool"]
     bases = sorted(pool.seeds) if pool is not None else []
 
+    ops: dict = {}  # per-operator counts, as _count_ops keeps them
+    gen_failed: Counter = Counter()  # by error class
+
     def produce(index: int):
         """(data, seed or None), or None when no input could be built."""
         rng = _iteration_rng(cfg["rng_seed"], index)
@@ -426,9 +460,13 @@ def _fuzz_worker(cfg: dict) -> dict:
             if pool is None:
                 result = generate_random(unit, rng, evil=evil, budget=budget)
                 return result.file, result.seed
-            data, _ = random_smart_mutation(unit, pool, rng.choice(bases), rng)
+            data, desc = random_smart_mutation(unit, pool, rng.choice(bases), rng)
+            _count_ops(ops, desc["op"], desc["rejected"])
             return data, None
-        except Error:  # any typed failure of the generator or the mutator
+        except Error as exc:  # any typed failure of the generator or the mutator
+            if isinstance(exc, NoApplicableMutation):
+                _count_ops(ops, None, exc.rejected)
+            gen_failed[type(exc).__name__] += 1
             return None
 
     counts: Counter = Counter()
@@ -491,7 +529,8 @@ def _fuzz_worker(cfg: dict) -> dict:
     return {"counts": dict(counts), "findings": findings,
             "duration": time.perf_counter() - started, "delivery": target.delivery,
             "produce_s": produce_s, "spawn_s": spawn_s, "blocked_s": blocked_s,
-            "interrupted": interrupted}
+            "interrupted": interrupted, "mutation_ops": ops,
+            "gen_failed_errors": dict(gen_failed)}
 
 
 def _load_corpus_dir(corpus_dir: str) -> dict[str, bytes]:
@@ -637,6 +676,7 @@ def cmd_mutate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)
     ok = 0
+    ops: dict = {}
     with open(out_dir / "mutations.jsonl", "w") as log:
         for i in range(args.count):
             rng = _iteration_rng(master, i)
@@ -644,13 +684,16 @@ def cmd_mutate(args) -> int:
             try:
                 data, desc = random_smart_mutation(unit, pool, base, rng)
             except NoApplicableMutation as exc:
+                _count_ops(ops, None, exc.rejected)
                 log.write(json.dumps({"op": None, "base": base, "ok": False,
-                                      "error": str(exc)}) + "\n")
+                                      "error": str(exc), "rejected": exc.rejected}) + "\n")
                 continue
+            _count_ops(ops, desc["op"], desc["rejected"])
             (out_dir / f"mut_{i:06d}.bin").write_bytes(data)
             log.write(json.dumps(desc) + "\n")
             ok += 1
     print(f"wrote {ok}/{args.count} mutated files -> {out_dir}")
+    print(_ops_line(ops))
     return 0
 
 
@@ -706,20 +749,27 @@ def cmd_fuzz(args) -> int:
         return 1
     wall = time.perf_counter() - started
     counts: Counter = Counter()
+    gen_failed: Counter = Counter()
     findings: list[str] = []
     for res in results:
         counts.update(res["counts"])
+        gen_failed.update(res["gen_failed_errors"])
         findings.extend(res["findings"])
     iters = sum(counts[k] for k in OUTCOME_KINDS)
     interrupted = any(res["interrupted"] for res in results)
+    ops = _sum_ops([res["mutation_ops"] for res in results])
     print(_stats_line(counts, iters, wall))
+    if pool is not None:
+        print(_ops_line(ops))
     stats = {k: counts[k] for k in OUTCOME_KINDS}
     stats.update(iterations=iters, execs_per_s=round(iters / wall, 1) if wall else 0.0,
                  duration_s=round(wall, 3), findings=findings, interrupted=interrupted,
                  delivery=[res["delivery"] for res in results],
                  produce_s=[round(res["produce_s"], 3) for res in results],
                  spawn_s=[round(res["spawn_s"], 3) for res in results],
-                 blocked_s=[round(res["blocked_s"], 3) for res in results])
+                 blocked_s=[round(res["blocked_s"], 3) for res in results],
+                 gen_failed_errors=dict(sorted(gen_failed.items())), mutation_ops=ops,
+                 worker_mutation_ops=[res["mutation_ops"] for res in results])
     (out_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n")
     print(f"{counts['crash']} crash(es), {counts['timeout']} timeout(s) "
           f"-> {out_dir}")

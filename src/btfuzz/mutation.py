@@ -10,10 +10,11 @@ construction.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .decisionstream import LOOKAHEAD_CALL, ChoiceEvent
+from .decisionstream import LOOKAHEAD_CALL, ChoiceEvent, ChoiceSpec
 from .engine import DEFAULT_BUDGET, GenResult, generate_from_seed, parse, run_with_splice
 from .errors import (
     GenerationFailed,
@@ -35,12 +36,16 @@ class ChunkRecord:
     """One record-typed node located in a parsed corpus file.
 
     decision_span is the node's slice of the canonical seed; lead_start is
-    the start of the lookahead event that ends exactly at the span start
-    (the token decision that selected this chunk), tail_start the start of
-    the lookahead event that begins exactly at the span end.  Both are -1
-    when no such event exists.  token is the file bytes that lead lookahead
-    reserved and site the type of the node it ran in; args holds the
-    record's argument values.
+    the start of the node's lead, the lookahead that ended where the node
+    starts (the token decision that selected this chunk), and tail_start
+    the span end when the first lookahead after the lead begins there.
+    Both are -1 when no such event exists.  token is the file bytes the
+    lead reserved; args holds the record's argument values.  context is
+    set when the lead and the tail have the same lookahead context (see
+    index_corpus), and is then that context: the lookahead decodes the
+    same way before and after the chunk, so the chunk can be removed, or
+    put in front of another lookahead of that context, without changing
+    how the rest of the seed decodes.
     """
 
     source_file: object
@@ -53,7 +58,7 @@ class ChunkRecord:
     tail_start: int = -1
     args: tuple = ()
     token: bytes | None = None
-    site: str | None = None
+    context: tuple | None = None
 
     @property
     def key(self) -> tuple:
@@ -66,14 +71,17 @@ class ChunkRecord:
 class BaseMenu:
     """What random_smart_mutation may pick for one base file.
 
-    insert_donors are the pool's donors whose site has a lookahead in this
-    base, and positions those lookaheads by site; a donor is only offered
-    at a lookahead of the kind that selected it."""
+    targets are the file's records that own a decision (abstract and
+    replace of an empty decision span would regenerate the base);
+    deletable the records with a context; insert_donors the pool's donors
+    whose context has a lookahead in this base, and positions those
+    lookaheads by context, so a donor is only offered where it lines up.
+    """
 
-    records: list[ChunkRecord]
+    targets: list[ChunkRecord]
     deletable: list[ChunkRecord]
     insert_donors: list[ChunkRecord]
-    positions: dict[str, list[ChoiceEvent]]
+    positions: dict[tuple, list[ChoiceEvent]]
     ops: list[str]
 
 
@@ -82,9 +90,9 @@ class ChunkPool:
     """Immutable after index_corpus; shareable across mutation calls.
 
     The mutation menus are built once by index_corpus: insert_donors holds
-    every optional record that a lookahead selected, in records() order,
-    donors the replacement candidates by ChunkRecord.key, and menus one
-    BaseMenu per file, whose records are the file's in records() order.
+    every record with a context, in records() order, donors the
+    replacement candidates by ChunkRecord.key, and menus one BaseMenu per
+    file, whose lists keep the file's records() order.
     """
 
     by_type: dict[str, list[ChunkRecord]] = field(default_factory=dict)
@@ -101,13 +109,22 @@ class ChunkPool:
     def records(self, base=None):
         """Every record by type, in first-seen type order, then file order;
         with `base`, that file's records in the same order."""
+        recs = (rec for recs in self.by_type.values() for rec in recs)
         if base is not None:
-            return iter(self.menus[base].records if base in self.menus else ())
-        return (rec for recs in self.by_type.values() for rec in recs)
+            return (rec for rec in recs if rec.source_file == base)
+        return recs
 
     def lookahead_events(self, base) -> list[ChoiceEvent]:
         """Candidate insertion points within one corpus file."""
         return [ev for ev in self.events[base] if ev.kind == LOOKAHEAD_CALL]
+
+
+def _context(site: str, spec: ChoiceSpec) -> tuple:
+    """What a lookahead chooses among: equal contexts decode the same seed
+    bytes to the same token."""
+    lists = (spec.candidates, spec.preferred, spec.possible)
+    return (site, spec.width, spec.pref_prob,
+            *(None if xs is None else tuple(xs) for xs in lists))
 
 
 def index_corpus(unit, files, *, evil: bool = True,
@@ -117,10 +134,16 @@ def index_corpus(unit, files, *, evil: bool = True,
     files may be a sequence of byte strings (ids are indices) or a mapping
     id -> bytes.  Unparsable files are skipped and reported in
     pool.failures rather than aborting the indexing run.
+
+    Each lookahead gets a context: its site (the type of the node it ran
+    in), its width, its candidates or preferred/possible tokens, and
+    pref_prob.  A record is deletable, and an insert donor, when its lead
+    and its tail lookahead have equal contexts; a donor is offered at a
+    base's lookaheads of its own context.
     """
     record_types = {name for name, td in unit.typedefs.items() if td.kind == "record"}
     pool = ChunkPool(evil=evil, budget=budget)
-    positions = {}  # file id -> its lookahead events by site
+    positions = {}  # file id -> its lookahead events by context
     items = files.items() if isinstance(files, Mapping) else enumerate(files)
     for cid, data in items:
         data = bytes(data)
@@ -138,18 +161,24 @@ def index_corpus(unit, files, *, evil: bool = True,
             type_of[node.id] = node.type_name
             if node.type_name in record_types:
                 nodes.append(node)
-        # Later events overwrite earlier ones, so lead_by_end[p] is the
-        # lookahead immediately before the node that starts at p.
-        lead_by_end: dict[int, ChoiceEvent] = {}
-        tail_starts: set[int] = set()
-        by_site = positions[cid] = {}
-        for ev in pool.lookahead_events(cid):
-            lead_by_end[ev.end] = ev
-            tail_starts.add(ev.start)
-            by_site.setdefault(type_of[ev.node_id], []).append(ev)
+        looks = pool.lookahead_events(cid)
+        starts = [ev.start for ev in looks]
+        order = {id(ev): i for i, ev in enumerate(looks)}
+        contexts = [_context(type_of[ev.node_id], ev.spec) for ev in looks]
+        by_context = positions[cid] = {}
+        for ev, ctx in zip(looks, contexts):
+            by_context.setdefault(ctx, []).append(ev)
         for node in nodes:
-            lead = lead_by_end.get(node.seed_start)
-            followed = node.seed_end in tail_starts
+            lead, tail_start, context = node.lead, -1, None
+            if lead is not None:
+                i = order[id(lead)]
+                # the tail: the first lookahead after the lead that begins
+                # at or past the node's end
+                j = bisect_left(starts, node.seed_end, i + 1)
+                if j < len(looks) and starts[j] == node.seed_end:
+                    tail_start = node.seed_end
+                    if contexts[j] == contexts[i]:
+                        context = contexts[i]
             rec = ChunkRecord(
                 source_file=cid,
                 node_id=node.id,
@@ -158,30 +187,31 @@ def index_corpus(unit, files, *, evil: bool = True,
                 decision_span=(node.seed_start, node.seed_end),
                 optional=node.optional,
                 lead_start=-1 if lead is None else lead.start,
-                tail_start=node.seed_end if followed else -1,
+                tail_start=tail_start,
                 args=node.args,
                 token=None if lead is None else lead.token,
-                site=None if lead is None else type_of[lead.node_id],
+                context=context,
             )
             pool.by_type.setdefault(node.type_name, []).append(rec)
     by_base: dict[object, list[ChunkRecord]] = {}
     for rec in pool.records():
         by_base.setdefault(rec.source_file, []).append(rec)
         pool.donors.setdefault(rec.key, []).append(rec)
-        if rec.optional and rec.lead_start >= 0:
+        if rec.context is not None:
             pool.insert_donors.append(rec)
-    donor_sites = {r.site for r in pool.insert_donors}
-    for cid, by_site in positions.items():
+    donor_contexts = {r.context for r in pool.insert_donors}
+    for cid, by_context in positions.items():
         records = by_base.get(cid, [])
-        deletable = [r for r in records if r.lead_start >= 0 and r.tail_start >= 0]
-        insert_donors = (pool.insert_donors if donor_sites <= by_site.keys()
-                         else [r for r in pool.insert_donors if r.site in by_site])
-        ops = ["abstract", "replace"] if records else []
+        targets = [r for r in records if r.decision_span[0] < r.decision_span[1]]
+        deletable = [r for r in records if r.context is not None]
+        insert_donors = (pool.insert_donors if donor_contexts <= by_context.keys()
+                         else [r for r in pool.insert_donors if r.context in by_context])
+        ops = ["abstract", "replace"] if targets else []
         if deletable:
             ops.append("delete")
         if insert_donors:
             ops.append("insert")
-        pool.menus[cid] = BaseMenu(records, deletable, insert_donors, by_site, ops)
+        pool.menus[cid] = BaseMenu(targets, deletable, insert_donors, by_context, ops)
     return pool
 
 
@@ -275,8 +305,9 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
     Picks uniformly among the operators applicable to `base`, retrying on
     rejection up to RETRY_LIMIT times.  A replacement donor has the
     target's key, and an insertion goes to a lookahead of the donor's
-    site.  Returns the mutated file plus a description dict ready for
-    JSONL logging.
+    context.  Returns the mutated file plus a description dict ready for
+    JSONL logging; its `rejected` lists [op, error class] per rejected
+    attempt, as does NoApplicableMutation.rejected when none succeeded.
     """
     menu = pool.menus.get(base)
     if menu is None:
@@ -284,16 +315,17 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
     if not menu.ops:
         raise NoApplicableMutation(f"no operator applies to base {base!r}")
 
+    rejected = []
     last = "never attempted"
     for _ in range(RETRY_LIMIT):
         op = rng.choice(menu.ops)
         donor = None
         try:
             if op == "abstract":
-                target = rng.choice(menu.records)
+                target = rng.choice(menu.targets)
                 data = smart_abstract(unit, pool, target, rng)
             elif op == "replace":
-                target = rng.choice(menu.records)
+                target = rng.choice(menu.targets)
                 donor = rng.choice(pool.donors[target.key])
                 data = smart_replace(unit, pool, target, donor)
             elif op == "delete":
@@ -301,9 +333,10 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
                 data = smart_delete(unit, pool, target)
             else:
                 target = donor = rng.choice(menu.insert_donors)
-                position = rng.choice(menu.positions[donor.site])
+                position = rng.choice(menu.positions[donor.context])
                 data = smart_insert(unit, pool, base, position, donor)
         except (MutationError, GenerationFailed) as exc:
+            rejected.append([op, type(exc).__name__])
             last = f"{op}: {exc}"
             continue
         desc = {
@@ -312,9 +345,10 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
             "target_type": target.type_name,
             "result_bytes": len(data),
             "ok": True,
+            "rejected": rejected,
         }
         if donor is not None:
             desc["donor"] = donor.source_file
         return data, desc
     raise NoApplicableMutation(
-        f"no mutation succeeded in {RETRY_LIMIT} attempts (last: {last})")
+        f"no mutation succeeded in {RETRY_LIMIT} attempts (last: {last})", rejected)

@@ -193,14 +193,15 @@ class RecordVal:
 class ParseNode:
     """One node of the parse tree shared by both directions.
 
-    file span and seed span are half-open offset pairs.  optional marks
-    nodes generated right after a lookahead call; rewritten marks nodes
+    file span and seed span are half-open offset pairs.  lead is the
+    lookahead event that ended where an optional node starts (the token
+    decision that selected it), None otherwise; rewritten marks nodes
     whose bytes were overwritten by a later fix-up declaration.  args holds
     a parameterized record's argument values.
     """
 
     __slots__ = ("id", "name", "type_name", "file_start", "file_end",
-                 "seed_start", "seed_end", "optional", "rewritten", "args", "children")
+                 "seed_start", "seed_end", "lead", "rewritten", "args", "children")
 
     def __init__(self, node_id: int, name: str, type_name: str):
         self.id = node_id
@@ -210,10 +211,15 @@ class ParseNode:
         self.file_end = 0
         self.seed_start = 0
         self.seed_end = 0
-        self.optional = False
+        self.lead = None
         self.rewritten = False
         self.args = ()
         self.children: list[ParseNode] = []
+
+    @property
+    def optional(self) -> bool:
+        """Generated right after a lookahead call."""
+        return self.lead is not None
 
     @property
     def file_span(self) -> tuple[int, int]:

@@ -37,9 +37,9 @@ CAMPAIGNS = {
     "mutation": dict(
         target="sh -c " + shlex.quote(f"exec {PY} {shlex.quote(str(STUB))} < {{}}"),
         rng_seed=7, count=32, corpus=True,
-        counts={"valid": 28, "invalid": 0, "crash": 4, "timeout": 0, "gen_failed": 0},
-        findings=["crash_00_000015", "crash_00_000019", "crash_00_000021", "crash_00_000026"],
-        sha256="9838ad8ce4a10de42f0fdf51868f85dae97fd465a8a45042680c7dca2097b0d0"),
+        counts={"valid": 25, "invalid": 0, "crash": 7, "timeout": 0, "gen_failed": 0},
+        findings=[f"crash_00_{i:06d}" for i in (5, 6, 14, 15, 19, 21, 26)],
+        sha256="11305330d791c6684a35c134f0d7911d0e8c4068e56b63d84fcd4734a4b50950"),
 }
 
 

@@ -502,6 +502,28 @@ def test_rewritten_scalar_keeps_original_seed_span():
     assert (node.seed_start, node.seed_end) == (0, 3)
 
 
+@pytest.mark.parametrize("length", [1, 0])
+def test_redeclaring_a_non_scalar_field_is_an_error(length):
+    # x's current field is a record array (R x[1]) or an empty one whose
+    # name still points at the first scalar's node (R x[0]): neither is a
+    # scalar to fix up, in either direction
+    unit = parse_template(
+        f"typedef struct {{ ubyte a; }} R; ubyte x; R x[{length}]; ubyte x;")
+    for s in range(5):
+        with pytest.raises(EvalError, match="redeclared"):
+            generate_random(unit, random.Random(s))
+    with pytest.raises(ParseRejected, match="redeclared") as info:
+        parse(unit, bytes(2 + length))
+    assert isinstance(info.value.__cause__, EvalError)
+
+
+def test_redeclaring_a_scalar_is_still_a_fixup():
+    unit = parse_template("ubyte x; ubyte y; FSeek(0); ubyte x = { 7 }; FSeek(2);")
+    result = generate_random(unit, random.Random(1))
+    node = next(n for n in result.tree.walk() if n.name == "x")
+    assert result.file[0] == 7 and node.rewritten and node.file_span == (0, 1)
+
+
 # -- array length hints --------------------------------------------------------
 
 HINT_SRC = """

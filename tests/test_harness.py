@@ -520,7 +520,9 @@ def test_fuzz_unknown_checksum_counts_as_gen_failed(tmp_path):
             expected += 1
     assert expected > 0
     assert stats["gen_failed"] == expected
+    assert stats["gen_failed_errors"] == {"ChecksumAlgoUnknown": expected}
     assert stats["valid"] == 300 - expected
+    assert stats["mutation_ops"] == {} and stats["worker_mutation_ops"] == [{}]
 
 
 def test_fuzz_mutator_errors_count_as_gen_failed(tmp_path, monkeypatch):
@@ -545,6 +547,61 @@ def test_fuzz_mutator_errors_count_as_gen_failed(tmp_path, monkeypatch):
     stats = json.loads((out / "stats.json").read_text())
     assert sum(stats[k] for k in harness.OUTCOME_KINDS) == 12
     assert stats["gen_failed"] >= 4
+    assert stats["gen_failed_errors"] == {"ParseRejected": stats["gen_failed"]}
+
+
+def _check_op_counts(ops: dict) -> None:
+    for entry in ops.values():
+        assert entry["attempts"] == entry["accepts"] + sum(entry["rejects"].values())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fuzz_counts_mutation_attempts_per_operator(tmp_path, monkeypatch, capsys, jobs):
+    from btfuzz import mutation
+    from btfuzz.errors import SpliceMisaligned
+
+    def misaligned(*args):
+        raise SpliceMisaligned("forced")
+
+    monkeypatch.setattr(mutation, "smart_insert", misaligned)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    (corpus / "b.mini").write_bytes(b"MINI\x01\x02\x00hi\xd3\x01\x01\x00BB\xff")
+    out = tmp_path / "f"
+    rc = run_cli("fuzz", "--template", "mini", "--target", "true", "--corpus", corpus,
+                 "--count", 40, "--rng-seed", 3, "--jobs", jobs, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    ops, workers = stats["mutation_ops"], stats["worker_mutation_ops"]
+    assert len(workers) == jobs
+    for counted in (ops, *workers):
+        _check_op_counts(counted)
+    assert ops == harness._sum_ops(workers)
+    assert set(ops) == {"abstract", "replace", "delete", "insert"}
+    assert ops["insert"]["accepts"] == 0
+    assert ops["insert"]["rejects"] == {"SpliceMisaligned": ops["insert"]["attempts"]} != {}
+    # every input built is one accepted mutation
+    assert sum(e["accepts"] for e in ops.values()) == 40 - stats["gen_failed"]
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-2]) == {"mutations": ops}
+
+
+def test_mutate_prints_operator_summary(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    (corpus / "b.mini").write_bytes(b"MINI\xff")
+    out = tmp_path / "mut"
+    rc = run_cli("mutate", "--template", "mini", "--corpus", corpus,
+                 "--count", 30, "--rng-seed", 4, "--out", out)
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["mutations"]
+    _check_op_counts(summary)
+    records = [json.loads(line) for line in (out / "mutations.jsonl").read_text().splitlines()]
+    assert sum(e["accepts"] for e in summary.values()) == sum(r["ok"] for r in records)
+    attempts = sum(r["ok"] + len(r["rejected"]) for r in records)
+    assert sum(e["attempts"] for e in summary.values()) == attempts
 
 
 def test_fuzz_bad_target(tmp_path):

@@ -194,10 +194,15 @@ def test_mutation_menus_keep_record_order(request, template):
     for base in pool.seeds:
         reference = [r for recs in pool.by_type.values() for r in recs
                      if r.source_file == base]
-        assert pool.menus[base].records == reference
+        menu = pool.menus[base]
         assert list(pool.records(base)) == reference
-    assert pool.insert_donors == [r for r in pool.records()
-                                  if r.optional and r.lead_start >= 0]
+        assert menu.targets == [r for r in reference
+                                if r.decision_span[0] < r.decision_span[1]]
+        assert menu.deletable == [r for r in reference if r.context is not None]
+        assert menu.insert_donors == [r for r in pool.insert_donors
+                                      if r.context in menu.positions]
+    # a donor's lead and tail lookaheads share a context
+    assert pool.insert_donors == [r for r in pool.records() if r.context is not None]
 
 
 def test_random_mutation_unknown_base(mini, pool):
@@ -303,4 +308,124 @@ def test_pnglite_attempts_per_accepted_mutation(pnglite, monkeypatch):
         except NoApplicableMutation:
             pass
     assert calls["accepts"] > 0
-    assert calls["attempts"] / calls["accepts"] <= 2.0, calls
+    assert calls["attempts"] / calls["accepts"] <= 1.3, calls
+
+
+def _small_pool(unit, n, evil):
+    from btfuzz.engine import generate_random
+    from btfuzz.errors import Error
+    files = []
+    for i in range(100):
+        try:
+            files.append(generate_random(unit, random.Random(i), evil=evil, budget=512).file)
+        except Error:
+            continue
+        if len(files) == n:
+            break
+    return index_corpus(unit, files, evil=True, budget=512)
+
+
+@pytest.mark.parametrize("template,n", [("mini", 8), ("pnglite", 6)])
+def test_every_offered_delete_and_insert_lines_up(request, template, n):
+    # exhaustive: every deletable record, and every donor at every position
+    # its menu offers, regenerates (no SpliceMisaligned)
+    unit = request.getfixturevalue(template)
+    pool = _small_pool(unit, n, evil=False)
+    assert len(pool.seeds) == n
+    deletes = inserts = 0
+    for base, menu in pool.menus.items():
+        for rec in menu.deletable:
+            smart_delete(unit, pool, rec)
+            deletes += 1
+        for donor in menu.insert_donors:
+            for position in menu.positions[donor.context]:
+                smart_insert(unit, pool, base, position, donor)
+                inserts += 1
+    assert deletes and inserts
+
+
+@pytest.mark.parametrize("gen", [False, True])
+def test_lookahead_events_carry_their_spec(pnglite, gen):
+    from btfuzz.decisionstream import LOOKAHEAD_CALL
+    from btfuzz.engine import generate_random
+    result = generate_random(pnglite, random.Random(3), evil=False)
+    events = result.events if gen else parse(pnglite, result.file).events
+    looks = [ev for ev in events if ev.kind == LOOKAHEAD_CALL]
+    read_bytes = [ev for ev in looks if ev.spec.preferred is not None]
+    read_byte = [ev for ev in looks if ev.spec.candidates is not None]
+    assert len(read_bytes) + len(read_byte) == len(looks)
+    assert read_bytes[0].spec.preferred == [b"IHDR"] == read_bytes[0].spec.possible
+    assert read_bytes[0].spec.width == 4 and read_bytes[0].spec.pref_prob == 0.25
+    assert read_bytes[-1].spec.preferred == [] and read_bytes[-1].token is None
+    # IHDR's colour-type peek chooses among the colour types
+    assert [ev.spec.candidates for ev in read_byte] == [[0, 2, 3, 4, 6]]
+    assert all(ev.spec.width == 1 for ev in read_byte)
+
+
+def test_mini_end_is_neither_deletable_nor_a_donor(mini, pool):
+    ends = pool.by_type["END"]
+    assert ends and all(r.context is None for r in ends)
+    for base, menu in pool.menus.items():
+        assert not any(r.type_name == "END" for r in menu.deletable)
+        # END decides nothing: abstract and replace would restore the base
+        assert not any(r.type_name == "END" for r in menu.targets)
+    assert not any(r.type_name == "END" for r in pool.insert_donors)
+    looks = {base: pool.lookahead_events(base) for base in pool.seeds}
+    for rec in ends:
+        # END's lead is the token lookahead before it, not the empty one after
+        lead = next(ev for ev in looks[rec.source_file] if ev.start == rec.lead_start)
+        assert lead.token == b"\xff" and lead.end == rec.decision_span[0]
+        assert rec.lead_start < rec.tail_start == rec.decision_span[1]
+
+
+def test_end_only_mini_file_keeps_insert(mini):
+    combo = index_corpus(mini, [build_mini_file([]), TWO_FILES[0]])
+    assert combo.menus[0].ops == ["insert"]
+    mutated, desc = random_smart_mutation(mini, combo, 0, random.Random(1))
+    assert desc["op"] == "insert" and mutated != combo.files[0]
+    ok, violation = verify_mini(mutated)
+    assert ok, violation
+
+
+def test_pnglite_list_editing_chunks_are_not_deletable(pnglite):
+    pool = _small_pool(pnglite, 20, evil=False)
+    chunks = pool.by_type["PNG_CHUNK"]
+    tokens = {r.token for r in chunks}
+    assert {b"IHDR", b"PLTE", b"IDAT", b"IEND", b"tIME", b"tEXt"} <= tokens
+    deletable = {r.token for menu in pool.menus.values() for r in menu.deletable}
+    assert deletable == {b"tIME", b"tEXt"}
+    assert {r.token for r in pool.insert_donors} == {b"tIME", b"tEXt"}
+
+
+def test_mini_mutations_change_the_base(mini):
+    pool = _small_pool(mini, 20, evil=True)
+    rng = random.Random(5)
+    unchanged = 0
+    for i in range(300):
+        base = i % len(pool.seeds)
+        mutated, _ = random_smart_mutation(mini, pool, base, rng)
+        unchanged += mutated == pool.files[base]
+    assert unchanged < 15  # under 5%
+
+
+def test_random_mutation_reports_rejected_attempts(mini, pool, monkeypatch):
+    from btfuzz import mutation
+
+    def misaligned(*args):
+        raise SpliceMisaligned("forced")
+
+    monkeypatch.setattr(mutation, "smart_delete", misaligned)
+    rng = random.Random(3)
+    seen = 0
+    for _ in range(40):
+        _, desc = random_smart_mutation(mini, pool, 0, rng)
+        assert desc["op"] != "delete"
+        assert all(entry == ["delete", "SpliceMisaligned"] for entry in desc["rejected"])
+        seen += len(desc["rejected"])
+    assert seen > 0
+    for op in ("abstract", "replace", "insert"):
+        monkeypatch.setattr(mutation, f"smart_{op}", misaligned)
+    with pytest.raises(NoApplicableMutation) as info:
+        random_smart_mutation(mini, pool, 0, rng)
+    assert len(info.value.rejected) == mutation.RETRY_LIMIT
+    assert {cls for _, cls in info.value.rejected} == {"SpliceMisaligned"}
