@@ -78,7 +78,15 @@ class TemplateAbort(GenerationFailed):
 
 
 class RecursionTooDeep(GenerationFailed):
-    """Template functions or records nested deeper than the interpreter stack."""
+    """Template functions or records nested deeper than the engine allows."""
+
+
+class StepBudgetExceeded(GenerationFailed):
+    """Template loops ran more iterations than one run may take."""
+
+
+class LocalArrayTooLarge(GenerationFailed):
+    """A local array longer than one run may allocate."""
 
 
 class EvalError(GenerationFailed):

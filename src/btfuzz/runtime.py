@@ -13,10 +13,15 @@ from .errors import (
     EvalError,
     GenerationFailed,
     OutOfRange,
+    RecursionTooDeep,
     ReservationConflict,
 )
 
 DEFAULT_BUDGET = 65536
+
+# Record and function activations nested at once, far above what a
+# bundled template needs.
+MAX_DEPTH = 100
 
 
 class FileBuffer:
@@ -33,6 +38,7 @@ class FileBuffer:
         self.position = 0
         self.high_water = len(self.data) if self.parse_mode else 0
         self.reservations: dict[int, int] = {}
+        self._reserved_end = 0  # past the highest reserved offset
         self._gaps: set[int] = set()
 
     @property
@@ -54,22 +60,26 @@ class FileBuffer:
         end = pos + len(payload)
         if end > self.budget:
             raise BudgetExceeded(f"write of {len(payload)} bytes at {pos} exceeds budget {self.budget}")
-        if pos > len(self.data):
-            # forward seek left a hole; it must be filled before finalize
-            self._gaps.update(range(len(self.data), pos))
-            self.data.extend(b"\x00" * (pos - len(self.data)))
-        for off in self.reserved_offsets(pos, end):
-            b, held = payload[off - pos], self.reservations[off]
-            if held != b:
-                raise ReservationConflict(
-                    f"byte {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
-        if end <= len(self.data):
-            self.data[pos:end] = payload
+        if pos < self._reserved_end:
+            for off in self.reserved_offsets(pos, end):
+                b, held = payload[off - pos], self.reservations[off]
+                if held != b:
+                    raise ReservationConflict(
+                        f"byte {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
+        if pos == len(self.data):
+            self.data += payload  # appending: no gap below it is touched
         else:
-            self.data[pos:] = payload[: len(self.data) - pos]
-            self.data.extend(payload[len(self.data) - pos:])
-        if self._gaps:
-            self._gaps.difference_update(range(pos, end))
+            if pos > len(self.data):
+                # forward seek left a hole; it must be filled before finalize
+                self._gaps.update(range(len(self.data), pos))
+                self.data.extend(b"\x00" * (pos - len(self.data)))
+            if end <= len(self.data):
+                self.data[pos:end] = payload
+            else:
+                self.data[pos:] = payload[: len(self.data) - pos]
+                self.data.extend(payload[len(self.data) - pos:])
+            if self._gaps:
+                self._gaps.difference_update(range(pos, end))
         self.position = end
         if end > self.high_water:
             self.high_water = end
@@ -90,6 +100,7 @@ class FileBuffer:
                         f"reservation {b:#04x} at offset {off} conflicts with written "
                         f"{self.data[off]:#04x}")
             self.reservations[off] = b
+        self._reserved_end = max(self._reserved_end, pos + len(payload))
 
     def reserved_offsets(self, pos: int, end: int) -> list[int]:
         """The reserved offsets in [pos, end), ascending.  Costs the smaller
@@ -104,6 +115,8 @@ class FileBuffer:
     def reserved_block(self, pos: int, length: int) -> bytes | None:
         """The reserved bytes covering [pos, pos+length), or None if any
         byte in the range is unreserved."""
+        if length and pos not in self.reservations:
+            return None
         out = bytearray()
         for off in range(pos, pos + length):
             held = self.reservations.get(off)
@@ -145,19 +158,25 @@ class Scope:
 
     Reads and assignments fall through every frame, so record and function
     bodies can consult and update enclosing locals.  A declaration binds in
-    the innermost frame: it rebinds a name declared earlier in the same
-    activation (so loop-carried state survives braces) and shadows one
-    that lives outside it.
+    the innermost frame, `frame`: it rebinds a name declared earlier in the
+    same activation (so loop-carried state survives braces) and shadows one
+    that lives outside it from that declaration on.
     """
 
-    def __init__(self):
-        self.frames: list[dict[str, object]] = [{}]
+    def __init__(self, bindings: dict[str, object] | None = None):
+        self.frame: dict[str, object] = dict(bindings or {})
+        self.frames = [self.frame]
 
-    def push_activation(self):
-        self.frames.append({})
+    def push_activation(self) -> dict[str, object]:
+        if len(self.frames) > MAX_DEPTH:
+            raise RecursionTooDeep(f"records and functions nested deeper than {MAX_DEPTH}")
+        self.frame = {}
+        self.frames.append(self.frame)
+        return self.frame
 
     def pop_activation(self):
         self.frames.pop()
+        self.frame = self.frames[-1]
 
     def read(self, name: str) -> object:
         for frame in reversed(self.frames):
@@ -171,9 +190,6 @@ class Scope:
                 frame[name] = value
                 return
         raise EvalError(f"assignment to undefined variable {name!r}")
-
-    def bind(self, name: str, value: object):
-        self.frames[-1][name] = value
 
 
 class RecordVal:
@@ -203,14 +219,13 @@ class ParseNode:
     __slots__ = ("id", "name", "type_name", "file_start", "file_end",
                  "seed_start", "seed_end", "lead", "rewritten", "args", "children")
 
-    def __init__(self, node_id: int, name: str, type_name: str):
+    def __init__(self, node_id: int, name: str, type_name: str,
+                 file_start: int = 0, seed_start: int = 0):
         self.id = node_id
         self.name = name
         self.type_name = type_name
-        self.file_start = 0
-        self.file_end = 0
-        self.seed_start = 0
-        self.seed_end = 0
+        self.file_start = self.file_end = file_start
+        self.seed_start = self.seed_end = seed_start
         self.lead = None
         self.rewritten = False
         self.args = ()

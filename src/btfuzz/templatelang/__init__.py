@@ -11,6 +11,7 @@ from .analysis import (
     BUILTINS,
     NATIVE_INTS,
     NATIVE_TYPES,
+    bound_names,
     mine_magic,
     resolve,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "parse_source",
     "resolve",
     "mine_magic",
+    "bound_names",
     "format_template",
     "format_expr",
     "tokenize",

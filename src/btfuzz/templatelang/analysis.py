@@ -258,6 +258,28 @@ def resolve(unit: TemplateUnit) -> None:
                 raise ResolveError(f"unknown function {expr.name!r}")
 
 
+def bound_names(unit: TemplateUnit) -> set[str]:
+    """Every name the template can bind or change: declared names, record
+    and function parameters, assignment, ++/-- and ReadBytes targets, and
+    local arrays edited with += or -=."""
+    names = {p for td in unit.typedefs.values() for p, _ in td.params}
+    names.update(p for fn in unit.functions.values() for p, _ in fn.params)
+    for stmt in _all_stmts(unit):
+        if isinstance(stmt, (InputDecl, LocalDecl, ArrayExtend)):
+            names.add(stmt.name)
+        elif isinstance(stmt, Assign) and isinstance(stmt.target, Ident):
+            names.add(stmt.target.name)
+    for expr in _all_exprs(unit):
+        target = None
+        if isinstance(expr, Postfix):
+            target = expr.target
+        elif isinstance(expr, Call) and expr.name == "ReadBytes" and expr.args:
+            target = expr.args[0]
+        if isinstance(target, Ident):
+            names.add(target.name)
+    return names
+
+
 def _path_key(expr: Expr) -> tuple[str, int | None] | None:
     """Field path of a comparison operand: innermost name plus optional
     constant element index.  `sig.btPngSignature[0]` keys as

@@ -255,3 +255,9 @@ class TemplateUnit:
     declarations: list[Declaration] = field(default_factory=list, compare=False)
     warnings: list[str] = field(default_factory=list, compare=False)
     source_name: str = field(default="<template>", compare=False)
+    # the engine's compiled form, built on the first run; closures do not
+    # pickle, so a pickled unit leaves it behind
+    program: object = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self):
+        return dict(self.__dict__, program=None)

@@ -1,9 +1,9 @@
-"""The engine's dispatch tables agree with the analyzer and the AST.
+"""The compiler's rule tables agree with the analyzer and the AST.
 
 The analyzer resolves builtin calls against `analysis.BUILTINS` and the
-engine runs them from `engine._BUILTIN_DISPATCH`; a name in one table only
+engine runs them with `engine._BUILTINS`; a name in one table only
 would either be rejected at load time or fail mid-run.  Likewise every
-statement and expression node the parser can build needs a handler.
+statement and expression node the parser can build needs a compile rule.
 """
 
 from btfuzz import engine
@@ -22,14 +22,14 @@ def _concrete(base: type) -> set[type]:
 
 
 def test_builtin_tables_agree():
-    assert set(analysis.BUILTINS) == set(engine._BUILTIN_DISPATCH)
+    assert set(analysis.BUILTINS) == set(engine._BUILTINS)
 
 
 def test_every_statement_node_has_a_handler():
     stmts = _concrete(ast.Stmt)
-    assert stmts and stmts == set(engine._STMT_DISPATCH)
+    assert stmts and stmts == set(engine._STMT_RULES)
 
 
 def test_every_expression_node_has_a_handler():
     exprs = _concrete(ast.Expr)
-    assert exprs and exprs == set(engine._EXPR_DISPATCH)
+    assert exprs and exprs == set(engine._EXPR_RULES)

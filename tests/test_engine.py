@@ -1,13 +1,16 @@
 """Dual-mode template evaluation: frozen vectors, builtins, splicing."""
 
 import hashlib
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfuzz.engine import (
+    MAX_LOCAL_ARRAY,
     crc32,
     generate_from_seed,
     generate_random,
@@ -19,12 +22,15 @@ from btfuzz.errors import (
     BudgetExceeded,
     EvalError,
     GenerationFailed,
+    LocalArrayTooLarge,
     ParseRejected,
     RecursionTooDeep,
     SpliceMisaligned,
+    StepBudgetExceeded,
     TrailingBytes,
     UnrepresentableValue,
 )
+from btfuzz.runtime import MAX_DEPTH
 from btfuzz.templatelang import parse_template
 
 from conftest import trees_agree
@@ -624,6 +630,14 @@ def test_every_generated_file_parses_back(mini, seed):
     assert generate_from_seed(mini, outcome.seed).file == result.file
 
 
+def test_compiled_unit_pickles_without_its_closures(mini):
+    # the copy compiles its own program on its first run
+    first = generate_random(mini, random.Random(5))
+    copy = pickle.loads(pickle.dumps(mini))
+    assert mini.program is not None and copy.program is None
+    assert generate_random(copy, random.Random(5)).file == first.file
+
+
 def test_random_generation_deterministic(mini):
     a = generate_random(mini, random.Random(123)).file
     b = generate_random(mini, random.Random(123)).file
@@ -640,3 +654,44 @@ def test_runaway_recursion_is_a_typed_error():
     with pytest.raises(ParseRejected, match="RecursionTooDeep"):
         parse(unit, b"")
     assert issubclass(RecursionTooDeep, GenerationFailed)
+
+
+@pytest.mark.parametrize("template", [
+    "int f(int n) {{ if (n > 1) return f(n - 1); return 0; }}\nlocal int x = f({depth});",
+    "typedef struct (int n) {{ ubyte b; if (n > 1) R r(n - 1); }} R;\nR top({depth});",
+], ids=["function", "record"])
+def test_nesting_depth_is_the_engines_own_limit(template):
+    # MAX_DEPTH activations nest; one more is a typed error, not Python's
+    deepest = parse_template(template.format(depth=MAX_DEPTH))
+    generate_random(deepest, random.Random(0))
+    too_deep = parse_template(template.format(depth=MAX_DEPTH + 1))
+    with pytest.raises(RecursionTooDeep, match=f"deeper than {MAX_DEPTH}"):
+        generate_random(too_deep, random.Random(0))
+
+
+def test_endless_loop_runs_out_of_steps():
+    # the hang probe: every loop iteration counts against one budget per run
+    unit = parse_template("local int i = 0; while (1) { i++; }")
+    with pytest.raises(StepBudgetExceeded):
+        generate_random(unit, random.Random(1))
+    with pytest.raises(StepBudgetExceeded):
+        generate_from_seed(unit, b"")
+    with pytest.raises(ParseRejected, match="StepBudgetExceeded"):
+        parse(unit, b"")
+    assert issubclass(StepBudgetExceeded, GenerationFailed)
+
+
+def test_oversized_local_array_is_refused_before_allocation():
+    # the memory probe reached 780 MiB; now it fails before the list exists
+    unit = parse_template("local int big[100000000];")
+    tracemalloc.start()
+    try:
+        with pytest.raises(LocalArrayTooLarge):
+            generate_random(unit, random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert issubclass(LocalArrayTooLarge, GenerationFailed)
+    small = parse_template(f"local int ok[{MAX_LOCAL_ARRAY}]; ubyte x;")
+    assert len(generate_random(small, random.Random(1)).file) == 1
