@@ -7,6 +7,10 @@ the typed error class where a step fails); the mutation digest covers a
 run of smart mutations on a fixed corpus.  A change that alters the
 RNG-to-seed mapping or the mutator on purpose re-pins these digests and
 says so in CHANGES.md.
+
+The event digest pins the lookahead events that smart mutation indexes:
+start, end, node id, token and spec of every event that generation and
+parsing log, for both evil settings.
 """
 
 import hashlib
@@ -107,6 +111,47 @@ def golden_digest(name: str) -> tuple[str, str]:
     return tuple(digests)
 
 
+# event digest per template
+GOLDEN_EVENTS = {
+    "mini": "31e52eb00d903d5492f500ff607f1d3aa2b58b79f089efdd1d97a411482b34d7",
+    "pnglite": "5671cf7d6c40283f8a721280d234e8d56a97a7230a7ad1295dd89cbc6f423eff",
+    "magic16": "716f07d4bca62d62647f8e8a9377e30cb93e9a14dda64c0632813f2b088d0cad",
+}
+
+
+def _hash_events(h, label: str, fn):
+    """Feed one step's events (or its error class) into the digest."""
+    try:
+        result = fn()
+    except Error as exc:
+        h.update(f"{label}:error:{type(exc).__name__}\n".encode())
+        return None
+    for ev in result.events:
+        spec = ev.spec
+        fields = None if spec is None else (spec.width, spec.candidates, spec.bounds,
+                                            spec.preferred, spec.possible, spec.pref_prob)
+        h.update(f"{label}:{ev.start}:{ev.end}:{ev.node_id}:{ev.token!r}:{fields!r}\n".encode())
+    return result
+
+
+def event_digest(name: str) -> str:
+    unit = formats.load_template(name)
+    h = hashlib.sha256()
+    for evil in (False, True):
+        for s in RNG_SEEDS:
+            h.update(f"== evil={evil} rng={s}\n".encode())
+            result = _hash_events(h, "gen", lambda: generate_random(unit, random.Random(s),
+                                                                    evil=evil))
+            if result is not None:
+                _hash_events(h, "parse", lambda: parse(unit, result.file, evil=evil))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
     assert golden_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVENTS))
+def test_event_digest(name):
+    assert event_digest(name) == GOLDEN_EVENTS[name]
