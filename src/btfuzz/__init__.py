@@ -7,8 +7,9 @@ the substrate for smart mutations, and a black-box harness drives
 targets with the results.
 """
 
-from .decisionstream import ChoiceEvent, ChoiceSpec, DecisionStream, StreamMode
+from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
 from .engine import (
+    ChoiceEvent,
     GenResult,
     ParseOutcome,
     generate,

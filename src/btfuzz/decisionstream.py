@@ -25,14 +25,14 @@ Wire protocol, in consumption order:
                  and control 3 plus the file bytes otherwise.
   token choice   for lookahead-driven chunk ordering; see choose_token.
 
-The event log keeps only lookahead calls and stream switches: the
-positions that smart mutations splice at.
+The stream knows nothing of templates: the engine reads `cursor` to
+locate decisions in the seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 from .errors import SeedExhausted, SpliceMisaligned, UnrepresentableValue
@@ -46,21 +46,6 @@ class StreamMode(Enum):
     GEN_FROM_SEED = auto()
     GEN_RANDOM = auto()
     PARSE_RECORD = auto()
-
-
-# Event kinds.
-LOOKAHEAD_CALL = "lookahead_call"
-STREAM_SWITCH = "stream_switch"
-
-
-@dataclass(slots=True)
-class ChoiceEvent:
-    kind: str
-    start: int
-    end: int
-    node_id: int | None = None
-    token: bytes | None = None  # the file bytes a lookahead reserved
-    spec: ChoiceSpec | None = None  # what a lookahead chose among
 
 
 @dataclass
@@ -169,21 +154,18 @@ class _SpliceSource:
 
     PREFIX, ALT, SUFFIX = 0, 1, 2
 
-    def __init__(self, base: bytes, span: tuple[int, int], alt, on_switch):
+    def __init__(self, base: bytes, span: tuple[int, int], alt):
         self.base = base
         self.start, self.resume = span
         self.alt = alt  # _SeedSource (donor bytes) or _RandomSource
-        self.on_switch = on_switch
         self.phase = self.PREFIX
         self.pos = 0  # position within base for prefix/suffix
-        self.alt_consumed = 0
 
     def begin_alt(self):
         if self.pos != self.start:
             raise SpliceMisaligned(
                 f"splice target starts at seed offset {self.pos}, not {self.start}")
         self.phase = self.ALT
-        self.on_switch()
 
     def end_alt(self):
         if isinstance(self.alt, _SeedSource) and self.alt.pos != len(self.alt.data):
@@ -191,7 +173,6 @@ class _SpliceSource:
             raise SpliceMisaligned(f"{left} donor decision byte(s) left unconsumed")
         self.phase = self.SUFFIX
         self.pos = self.resume
-        self.on_switch()
 
     def draw(self, n: int) -> bytes:
         if self.phase == self.PREFIX:
@@ -205,7 +186,6 @@ class _SpliceSource:
                 out = self.alt.draw(n)
             except SeedExhausted as exc:
                 raise SpliceMisaligned(f"donor decision bytes exhausted: {exc}") from exc
-            self.alt_consumed += n
         else:
             if self.pos + n > len(self.base):
                 raise SpliceMisaligned("base seed suffix exhausted after splice")
@@ -222,8 +202,8 @@ class DecisionStream:
 
     Generation modes consume bytes (from a fixed seed or a seeded PRNG,
     recording everything so any run is replayable).  Parse mode emits the
-    canonical encoding of observed values.  All modes log lookahead calls
-    and stream switches in `events`.
+    canonical encoding of observed values.  Either way `seed` holds the
+    bytes so far and `cursor` their count.
     """
 
     def __init__(self, mode: StreamMode, *, seed: bytes | None = None,
@@ -232,12 +212,7 @@ class DecisionStream:
                  splice: tuple[tuple[int, int], object] | None = None):
         self.mode = mode
         self.evil_enabled = evil_enabled
-        self.events: list[ChoiceEvent] = []
-        self.node_id: int | None = None
         self._recorded = bytearray()
-        self._lookahead_depth = 0
-        self._lookahead_start = 0
-        self.last_lookahead: ChoiceEvent | None = None
         self._source = None
         self.splice: _SpliceSource | None = None  # the source, during a splice
         if mode is StreamMode.GEN_FROM_SEED:
@@ -247,8 +222,7 @@ class DecisionStream:
                     alt_source = _SeedSource(bytes(alt))
                 else:
                     alt_source = _RandomSource(self._coerce_rng(alt))
-                self._source = self.splice = _SpliceSource(
-                    seed or b"", span, alt_source, self._log_switch)
+                self._source = self.splice = _SpliceSource(seed or b"", span, alt_source)
             else:
                 self._source = _SeedSource(seed or b"")
         elif mode is StreamMode.GEN_RANDOM:
@@ -272,23 +246,6 @@ class DecisionStream:
     def seed(self) -> bytes:
         """Bytes consumed (generation) or emitted (parse) so far."""
         return bytes(self._recorded)
-
-    def _log_switch(self):
-        # phase transitions are zero-width markers, logged even inside
-        # lookahead grouping so splice points stay visible
-        self.events.append(ChoiceEvent(STREAM_SWITCH, self.cursor, self.cursor, self.node_id))
-
-    def begin_lookahead(self):
-        self._lookahead_depth += 1
-        if self._lookahead_depth == 1:
-            self._lookahead_start = self.cursor
-
-    def end_lookahead(self, token: bytes | None = None, spec: ChoiceSpec | None = None):
-        self._lookahead_depth -= 1
-        if self._lookahead_depth == 0:
-            self.last_lookahead = ChoiceEvent(LOOKAHEAD_CALL, self._lookahead_start,
-                                              self.cursor, self.node_id, token, spec)
-            self.events.append(self.last_lookahead)
 
     def set_evil(self, enabled: bool) -> bool:
         previous = self.evil_enabled

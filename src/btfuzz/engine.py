@@ -19,7 +19,7 @@ import re
 import zlib
 from dataclasses import dataclass, field as dc_field
 
-from .decisionstream import ChoiceEvent, ChoiceSpec, DecisionStream, StreamMode
+from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
 from .errors import (
     BudgetExceeded, ChecksumAlgoUnknown, DecodeError, EvalError, GenerationFailed,
     InvalidFieldAccess, LocalArrayTooLarge, OutOfRange, ParseRejected, RecursionTooDeep,
@@ -108,15 +108,26 @@ class _ReturnSignal(Exception):
     """Carries a returned value as its only argument."""
 
 
+@dataclass(slots=True)
+class ChoiceEvent:
+    """One lookahead call: its decisions are seed[start:end], made while
+    node node_id was the innermost open one (the root is 0)."""
+
+    start: int
+    end: int
+    node_id: int
+    token: bytes | None  # the file bytes the lookahead reserved
+    spec: ChoiceSpec  # what the lookahead chose among
+
+
 @dataclass
 class GenResult:
     file: bytes
     tree: ParseNode
     seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads, stream switches
+    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads
     covered: set[int] = dc_field(default_factory=set)
     log: list[tuple[str, str]] = dc_field(default_factory=list)
-    spliced_consumed: int | None = None
 
     def __iter__(self):
         return iter((self.file, self.tree, self.seed))
@@ -126,7 +137,7 @@ class GenResult:
 class ParseOutcome:
     tree: ParseNode
     seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads, stream switches
+    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads
     covered: set[int] = dc_field(default_factory=set)
     log: list[tuple[str, str]] = dc_field(default_factory=list)
 
@@ -149,6 +160,8 @@ class Execution:
         self.steps = 0  # loop iterations so far
         self.covered: set[int] = set()
         self.log: list[tuple[str, str]] = []
+        self.events: list[ChoiceEvent] = []
+        self.last_lookahead: ChoiceEvent | None = None
         self.root = ParseNode(0, "<file>", unit.source_name)
         self._next_node_id = 1
         self.node_stack = [self.root]
@@ -164,12 +177,11 @@ class Execution:
         if node.id == self._splice_id:
             ds.splice.begin_alt()
         # optional: generated right after a lookahead call, its lead
-        lead = ds.last_lookahead
+        lead = self.last_lookahead
         if lead is not None and lead.end == node.seed_start:
             node.lead = lead
         self.node_stack[-1].children.append(node)
         self.node_stack.append(node)
-        ds.node_id = node.id
         return node
 
     def _pop_node(self, node: ParseNode):
@@ -177,7 +189,6 @@ class Execution:
         node.seed_end = self.ds.cursor
         popped = self.node_stack.pop()
         assert popped is node
-        self.ds.node_id = self.node_stack[-1].id
         if node.id == self._splice_id:
             self.ds.splice.end_alt()
 
@@ -246,13 +257,13 @@ class Execution:
             raise EvalError(f"field {name!r} is redeclared as a scalar, "
                             "but its current field is not one")
         node = instance.field_nodes[name]
-        prev_id, self.ds.node_id = self.ds.node_id, node.id
+        self.node_stack.append(node)  # the node a lookahead here runs in
         start = self.buf.position
-        spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
         try:
+            spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
             value = decode_int(self._field(spec, signed), signed, self.big_endian)
         finally:
-            self.ds.node_id = prev_id
+            self.node_stack.pop()
         node.file_start, node.file_end = start, self.buf.position
         node.rewritten = True
         self._bind_field(instance, name, value, node)
@@ -277,23 +288,20 @@ class Execution:
         if choices is not None and not isinstance(choices, list):
             raise EvalError("ReadByte choices must be a local array")
         spec = ChoiceSpec(width=1, candidates=[c & 0xFF for c in choices] if choices else None)
-        self.ds.begin_lookahead()
-        token = None
-        try:
-            # a reserved byte is taken as it is and costs no decision
-            token = self.buf.reserved_block(pos, 1)
-            if token is None:
-                if self.gen:
-                    token = self._choose_raw(spec)
-                else:
-                    token = self.buf.peek(pos, 1)
-                    if token is None:
-                        raise OutOfRange(f"lookahead at {pos} is past the end of input")
-                    self.ds.emit_value(spec, token[0], token)
-                self.buf.reserve(pos, token)
-            return token[0]
-        finally:
-            self.ds.end_lookahead(token, spec)
+        start = self.ds.cursor
+        # a reserved byte is taken as it is and costs no decision
+        token = self.buf.reserved_block(pos, 1)
+        if token is None:
+            if self.gen:
+                token = self._choose_raw(spec)
+            else:
+                token = self.buf.peek(pos, 1)
+                if token is None:
+                    raise OutOfRange(f"lookahead at {pos} is past the end of input")
+                self.ds.emit_value(spec, token[0], token)
+            self.buf.reserve(pos, token)
+        self._log_lookahead(start, token, spec)
+        return token[0]
 
     def _bi_read_bytes(self, args):
         out = args[0]  # the node itself: it names the variable to set
@@ -305,22 +313,25 @@ class Execution:
             raise EvalError("ReadBytes preferred/possible must be local arrays")
         spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
                           pref_prob=float(prob))
-        self.ds.begin_lookahead()
-        token = None
-        try:
-            if self.gen:
-                token = self.ds.choose_token(spec)
-            else:
-                token = self.ds.emit_token(spec, self.buf.peek(pos, length))
-            if token is None:
-                return 0
-            if len(token) != length:
-                raise EvalError(f"token {token!r} does not have width {length}")
-            self.buf.reserve(pos, token)
-            self.scope.assign(out.name, token)
-            return 1
-        finally:
-            self.ds.end_lookahead(token, spec)
+        start = self.ds.cursor
+        if self.gen:
+            token = self.ds.choose_token(spec)
+        else:
+            token = self.ds.emit_token(spec, self.buf.peek(pos, length))
+        self._log_lookahead(start, token, spec)
+        if token is None:
+            return 0
+        if len(token) != length:
+            raise EvalError(f"token {token!r} does not have width {length}")
+        self.buf.reserve(pos, token)
+        self.scope.assign(out.name, token)
+        return 1
+
+    def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
+        """Log a lookahead whose decisions began at seed offset start."""
+        self.last_lookahead = ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id,
+                                          token, spec)
+        self.events.append(self.last_lookahead)
 
     def _bi_checksum(self, args):
         algo, start, size = (_int(a(self)) for a in args)
@@ -1028,7 +1039,7 @@ def generate(unit: TemplateUnit, ds: DecisionStream,
     ex.run()
     data = buf.finalize()
     ex.root.file_end = len(data)
-    return GenResult(data, ex.root, ds.seed, ds.events, ex.covered, ex.log)
+    return GenResult(data, ex.root, ds.seed, ex.events, ex.covered, ex.log)
 
 
 def generate_from_seed(unit: TemplateUnit, seed: bytes, *, evil: bool = True,
@@ -1064,7 +1075,7 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True,
         if trailing == "error":
             raise TrailingBytes(buf.position, buf.size)
         ex.log.append(("warning", f"{buf.size - buf.position} trailing byte(s) ignored"))
-    return ParseOutcome(ex.root, ds.seed, ds.events, ex.covered, ex.log)
+    return ParseOutcome(ex.root, ds.seed, ex.events, ex.covered, ex.log)
 
 
 def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
@@ -1102,5 +1113,4 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     leftover = len(base_seed) - splice.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")
-    return GenResult(data, ex.root, ds.seed, ds.events, ex.covered, ex.log,
-                     spliced_consumed=splice.alt_consumed)
+    return GenResult(data, ex.root, ds.seed, ex.events, ex.covered, ex.log)

@@ -745,7 +745,7 @@ def cmd_fuzz(args) -> int:
             with multiprocessing.Pool(len(cfgs)) as mp:
                 results = mp.map(_fuzz_worker, cfgs)
     except OSError as exc:
-        print(f"cannot run target: {exc}", file=sys.stderr)
+        print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - started
     counts: Counter = Counter()

@@ -14,8 +14,9 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .decisionstream import LOOKAHEAD_CALL, ChoiceEvent, ChoiceSpec
-from .engine import DEFAULT_BUDGET, GenResult, generate_from_seed, parse, run_with_splice
+from .decisionstream import ChoiceSpec
+from .engine import (
+    DEFAULT_BUDGET, ChoiceEvent, GenResult, generate_from_seed, parse, run_with_splice)
 from .errors import (
     GenerationFailed,
     MutationError,
@@ -53,7 +54,6 @@ class ChunkRecord:
     type_name: str
     file_span: tuple[int, int]
     decision_span: tuple[int, int]
-    optional: bool
     lead_start: int = -1
     tail_start: int = -1
     args: tuple = ()
@@ -114,10 +114,6 @@ class ChunkPool:
             return (rec for rec in recs if rec.source_file == base)
         return recs
 
-    def lookahead_events(self, base) -> list[ChoiceEvent]:
-        """Candidate insertion points within one corpus file."""
-        return [ev for ev in self.events[base] if ev.kind == LOOKAHEAD_CALL]
-
 
 def _context(site: str, spec: ChoiceSpec) -> tuple:
     """What a lookahead chooses among: equal contexts decode the same seed
@@ -154,14 +150,13 @@ def index_corpus(unit, files, *, evil: bool = True,
             continue
         pool.seeds[cid] = outcome.seed
         pool.files[cid] = data
-        pool.events[cid] = outcome.events
-        type_of = {None: outcome.tree.type_name}  # events before the first node
+        looks = pool.events[cid] = outcome.events
+        type_of = {}
         nodes = []
         for node in outcome.tree.walk():
             type_of[node.id] = node.type_name
             if node.type_name in record_types:
                 nodes.append(node)
-        looks = pool.lookahead_events(cid)
         starts = [ev.start for ev in looks]
         order = {id(ev): i for i, ev in enumerate(looks)}
         contexts = [_context(type_of[ev.node_id], ev.spec) for ev in looks]
@@ -185,7 +180,6 @@ def index_corpus(unit, files, *, evil: bool = True,
                 type_name=node.type_name,
                 file_span=(node.file_start, node.file_end),
                 decision_span=(node.seed_start, node.seed_end),
-                optional=node.optional,
                 lead_start=-1 if lead is None else lead.start,
                 tail_start=tail_start,
                 args=node.args,
@@ -287,9 +281,7 @@ def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
     decision) plus its chunk decisions; the lookahead already present at
     the insertion point then selects whatever originally followed.
     """
-    if getattr(position, "kind", None) != LOOKAHEAD_CALL:
-        raise NotOptional("insertion position is not a lookahead call")
-    if not donor.optional or donor.lead_start < 0:
+    if donor.lead_start < 0:
         raise NotOptional(f"donor {donor.type_name} chunk is not optional")
     donor_seed = pool.seeds[donor.source_file]
     piece = donor_seed[donor.lead_start:donor.decision_span[1]]

@@ -1,4 +1,4 @@
-"""Binary template language: lexer, parser, static analysis, printing.
+"""Binary template language: lexer, parser, static analysis.
 
 The language is a C-like declarative dialect for describing binary file
 formats.  Input declarations describe bytes of the file; local variables,
@@ -51,7 +51,6 @@ from .nodes import (
     While,
 )
 from .parser import parse_source
-from .printer import format_expr, format_template
 
 
 def parse_template(source: str, source_name: str = "<template>") -> TemplateUnit:
@@ -73,8 +72,6 @@ __all__ = [
     "resolve",
     "mine_magic",
     "bound_names",
-    "format_template",
-    "format_expr",
     "tokenize",
     "Token",
     "TokenKind",

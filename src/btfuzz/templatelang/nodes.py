@@ -1,8 +1,8 @@
 """AST node definitions for the binary template language.
 
 Spans are (line, col) pairs pointing at the first token of the construct.
-They are excluded from equality so that parse -> print -> parse yields a
-structurally identical tree.
+They are excluded from equality: two nodes are equal when their structure
+is, wherever in the source they came from.
 """
 
 from __future__ import annotations

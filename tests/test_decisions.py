@@ -234,21 +234,3 @@ def test_emit_bounded_rejects_out_of_range():
     with pytest.raises(UnrepresentableValue):
         parse_stream().emit_bounded(7, 0, 5)
 
-
-def test_lookahead_groups_events():
-    ds = gen_stream(b"\x00\x3f\x00")
-    ds.begin_lookahead()
-    spec = ChoiceSpec(width=1, preferred=[b"\xff"], possible=[b"\x01"])
-    ds.choose_token(spec)
-    ds.end_lookahead()
-    kinds = [ev.kind for ev in ds.events]
-    assert kinds == ["lookahead_call"]
-    assert (ds.events[0].start, ds.events[0].end) == (0, 3)
-
-
-def test_zero_width_lookahead_still_logged():
-    ds = gen_stream(b"")
-    ds.begin_lookahead()
-    ds.end_lookahead()
-    assert [ev.kind for ev in ds.events] == ["lookahead_call"]
-    assert ds.events[0].start == ds.events[0].end == 0

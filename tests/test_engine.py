@@ -392,6 +392,48 @@ def test_read_byte_lookahead_reserves(magic16):
         parse(unit, b"\x05", evil=False)
 
 
+TOKEN_IN_RECORD = """
+    local string tag = "";
+    local string preferred[] = { "\\xff" };
+    local string possible[] = { "\\x01" };
+    typedef struct {
+        ubyte a;
+        if (ReadBytes(tag, FTell(), 1, preferred, possible, 0.25)) { ubyte b; }
+    } R;
+    R r;
+"""
+
+
+@pytest.mark.parametrize("gen", [False, True])
+def test_read_bytes_logs_one_event_over_its_decisions(gen):
+    unit = parse_template(TOKEN_IN_RECORD)
+    # a: gate, control, byte | token: gate, branch 0x3f (preferred), index
+    seed = bytes.fromhex("000041" "003f00")
+    run = generate_from_seed(unit, seed) if gen else parse(unit, b"\x41\xff")
+    assert run.seed == (seed if gen else bytes.fromhex("000041" "000000"))
+    [ev] = run.events
+    assert (ev.start, ev.end, ev.token) == (3, 6, b"\xff")
+    r = run.tree.children[0]
+    assert ev.node_id == r.id  # the innermost open node: a has ended
+    assert r.children[1].lead is ev  # b starts where the token ends
+
+
+@pytest.mark.parametrize("gen", [False, True])
+def test_read_bytes_without_tokens_logs_a_zero_width_event(gen):
+    unit = parse_template("""
+        local string tag = "";
+        local string none[0];
+        ubyte a;
+        ReadBytes(tag, FTell(), 1, none, none, 0.25);
+        ubyte b;
+    """)
+    seed = bytes.fromhex("000041" "000042")
+    run = generate_from_seed(unit, seed) if gen else parse(unit, b"\x41\x42")
+    assert run.seed == seed
+    [ev] = run.events
+    assert (ev.start, ev.end, ev.node_id, ev.token) == (3, 3, 0, None)
+
+
 # A lookahead reserves hdr[2] before hdr is declared, so hdr cannot take
 # the byte kernel and goes element by element; tail is bounded.
 RESERVED_ARRAY = """
@@ -588,7 +630,7 @@ def test_splice_identity(mini):
     alt = outcome.seed[span[0]:span[1]]
     result = run_with_splice(mini, outcome.seed, span, chunk.id, alt)
     assert result.file == MINI_ONE_DATA_FILE
-    assert result.spliced_consumed == len(alt)
+    assert result.seed == outcome.seed
 
 
 def test_splice_random_chunk_parses(mini):

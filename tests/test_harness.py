@@ -604,10 +604,14 @@ def test_mutate_prints_operator_summary(tmp_path, capsys):
     assert sum(e["attempts"] for e in summary.values()) == attempts
 
 
-def test_fuzz_bad_target(tmp_path):
-    rc = run_cli("fuzz", "--template", "mini", "--target", "/no/such/binary",
-                 "--count", 3, "--rng-seed", 1, "--out", tmp_path / "f")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fuzz_missing_executable_exits_one(tmp_path, capsys, jobs):
+    rc = run_cli("fuzz", "--template", "mini", "--target", "/no/such/binary {}",
+                 "--count", 4, "--jobs", jobs, "--rng-seed", 1, "--out", tmp_path / "f")
     assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("btfuzz: cannot run target: ")
+    assert "/no/such/binary" in err[0]
 
 
 @pytest.fixture

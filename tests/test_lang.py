@@ -1,4 +1,4 @@
-"""Template language: lexer, parser, printer, static analysis."""
+"""Template language: lexer, parser, static analysis."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from btfuzz.templatelang import (
     IntLit,
     StrLit,
     TokenKind,
-    format_template,
     parse_template,
     tokenize,
 )
@@ -131,16 +130,6 @@ def test_syntax_error_reports_position():
 def test_unknown_type_rejected():
     with pytest.raises(ResolveError):
         parse_template("frob x;")
-
-
-def test_printer_output_reparses_to_same_shape(mini):
-    text = format_template(mini)
-    again = parse_template(text)
-    assert set(again.typedefs) == set(mini.typedefs)
-    assert len(again.declarations) == len(mini.declarations)
-    assert again.magic == mini.magic
-    # printing is a fixpoint once normalized
-    assert format_template(again) == text
 
 
 def test_local_string_array_redeclaration_parses():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from btfuzz import formats
-from btfuzz.decisionstream import STREAM_SWITCH, ChoiceEvent
 from btfuzz.engine import generate_from_seed, parse, run_with_splice
 from btfuzz.errors import NoApplicableMutation, NotOptional, SpliceMisaligned, TypeMismatch
 from btfuzz.formats.mini import verify_mini
@@ -50,7 +49,6 @@ def test_pool_spans_are_plausible(pool):
 
 def test_data_chunks_are_optional_with_lookahead_context(pool):
     for rec in pool.records():
-        assert rec.optional
         assert rec.lead_start >= 0
         if rec.type_name == "DATA":
             assert rec.tail_start == rec.decision_span[1]
@@ -141,22 +139,14 @@ def test_delete_insert_roundtrip(mini, pool):
         r for r in combo.records(base=1)
         if r.type_name == "DATA" and r.decision_span == rec.decision_span)
     position = next(
-        ev for ev in combo.lookahead_events(0) if ev.start == rec.lead_start)
+        ev for ev in combo.events[0] if ev.start == rec.lead_start)
     restored = smart_insert(mini, combo, 0, position, donor)
     assert restored == pool.files[0]
 
 
-def test_insert_rejects_non_lookahead_position(mini, pool):
-    combo = index_corpus(mini, [TWO_FILES[0]])
-    donor = combo.by_type["DATA"][0]
-    bad = ChoiceEvent(STREAM_SWITCH, 0, 0)
-    with pytest.raises(NotOptional):
-        smart_insert(mini, combo, 0, bad, donor)
-
-
 def test_insert_grows_chunk_count(mini, pool):
     donor = next(r for r in pool.by_type["DATA"] if r.source_file == 1)
-    position = next(iter(pool.lookahead_events(0)))
+    position = pool.events[0][0]
     mutated = smart_insert(mini, pool, 0, position, donor)
     ok, violation = verify_mini(mutated)
     assert ok, violation
@@ -346,11 +336,9 @@ def test_every_offered_delete_and_insert_lines_up(request, template, n):
 
 @pytest.mark.parametrize("gen", [False, True])
 def test_lookahead_events_carry_their_spec(pnglite, gen):
-    from btfuzz.decisionstream import LOOKAHEAD_CALL
     from btfuzz.engine import generate_random
     result = generate_random(pnglite, random.Random(3), evil=False)
-    events = result.events if gen else parse(pnglite, result.file).events
-    looks = [ev for ev in events if ev.kind == LOOKAHEAD_CALL]
+    looks = result.events if gen else parse(pnglite, result.file).events
     read_bytes = [ev for ev in looks if ev.spec.preferred is not None]
     read_byte = [ev for ev in looks if ev.spec.candidates is not None]
     assert len(read_bytes) + len(read_byte) == len(looks)
@@ -370,10 +358,9 @@ def test_mini_end_is_neither_deletable_nor_a_donor(mini, pool):
         # END decides nothing: abstract and replace would restore the base
         assert not any(r.type_name == "END" for r in menu.targets)
     assert not any(r.type_name == "END" for r in pool.insert_donors)
-    looks = {base: pool.lookahead_events(base) for base in pool.seeds}
     for rec in ends:
         # END's lead is the token lookahead before it, not the empty one after
-        lead = next(ev for ev in looks[rec.source_file] if ev.start == rec.lead_start)
+        lead = next(ev for ev in pool.events[rec.source_file] if ev.start == rec.lead_start)
         assert lead.token == b"\xff" and lead.end == rec.decision_span[0]
         assert rec.lead_start < rec.tail_start == rec.decision_span[1]
 

@@ -23,7 +23,7 @@ from btfuzz import Error, formats
 from btfuzz.engine import generate_from_seed, generate_random, parse
 
 RNG_SEEDS = range(20)
-COUNTED = {"generate": 811_789, "parse": 640_167, "replay": 815_062}
+COUNTED = {"generate": 795_006, "parse": 624_137, "replay": 798_279}
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
 pytestmark = pytest.mark.skipif(
