@@ -250,6 +250,48 @@ def test_record_local_shadows_toplevel_until_record_ends():
     assert generate_random(unit, random.Random(0), evil=False).file == b"\x07\x01\x07"
 
 
+def test_break_in_a_record_body_ends_the_loop_that_instantiates_it():
+    unit = parse_template("""
+        typedef struct { ubyte a; if (a > 3) break; } R;
+        local int i = 0;
+        while (i < 4) { R r; i++; }
+        ubyte tail;
+    """)
+    outcome = parse(unit, b"\x01\x05\x07")
+    assert [(n.name, n.file_span) for n in outcome.tree.walk()][1:] == [
+        ("r", (0, 1)), ("a", (0, 1)), ("r", (1, 2)), ("a", (1, 2)), ("tail", (2, 3))]
+    assert generate_from_seed(unit, outcome.seed).file == b"\x01\x05\x07"
+    assert len(parse(unit, b"\x01\x02\x03\x00\x09").tree.children) == 5  # no break
+
+
+def test_names_that_are_python_keywords_or_engine_internals():
+    unit = parse_template("""
+        int class(int ex) { return ex + 1; }
+        typedef struct (int self) { ubyte None = { self }; } K;
+        local int def = 3;
+        ubyte ex = { def };
+        ubyte f = { 7 };
+        K lambda(class(f));
+    """)
+    result = generate_random(unit, random.Random(1))
+    assert result.file == bytes.fromhex("030708")
+    assert [n.name for n in result.tree.walk()] == ["<file>", "ex", "f", "lambda", "None"]
+    assert parse(unit, result.file).seed == bytes(6)
+
+
+def test_string_local_with_quotes_backslashes_and_nul_equals_its_bytes():
+    unit = parse_template(r'''
+        local string s = "q\"b\\c\n\x00'";
+        char t[8];
+        if (t != s) return -1;
+        ubyte same = { s == "q\"b\\c\n\x00'" };
+    ''')
+    data = b"q\"b\\c\n\x00'\x01"
+    assert generate_from_seed(unit, parse(unit, data).seed).file == data
+    with pytest.raises(ParseRejected):
+        parse(unit, b"q\"b\\c\n\x00x\x01")
+
+
 # -- arrays, enums, parameterized records -------------------------------------
 
 
