@@ -1,9 +1,11 @@
 """Dual-mode template evaluator.
 
-Each TemplateUnit is compiled once, on its first run, into Python
-closures: one per statement, expression and input declaration.  What the
-template fixes statically is bound into them then: literal operands,
-constant choice specs, native widths and signs, builtin arguments.  A run
+Each TemplateUnit is compiled once, on its first run, into Python source:
+one function per record body and per user function, and one for the top
+level (`unit.program.source`, registered with linecache so tracebacks show
+it).  Control flow becomes Python statements, each input declaration's
+work runs inline, and what the template fixes statically is bound in then:
+literal operands, constant choice specs, native widths and signs.  A run
 calls the compiled top level on an Execution, which holds the run's
 state.  In GEN mode every input declaration turns decisions into file
 bytes; in PARSE mode it consumes file bytes and emits the canonical
@@ -13,6 +15,8 @@ control flow, which is what keeps generation and parsing synchronized.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import operator
 import random
 import re
@@ -72,14 +76,6 @@ crc32 = zlib.crc32  # reflected CRC-32, polynomial 0xEDB88320, init and final XO
 
 def sum8(data: bytes) -> int:
     return sum(data) % 256
-
-
-def encode_int(value: int, width: int, big: bool) -> bytes:
-    return (value & ((1 << (8 * width)) - 1)).to_bytes(width, "big" if big else "little")
-
-
-def decode_int(raw: bytes, signed: bool, big: bool) -> int:
-    return int.from_bytes(raw, "big" if big else "little", signed=signed)
 
 
 # --- codec registry (pluggable stream hook, used by CodecStream) -----------
@@ -156,56 +152,30 @@ class Execution:
         self.ds, self.buf = ds, buf
         self.gen = ds.mode is not StreamMode.PARSE_RECORD
         self.scope = Scope(self.program.globals)
-        self.big_endian = self.hint_mode = False
+        self.order, self.hint_mode = "little", False  # order: of integer fields' bytes
         self.steps = 0  # loop iterations so far
         self.covered: set[int] = set()
         self.log: list[tuple[str, str]] = []
         self.events: list[ChoiceEvent] = []
         self.last_lookahead: ChoiceEvent | None = None
         self.root = ParseNode(0, "<file>", unit.source_name)
-        self._next_node_id = 1
+        self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
         self.record_stack = [RecordVal("<toplevel>")]
-        self._splice_id = splice_id  # the node ds.splice's middle belongs to
-
-    # -- tree bookkeeping ---------------------------------------------------
-
-    def _push_node(self, name: str, type_name: str) -> ParseNode:
-        ds = self.ds
-        node = ParseNode(self._next_node_id, name, type_name, self.buf.position, ds.cursor)
-        self._next_node_id += 1
-        if node.id == self._splice_id:
-            ds.splice.begin_alt()
-        # optional: generated right after a lookahead call, its lead
-        lead = self.last_lookahead
-        if lead is not None and lead.end == node.seed_start:
-            node.lead = lead
-        self.node_stack[-1].children.append(node)
-        self.node_stack.append(node)
-        return node
-
-    def _pop_node(self, node: ParseNode):
-        node.file_end = self.buf.position
-        node.seed_end = self.ds.cursor
-        popped = self.node_stack.pop()
-        assert popped is node
-        if node.id == self._splice_id:
-            self.ds.splice.end_alt()
-
-    # -- toplevel -------------------------------------------------------
+        self.splice_id = splice_id  # the node ds.splice's middle belongs to
 
     def run(self) -> int:
         """Execute the template; returns the top-level return code (0 if
         the program fell off the end)."""
-        code = 0
         try:
-            self.program.toplevel(self)
-        except _ReturnSignal as sig:
-            code = sig.args[0] if isinstance(sig.args[0], int) else 0
+            code = self.program.toplevel(self)
+        except _ReturnSignal as sig:  # from a record body
+            code = sig.args[0]
         except _BreakSignal:
             raise EvalError("break outside of a loop or switch")
         except RecursionError:
             raise RecursionTooDeep("template recursion exceeds the interpreter stack") from None
+        code = code if isinstance(code, int) else 0
         if code < 0:
             if self.gen:
                 raise TemplateAbort(code)
@@ -214,7 +184,7 @@ class Execution:
         self.root.seed_end = self.ds.cursor
         return code
 
-    # -- fields -----------------------------------------------------------
+    # -- fields: what compiled code calls outside its scalar fast path -----
 
     def _field(self, spec: ChoiceSpec, signed: bool | None) -> bytes:
         """One field's file bytes, written (GEN) or read (PARSE) at the
@@ -229,7 +199,7 @@ class Execution:
             return raw
         raw = buf.read(spec.width)
         if reserved is None:
-            value = raw if signed is None else decode_int(raw, signed, self.big_endian)
+            value = raw if signed is None else int.from_bytes(raw, self.order, signed=signed)
             self.ds.emit_value(spec, value, raw)
         return raw
 
@@ -238,43 +208,52 @@ class Execution:
         _, payload = self.ds.choose_value(spec)
         if isinstance(payload, bytes):
             return payload
-        return (payload & ((1 << (8 * spec.width)) - 1)).to_bytes(
-            spec.width, "big" if self.big_endian else "little")
-
-    def _bind_field(self, instance: RecordVal, name: str, value, node: ParseNode | None):
-        """Bind a declared field in its record instance and in scope.  An
-        empty record array has no node and keeps the name's earlier one."""
-        instance.fields[name] = value
-        if node is not None:
-            instance.field_nodes[name] = node
-        self.scope.frame[name] = value
+        return (payload & ((1 << (8 * spec.width)) - 1)).to_bytes(spec.width, self.order)
 
     def _redeclare(self, instance: RecordVal, name: str, spec, signed: bool):
         """Fix-up declaration: same name, same record instance.  The bytes
         at the current position are rewritten (GEN) or revalidated (PARSE);
-        the node is updated in place and keeps its original decision span."""
+        the node keeps its decision span and takes the bytes' file span."""
         if not isinstance(instance.fields[name], int):
             raise EvalError(f"field {name!r} is redeclared as a scalar, "
                             "but its current field is not one")
         node = instance.field_nodes[name]
         self.node_stack.append(node)  # the node a lookahead here runs in
-        start = self.buf.position
         try:
             spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
-            value = decode_int(self._field(spec, signed), signed, self.big_endian)
+            start = self.buf.position
+            value = int.from_bytes(self._field(spec, signed), self.order, signed=signed)
         finally:
             self.node_stack.pop()
         node.file_start, node.file_end = start, self.buf.position
         node.rewritten = True
-        self._bind_field(instance, name, value, node)
+        return value, node
 
-    # -- builtins: each takes its compiled arguments -----------------------
+    def _elements(self, length: int, spec0, per_index, spec, width, signed, is_char):
+        """An integer array, in one stream call if it is an unconstrained
+        one-byte array with no reservation over its span.  spec0 serves every
+        element when given, else per_index[i] or spec (or compiled functions)."""
+        buf, pos0 = self.buf, self.buf.position
+        if (width == 1 and spec0 is not None and not spec0.candidates
+                and spec0.bounds is None and not buf.reserved_offsets(pos0, pos0 + length)):
+            if self.gen:
+                raw = self.ds.choose_bytes(length)
+                buf.write(raw)
+            else:
+                raw = buf.read(length)
+                self.ds.emit_bytes(raw, signed)
+            return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
+        raws, elems = bytearray(), []
+        for i in range(length):
+            s = spec0 or per_index.get(i, spec)
+            raw = self._field(s if isinstance(s, ChoiceSpec) else s(self), signed)
+            raws += raw
+            elems.append(int.from_bytes(raw, self.order, signed=signed))
+        return bytes(raws) if is_char else elems
 
-    def _bi_fseek(self, args):
-        self.buf.seek(_int(args[0](self)))
-        return 0
+    # -- builtins: each takes its evaluated arguments ----------------------
 
-    def _bi_feof(self, args):
+    def _feof(self):
         if not self.gen:
             eof = self.buf.position >= self.buf.size
             self.ds.emit_index(FEOF_STOP_K, 0 if eof else 1)
@@ -283,8 +262,7 @@ class Execution:
             return 1
         return 1 if self.ds.choose_index(FEOF_STOP_K) == 0 else 0
 
-    def _bi_read_byte(self, args):
-        pos, choices = _int(args[0](self)), args[1](self)
+    def _read_byte(self, pos: int, choices):
         if choices is not None and not isinstance(choices, list):
             raise EvalError("ReadByte choices must be a local array")
         spec = ChoiceSpec(width=1, candidates=[c & 0xFF for c in choices] if choices else None)
@@ -303,12 +281,7 @@ class Execution:
         self._log_lookahead(start, token, spec)
         return token[0]
 
-    def _bi_read_bytes(self, args):
-        out = args[0]  # the node itself: it names the variable to set
-        if not isinstance(out, ast.Ident):
-            raise EvalError("ReadBytes output must be a local variable name")
-        pos, length = _int(args[1](self)), _int(args[2](self))
-        preferred, possible, prob = args[3](self), args[4](self), args[5](self)
+    def _read_bytes(self, out: str, pos: int, length: int, preferred, possible, prob):
         if not isinstance(preferred, list) or not isinstance(possible, list):
             raise EvalError("ReadBytes preferred/possible must be local arrays")
         spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
@@ -324,7 +297,7 @@ class Execution:
         if len(token) != length:
             raise EvalError(f"token {token!r} does not have width {length}")
         self.buf.reserve(pos, token)
-        self.scope.assign(out.name, token)
+        self.scope.assign(out, token)
         return 1
 
     def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
@@ -333,8 +306,7 @@ class Execution:
                                           token, spec)
         self.events.append(self.last_lookahead)
 
-    def _bi_checksum(self, args):
-        algo, start, size = (_int(a(self)) for a in args)
+    def _checksum(self, algo: int, start: int, size: int):
         if size < 0 or start < 0:
             raise EvalError(f"checksum over invalid range [{start}, {start}+{size})")
         region = self.buf.peek(start, size)
@@ -346,68 +318,43 @@ class Execution:
             return sum8(region)
         raise ChecksumAlgoUnknown(f"checksum algorithm {algo} not implemented")
 
-    def _bi_set_evil(self, args):
-        return 1 if self.ds.set_evil(_truthy(args[0](self))) else 0
-
-    def _bi_change_array_length(self, args):
+    def _change_array_length(self):
         previous, self.hint_mode = self.hint_mode, not self.hint_mode
         return 1 if previous else 0
 
-    def _log_message(self, kind: str, args):
-        fmt = args[0](self)
+    def _log_message(self, kind: str, fmt):
+        """Check a Warning or Printf format, before its arguments run; gives
+        what logs the message with them."""
         if not isinstance(fmt, bytes):
             raise EvalError(f"{kind} format must be a string")
-        self.log.append((kind, _format_message(fmt, [a(self) for a in args[1:]])))
-        return 0
+        return lambda args: self.log.append((kind, _format_message(fmt, args))) or 0
 
-    def _set_byte_order(self, big: bool):
-        self.big_endian = big
-        return 0
-
-    def _bi_codec_stream(self, args):
-        name_expr = args[0]  # the node itself: it names the stream
-        if isinstance(name_expr, ast.Ident):
-            name = name_expr.name
-        elif isinstance(name_expr, ast.StrLit):
-            name = name_expr.value.decode("latin-1")
-        else:
-            raise EvalError("CodecStream stream name must be an identifier")
-        codec_name = args[1](self)
-        if not isinstance(codec_name, bytes):
-            raise EvalError("CodecStream codec must be a string")
-        codec_name = codec_name.decode("latin-1")
-        codec = CODECS.get(codec_name)
-        if codec is None:
-            raise EvalError(f"no codec registered under {codec_name!r}")
-        node = self._push_node(name, codec_name)
-        try:
-            if self.gen:
-                raw_len = self.ds.choose_bounded(0, CODEC_RAW_MAX)
-                raw = self.ds.draw_raw(raw_len) if raw_len else b""
-                body = codec.encode(raw)
-                self.buf.write(body)
-                return len(body)
-            length = _int(args[2](self))
-            if length < 0:
-                raise EvalError(f"negative codec stream length {length}")
-            body = self.buf.read(length)
-            try:
-                raw = codec.decode(body)
-            except DecodeError as exc:
-                raise ParseRejected(f"codec stream {name!r}: {exc}") from exc
-            if codec.encode(raw) != body:
-                raise UnrepresentableValue(
-                    f"codec stream {name!r} is valid but not in canonical form")
-            if len(raw) > CODEC_RAW_MAX:
-                raise UnrepresentableValue(
-                    f"codec stream {name!r} carries {len(raw)} raw bytes, "
-                    f"generator limit is {CODEC_RAW_MAX}")
-            self.ds.emit_bounded(len(raw), 0, CODEC_RAW_MAX)
-            if raw:
-                self.ds.emit_raw(raw)
+    def _codec_stream(self, name: str, codec, length: int | None):
+        """A codec stream's body, inside its node; length is given when parsing."""
+        if self.gen:
+            raw_len = self.ds.choose_bounded(0, CODEC_RAW_MAX)
+            raw = self.ds.draw_raw(raw_len) if raw_len else b""
+            body = codec.encode(raw)
+            self.buf.write(body)
             return len(body)
-        finally:
-            self._pop_node(node)
+        if length < 0:
+            raise EvalError(f"negative codec stream length {length}")
+        body = self.buf.read(length)
+        try:
+            raw = codec.decode(body)
+        except DecodeError as exc:
+            raise ParseRejected(f"codec stream {name!r}: {exc}") from exc
+        if codec.encode(raw) != body:
+            raise UnrepresentableValue(
+                f"codec stream {name!r} is valid but not in canonical form")
+        if len(raw) > CODEC_RAW_MAX:
+            raise UnrepresentableValue(
+                f"codec stream {name!r} carries {len(raw)} raw bytes, "
+                f"generator limit is {CODEC_RAW_MAX}")
+        self.ds.emit_bounded(len(raw), 0, CODEC_RAW_MAX)
+        if raw:
+            self.ds.emit_raw(raw)
+        return len(body)
 
 
 def _format_message(fmt: bytes, args: list) -> str:
@@ -424,6 +371,13 @@ def _format_message(fmt: bytes, args: list) -> str:
             return v.decode("latin-1") if isinstance(v, bytes) else str(v)
         return "%" if code == "%" else "%" + code
     return _CONVERSION.sub(conversion, fmt.decode("latin-1"))
+
+
+# --- what compiled code calls: checks and the operators' slow paths ---------
+
+
+def _fail(cls, message: str):
+    raise cls(message)
 
 
 def _int(value) -> int:
@@ -453,7 +407,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "&": operator.and_, "|": operator.or_, "^": operator.xor}
 _OTHER = {"/": c_div, "%": c_mod, "<<": lambda a, b: wrap64(a << _shift(b)),
           ">>": lambda a, b: wrap64(a >> _shift(b))}
-_UNARY = {"-": lambda v: wrap64(-v), "+": lambda v: v, "~": lambda v: wrap64(~v)}
+_INT_OR_BYTES = (int, bytes)  # the operand types == and != take
 
 
 def _binary(op: str, a, b):
@@ -470,32 +424,95 @@ def _binary(op: str, a, b):
     return _OTHER[op](a, b)
 
 
-def _fail(cls, message: str):
-    """A compiled node that raises when it runs."""
-    def fail(ex):
-        raise cls(message)
-    return fail
+def _member(obj, name: str):
+    if isinstance(obj, RecordVal):
+        try:
+            return obj.fields[name]
+        except KeyError:
+            raise InvalidFieldAccess(f"record {obj.type_name} has no field {name!r}") from None
+    raise EvalError(f"member access on non-record value {type(obj).__name__}")
 
 
-def _noop(ex):
-    pass
+def _index(base, idx):
+    idx = _int(idx)
+    if isinstance(base, (list, bytes, bytearray)):
+        if not 0 <= idx < len(base):
+            raise InvalidFieldAccess(f"index {idx} outside array of {len(base)}")
+        v = base[idx]  # bytes hold chars, and char is signed
+        return v if isinstance(base, list) or v < 0x80 else v - 256
+    raise EvalError(f"indexing non-array value {type(base).__name__}")
+
+
+def _postfix(scope: Scope, name: str, delta: int, op: str):
+    old = scope.read(name)
+    if not isinstance(old, int):
+        raise EvalError(f"{op} on non-integer {name!r}")
+    scope.assign(name, wrap64(old + delta))
+    return old
+
+
+def _postfix_slot(seq, idx, delta: int, op: str):
+    idx = _int(idx)
+    if not isinstance(seq, list) or not 0 <= idx < len(seq):
+        raise EvalError(f"{op} target is not a valid array slot")
+    old, seq[idx] = seq[idx], wrap64(seq[idx] + delta)
+    return old
+
+
+def _whole(name: str, length: int, cands: list) -> ChoiceSpec | None:
+    """The choice that decides a char array with string initializers whole."""
+    if not all(isinstance(c, bytes) for c in cands):
+        return None
+    bad = [c for c in cands if len(c) != length]
+    if bad:
+        raise EvalError(f"initializer for {name!r} has length {len(bad[0])}, "
+                        f"array holds {length}")
+    return ChoiceSpec(width=length, candidates=cands)
 
 
 def _norm(v: int, width: int, signed: bool) -> int:
     """v as a field of this width and sign reads it back, in either byte order."""
-    return decode_int(encode_int(v, width, False), signed, False)
+    v &= (1 << (8 * width)) - 1
+    return v - (1 << (8 * width)) if signed and v >> (8 * width - 1) else v
 
 
 _VARIES = object()  # what _Compiler.const returns for a value only a run knows
+_WRAP = f"(((({{}}) + {_SIGN}) & {_U64}) - {_SIGN})"  # wrap64, as source
+
+# Locals a compiled function sets up when its source names them, in this
+# order; each may use the ones before it.
+_LOCALS = {"sc": "sc = ex.scope", "fr": "fr = sc.frame", "rec": "rec = ex.record_stack[-1]",
+           "buf": "buf = ex.buf", "res": "res = buf.reservations", "ds": "ds = ex.ds",
+           "sd": "sd = ds._recorded",  # the seed so far: its length is ds.cursor
+           "stack": "stack = ex.node_stack", "cov": "cov = ex.covered", "gen": "gen = ex.gen"}
+_NEEDS = {"fr": "sc", "res": "buf", "sd": "ds"}
+
+
+# Source that opens a parse tree node, as {0}, with name {1} and type {2};
+# and source that closes the innermost node, {0}.
+_PUSH = """{0} = ParseNode(next(ex.ids), {1}, {2}, buf.position, len(sd))
+if {0}.id == ex.splice_id: ds.splice.begin_alt()
+if (lead := ex.last_lookahead) is not None and lead.end == {0}.seed_start: {0}.lead = lead
+stack[-1].children.append({0})
+stack.append({0})"""
+_POP = """{0}.file_end, {0}.seed_end = buf.position, len(sd)
+stack.pop()
+if {0}.id == ex.splice_id: ds.splice.end_alt()"""
+
+
+def _indent(lines, depth: int = 1) -> list[str]:
+    return ["    " * depth + one for line in lines for one in line.split("\n")]
 
 
 class _Compiler:
-    """A TemplateUnit compiled into closures over an Execution.
-
-    Each closure takes the Execution; an expression's returns its value.
-    Record and function bodies are looked up by name when they run, so
-    they may refer to each other and to themselves.  A run changes nothing
-    compiled, so one unit's closures and choice specs serve all its runs.
+    """A TemplateUnit compiled into Python source, and its functions: one
+    per record body (r<i>), user function (f<i>) and expression that runs
+    apart from where it is written (s<i>: a spec that array elements or a
+    fix-up evaluate, a codec stream's call), and `toplevel`.  Each takes
+    the Execution.  Template text enters the source only as repr() of a
+    name or literal, or as a named constant (c<i>).  Records and functions
+    are called by generated names, so they may call each other and
+    themselves.  A run changes nothing compiled: one program serves all runs.
     """
 
     def __init__(self, unit: TemplateUnit):
@@ -506,138 +523,198 @@ class _Compiler:
         # a global that nothing can rebind or shadow reads alike everywhere
         bound = bound_names(unit)
         self.constants = {k: v for k, v in self.globals.items() if k not in bound}
-        self.records, self.functions = {}, {}  # filled after: bodies may call each other
-        self.records.update((n, self.block(t.body)) for n, t in unit.typedefs.items()
-                            if t.kind == "record")
-        self.functions.update((n, self.block(f.body)) for n, f in unit.functions.items())
-        self.toplevel = self.block(unit.toplevel)
+        # the constants the source names, its lines, and the names made so far
+        self.names, self.defs, self.count = {}, [], 0
+        records = [t for t in unit.typedefs.values() if t.kind == "record"]
+        self.records = {t.name: f"r{i}" for i, t in enumerate(records)}
+        self.functions = {n: f"f{i}" for i, n in enumerate(unit.functions)}
+        for t in records:
+            self._record_body(t)
+        for name, fdef in unit.functions.items():
+            self._function_body(name, fdef)
+        self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
+        self.source = source = "\n".join(self.defs) + "\n"
+        filename = f"<btfuzz:{unit.source_name}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = dict(globals(), **self.names)
+        exec(compile(source, filename, "exec"), namespace)
+        self.toplevel = namespace["toplevel"]
+
+    # -- functions --------------------------------------------------------
+
+    def _define(self, header: str, lines: list[str], given=()):
+        """Add a function: header, the _LOCALS its lines name, then lines."""
+        text = "\n".join(lines)
+        used = {n for n in _LOCALS if n in text and n not in given}  # or a little more
+        used |= {_NEEDS[n] for n in used if n in _NEEDS}
+        self.defs += [header, *_indent([v for n, v in _LOCALS.items() if n in used] + lines)]
+
+    def _deferred(self, lines: list[str]) -> str:
+        """A function of the Execution alone, run where it is called."""
+        name = f"s{len(self.defs)}"
+        self._define(f"def {name}(ex):", lines)
+        return name
+
+    def _record_body(self, tdef):
+        params = [p for p, _ in tdef.params]
+        binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
+        lines = ["fr = sc.push_activation()", _PUSH.format("rn", "name", repr(tdef.name)),
+                 *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
+                   if params else []),  # a snapshot: local arrays may change after the call
+                 f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
+                 "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
+                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn")]),
+                 "return rec, rn"]
+        self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
+                     given=("fr", "rec"))
+
+    def _function_body(self, name: str, fdef):
+        params = [p for p, _ in fdef.params]
+        lines = ["fr = sc.push_activation()", "try:",
+                 *_indent(f"fr[{p!r}] = a{i}" for i, p in enumerate(params)),
+                 *self.body(fdef.body, 1), "    return 0", "except _ReturnSignal as sig:",
+                 "    return sig.args[0]", "finally:", "    sc.pop_activation()"]
+        args = "".join(f", a{i}" for i in range(len(params)))
+        self._define(f"def {self.functions[name]}(ex{args}):", lines, given=("fr",))
+
+    def ref(self, value) -> str:
+        """The name under which the source refers to a constant."""
+        self.count += 1
+        self.names[f"c{self.count}"] = value
+        return f"c{self.count}"
+
+    def temp(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
 
     # -- statements -----------------------------------------------------
 
+    def body(self, stmts, depth: int, in_record: bool = False) -> list[str]:
+        """The source of a function body's statements, at this depth."""
+        self.lines, self.depth, self.loops, self.in_record = [], depth - 1, 0, in_record
+        self.block(stmts)
+        return self.lines
+
+    def put(self, *lines: str):
+        self.lines += _indent(lines, self.depth)
+
     def block(self, stmts):
-        fns = tuple(self.stmt(s) for s in stmts)
-        if len(fns) <= 1:
-            return fns[0] if fns else _noop
-        def block(ex):
-            for fn in fns:
-                fn(ex)
-        return block
+        """Statements one level in; `pass` if they emit nothing."""
+        self.depth += 1
+        before = len(self.lines)
+        for stmt in stmts:
+            self.stmt(stmt)
+        if len(self.lines) == before:
+            self.put("pass")
+        self.depth -= 1
 
     def stmt(self, stmt):
         rule = _STMT_RULES.get(type(stmt))
         if rule is None:
-            return _fail(EvalError, f"cannot execute {type(stmt).__name__}")
-        return rule(self, stmt)
+            return self.put(f"_fail(EvalError, {'cannot execute ' + type(stmt).__name__!r})")
+        rule(self, stmt)
 
     def _local(self, stmt: ast.LocalDecl):
-        name, fill = stmt.name, b"" if stmt.type_name == "string" else 0
+        name, fill = repr(stmt.name), b"" if stmt.type_name == "string" else 0
         if stmt.array_len is None:
             if isinstance(stmt.init, list):
-                return _fail(EvalError, f"brace initializer on scalar local {name!r}")
-            init = (lambda ex: fill) if stmt.init is None else self.expr(stmt.init)
-            def local(ex):
-                value = init(ex)
-                ex.scope.frame[name] = wrap64(value) if isinstance(value, int) else value
-            return local
-        if isinstance(stmt.init, list):
-            inits = [self.expr(e) for e in stmt.init]
-            def local_array(ex):
-                ex.scope.frame[name] = [e(ex) for e in inits]
-            return local_array
-        if stmt.init is not None:
-            return _fail(EvalError, f"array local {name!r} needs a brace initializer")
-        length_of = (lambda ex: 0) if stmt.array_len is ast.DYNAMIC_ARRAY \
-            else self.expr(stmt.array_len)
-        def local_sized(ex):
-            length = _int(length_of(ex))
-            if length < 0:
-                raise EvalError(f"negative length for local array {name!r}")
-            if length > MAX_LOCAL_ARRAY:
-                raise LocalArrayTooLarge(
-                    f"local array {name!r} of {length} elements exceeds {MAX_LOCAL_ARRAY}")
-            ex.scope.frame[name] = [fill] * length
-        return local_sized
+                return self.fail(f"brace initializer on scalar local {stmt.name!r}")
+            value = repr(fill) if stmt.init is None else self.stored(self.expr(stmt.init),
+                                                                  self.kind(stmt.init))
+        elif isinstance(stmt.init, list):
+            value = f"[{', '.join(self.expr(e) for e in stmt.init)}]"
+        elif stmt.init is not None:
+            return self.fail(f"array local {stmt.name!r} needs a brace initializer")
+        else:
+            n, what = self.temp(), f"local array {stmt.name!r}"
+            big = f"{what} of %s elements exceeds {MAX_LOCAL_ARRAY}"
+            self.put(f"{n} = " + ("0" if stmt.array_len is ast.DYNAMIC_ARRAY
+                                  else self.integer(stmt.array_len)),
+                     f"if {n} < 0: _fail(EvalError, {'negative length for ' + what!r})",
+                     f"if {n} > {MAX_LOCAL_ARRAY}: _fail(LocalArrayTooLarge, {big!r} % {n})")
+            value = f"[{fill!r}] * {n}"
+        self.put(f"fr[{name}] = {value}")
 
     def _assign(self, stmt: ast.Assign):
-        value_of, target = self.expr(stmt.value), stmt.target
+        value, target = self.expr(stmt.value), stmt.target
         if isinstance(target, ast.Ident):
-            name = target.name
-            def assign(ex):
-                value = value_of(ex)
-                ex.scope.assign(name, wrap64(value) if isinstance(value, int) else value)
-            return assign
-        if isinstance(target, ast.Index):
-            seq_of, idx_of = self.expr(target.base), self.expr(target.index)
-            def assign_slot(ex):
-                value = value_of(ex)
-                seq, idx = seq_of(ex), _int(idx_of(ex))
-                if not isinstance(seq, list) or not 0 <= idx < len(seq):
-                    raise EvalError("array assignment target is not a valid local array slot")
-                seq[idx] = wrap64(value) if isinstance(value, int) else value
-            return assign_slot
-        fail = _fail(EvalError, "unsupported assignment target")
-        return lambda ex: (value_of(ex), fail(ex))
+            t, name = self.temp(), repr(target.name)
+            self.put(f"{t} = {self.stored(value, self.kind(stmt.value))}",
+                     f"if {name} in fr: fr[{name}] = {t}", f"else: sc.assign({name}, {t})")
+        elif isinstance(target, ast.Index):
+            v, seq, i = self.temp(), self.temp(), self.temp()
+            self.put(f"{v}, {seq} = {value}, {self.expr(target.base)}",
+                     f"{i} = {self.integer(target.index)}",
+                     f"if not isinstance({seq}, list) or not 0 <= {i} < len({seq}): _fail("
+                     "EvalError, 'array assignment target is not a valid local array slot')",
+                     f"{seq}[{i}] = {self.stored(v, 0)}")
+        else:
+            self.put(value)
+            self.fail("unsupported assignment target")
 
     def _extend(self, stmt: ast.ArrayExtend):
-        name, op, values_of = stmt.name, stmt.op, [self.expr(e) for e in stmt.values]
-        def extend(ex):
-            arr = ex.scope.read(name)
-            if not isinstance(arr, list):
-                raise EvalError(f"{op} target {name!r} is not a local array")
-            values = [v(ex) for v in values_of]
-            if op == "+=":
-                for v in values:
-                    if v not in arr:
-                        arr.append(v)
-            else:
-                arr[:] = [x for x in arr if x not in values]
-        return extend
+        arr, values = self.temp(), ", ".join(self.expr(e) for e in stmt.values)
+        self.put(f"if not isinstance({arr} := sc.read({stmt.name!r}), list): _fail(EvalError, "
+                 f"{f'{stmt.op} target {stmt.name!r} is not a local array'!r})",
+                 f"for v in [{values}]:", f"    while v in {arr}: {arr}.remove(v)"
+                 if stmt.op == "-=" else f"    if v not in {arr}: {arr}.append(v)")
 
     def _if(self, stmt: ast.If):
-        test, then, other = self.test(stmt.cond), self.block(stmt.then), self.block(stmt.other)
-        return lambda ex: then(ex) if test(ex) else other(ex)
+        word = "if"
+        while True:
+            self.put(f"{word} {self.test(stmt.cond)}:")
+            self.block(stmt.then)
+            if len(stmt.other) != 1 or not isinstance(stmt.other[0], ast.If):
+                break
+            stmt, word = stmt.other[0], "elif"
+        if stmt.other:
+            self.put("else:")
+            self.block(stmt.other)
+
+    def _loop(self, cond: str, body, step=None):
+        """A loop; a break in a record or function it calls ends it too."""
+        self.put("try:", f"    while {cond}:", "        ex.steps += 1", "        if ex.steps > "
+                 f"{MAX_STEPS}: _fail(StepBudgetExceeded, "
+                 f"{f'loops ran more than {MAX_STEPS} iterations'!r})")
+        self.depth, self.loops = self.depth + 1, self.loops + 1
+        self.block(body + ([step] if step is not None else []))
+        self.depth, self.loops = self.depth - 1, self.loops - 1
+        self.put("except _BreakSignal:", "    pass")
 
     def _for(self, stmt: ast.For):
-        return self._loop(_noop if stmt.init is None else self.stmt(stmt.init),
-                          (lambda ex: True) if stmt.cond is None else self.test(stmt.cond),
-                          _noop if stmt.step is None else self.stmt(stmt.step),
-                          self.block(stmt.body))
-
-    def _loop(self, init, test, advance, body):
-        def loop(ex):
-            init(ex)
-            try:
-                while test(ex):
-                    ex.steps += 1
-                    if ex.steps > MAX_STEPS:
-                        raise StepBudgetExceeded(f"loops ran more than {MAX_STEPS} iterations")
-                    body(ex)
-                    advance(ex)
-            except _BreakSignal:
-                pass
-        return loop
+        if stmt.init is not None:
+            self.stmt(stmt.init)
+        self._loop("True" if stmt.cond is None else self.test(stmt.cond), stmt.body, stmt.step)
 
     def _switch(self, stmt: ast.Switch):
-        scrutinee = self.expr(stmt.scrutinee)
-        matches = [(i, self.expr(c.match)) for i, c in enumerate(stmt.cases) if c.match is not None]
+        value, start = self.temp(), self.temp()
         default = max((i for i, c in enumerate(stmt.cases) if c.match is None), default=None)
-        bodies = [self.block(c.body) for c in stmt.cases]
-        def switch(ex):
-            value = scrutinee(ex)
-            start = next((i for i, match in matches if match(ex) == value), default)
-            if start is not None:
-                try:
-                    for body in bodies[start:]:
-                        body(ex)
-                except _BreakSignal:
-                    pass
-        return switch
+        self.put(f"{value} = {self.expr(stmt.scrutinee)}", f"{start} = {default}")
+        word = "if"
+        for i, case in enumerate(stmt.cases):
+            if case.match is not None:
+                self.put(f"{word} {self.expr(case.match)} == {value}: {start} = {i}")
+                word = "elif"
+        # the cases from the one matched on, as a loop a break leaves
+        self.put(f"if {start} is not None:", "    try:", "        while True:")
+        self.depth, self.loops = self.depth + 2, self.loops + 1
+        for i, case in enumerate(stmt.cases):
+            if case.body:
+                self.put(f"    if {start} <= {i}:")
+                self.depth += 1
+                self.block(case.body)
+                self.depth -= 1
+        self.put("    break")
+        self.depth, self.loops = self.depth - 2, self.loops - 1
+        self.put("    except _BreakSignal:", "        pass")
 
     def _return(self, stmt: ast.Return):
-        value_of = (lambda ex: 0) if stmt.value is None else self.expr(stmt.value)
-        def return_(ex):
-            raise _ReturnSignal(value_of(ex))
-        return return_
+        value = "0" if stmt.value is None else self.expr(stmt.value)
+        # a record body returns from the function or run that declared it
+        self.put(f"raise _ReturnSignal({value})" if self.in_record else f"return {value}")
+
+    def fail(self, message: str):
+        self.put(f"_fail(EvalError, {message!r})")
 
     # -- input declarations ----------------------------------------------
 
@@ -646,28 +723,29 @@ class _Compiler:
         if tdef is not None and tdef.kind == "record":
             return self._record(decl, tdef)
         if native == "string":
-            return _fail(EvalError, f"input field {decl.name!r}: string inputs are not "
-                         "supported; declare a char array with an explicit length")
+            return self.fail(f"input field {decl.name!r}: string inputs are not "
+                             "supported; declare a char array with an explicit length")
         if native not in NATIVE_INTS:
-            return _fail(EvalError, f"cannot declare input of type {decl.type_name!r}")
+            return self.fail(f"cannot declare input of type {decl.type_name!r}")
         enum_cands = [m.value for m in tdef.members] if tdef is not None else None
         label = tdef.name if tdef is not None else native
         width, signed = NATIVE_INTS[native]
         if decl.array_len is None:
             return self._scalar(decl, width, signed, label,
                                 self._spec(decl, width, signed, enum_cands, None))
-        return self._int_array(decl, native, width, signed, label, enum_cands)
+        self._int_array(decl, native, width, signed, label, enum_cands)
 
     def _spec(self, decl, width: int, signed: bool, enum_cands, elem_idx):
-        """The ChoiceSpec of a field or array element, or a closure that
-        builds it when it depends on the run."""
+        """The ChoiceSpec of a field or array element, or the source of an
+        expression that builds it when it depends on the run."""
         if decl.init_list is not None:
             inits = [self.const(e) for e in decl.init_list]
             if all(type(c) is int for c in inits):
                 return ChoiceSpec(width=width, candidates=[_norm(c, width, signed) for c in inits])
-            inits = [self.expr(e) for e in decl.init_list]
-            return lambda ex: ChoiceSpec(
-                width=width, candidates=[_norm(_int(e(ex)), width, signed) for e in inits])
+            mask, half = (1 << (8 * width)) - 1, 1 << (8 * width - 1)
+            norm = f"((({{}} + {half}) & {mask}) - {half})" if signed else f"({{}} & {mask})"
+            cands = ", ".join(norm.format(self.integer(e)) for e in decl.init_list)
+            return f"ChoiceSpec(width={width}, candidates=[{cands}])"
         mined = [_norm(v, width, signed) for v in self.unit.magic.get((decl.name, elem_idx), ())
                  if isinstance(v, int)]
         if mined or enum_cands is not None:
@@ -681,145 +759,106 @@ class _Compiler:
         hi = self.const(decl.attrs["max"]) if "max" in decl.attrs else type_hi
         if type(lo) is int and type(hi) is int and lo <= hi:
             return ChoiceSpec(width=width, bounds=(lo, hi))
-        lo_of = self.expr(decl.attrs["min"]) if "min" in decl.attrs else (lambda ex: type_lo)
-        hi_of = self.expr(decl.attrs["max"]) if "max" in decl.attrs else (lambda ex: type_hi)
-        def bounded(ex):
-            lo, hi = _int(lo_of(ex)), _int(hi_of(ex))
-            if lo > hi:
-                raise EvalError(f"field {decl.name!r}: min {lo} exceeds max {hi}")
-            return ChoiceSpec(width=width, bounds=(lo, hi))
-        return bounded
+        lo = self.integer(decl.attrs["min"]) if "min" in decl.attrs else repr(type_lo)
+        hi = self.integer(decl.attrs["max"]) if "max" in decl.attrs else repr(type_hi)
+        a, b, bad = self.temp(), self.temp(), f"field {decl.name!r}: min %s exceeds max %s"
+        return f"(ChoiceSpec(width={width}, bounds=({a}, {b})) if ({a} := {lo}) <= ({b} := {hi})" \
+               f" else _fail(EvalError, {bad!r} % ({a}, {b})))"
+
+    def _spec_ref(self, spec) -> str:
+        """A spec as a constant: a ChoiceSpec, or a function that builds it."""
+        if isinstance(spec, ChoiceSpec):
+            return self.ref(spec)
+        return self._deferred([f"return {spec}"])
 
     def _scalar(self, decl, width, signed, label, spec):
-        name, did, fixed = decl.name, decl.decl_id, isinstance(spec, ChoiceSpec)
-        def scalar(ex):
-            ex.covered.add(did)
-            instance = ex.record_stack[-1]
-            if name in instance.fields:
-                return ex._redeclare(instance, name, spec, signed)
-            node = ex._push_node(name, label)
-            try:
-                raw = ex._field(spec if fixed else spec(ex), signed)
-            finally:
-                ex._pop_node(node)
-            value = int.from_bytes(raw, "big" if ex.big_endian else "little", signed=signed)
-            ex._bind_field(instance, name, value, node)
-        return scalar
+        name, decode = repr(decl.name), f"v = int.from_bytes(raw, ex.order, signed={signed})"
+        sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
+        field = [
+            "if gen:",
+            f"    raw = buf.reserved_block(buf.position, {width}) if buf.position in res "
+            "else None",
+            "    if raw is None:", f"        raw = ds.choose_value({sp})[1]",
+            f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
+            f".to_bytes({width}, ex.order)", "    buf.write(raw)", f"    {decode}",
+            f"elif buf.position in res and buf.reserved_block(buf.position, {width}) is not None:",
+            f"    raw = buf.read({width})", f"    {decode}",
+            "else:", f"    raw = buf.read({width})", f"    {decode}",
+            f"    ds.emit_value({sp}, v, raw)"]
+        if sp == "sp":  # only a spec that runs template code can raise a break or return
+            field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"]
+        self.put(f"cov.add({decl.decl_id})", f"if {name} in rec.fields:",
+                 f"    v, node = ex._redeclare(rec, {name}, "
+                 f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})",
+                 "else:", *_indent([_PUSH.format("node", name, repr(label)), *field,
+                                    *_indent([_POP.format("node")], 1 if sp == "sp" else 0)]))
+        self._bind(name)
 
-    def _length(self, decl, width: int):
-        """A closure giving an input array's length, checked against the budget."""
+    def _bind(self, name: str, node_may_be_none: bool = False):
+        """Bind a declared field in its record instance and in scope.  An
+        empty record array has no node and keeps the name's earlier one."""
+        self.put(f"rec.fields[{name}] = fr[{name}] = v",
+                 f"if node is not None: rec.field_nodes[{name}] = node" if node_may_be_none
+                 else f"rec.field_nodes[{name}] = node")
+
+    def _length(self, decl, width: int) -> bool:
+        """Source setting n to an input array's length; False if it has none."""
         if decl.array_len is ast.DYNAMIC_ARRAY:
-            return _fail(EvalError, f"input array {decl.name!r} needs an explicit length")
-        name, width, length_of = decl.name, max(width, 1), self.expr(decl.array_len)
-        def length(ex):
-            n = _int(length_of(ex))
-            remaining = ex.buf.budget - ex.buf.position
-            if n < 0 or n * width > remaining:
-                if ex.gen and ex.hint_mode:
-                    return ex.ds.draw_raw(1)[0] % HINT_LENGTH_MOD
-                raise BudgetExceeded(
-                    f"array {name}[{n}] does not fit the remaining {remaining} byte(s)")
-            return n
-        return length
+            self.fail(f"input array {decl.name!r} needs an explicit length")
+            return False
+        # one that is negative or does not fit is replaced in hint mode generation
+        misfit = f"array {decl.name}[%s] does not fit the remaining %s byte(s)"
+        self.put(f"n = {self.integer(decl.array_len)}",
+                 f"if n < 0 or n * {max(width, 1)} > buf.budget - buf.position:",
+                 f"    n = ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if gen and ex.hint_mode else "
+                 f"_fail(BudgetExceeded, {misfit!r} % (n, buf.budget - buf.position))")
+        return True
 
     def _int_array(self, decl, native, width, signed, label, enum_cands):
-        """An integer array, element by element unless one choice decides a
-        char array whole (string initializers, or mined strings of its
-        length).  One spec serves every element unless some element has
-        its own mined magic.  An unconstrained one-byte array with no
-        reservation over its span is decided in one stream call.  A
-        repeated declaration (loop body) starts a fresh instance."""
-        name, did, is_char = decl.name, decl.decl_id, native == "char"
-        length_of = self._length(decl, width)
+        """An integer array (see Execution._elements), unless one choice decides
+        a char array whole: string initializers, or mined strings of its
+        length.  A repeated declaration (loop body) starts a fresh instance."""
+        name, is_char = decl.name, native == "char"
         spec = self._spec(decl, width, signed, enum_cands, -1)
-        per_index = {i: self._spec(decl, width, signed, enum_cands, i)
+        per_index = {i: self._spec_ref(self._spec(decl, width, signed, enum_cands, i))
                      for n, i in self.unit.magic if n == name and i is not None}
         shared = not per_index and decl.init_list is None
-        inits = [self.expr(e) for e in decl.init_list or ()]
-        mined: dict[int, ChoiceSpec] = {}  # by length
-        for v in self.unit.magic.get((name, None), ()):
-            if isinstance(v, bytes):
-                mined.setdefault(len(v), ChoiceSpec(width=len(v), candidates=[])).candidates += [v]
-        def whole(ex, length):
-            if decl.init_list is None:
-                return mined.get(length)
-            cands = [e(ex) for e in inits]
-            if not all(isinstance(c, bytes) for c in cands):
-                return None
-            bad = [c for c in cands if len(c) != length]
-            if bad:
-                raise EvalError(f"initializer for {name!r} has length {len(bad[0])}, "
-                                f"array holds {length}")
-            return ChoiceSpec(width=length, candidates=cands)
-        def elements(ex, length):
-            spec0 = (spec if isinstance(spec, ChoiceSpec) else spec(ex)) if shared else None
-            buf, pos0 = ex.buf, ex.buf.position
-            if (width == 1 and spec0 is not None and not spec0.candidates
-                    and spec0.bounds is None and not buf.reserved_offsets(pos0, pos0 + length)):
-                if ex.gen:
-                    raw = ex.ds.choose_bytes(length)
-                    buf.write(raw)
-                else:
-                    raw = buf.read(length)
-                    ex.ds.emit_bytes(raw, signed)
-                return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
-            raws, elems = bytearray(), []
-            for i in range(length):
-                s = spec0 or per_index.get(i, spec)
-                raw = ex._field(s if isinstance(s, ChoiceSpec) else s(ex), signed)
-                raws += raw
-                elems.append(decode_int(raw, signed, ex.big_endian))
-            return bytes(raws) if is_char else elems
-        def int_array(ex):
-            ex.covered.add(did)
-            instance = ex.record_stack[-1]
-            length = length_of(ex)
-            node = ex._push_node(name, f"{label}[{length}]")
-            try:
-                at_once = whole(ex, length) if is_char else None
-                value = elements(ex, length) if at_once is None else ex._field(at_once, None)
-            finally:
-                ex._pop_node(node)
-            ex._bind_field(instance, name, value, node)
-        return int_array
+        spec0 = (self.ref(spec) if isinstance(spec, ChoiceSpec) else spec) if shared else "None"
+        per_index = ", ".join(f"{i}: {s}" for i, s in per_index.items())
+        value = f"ex._elements(n, {spec0}, {{{per_index}}}, " \
+                f"{'None' if shared else self._spec_ref(spec)}, {width}, {signed}, {is_char})"
+        whole = None
+        if is_char and decl.init_list is not None:
+            whole = f"_whole({name!r}, n, [{', '.join(self.expr(e) for e in decl.init_list)}])"
+        elif is_char:
+            strings = [v for v in self.unit.magic.get((name, None), ()) if isinstance(v, bytes)]
+            mined = {n: ChoiceSpec(width=n, candidates=[v for v in strings if len(v) == n])
+                     for n in map(len, strings)}  # by length
+            whole = f"{self.ref(mined)}.get(n)" if mined else None
+        if whole is not None:
+            value = f"(ex._field(sp, None) if (sp := {whole}) is not None else {value})"
+        self.put(f"cov.add({decl.decl_id})")
+        if self._length(decl, width):
+            self.put(_PUSH.format("node", repr(name), f"'%s[%s]' % ({label!r}, n)"), "try:",
+                     f"    v = {value}", "finally:", *_indent([_POP.format("node")]))
+            self._bind(repr(name))
 
     def _record(self, decl: ast.InputDecl, tdef):
         # repeated declarations of one record name (chunk loops) each
         # produce a fresh instance; bindings track the newest one
         if decl.init_list is not None or decl.attrs:
-            return _fail(EvalError, f"record field {decl.name!r} takes no initializer or bounds")
-        name, did, tname, bodies = decl.name, decl.decl_id, tdef.name, self.records
-        params, args_of = [p for p, _ in tdef.params], [self.expr(a) for a in decl.args]
-        length_of = None if decl.array_len is None else self._length(decl, 1)
-        def instantiate(ex) -> tuple[RecordVal, ParseNode]:
-            args = [a(ex) for a in args_of]
-            frame = ex.scope.push_activation()
-            node = ex._push_node(name, tname)
-            if args:  # a snapshot: local arrays may change after the call
-                node.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
-            rec = RecordVal(tname)
-            ex.record_stack.append(rec)
-            try:
-                for pname, value in zip(params, args):
-                    frame[pname] = wrap64(value) if isinstance(value, int) else value
-                bodies[tname](ex)
-            finally:
-                ex.scope.pop_activation()
-                ex.record_stack.pop()
-                ex._pop_node(node)
-            return rec, node
-        def record(ex):
-            ex.covered.add(did)
-            instance = ex.record_stack[-1]
-            if length_of is None:
-                value, node = instantiate(ex)
-            else:
-                value, node = [], None
-                for _ in range(length_of(ex)):
-                    rec, node = instantiate(ex)
-                    value.append(rec)
-            ex._bind_field(instance, name, value, node)
-        return record
+            return self.fail(f"record field {decl.name!r} takes no initializer or bounds")
+        name, args = repr(decl.name), "".join(self.expr(a) + ", " for a in decl.args)
+        call = f"{self.records[tdef.name]}(ex, {name}, ({args}))"
+        self.put(f"cov.add({decl.decl_id})")
+        if decl.array_len is None:
+            self.put(f"v, node = {call}")
+        elif self._length(decl, 1):
+            self.put("v, node = [], None", "for _ in range(n):", f"    r, node = {call}",
+                     "    v.append(r)")
+        else:
+            return
+        self._bind(name, decl.array_len is not None)
 
     # -- expressions ------------------------------------------------------
 
@@ -831,199 +870,193 @@ class _Compiler:
             return self.constants.get(expr.name, _VARIES)
         return _VARIES
 
-    def expr(self, expr):
+    def kind(self, expr) -> int:
+        """2 if expr is always an int that wrap64 keeps, 1 if an int, else 0."""
+        if isinstance(expr, ast.Binary) or isinstance(expr, ast.Unary) and expr.op != "+":
+            return 2
+        if isinstance(expr, ast.Call) and expr.name in _BUILTINS:
+            return 1  # every builtin gives an int
+        value = self.const(expr)
+        return (2 if wrap64(value) == value else 1) if type(value) is int else 0
+
+    def expr(self, expr) -> str:
         rule = _EXPR_RULES.get(type(expr))
         if rule is None:
-            return _fail(EvalError, f"cannot evaluate {type(expr).__name__}")
+            return f"_fail(EvalError, {'cannot evaluate ' + type(expr).__name__!r})"
         return rule(self, expr)
 
-    def test(self, expr):
-        """A closure whose Python truth is expr's truth in the template."""
-        fn = self.expr(expr)
-        return fn if isinstance(expr, ast.Binary) else lambda ex: _truthy(fn(ex))  # Binary: ints
+    def test(self, expr) -> str:
+        """Source whose Python truth is expr's truth in the template."""
+        if isinstance(expr, ast.Binary):
+            return self._binary(expr, test=True)
+        if isinstance(expr, ast.Unary) and expr.op == "!":
+            return f"(not {self.test(expr.operand)})"
+        return self.expr(expr) if self.kind(expr) else f"_truthy({self.expr(expr)})"
+
+    def integer(self, expr, source: str | None = None) -> str:
+        """expr's source (or source, if given), checked to be an int."""
+        source = self.expr(expr) if source is None else source
+        if self.kind(expr):
+            return source
+        t = self.temp()
+        return f"({t} if type({t} := {source}) is int else _int({t}))"
+
+    def stored(self, source: str, kind: int) -> str:
+        """A value as a variable stores it: an int wraps to 64 bits."""
+        if kind:
+            return source if kind == 2 else _WRAP.format(source)
+        t = self.temp()
+        return f"({_WRAP.format(t)} if isinstance({t} := {source}, int) else {t})"
 
     def _constant(self, expr):
         value = self.const(expr)
-        return lambda ex: value
+        if type(value) in (int, bytes):
+            return f"({value!r})"
+        return self.ref(value)
 
     def _ident(self, expr: ast.Ident):
-        name = expr.name
-        if name in self.constants:
+        if expr.name in self.constants:
             return self._constant(expr)
-        def ident(ex):
-            try:
-                return ex.scope.frame[name]
-            except KeyError:
-                return ex.scope.read(name)
-        return ident
-
-    def _member(self, expr: ast.Member):
-        obj_of, name = self.expr(expr.obj), expr.name
-        def member(ex):
-            obj = obj_of(ex)
-            if isinstance(obj, RecordVal):
-                try:
-                    return obj.fields[name]
-                except KeyError:
-                    raise InvalidFieldAccess(
-                        f"record {obj.type_name} has no field {name!r}") from None
-            raise EvalError(f"member access on non-record value {type(obj).__name__}")
-        return member
-
-    def _index(self, expr: ast.Index):
-        base_of, idx_of = self.expr(expr.base), self.expr(expr.index)
-        def index(ex):
-            base, idx = base_of(ex), _int(idx_of(ex))
-            if isinstance(base, (list, bytes, bytearray)):
-                if not 0 <= idx < len(base):
-                    raise InvalidFieldAccess(f"index {idx} outside array of {len(base)}")
-                v = base[idx]  # bytes hold chars, and char is signed
-                return v if isinstance(base, list) or v < 0x80 else v - 256
-            raise EvalError(f"indexing non-array value {type(base).__name__}")
-        return index
+        name = repr(expr.name)
+        return f"(fr[{name}] if {name} in fr else sc.read({name}))"
 
     def _unary(self, expr: ast.Unary):
-        op = expr.op
-        if op == "!":
-            test = self.test(expr.operand)
-            return lambda ex: 0 if test(ex) else 1
-        operand, fn = self.expr(expr.operand), _UNARY.get(op)
-        if fn is None:
-            return _fail(EvalError, f"unknown unary operator {op}")
-        def unary(ex):
-            v = operand(ex)
-            if not isinstance(v, int):
-                raise EvalError(f"unary {op} on {type(v).__name__}")
-            return fn(v)
-        return unary
+        if expr.op == "!":
+            return f"(0 if {self.test(expr.operand)} else 1)"
+        if expr.op not in ("-", "+", "~"):
+            return f"_fail(EvalError, {'unknown unary operator ' + expr.op!r})"
+        t = self.temp()
+        value = t if expr.op == "+" else _WRAP.format(expr.op + t)
+        return f"({value} if isinstance({t} := {self.expr(expr.operand)}, int) else " \
+               f"_fail(EvalError, {'unary ' + expr.op + ' on '!r} + type({t}).__name__))"
 
-    def _binary(self, expr: ast.Binary):
+    def _binary(self, expr: ast.Binary, test: bool = False):
         op = expr.op
         if op in ("&&", "||"):
-            left, right = self.test(expr.left), self.test(expr.right)
-            if op == "&&":
-                return lambda ex: 1 if left(ex) and right(ex) else 0
-            return lambda ex: 1 if left(ex) or right(ex) else 0
+            both = f"({self.test(expr.left)} {'and' if op == '&&' else 'or'} " \
+                   f"{self.test(expr.right)})"
+            return both if test else f"(1 if {both} else 0)"
         left, right = self.expr(expr.left), self.expr(expr.right)
-        compare, arith = _COMPARE.get(op), _ARITH.get(op)
-        fast = (int, bytes) if op in ("==", "!=") else (int,)
-        if compare is not None:
-            def compare_(ex):
-                a, b = left(ex), right(ex)
-                if type(a) is type(b) and type(a) in fast:
-                    return 1 if compare(a, b) else 0
-                return _binary(op, a, b)
-            return compare_
-        if arith is not None:
-            def arith_(ex):
-                a, b = left(ex), right(ex)
-                if type(a) is int and type(b) is int:
-                    return ((arith(a, b) + _SIGN) & _U64) - _SIGN  # wrap64, inline
-                return _binary(op, a, b)
-            return arith_
-        return lambda ex: _binary(op, left(ex), right(ex))
-
-    def _ternary(self, expr: ast.Ternary):
-        test, then, other = self.test(expr.cond), self.expr(expr.then), self.expr(expr.other)
-        return lambda ex: then(ex) if test(ex) else other(ex)
+        if op not in _COMPARE and op not in _ARITH:
+            return f"_binary({op!r}, {left}, {right})"
+        # the int fast path (or, for == and !=, two strings), else _binary
+        fast = _INT_OR_BYTES if op in ("==", "!=") else (int,)
+        lt, rt = (int if self.kind(e) else type(self.const(e)) for e in (expr.left, expr.right))
+        check = None
+        if object not in (lt, rt):  # both types known
+            if lt is not rt or lt not in fast:
+                return f"_binary({op!r}, {left}, {right})"
+        elif lt is rt or rt is object and self.const(expr.left) is _VARIES:
+            a, b = self.temp(), self.temp()  # both bound before any check
+            check = f"type({a} := {left}) is type({b} := {right}) " + (
+                "in _INT_OR_BYTES" if len(fast) == 2 else "is int")
+            left, right = a, b
+        else:  # one side unknown; the other a literal or evaluated after it
+            known = rt if lt is object else lt
+            if known not in fast:
+                return f"_binary({op!r}, {left}, {right})"
+            t = self.temp()
+            check = f"type({t} := {left if lt is object else right}) is {known.__name__}"
+            left, right = (t, right) if lt is object else (left, t)
+        result = f"{left} {op} {right}"
+        if op in _ARITH:
+            result = _WRAP.format(result)
+        elif not test:
+            result = f"(1 if {result} else 0)"
+        if check is None:
+            return f"({result})"
+        return f"({result} if {check} else _binary({op!r}, {left}, {right}))"
 
     def _postfix(self, expr: ast.Postfix):
-        op, target = expr.op, expr.target
-        delta = 1 if op == "++" else -1
+        delta, target = 1 if expr.op == "++" else -1, expr.target
         if isinstance(target, ast.Ident):
-            name = target.name
-            def postfix(ex):
-                old = ex.scope.read(name)
-                if not isinstance(old, int):
-                    raise EvalError(f"{op} on non-integer {name!r}")
-                ex.scope.assign(name, wrap64(old + delta))
-                return old
-            return postfix
+            return f"_postfix(sc, {target.name!r}, {delta}, {expr.op!r})"
         if isinstance(target, ast.Index):
-            seq_of, idx_of = self.expr(target.base), self.expr(target.index)
-            def postfix_slot(ex):
-                seq, idx = seq_of(ex), _int(idx_of(ex))
-                if not isinstance(seq, list) or not 0 <= idx < len(seq):
-                    raise EvalError(f"{op} target is not a valid array slot")
-                old = seq[idx]
-                seq[idx] = wrap64(old + delta)
-                return old
-            return postfix_slot
-        return _fail(EvalError, f"{op} needs a variable or array element")
+            return f"_postfix_slot({self.expr(target.base)}, {self.expr(target.index)}, " \
+                   f"{delta}, {expr.op!r})"
+        return f"_fail(EvalError, {expr.op + ' needs a variable or array element'!r})"
 
     def _call(self, expr: ast.Call):
-        name = expr.name
+        name, args = expr.name, [self.expr(a) for a in expr.args]
+        if name == "CodecStream":
+            return self._codec_stream(expr, args)
         if name in _BUILTINS:
-            builtin, args = _BUILTINS[name], [self.expr(a) for a in expr.args]
-            if name in ("ReadBytes", "CodecStream"):
-                args[0] = expr.args[0]  # a name, not a value
-            return lambda ex: builtin(ex, args)
-        fdef = self.unit.functions.get(name)
-        if fdef is None:
-            return _fail(EvalError, f"unknown function {name!r}")
-        params, bodies = [p for p, _ in fdef.params], self.functions
-        args_of = [self.expr(a) for a in expr.args]
-        def call(ex):
-            args = [a(ex) for a in args_of]
-            frame = ex.scope.push_activation()
-            try:
-                for pname, value in zip(params, args):
-                    frame[pname] = value
-                try:
-                    bodies[name](ex)
-                except _ReturnSignal as sig:
-                    return sig.args[0]
-                return 0
-            finally:
-                ex.scope.pop_activation()
-        return call
+            ints = {f"i{i}": self.integer(e, a) for i, (e, a) in enumerate(zip(expr.args, args))}
+            out = expr.args[0] if expr.args else None
+            if name == "ReadBytes" and not isinstance(out, ast.Ident):
+                return "_fail(EvalError, 'ReadBytes output must be a local variable name')"
+            return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]),
+                                          out=repr(getattr(out, "name", None)))
+        if name not in self.functions:
+            return f"_fail(EvalError, {f'unknown function {name!r}'!r})"
+        return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
+
+    def _codec_stream(self, expr: ast.Call, args):
+        """A codec stream's call: its own function, which opens its node."""
+        named = expr.args[0]  # the node itself: it names the stream
+        name = named.name if isinstance(named, ast.Ident) else named.value.decode(
+            "latin-1") if isinstance(named, ast.StrLit) else None
+        if name is None:
+            return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
+        codec_call = self._deferred([
+            f"if not isinstance(codec := {args[1]}, bytes): "
+            "_fail(EvalError, 'CodecStream codec must be a string')",
+            "codec_name = codec.decode('latin-1')", "if (codec := CODECS.get(codec_name)) is None:"
+            " _fail(EvalError, f'no codec registered under {codec_name!r}')",
+            _PUSH.format("node", repr(name), "codec_name"),
+            "try:", f"    return ex._codec_stream({name!r}, codec, None if gen else "
+            f"{self.integer(expr.args[2])})", "finally:", *_indent([_POP.format("node")])])
+        return f"{codec_call}(ex)"
 
 
-# How each statement and expression node class compiles, and what runs
-# each builtin the analyzer accepts.
+# How each statement and expression node class compiles, and the source of
+# each builtin the analyzer accepts: {0}.. are its arguments, {i0}.. the
+# first three checked to be ints, {rest} all but the first, {out} the name
+# of ReadBytes's output.  An argument a builtin does not use never runs.
 _STMT_RULES = {
     ast.InputDecl: _Compiler._input,
     ast.LocalDecl: _Compiler._local,
     ast.Assign: _Compiler._assign,
     ast.ArrayExtend: _Compiler._extend,
     ast.If: _Compiler._if,
-    ast.While: lambda self, stmt: self._loop(_noop, self.test(stmt.cond), _noop,
-                                             self.block(stmt.body)),
+    ast.While: lambda self, stmt: self._loop(self.test(stmt.cond), stmt.body),
     ast.For: _Compiler._for,
     ast.Switch: _Compiler._switch,
-    ast.Break: lambda self, stmt: _fail(_BreakSignal, "break"),
+    ast.Break: lambda self, stmt: self.put("break" if self.loops
+                                           else "raise _BreakSignal('break')"),
     ast.Return: _Compiler._return,
-    ast.ExprStmt: lambda self, stmt: self.expr(stmt.expr),
-    ast.BlockStmt: lambda self, stmt: self.block(stmt.body),
+    ast.ExprStmt: lambda self, stmt: self.put(self.expr(stmt.expr)),
+    ast.BlockStmt: lambda self, stmt: [self.stmt(s) for s in stmt.body],
 }
 
 _EXPR_RULES = {
     **dict.fromkeys((ast.IntLit, ast.FloatLit, ast.StrLit), _Compiler._constant),
     ast.Ident: _Compiler._ident,
-    ast.Member: _Compiler._member,
-    ast.Index: _Compiler._index,
+    ast.Member: lambda self, e: f"_member({self.expr(e.obj)}, {e.name!r})",
+    ast.Index: lambda self, e: f"_index({self.expr(e.base)}, {self.expr(e.index)})",
     ast.Call: _Compiler._call,
     ast.Unary: _Compiler._unary,
     ast.Binary: _Compiler._binary,
-    ast.Ternary: _Compiler._ternary,
+    ast.Ternary: lambda self, e: f"({self.expr(e.then)} if {self.test(e.cond)} "
+                                 f"else {self.expr(e.other)})",
     ast.Postfix: _Compiler._postfix,
 }
 
 _BUILTINS = {
-    "FTell": lambda ex, args: ex.buf.position,
-    "FSeek": Execution._bi_fseek,
-    "FEof": Execution._bi_feof,
-    "FileSize": lambda ex, args: ex.buf.high_water if ex.gen else ex.buf.size,
-    "ReadByte": Execution._bi_read_byte,
-    "ReadBytes": Execution._bi_read_bytes,
-    "Checksum": Execution._bi_checksum,
-    "SetEvilBit": Execution._bi_set_evil,
-    "ChangeArrayLength": Execution._bi_change_array_length,
-    "Warning": lambda ex, args: ex._log_message("warning", args),
-    "Printf": lambda ex, args: ex._log_message("printf", args),
-    "BigEndian": lambda ex, args: ex._set_byte_order(True),
-    "LittleEndian": lambda ex, args: ex._set_byte_order(False),
-    "CodecStream": Execution._bi_codec_stream,
+    "FTell": "buf.position",
+    "FSeek": "(buf.seek({i0}) or 0)",
+    "FEof": "ex._feof()",
+    "FileSize": "(buf.high_water if gen else buf.size)",
+    "ReadByte": "ex._read_byte({i0}, {1})",
+    "ReadBytes": "ex._read_bytes({out}, {i1}, {i2}, {3}, {4}, {5})",
+    "Checksum": "ex._checksum({i0}, {i1}, {i2})",
+    "SetEvilBit": "(1 if ds.set_evil(_truthy({0})) else 0)",
+    "ChangeArrayLength": "ex._change_array_length()",
+    "Warning": "ex._log_message('warning', {0})([{rest}])",
+    "Printf": "ex._log_message('printf', {0})([{rest}])",
+    "BigEndian": "(setattr(ex, 'order', 'big') or 0)",
+    "LittleEndian": "(setattr(ex, 'order', 'little') or 0)",
+    "CodecStream": None,  # _Compiler._codec_stream
 }
 
 
