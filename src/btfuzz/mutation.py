@@ -101,7 +101,6 @@ class ChunkPool:
     menus: dict[object, BaseMenu] = field(default_factory=dict)
     seeds: dict[object, bytes] = field(default_factory=dict)
     files: dict[object, bytes] = field(default_factory=dict)
-    events: dict[object, list[ChoiceEvent]] = field(default_factory=dict)
     failures: list[tuple[object, str]] = field(default_factory=list)
     evil: bool = True
     budget: int = DEFAULT_BUDGET
@@ -150,7 +149,7 @@ def index_corpus(unit, files, *, evil: bool = True,
             continue
         pool.seeds[cid] = outcome.seed
         pool.files[cid] = data
-        looks = pool.events[cid] = outcome.events
+        looks = outcome.events
         type_of = {}
         nodes = []
         for node in outcome.tree.walk():

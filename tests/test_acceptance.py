@@ -183,7 +183,7 @@ def delete_insert_identity(unit, pool, target, base_file) -> bool:
     donor = next(r for r in combo.records(base=1)
                  if r.type_name == target.type_name
                  and r.decision_span == target.decision_span)
-    position = next(ev for ev in combo.events[0] if ev.start == target.lead_start)
+    position = next(ev for ev in parse(unit, deleted).events if ev.start == target.lead_start)
     return smart_insert(unit, combo, 0, position, donor) == base_file
 
 

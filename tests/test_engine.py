@@ -614,6 +614,17 @@ def test_redeclaring_a_scalar_is_still_a_fixup():
     assert result.file[0] == 7 and node.rewritten and node.file_span == (0, 1)
 
 
+def test_fixup_span_starts_after_its_initializer_runs():
+    # f(), run by the fix-up's initializer, declares a field of its own first
+    unit = parse_template("int f() { ubyte inner; return 3; }\n"
+                          "typedef struct { ubyte x; ubyte x = { f() }; } R; R r;")
+    result = generate_random(unit, 1)
+    assert result.file[2] == 3
+    for tree in (result.tree, parse(unit, result.file).tree):
+        spans = {n.name: n.file_span for n in tree.walk()}
+        assert (spans["inner"], spans["x"]) == ((1, 2), (2, 3))
+
+
 # -- array length hints --------------------------------------------------------
 
 HINT_SRC = """

@@ -139,14 +139,14 @@ def test_delete_insert_roundtrip(mini, pool):
         r for r in combo.records(base=1)
         if r.type_name == "DATA" and r.decision_span == rec.decision_span)
     position = next(
-        ev for ev in combo.events[0] if ev.start == rec.lead_start)
+        ev for ev in parse(mini, deleted).events if ev.start == rec.lead_start)
     restored = smart_insert(mini, combo, 0, position, donor)
     assert restored == pool.files[0]
 
 
 def test_insert_grows_chunk_count(mini, pool):
     donor = next(r for r in pool.by_type["DATA"] if r.source_file == 1)
-    position = pool.events[0][0]
+    position = parse(mini, pool.files[0]).events[0]
     mutated = smart_insert(mini, pool, 0, position, donor)
     ok, violation = verify_mini(mutated)
     assert ok, violation
@@ -360,7 +360,8 @@ def test_mini_end_is_neither_deletable_nor_a_donor(mini, pool):
     assert not any(r.type_name == "END" for r in pool.insert_donors)
     for rec in ends:
         # END's lead is the token lookahead before it, not the empty one after
-        lead = next(ev for ev in pool.events[rec.source_file] if ev.start == rec.lead_start)
+        looks = parse(mini, pool.files[rec.source_file]).events
+        lead = next(ev for ev in looks if ev.start == rec.lead_start)
         assert lead.token == b"\xff" and lead.end == rec.decision_span[0]
         assert rec.lead_start < rec.tail_start == rec.decision_span[1]
 
