@@ -194,8 +194,7 @@ class Execution:
         buf = self.buf
         reserved = buf.reserved_block(buf.position, spec.width)
         if self.gen:
-            raw = self._choose_raw(spec) if reserved is None else reserved
-            buf.write(raw)
+            buf.write(raw := self._choose_raw(spec) if reserved is None else reserved)
             return raw
         raw = buf.read(spec.width)
         if reserved is None:
@@ -225,8 +224,7 @@ class Execution:
             value = int.from_bytes(self._field(spec, signed), self.order, signed=signed)
         finally:
             self.node_stack.pop()
-        node.file_start, node.file_end = start, self.buf.position
-        node.rewritten = True
+        node.file_start, node.file_end, node.rewritten = start, self.buf.position, True
         return value, node
 
     def _elements(self, length: int, spec0, per_index, spec, width, signed, is_char):
@@ -237,11 +235,9 @@ class Execution:
         if (width == 1 and spec0 is not None and not spec0.candidates
                 and spec0.bounds is None and not buf.reserved_offsets(pos0, pos0 + length)):
             if self.gen:
-                raw = self.ds.choose_bytes(length)
-                buf.write(raw)
+                buf.write(raw := self.ds.choose_bytes(length))
             else:
-                raw = buf.read(length)
-                self.ds.emit_bytes(raw, signed)
+                self.ds.emit_bytes(raw := buf.read(length), signed)
             return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
         raws, elems = bytearray(), []
         for i in range(length):
@@ -524,7 +520,7 @@ class _Compiler:
         bound = bound_names(unit)
         self.constants = {k: v for k, v in self.globals.items() if k not in bound}
         # the constants the source names, its lines, and the names made so far
-        self.names, self.defs, self.count = {}, [], 0
+        self.names, self.defs, self.count, self.nesting = {}, [], 0, 0
         records = [t for t in unit.typedefs.values() if t.kind == "record"]
         self.records = {t.name: f"r{i}" for i, t in enumerate(records)}
         self.functions = {n: f"f{i}" for i, n in enumerate(unit.functions)}
@@ -599,11 +595,18 @@ class _Compiler:
         self.lines += _indent(lines, self.depth)
 
     def block(self, stmts):
-        """Statements one level in; `pass` if they emit nothing."""
+        """Statements one level in; `pass` if they emit nothing.  Deep ones
+        are a function of their own: Python nests only 20 blocks in one."""
         self.depth += 1
         before = len(self.lines)
-        for stmt in stmts:
-            self.stmt(stmt)
+        if self.depth > 12 and stmts:
+            state = self.lines, self.depth, self.loops, self.in_record
+            call = self._deferred(self.body(stmts, 0, True)) + "(ex)"  # break, return raise
+            self.lines, self.depth, self.loops, self.in_record = state
+            self.put(call)
+        else:
+            for stmt in stmts:
+                self.stmt(stmt)
         if len(self.lines) == before:
             self.put("pass")
         self.depth -= 1
@@ -767,9 +770,7 @@ class _Compiler:
 
     def _spec_ref(self, spec) -> str:
         """A spec as a constant: a ChoiceSpec, or a function that builds it."""
-        if isinstance(spec, ChoiceSpec):
-            return self.ref(spec)
-        return self._deferred([f"return {spec}"])
+        return self.ref(spec) if type(spec) is ChoiceSpec else self._deferred(["return " + spec])
 
     def _scalar(self, decl, width, signed, label, spec):
         name, decode = repr(decl.name), f"v = int.from_bytes(raw, ex.order, signed={signed})"
@@ -795,8 +796,7 @@ class _Compiler:
         self._bind(name)
 
     def _bind(self, name: str, node_may_be_none: bool = False):
-        """Bind a declared field in its record instance and in scope.  An
-        empty record array has no node and keeps the name's earlier one."""
+        """Bind a field in its record and scope; an empty record array keeps the old node."""
         self.put(f"rec.fields[{name}] = fr[{name}] = v",
                  f"if node is not None: rec.field_nodes[{name}] = node" if node_may_be_none
                  else f"rec.field_nodes[{name}] = node")
@@ -819,12 +819,11 @@ class _Compiler:
         a char array whole: string initializers, or mined strings of its
         length.  A repeated declaration (loop body) starts a fresh instance."""
         name, is_char = decl.name, native == "char"
-        spec = self._spec(decl, width, signed, enum_cands, -1)
-        per_index = {i: self._spec_ref(self._spec(decl, width, signed, enum_cands, i))
-                     for n, i in self.unit.magic if n == name and i is not None}
+        spec_at = lambda i: self._spec(decl, width, signed, enum_cands, i)  # noqa: E731
+        spec, per_index = spec_at(-1), ", ".join(f"{i}: {self._spec_ref(spec_at(i))}" for n, i
+                                                 in self.unit.magic if n == name and i is not None)
         shared = not per_index and decl.init_list is None
         spec0 = (self.ref(spec) if isinstance(spec, ChoiceSpec) else spec) if shared else "None"
-        per_index = ", ".join(f"{i}: {s}" for i, s in per_index.items())
         value = f"ex._elements(n, {spec0}, {{{per_index}}}, " \
                 f"{'None' if shared else self._spec_ref(spec)}, {width}, {signed}, {is_char})"
         whole = None
@@ -883,7 +882,11 @@ class _Compiler:
         rule = _EXPR_RULES.get(type(expr))
         if rule is None:
             return f"_fail(EvalError, {'cannot evaluate ' + type(expr).__name__!r})"
-        return rule(self, expr)
+        self.nesting += 1
+        source = rule(self, expr)
+        self.nesting -= 1
+        # Python parses only 200 nested parentheses: deep expressions run apart
+        return self._deferred([f"return {source}"]) + "(ex)" if self.nesting % 16 == 15 else source
 
     def test(self, expr) -> str:
         """Source whose Python truth is expr's truth in the template."""
@@ -910,9 +913,7 @@ class _Compiler:
 
     def _constant(self, expr):
         value = self.const(expr)
-        if type(value) in (int, bytes):
-            return f"({value!r})"
-        return self.ref(value)
+        return f"({value!r})" if type(value) in (int, bytes) else self.ref(value)
 
     def _ident(self, expr: ast.Ident):
         if expr.name in self.constants:
