@@ -152,7 +152,7 @@ class Execution:
         self.ds, self.buf = ds, buf
         self.gen = ds.mode is not StreamMode.PARSE_RECORD
         self.scope = Scope(self.program.globals)
-        self.order, self.hint_mode = "little", False  # order: of integer fields' bytes
+        self.order, self.hint_mode = "little", False  # byte order of integer fields
         self.steps = 0  # loop iterations so far
         self.covered: set[int] = set()
         self.log: list[tuple[str, str]] = []
@@ -169,7 +169,7 @@ class Execution:
         the program fell off the end)."""
         try:
             code = self.program.toplevel(self)
-        except _ReturnSignal as sig:  # from a record body
+        except _ReturnSignal as sig:  # from a record body or a split-off block
             code = sig.args[0]
         except _BreakSignal:
             raise EvalError("break outside of a loop or switch")
