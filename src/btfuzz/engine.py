@@ -165,8 +165,7 @@ class Execution:
         self.splice_id = splice_id  # the node ds.splice's middle belongs to
 
     def run(self) -> int:
-        """Execute the template; returns the top-level return code (0 if
-        the program fell off the end)."""
+        """Execute the template; the top-level return code (0 if it fell off the end)."""
         try:
             code = self.program.toplevel(self)
         except _ReturnSignal as sig:  # from a record body or a split-off block
@@ -532,8 +531,10 @@ class _Compiler:
         self.source = source = "\n".join(self.defs) + "\n"
         filename = f"<btfuzz:{unit.source_name}>"
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = dict(globals(), **self.names)
-        exec(compile(source, filename, "exec"), namespace)
+        namespace, offset = dict(globals(), **self.names), ""
+        for text in self.defs:  # one function at a time bounds the compiler's memory
+            exec(compile(offset + text, filename, "exec"), namespace)
+            offset += "\n" * (text.count("\n") + 1)
         self.toplevel = namespace["toplevel"]
 
     # -- functions --------------------------------------------------------
@@ -543,7 +544,8 @@ class _Compiler:
         text = "\n".join(lines)
         used = {n for n in _LOCALS if n in text and n not in given}  # or a little more
         used |= {_NEEDS[n] for n in used if n in _NEEDS}
-        self.defs += [header, *_indent([v for n, v in _LOCALS.items() if n in used] + lines)]
+        self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
+                                                     + lines)]))
 
     def _deferred(self, lines: list[str]) -> str:
         """A function of the Execution alone, run where it is called."""
@@ -567,17 +569,15 @@ class _Compiler:
     def _function_body(self, name: str, fdef):
         params = [p for p, _ in fdef.params]
         lines = ["fr = sc.push_activation()", "try:",
-                 *_indent(f"fr[{p!r}] = a{i}" for i, p in enumerate(params)),
+                 *_indent(f"fr[{p!r}] = args[{i}]" for i, p in enumerate(params)),
                  *self.body(fdef.body, 1), "    return 0", "except _ReturnSignal as sig:",
                  "    return sig.args[0]", "finally:", "    sc.pop_activation()"]
-        args = "".join(f", a{i}" for i in range(len(params)))
-        self._define(f"def {self.functions[name]}(ex{args}):", lines, given=("fr",))
+        self._define(f"def {self.functions[name]}(ex, *args):", lines, given=("fr",))
 
     def ref(self, value) -> str:
         """The name under which the source refers to a constant."""
-        self.count += 1
-        self.names[f"c{self.count}"] = value
-        return f"c{self.count}"
+        self.names[name := f"c{len(self.names)}"] = value
+        return name
 
     def temp(self) -> str:
         self.count += 1
@@ -773,19 +773,16 @@ class _Compiler:
         return self.ref(spec) if type(spec) is ChoiceSpec else self._deferred(["return " + spec])
 
     def _scalar(self, decl, width, signed, label, spec):
-        name, decode = repr(decl.name), f"v = int.from_bytes(raw, ex.order, signed={signed})"
+        name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        field = [
-            "if gen:",
-            f"    raw = buf.reserved_block(buf.position, {width}) if buf.position in res "
-            "else None",
-            "    if raw is None:", f"        raw = ds.choose_value({sp})[1]",
-            f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
-            f".to_bytes({width}, ex.order)", "    buf.write(raw)", f"    {decode}",
-            f"elif buf.position in res and buf.reserved_block(buf.position, {width}) is not None:",
-            f"    raw = buf.read({width})", f"    {decode}",
-            "else:", f"    raw = buf.read({width})", f"    {decode}",
-            f"    ds.emit_value({sp}, v, raw)"]
+        held = f"buf.reserved_block(buf.position, {width}) if buf.position in res else None"
+        field = ["if gen:", f"    if (raw := {held}) is None:",
+                 f"        raw = ds.choose_value({sp})[1]",
+                 f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
+                 f".to_bytes({width}, ex.order)",
+                 "    buf.write(raw)", f"    v = {decode}", "else:", f"    held = {held}",
+                 f"    v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
+                 f"    if held is None: ds.emit_value({sp}, v, raw)"]
         if sp == "sp":  # only a spec that runs template code can raise a break or return
             field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"]
         self.put(f"cov.add({decl.decl_id})", f"if {name} in rec.fields:",
