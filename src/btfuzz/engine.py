@@ -775,12 +775,12 @@ class _Compiler:
     def _scalar(self, decl, width, signed, label, spec):
         name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        held = f"buf.reserved_block(buf.position, {width}) if buf.position in res else None"
-        field = ["if gen:", f"    if (raw := {held}) is None:",
+        field = [f"held = buf.reserved_block(buf.position, {width}) if buf.position in res "
+                 "else None", "if gen:", "    if (raw := held) is None:",
                  f"        raw = ds.choose_value({sp})[1]",
                  f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
                  f".to_bytes({width}, ex.order)",
-                 "    buf.write(raw)", f"    v = {decode}", "else:", f"    held = {held}",
+                 "    buf.write(raw)", f"    v = {decode}", "else:",
                  f"    v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
                  f"    if held is None: ds.emit_value({sp}, v, raw)"]
         if sp == "sp":  # only a spec that runs template code can raise a break or return
