@@ -518,7 +518,7 @@ class _Compiler:
         # a global that nothing can rebind or shadow reads alike everywhere
         bound = bound_names(unit)
         self.constants = {k: v for k, v in self.globals.items() if k not in bound}
-        # the constants the source names, its lines, and the names made so far
+        # the constants the source names, its functions, temporaries, expression depth
         self.names, self.defs, self.count, self.nesting = {}, [], 0, 0
         records = [t for t in unit.typedefs.values() if t.kind == "record"]
         self.records = {t.name: f"r{i}" for i, t in enumerate(records)}
@@ -542,7 +542,7 @@ class _Compiler:
     def _define(self, header: str, lines: list[str], given=()):
         """Add a function: header, the _LOCALS its lines name, then lines."""
         text = "\n".join(lines)
-        used = {n for n in _LOCALS if n in text and n not in given}  # or a little more
+        used = {n for n in _LOCALS if n in text and n not in given}  # maybe one too many
         used |= {_NEEDS[n] for n in used if n in _NEEDS}
         self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
                                                      + lines)]))
@@ -1009,7 +1009,7 @@ class _Compiler:
 
 # How each statement and expression node class compiles, and the source of
 # each builtin the analyzer accepts: {0}.. are its arguments, {i0}.. the
-# first three checked to be ints, {rest} all but the first, {out} the name
+# same checked to be ints, {rest} all but the first, {out} the name
 # of ReadBytes's output.  An argument a builtin does not use never runs.
 _STMT_RULES = {
     ast.InputDecl: _Compiler._input,
