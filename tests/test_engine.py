@@ -798,6 +798,19 @@ def test_nesting_depth_is_the_engines_own_limit(template):
         generate_random(too_deep, random.Random(0))
 
 
+@pytest.mark.parametrize("source", [
+    "local int i = 0;\n" + "while (i < 2) {\n" * 14 + "ubyte x; i++; if (x > 200) break;\n"
+    + "}\n" * 14 + "ubyte tail;",
+    "ubyte a;\nlocal int x = " + " + ".join(["a"] * 300) + ";\nubyte y = { x };",
+], ids=["blocks", "expression"])
+def test_nesting_deeper_than_one_python_function_holds(source):
+    # Python nests only 20 blocks and 200 parentheses in one function
+    unit = parse_template(source)
+    for s in range(5):
+        result = generate_random(unit, random.Random(s))
+        assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
+
+
 def test_endless_loop_runs_out_of_steps():
     # the hang probe: every loop iteration counts against one budget per run
     unit = parse_template("local int i = 0; while (1) { i++; }")
