@@ -745,8 +745,8 @@ def test_emitted_source_reads_back_by_filename_and_line():
     lines = unit.program.source.splitlines()
     assert lines and all(linecache.getline("<btfuzz:div.bt>", n) == line + "\n"
                          for n, line in enumerate(lines, 1))
-    frame = traceback.extract_tb(info.value.__traceback__)[-3]
-    assert frame.filename == "<btfuzz:div.bt>" and "_binary('/'" in frame.line
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert any(f.filename == "<btfuzz:div.bt>" and "_binary('/'" in f.line for f in frames)
 
 
 def test_template_names_reach_the_source_only_as_literals():
