@@ -20,6 +20,7 @@ import linecache
 import operator
 import random
 import re
+import weakref
 import zlib
 from dataclasses import dataclass, field as dc_field
 
@@ -279,6 +280,8 @@ class Execution:
     def _read_bytes(self, out: str, pos: int, length: int, preferred, possible, prob):
         if not isinstance(preferred, list) or not isinstance(possible, list):
             raise EvalError("ReadBytes preferred/possible must be local arrays")
+        if not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
+            raise EvalError("ReadBytes probability must be a number in [0, 1]")
         spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
                           pref_prob=float(prob))
         start = self.ds.cursor
@@ -495,6 +498,11 @@ stack.pop()
 if {0}.id == ex.splice_id: ds.splice.end_alt()"""
 
 
+def _forget_lines(filename: str, entry):
+    if linecache.cache.get(filename) is entry:
+        del linecache.cache[filename]
+
+
 def _indent(lines, depth: int = 1) -> list[str]:
     return ["    " * depth + one for line in lines for one in line.split("\n")]
 
@@ -529,8 +537,12 @@ class _Compiler:
             self._function_body(name, fdef)
         self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
         self.source = source = "\n".join(self.defs) + "\n"
-        filename = f"<btfuzz:{unit.source_name}>"
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        filename, n = f"<btfuzz:{unit.source_name}>", 1
+        while filename in linecache.cache:  # another live program's
+            n += 1
+            filename = f"<btfuzz:{unit.source_name}#{n}>"
+        entry = linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(self, _forget_lines, filename, entry)
         namespace, offset = dict(globals(), **self.names), ""
         for text in self.defs:  # one function at a time bounds the compiler's memory
             exec(compile(offset + text, filename, "exec"), namespace)
@@ -880,18 +892,23 @@ class _Compiler:
         if rule is None:
             return f"_fail(EvalError, {'cannot evaluate ' + type(expr).__name__!r})"
         self.nesting += 1
-        source = rule(self, expr)
-        self.nesting -= 1
-        # Python parses only 200 nested parentheses: deep expressions run apart
-        return self._deferred([f"return {source}"]) + "(ex)" if self.nesting % 16 == 15 else source
+        return self._close(rule(self, expr))
 
     def test(self, expr) -> str:
         """Source whose Python truth is expr's truth in the template."""
         if isinstance(expr, ast.Binary):
-            return self._binary(expr, test=True)
+            self.nesting += 1
+            return self._close(self._binary(expr, test=True))
         if isinstance(expr, ast.Unary) and expr.op == "!":
-            return f"(not {self.test(expr.operand)})"
+            self.nesting += 1
+            return self._close(f"(not {self.test(expr.operand)})")
         return self.expr(expr) if self.kind(expr) else f"_truthy({self.expr(expr)})"
+
+    def _close(self, source: str) -> str:
+        """The source of an expression level that nesting += 1 opened.
+        Python parses only 200 nested parentheses: deep ones run apart."""
+        self.nesting -= 1
+        return self._deferred([f"return {source}"]) + "(ex)" if self.nesting % 16 == 15 else source
 
     def integer(self, expr, source: str | None = None) -> str:
         """expr's source (or source, if given), checked to be an int."""

@@ -3,34 +3,28 @@ catalog, and magic-value mining."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from ..errors import ArityError, ResolveError
 from .nodes import (
     ArrayExtend,
     Assign,
     Binary,
-    BlockStmt,
     Call,
     Declaration,
     Expr,
-    ExprStmt,
-    For,
     Ident,
-    If,
     Index,
     InputDecl,
     IntLit,
     LocalDecl,
     Member,
     Postfix,
-    Return,
-    StrLit,
     Stmt,
-    Switch,
+    StrLit,
+    SwitchCase,
     TemplateUnit,
-    Ternary,
     TypeDef,
-    Unary,
-    While,
 )
 
 # Native integer types: name -> (byte width, signed).
@@ -71,108 +65,51 @@ BUILTINS: dict[str, tuple[int, int | None]] = {
 }
 
 
-def _walk_stmts(stmts: list[Stmt]):
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from _walk_stmts(stmt.then)
-            yield from _walk_stmts(stmt.other)
-        elif isinstance(stmt, While):
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, For):
-            if stmt.init is not None:
-                yield from _walk_stmts([stmt.init])
-            if stmt.step is not None:
-                yield from _walk_stmts([stmt.step])
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, Switch):
-            for case in stmt.cases:
-                yield from _walk_stmts(case.body)
-        elif isinstance(stmt, BlockStmt):
-            yield from _walk_stmts(stmt.body)
+def _fields_holding(holds) -> dict[type, tuple[str, ...]]:
+    """Node class -> its compared fields, last first, whose annotation (a
+    string: nodes.py postpones them) passes holds."""
+    return {cls: tuple(f.name for f in reversed(fields(cls)) if f.compare and holds(f.type))
+            for cls in (*Expr.__subclasses__(), *Stmt.__subclasses__(), SwitchCase)}
 
 
-def _iter_exprs(stmt: Stmt):
-    """All expression roots directly attached to one statement."""
-    if isinstance(stmt, InputDecl):
-        if isinstance(stmt.array_len, Expr):
-            yield stmt.array_len
-        yield from stmt.args
-        if stmt.init_list:
-            yield from stmt.init_list
-        yield from stmt.attrs.values()
-    elif isinstance(stmt, LocalDecl):
-        if isinstance(stmt.array_len, Expr):
-            yield stmt.array_len
-        if isinstance(stmt.init, list):
-            yield from stmt.init
-        elif stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, Assign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, ArrayExtend):
-        yield from stmt.values
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While):
-        yield stmt.cond
-    elif isinstance(stmt, For):
-        if stmt.cond is not None:
-            yield stmt.cond
-    elif isinstance(stmt, Switch):
-        yield stmt.scrutinee
-        for case in stmt.cases:
-            if case.match is not None:
-                yield case.match
-    elif isinstance(stmt, Return):
-        if stmt.value is not None:
-            yield stmt.value
-    elif isinstance(stmt, ExprStmt):
-        yield stmt.expr
+# A switch case holds both statements and expressions; a scalar neither.
+_SCALARS = ("str", "int", "float", "bytes")
+_STMT_FIELDS = _fields_holding(lambda t: "Stmt" in t or "SwitchCase" in t)
+_EXPR_FIELDS = _fields_holding(lambda t: "Stmt" not in t and t not in _SCALARS)
+_NODES = (Expr, Stmt, SwitchCase)
 
 
-def _walk_exprs(expr: Expr):
-    yield expr
-    if isinstance(expr, Unary):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _walk_exprs(expr.left)
-        yield from _walk_exprs(expr.right)
-    elif isinstance(expr, Ternary):
-        yield from _walk_exprs(expr.cond)
-        yield from _walk_exprs(expr.then)
-        yield from _walk_exprs(expr.other)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from _walk_exprs(arg)
-    elif isinstance(expr, Member):
-        yield from _walk_exprs(expr.obj)
-    elif isinstance(expr, Index):
-        yield from _walk_exprs(expr.base)
-        yield from _walk_exprs(expr.index)
-    elif isinstance(expr, Postfix):
-        yield from _walk_exprs(expr.target)
-
-
-def _all_statement_lists(unit: TemplateUnit):
-    yield unit.toplevel
-    for td in unit.typedefs.values():
-        if td.kind == "record":
-            yield td.body
-    for fn in unit.functions.values():
-        yield fn.body
+def _walk(roots: list, into: dict[type, tuple[str, ...]]):
+    """The roots and the nodes below them, depth first, each node's fields
+    in field order, entering only the fields `into` gives."""
+    stack = roots[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in into[type(node)]:
+            value = getattr(node, name)
+            if type(value) is list:
+                stack += value[::-1]
+            elif type(value) is dict:
+                stack += reversed(value.values())
+            elif isinstance(value, _NODES):
+                stack.append(value)
 
 
 def _all_stmts(unit: TemplateUnit):
-    for stmts in _all_statement_lists(unit):
-        yield from _walk_stmts(stmts)
+    """Every statement (and switch case): the top level's, then each
+    record's, then each function's, each before the ones nested in it."""
+    roots = [*unit.toplevel, *(s for t in unit.typedefs.values() for s in t.body),
+             *(s for f in unit.functions.values() for s in f.body)]
+    return _walk(roots, _STMT_FIELDS)
 
 
 def _all_exprs(unit: TemplateUnit):
+    """Every expression, each statement's in turn (mixed with the statements
+    and switch cases that hold them)."""
     for stmt in _all_stmts(unit):
-        for root in _iter_exprs(stmt):
-            yield from _walk_exprs(root)
+        if isinstance(stmt, Stmt):
+            yield from _walk([stmt], _EXPR_FIELDS)
 
 
 def resolve(unit: TemplateUnit) -> None:
@@ -210,9 +147,7 @@ def resolve(unit: TemplateUnit) -> None:
         return tdef, name
 
     for td in unit.typedefs.values():
-        if td.kind == "enum":
-            check_type(td.underlying, td.span)
-        elif td.kind == "alias":
+        if td.kind != "record":
             check_type(td.underlying, td.span)
         for pname, ptype in td.params:
             check_type(ptype, td.span)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -24,16 +25,32 @@ KEYWORDS = {
     "switch", "case", "default", "break", "return", "void", "true", "false",
 }
 
-# Longest operators first so the scanner is greedy.
-_OPERATORS = [
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "++", "--",
-    "+", "-", "*", "/", "%", "!", "~", "<", ">", "=", "?", ":", ".", ",",
-    ";", "(", ")", "{", "}", "[", "]", "^", "|", "&",
-]
+# One token, or a run of what lies between tokens, at the scan position.
+# The groups are tried in order, and each operator before its prefixes.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | //[^\n]* | /\*.*?\*/
+  | (/\*)                                                   # 1: a comment left open
+  | (0[xX][0-9a-fA-F]*)                                     # 2
+  | ([0-9]+\.[0-9]+)                                        # 3
+  | ([0-9]+)                                                # 4
+  | ([A-Za-z_][A-Za-z0-9_]*)                                # 5
+  | (["'])                                                  # 6: a literal's opening quote
+  | (<< | >> | <= | >= | == | != | && | \|\| | \+= | -= | \+\+ | --
+     | [-+*/%!~<>=?:.,;(){}[\]^|&])                         # 7
+""", re.DOTALL | re.VERBOSE)
+
+# One character or escape inside a literal.
+_PIECE = re.compile(r"""\\(?:x([0-9a-fA-F]{2})|([nrt0\\"']))|([^\\])""", re.DOTALL)
 
 _ESCAPES = {
     "n": 0x0A, "r": 0x0D, "t": 0x09, "0": 0x00,
     "\\": 0x5C, '"': 0x22, "'": 0x27,
+}
+
+# quote -> (the literal's name in errors, the error for a character above 0xFF)
+_LITERALS = {
+    '"': ("string", "string literals are byte strings; character out of range"),
+    "'": ("char", "char literal out of byte range"),
 }
 
 
@@ -48,152 +65,87 @@ class Token:
         return f"Token({self.kind.name}, {self.value!r}, {self.line}:{self.col})"
 
 
+def _fail(source: str, at: int, message: str):
+    raise TemplateSyntaxError(message, source.count("\n", 0, at) + 1,
+                              at - source.rfind("\n", 0, at))
+
+
+def _piece(source: str, at: int, quote: str) -> tuple[int, int]:
+    """The byte value of the character or escape at `at` inside a literal
+    opened by quote, and where the next one starts."""
+    m = _PIECE.match(source, at)
+    if m is None:  # a backslash that starts no escape
+        esc = source[at + 1:at + 2]
+        if not esc:
+            _fail(source, at + 1, f"unterminated {_LITERALS[quote][0]} escape")
+        if esc == "x":
+            _fail(source, at + 2, "malformed \\x escape")
+        _fail(source, at + 1, f"unknown escape \\{esc}")
+    hexpart, esc, char = m.groups()
+    if char is None:
+        return (int(hexpart, 16) if hexpart else _ESCAPES[esc]), m.end()
+    if ord(char) > 0xFF:
+        _fail(source, at, _LITERALS[quote][1])
+    return ord(char), m.end()
+
+
+def _literal(source: str, at: int, quote: str) -> tuple[object, int]:
+    """The value of the literal whose body starts at `at`, and the index
+    after its closing quote: bytes for a string, an int for a char."""
+    n = len(source)
+    if quote == "'":
+        if at >= n:
+            _fail(source, at, "unterminated char literal")
+        value, at = _piece(source, at, quote)
+        if not source.startswith("'", at):
+            _fail(source, at, "unterminated char literal")
+        return value, at + 1
+    values = []
+    while at >= n or source[at] != '"':
+        if at >= n or source[at] == "\n":
+            _fail(source, at, "unterminated string literal")
+        value, at = _piece(source, at, quote)
+        values.append(value)
+    return bytes(values), at + 1
+
+
 def tokenize(source: str) -> list[Token]:
     """Turn template source into a token list ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def error(msg: str):
-        raise TemplateSyntaxError(msg, line, col)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        if source.startswith("/*", i):
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance()
-            if i >= n:
-                error("unterminated block comment")
-            advance(2)
-            continue
-
-        start_line, start_col = line, col
-
-        if ch.isdigit():
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    error("malformed hex literal")
-                tokens.append(Token(TokenKind.INT, int(source[i:j], 16), start_line, start_col))
-                advance(j - i)
-                continue
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                tokens.append(Token(TokenKind.FLOAT, float(source[i:j]), start_line, start_col))
-            else:
-                tokens.append(Token(TokenKind.INT, int(source[i:j]), start_line, start_col))
-            advance(j - i)
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-
-        if ch == '"':
-            advance()
-            buf = bytearray()
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    error("unterminated string literal")
-                if source[i] == "\\":
-                    advance()
-                    if i >= n:
-                        error("unterminated string escape")
-                    esc = source[i]
-                    if esc == "x":
-                        advance()
-                        hexpart = source[i:i + 2]
-                        if len(hexpart) < 2 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                            error("malformed \\x escape")
-                        buf.append(int(hexpart, 16))
-                        advance(2)
-                        continue
-                    if esc not in _ESCAPES:
-                        error(f"unknown escape \\{esc}")
-                    buf.append(_ESCAPES[esc])
-                    advance()
-                    continue
-                code = ord(source[i])
-                if code > 0xFF:
-                    error("string literals are byte strings; character out of range")
-                buf.append(code)
-                advance()
-            if i >= n:
-                error("unterminated string literal")
-            advance()
-            tokens.append(Token(TokenKind.STRING, bytes(buf), start_line, start_col))
-            continue
-
-        if ch == "'":
-            advance()
-            if i >= n:
-                error("unterminated char literal")
-            if source[i] == "\\":
-                advance()
-                esc = source[i]
-                if esc == "x":
-                    advance()
-                    hexpart = source[i:i + 2]
-                    if len(hexpart) < 2:
-                        error("malformed \\x escape")
-                    value = int(hexpart, 16)
-                    advance(2)
-                elif esc in _ESCAPES:
-                    value = _ESCAPES[esc]
-                    advance()
-                else:
-                    error(f"unknown escape \\{esc}")
-            else:
-                value = ord(source[i])
-                if value > 0xFF:
-                    error("char literal out of byte range")
-                advance()
-            if i >= n or source[i] != "'":
-                error("unterminated char literal")
-            advance()
-            tokens.append(Token(TokenKind.CHAR, value, start_line, start_col))
-            continue
-
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, start_line, start_col))
-                advance(len(op))
-                break
+    match, keywords = _TOKEN.match, KEYWORDS
+    at, line, line_start, n = 0, 1, 0, len(source)
+    while at < n:
+        m = match(source, at)
+        if m is None:
+            _fail(source, at, f"unexpected character {source[at]!r}")
+        group, end, col = m.lastindex, m.end(), at - line_start + 1
+        if group is None or group == 6:
+            if group == 6:
+                value, end = _literal(source, end, m.group(6))
+                kind = TokenKind.STRING if m.group(6) == '"' else TokenKind.CHAR
+                tokens.append(Token(kind, value, line, col))
+            newlines = source.count("\n", at, end)
+            if newlines:
+                line, line_start = line + newlines, source.rindex("\n", at, end) + 1
+        elif group == 5:
+            word = m.group(5)
+            tokens.append(Token(TokenKind.KEYWORD if word in keywords else TokenKind.IDENT,
+                                word, line, col))
+        elif group == 7:
+            tokens.append(Token(TokenKind.OP, m.group(7), line, col))
+        elif group == 4:
+            try:
+                tokens.append(Token(TokenKind.INT, int(m.group(4)), line, col))
+            except ValueError:  # more digits than int() reads
+                _fail(source, at, "integer literal too long")
+        elif group == 3:
+            tokens.append(Token(TokenKind.FLOAT, float(m.group(3)), line, col))
+        elif group == 2:
+            if end - at == 2:
+                _fail(source, at, "malformed hex literal")
+            tokens.append(Token(TokenKind.INT, int(m.group(2), 16), line, col))
         else:
-            error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(TokenKind.EOF, None, line, col))
+            _fail(source, n, "unterminated block comment")
+        at = end
+    tokens.append(Token(TokenKind.EOF, None, line, n - line_start + 1))
     return tokens

@@ -163,13 +163,6 @@ class SwitchCase:
     match: Expr | None  # None = default
     body: list[Stmt]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SwitchCase)
-            and self.match == other.match
-            and self.body == other.body
-        )
-
 
 @dataclass
 class Switch(Stmt):

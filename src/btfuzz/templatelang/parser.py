@@ -49,6 +49,16 @@ _BINARY_BP = {
 }
 
 _UNARY_OPS = {"-", "+", "!", "~"}
+_PREFIX_OPS = _UNARY_OPS | {"++", "--"}
+
+# How deep a template may nest, whoever calls the parser: checked as it
+# parses, so that neither parsing nor compiling a template runs out of
+# Python stack.  MAX_NESTING bounds the statements and the parenthesized,
+# bracketed and argument expressions open at once (up to six parser frames
+# each); MAX_HEIGHT bounds an expression tree's height plus the levels
+# open around it (a few compiler frames each).
+MAX_NESTING = 50
+MAX_HEIGHT = 320
 
 
 class Parser:
@@ -57,6 +67,8 @@ class Parser:
         self.pos = 0
         self.source_name = source_name
         self.warnings: list[str] = []
+        self.nesting = 0  # statements and expressions open
+        self.height = 0  # of the expression parsed last
 
     # -- token helpers ------------------------------------------------
 
@@ -93,9 +105,32 @@ class Parser:
     def _expect_op(self, op: str) -> Token:
         return self._expect(TokenKind.OP, op)
 
-    def _error(self, message: str):
-        tok = self._current()
+    def _error(self, message: str, tok: Token | None = None):
+        tok = tok or self._current()
         raise TemplateSyntaxError(message, tok.line, tok.col)
+
+    def _items(self, opener: str, closer: str, item) -> list:
+        """`opener item, item, ... closer`, a comma allowed after the last
+        item.  self.height is left at the tallest item's (0 if none)."""
+        self._expect_op(opener)
+        items, height = [], 0
+        while not self._at_op(closer):
+            items.append(item())
+            height = max(height, self.height)
+            if not self._at_op(closer):
+                self._expect_op(",")
+        self._expect_op(closer)
+        self.height = height
+        return items
+
+    def _block(self) -> list[Stmt]:
+        """`{ statements }`."""
+        self._expect_op("{")
+        body = []
+        while not self._at_op("}"):
+            body.append(self._statement())
+        self._expect_op("}")
+        return body
 
     # -- unit ----------------------------------------------------------
 
@@ -103,11 +138,9 @@ class Parser:
         unit = TemplateUnit(source_name=self.source_name)
         while not self._at(TokenKind.EOF):
             if self._at_kw("typedef"):
-                td = self._typedef()
-                self._define_type(unit, td)
+                self._define_type(unit, self._typedef())
             elif self._at_kw("struct"):
-                td = self._named_struct()
-                self._define_type(unit, td)
+                self._define_type(unit, self._struct(self._current()))
             elif self._looks_like_function():
                 fn = self._function_def()
                 if fn.name in unit.functions:
@@ -126,36 +159,21 @@ class Parser:
     def _looks_like_function(self):
         # `type name ( ... ) {` at top level is a function definition;
         # `type name ( ... ) ;` is a record instantiation with arguments.
-        base = 0
-        if self._at_kw("void"):
-            base = 1
-        elif self._at(TokenKind.IDENT) and self._peek().kind is TokenKind.IDENT:
-            base = 2
-        else:
+        if not (self._at_kw("void") or self._at(TokenKind.IDENT)) \
+                or self._peek().kind is not TokenKind.IDENT:
             return False
-        if base == 1:
-            if self._peek().kind is not TokenKind.IDENT:
-                return False
-            opener = 2
-        else:
-            opener = 2
-        tok = self._peek(opener)
+        tok = self._peek(2)
         if not (tok.kind is TokenKind.OP and tok.value == "("):
             return False
-        depth = 0
-        idx = opener
-        while True:
-            tok = self._peek(idx)
-            if tok.kind is TokenKind.EOF:
-                return False
-            if tok.kind is TokenKind.OP and tok.value == "(":
-                depth += 1
-            elif tok.kind is TokenKind.OP and tok.value == ")":
-                depth -= 1
+        depth, idx = 0, 2
+        while (tok := self._peek(idx)).kind is not TokenKind.EOF:
+            if tok.kind is TokenKind.OP and tok.value in ("(", ")"):
+                depth += 1 if tok.value == "(" else -1
                 if depth == 0:
                     after = self._peek(idx + 1)
                     return after.kind is TokenKind.OP and after.value == "{"
             idx += 1
+        return False
 
     # -- type definitions ----------------------------------------------
 
@@ -163,12 +181,7 @@ class Parser:
         start = self._expect(TokenKind.KEYWORD, "typedef")
         span = (start.line, start.col)
         if self._at_kw("struct"):
-            self._advance()
-            params = self._param_list() if self._at_op("(") else []
-            body = self._record_body()
-            name = self._expect(TokenKind.IDENT).value
-            self._expect_op(";")
-            return TypeDef(name=name, kind="record", params=params, body=body, span=span)
+            return self._struct(start, named=False)
         if self._at_kw("enum"):
             self._advance()
             underlying = "int32"
@@ -186,14 +199,17 @@ class Parser:
         self._expect_op(";")
         return TypeDef(name=name, kind="alias", underlying=underlying, span=span)
 
-    def _named_struct(self) -> TypeDef:
-        start = self._expect(TokenKind.KEYWORD, "struct")
-        span = (start.line, start.col)
-        name = self._expect(TokenKind.IDENT).value
-        params = self._param_list() if self._at_op("(") else []
-        body = self._record_body()
+    def _struct(self, start: Token, named: bool = True) -> TypeDef:
+        """`struct NAME (params) { body };`, or without NAME and with the
+        name after the body once `typedef` (start) is read."""
+        self._expect(TokenKind.KEYWORD, "struct")
+        name = self._expect(TokenKind.IDENT).value if named else None
+        params = self._params() if self._at_op("(") else []
+        body = self._block()
+        name = name or self._expect(TokenKind.IDENT).value
         self._expect_op(";")
-        return TypeDef(name=name, kind="record", params=params, body=body, span=span)
+        return TypeDef(name=name, kind="record", params=params, body=body,
+                       span=(start.line, start.col))
 
     def _type_name(self) -> str:
         if self._at_kw("void"):
@@ -201,49 +217,31 @@ class Parser:
             return "void"
         return self._expect(TokenKind.IDENT).value
 
-    def _param_list(self) -> list[tuple[str, str]]:
-        self._expect_op("(")
-        params: list[tuple[str, str]] = []
-        while not self._at_op(")"):
+    def _params(self) -> list[tuple[str, str]]:
+        def param():
             ptype = self._type_name()
-            pname = self._expect(TokenKind.IDENT).value
-            params.append((pname, ptype))
-            if not self._at_op(")"):
-                self._expect_op(",")
-        self._expect_op(")")
-        return params
-
-    def _record_body(self) -> list[Stmt]:
-        self._expect_op("{")
-        body: list[Stmt] = []
-        while not self._at_op("}"):
-            body.append(self._statement())
-        self._expect_op("}")
-        return body
+            return self._expect(TokenKind.IDENT).value, ptype
+        return self._items("(", ")", param)
 
     def _enum_body(self) -> list[EnumMember]:
-        self._expect_op("{")
-        members: list[EnumMember] = []
         next_value = 0
-        while not self._at_op("}"):
+
+        def member():
+            nonlocal next_value
             name = self._expect(TokenKind.IDENT).value
             if self._at_op("="):
                 self._advance()
                 next_value = self._const_int()
-            members.append(EnumMember(name, next_value))
             next_value += 1
-            if not self._at_op("}"):
-                self._expect_op(",")
-        self._expect_op("}")
+            return EnumMember(name, next_value - 1)
+        members = self._items("{", "}", member)
         if not members:
             self._error("enum value list must be non-empty")
         return members
 
     def _const_int(self) -> int:
-        negate = False
-        if self._at_op("-"):
+        if negate := self._at_op("-"):
             self._advance()
-            negate = True
         tok = self._current()
         if tok.kind is TokenKind.INT or tok.kind is TokenKind.CHAR:
             self._advance()
@@ -254,56 +252,41 @@ class Parser:
         start = self._current()
         ret_type = self._type_name()
         name = self._expect(TokenKind.IDENT).value
-        params = self._param_list()
-        self._expect_op("{")
-        body: list[Stmt] = []
-        while not self._at_op("}"):
-            body.append(self._statement())
-        self._expect_op("}")
-        return FunctionDef(name=name, ret_type=ret_type, params=params, body=body,
+        params = self._params()
+        return FunctionDef(name=name, ret_type=ret_type, params=params, body=self._block(),
                            span=(start.line, start.col))
 
     # -- statements ------------------------------------------------------
 
     def _statement(self) -> Stmt:
-        tok = self._current()
-        span = (tok.line, tok.col)
+        tok, nxt = self._current(), self._peek()
+        self._enter()
         if tok.kind is TokenKind.KEYWORD:
-            word = tok.value
-            if word == "local":
-                return self._local_decl()
-            if word == "if":
-                return self._if_stmt()
-            if word == "while":
-                return self._while_stmt()
-            if word == "for":
-                return self._for_stmt()
-            if word == "switch":
-                return self._switch_stmt()
-            if word == "break":
-                self._advance()
-                self._expect_op(";")
-                return Break(span=span)
-            if word == "return":
-                self._advance()
-                value = None if self._at_op(";") else self._expression()
-                self._expect_op(";")
-                return Return(value=value, span=span)
-            self._error(f"unexpected keyword {word!r}")
-        if self._at_op("{"):
-            self._advance()
-            body = []
-            while not self._at_op("}"):
-                body.append(self._statement())
-            self._expect_op("}")
-            return BlockStmt(body=body, span=span)
-        if tok.kind is TokenKind.IDENT:
-            nxt = self._peek()
-            if nxt.kind is TokenKind.IDENT:
-                return self._input_decl()
-            if nxt.kind is TokenKind.OP and nxt.value in ("+=", "-="):
-                return self._array_extend()
-        return self._expr_or_assign()
+            rule = self._KEYWORD_RULES.get(tok.value)
+            if rule is None:
+                self._error(f"unexpected keyword {tok.value!r}")
+            stmt = rule(self)
+        elif tok.kind is TokenKind.OP and tok.value == "{":
+            stmt = BlockStmt(body=self._block(), span=(tok.line, tok.col))
+        elif tok.kind is TokenKind.IDENT and nxt.kind is TokenKind.IDENT:
+            stmt = self._input_decl()
+        elif tok.kind is TokenKind.IDENT and nxt.kind is TokenKind.OP and nxt.value in ("+=", "-="):
+            stmt = self._array_extend()
+        else:
+            stmt = self._expr_or_assign()
+        self.nesting -= 1
+        return stmt
+
+    def _break(self) -> Break:
+        tok = self._advance()
+        self._expect_op(";")
+        return Break(span=(tok.line, tok.col))
+
+    def _return(self) -> Return:
+        tok = self._advance()
+        value = None if self._at_op(";") else self._expression()
+        self._expect_op(";")
+        return Return(value=value, span=(tok.line, tok.col))
 
     def _declarator(self):
         """name, then optional [expr] / [] array suffix."""
@@ -311,10 +294,7 @@ class Parser:
         array_len = None
         if self._at_op("["):
             self._advance()
-            if self._at_op("]"):
-                array_len = DYNAMIC_ARRAY
-            else:
-                array_len = self._expression()
+            array_len = DYNAMIC_ARRAY if self._at_op("]") else self._expression()
             self._expect_op("]")
         return name, array_len
 
@@ -325,10 +305,8 @@ class Parser:
         init = None
         if self._at_op("="):
             self._advance()
-            if self._at_op("{"):
-                init = self._brace_list()
-            else:
-                init = self._expression()
+            init = self._items("{", "}", self._expression) if self._at_op("{") \
+                else self._expression()
         self._expect_op(";")
         return LocalDecl(type_name=type_name, name=name, array_len=array_len,
                          init=init, span=(start.line, start.col))
@@ -337,87 +315,57 @@ class Parser:
         start = self._current()
         type_name = self._type_name()
         name, array_len = self._declarator()
-        args: list[Expr] = []
-        if self._at_op("("):
-            self._advance()
-            while not self._at_op(")"):
-                args.append(self._expression())
-                if not self._at_op(")"):
-                    self._expect_op(",")
-            self._expect_op(")")
+        args = self._items("(", ")", self._expression) if self._at_op("(") else []
         init_list = None
         if self._at_op("="):
             self._advance()
             if not self._at_op("{"):
                 self._error("input declarations take brace-enclosed init lists")
-            init_list = self._brace_list()
-        attrs: dict[str, Expr] = {}
-        if self._at_op("<"):
-            self._advance()
-            while not self._at_op(">"):
-                key_tok = self._expect(TokenKind.IDENT)
-                key = key_tok.value
-                self._expect_op("=")
-                # stay above comparison precedence so the closing '>' of
-                # the attribute block is never taken as an operator
-                attrs[key] = self._binary(_BINARY_BP["<<"])
-                if key not in ("min", "max"):
-                    self.warnings.append(
-                        f"{self.source_name}:{key_tok.line}:{key_tok.col}: warning: "
-                        f"unknown attribute {key!r} ignored")
-                if not self._at_op(">"):
-                    self._expect_op(",")
-            self._expect_op(">")
+            init_list = self._items("{", "}", self._expression)
+        attrs = dict(self._items("<", ">", self._attribute)) if self._at_op("<") else {}
         self._expect_op(";")
         return InputDecl(type_name=type_name, name=name, array_len=array_len,
                          args=args, init_list=init_list, attrs=attrs,
                          span=(start.line, start.col))
 
-    def _brace_list(self) -> list[Expr]:
-        self._expect_op("{")
-        values: list[Expr] = []
-        while not self._at_op("}"):
-            values.append(self._expression())
-            if not self._at_op("}"):
-                self._expect_op(",")
-        self._expect_op("}")
-        return values
+    def _attribute(self) -> tuple[str, Expr]:
+        key_tok = self._expect(TokenKind.IDENT)
+        key = key_tok.value
+        self._expect_op("=")
+        # stay above comparison precedence so the closing '>' of the
+        # attribute block is never taken as an operator
+        value = self._binary(_BINARY_BP["<<"])
+        if key not in ("min", "max"):
+            self.warnings.append(f"{self.source_name}:{key_tok.line}:{key_tok.col}: warning: "
+                                 f"unknown attribute {key!r} ignored")
+        return key, value
 
     def _array_extend(self) -> ArrayExtend:
         start = self._current()
         name = self._expect(TokenKind.IDENT).value
         op = self._advance().value
-        values: list[Expr] = []
         # Right side is either one expression or a parenthesized list.  A
         # parenthesized single expression is indistinguishable; treating it
         # as a one-element list gives the same meaning.
-        if self._at_op("("):
-            self._advance()
-            while not self._at_op(")"):
-                values.append(self._expression())
-                if not self._at_op(")"):
-                    self._expect_op(",")
-            self._expect_op(")")
-        else:
-            values.append(self._expression())
+        values = self._items("(", ")", self._expression) if self._at_op("(") \
+            else [self._expression()]
         self._expect_op(";")
         return ArrayExtend(op=op, name=name, values=values, span=(start.line, start.col))
 
     def _body_or_single(self) -> list[Stmt]:
-        if self._at_op("{"):
-            self._advance()
-            body = []
-            while not self._at_op("}"):
-                body.append(self._statement())
-            self._expect_op("}")
-            return body
-        return [self._statement()]
+        return self._block() if self._at_op("{") else [self._statement()]
 
-    def _if_stmt(self) -> If:
-        start = self._expect(TokenKind.KEYWORD, "if")
+    def _condition(self) -> Expr:
+        """`( expression )` after if, while or switch."""
+        self._advance()
         self._expect_op("(")
         cond = self._expression()
         self._expect_op(")")
+        return cond
+
+    def _if_stmt(self) -> If:
+        start = self._current()
+        cond = self._condition()
         then = self._body_or_single()
         other: list[Stmt] = []
         if self._at_kw("else"):
@@ -426,17 +374,15 @@ class Parser:
         return If(cond=cond, then=then, other=other, span=(start.line, start.col))
 
     def _while_stmt(self) -> While:
-        start = self._expect(TokenKind.KEYWORD, "while")
-        self._expect_op("(")
-        cond = self._expression()
-        self._expect_op(")")
+        start = self._current()
+        cond = self._condition()
         body = self._body_or_single()
         return While(cond=cond, body=body, span=(start.line, start.col))
 
     def _simple_stmt(self) -> Stmt:
         """Statement without trailing semicolon, for for-headers."""
         if self._at_kw("local"):
-            # reuse the local parser, then back out the semicolon requirement
+            # a for-header's init and step are assignments or expressions
             self._error("local declarations are not allowed in for-headers")
         return self._expr_or_assign(eat_semi=False)
 
@@ -453,10 +399,8 @@ class Parser:
         return For(init=init, cond=cond, step=step, body=body, span=(start.line, start.col))
 
     def _switch_stmt(self) -> Switch:
-        start = self._expect(TokenKind.KEYWORD, "switch")
-        self._expect_op("(")
-        scrutinee = self._expression()
-        self._expect_op(")")
+        start = self._current()
+        scrutinee = self._condition()
         self._expect_op("{")
         cases: list[SwitchCase] = []
         while not self._at_op("}"):
@@ -492,20 +436,43 @@ class Parser:
             self._expect_op(";")
         return ExprStmt(expr=expr, span=span)
 
+    _KEYWORD_RULES = {"local": _local_decl, "if": _if_stmt, "while": _while_stmt,
+                      "for": _for_stmt, "switch": _switch_stmt, "break": _break,
+                      "return": _return}
+
     # -- expressions -----------------------------------------------------
 
+    def _enter(self):
+        """One more level open: a statement, an expression or an operand."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self._error(f"statements and expressions nested deeper than {MAX_NESTING}")
+
+    def _grown(self, tok: Token, node: Expr, a: int, b: int = 0) -> Expr:
+        """node, built at tok over operands as tall as a and b."""
+        self.height = height = (a if a > b else b) + 1
+        if height + self.nesting > MAX_HEIGHT:
+            self._error(f"expression nested deeper than {MAX_HEIGHT}", tok)
+        return node
+
     def _expression(self) -> Expr:
-        return self._ternary()
+        self._enter()
+        expr = self._ternary()
+        self.nesting -= 1
+        return expr
 
     def _ternary(self) -> Expr:
-        cond = self._binary(0)
-        if self._at_op("?"):
-            self._advance()
+        arms = []  # a ? b : c ? d : e holds (?, a, b) and (?, c, d) over e
+        expr = self._binary(0)
+        while self._at_op("?"):
+            tok, height = self._advance(), self.height
             then = self._expression()
+            arms.append((tok, expr, then, max(height, self.height)))
             self._expect_op(":")
-            other = self._ternary()
-            return Ternary(cond, then, other)
-        return cond
+            expr = self._binary(0)
+        for tok, cond, then, height in reversed(arms):
+            expr = self._grown(tok, Ternary(cond, then, expr), height, self.height)
+        return expr
 
     def _binary(self, min_bp: int) -> Expr:
         left = self._unary()
@@ -516,63 +483,58 @@ class Parser:
             bp = _BINARY_BP.get(tok.value)
             if bp is None or bp < min_bp:
                 return left
-            op = self._advance().value
+            self._advance()
+            height = self.height
+            self._enter()
             right = self._binary(bp + 1)
-            left = Binary(op, left, right)
+            self.nesting -= 1
+            left = self._grown(tok, Binary(tok.value, left, right), height, self.height)
 
     def _unary(self) -> Expr:
-        tok = self._current()
-        if tok.kind is TokenKind.OP and tok.value in _UNARY_OPS:
-            self._advance()
-            return Unary(tok.value, self._unary())
-        if tok.kind is TokenKind.OP and tok.value in ("++", "--"):
-            self._advance()
-            target = self._unary()
+        ops = []
+        while (tok := self._current()).kind is TokenKind.OP and tok.value in _PREFIX_OPS:
+            ops.append(self._advance())
+        expr = self._postfix()
+        for tok in reversed(ops):
             # prefix ++x is treated like the postfix form; templates only
             # ever use the value-independent statement position
-            return Postfix(tok.value, target)
-        return self._postfix()
+            node = Unary(tok.value, expr) if tok.value in _UNARY_OPS else Postfix(tok.value, expr)
+            expr = self._grown(tok, node, self.height)
+        return expr
 
     def _postfix(self) -> Expr:
         expr = self._primary()
         while True:
-            if self._at_op("("):
+            tok, height = self._current(), self.height
+            if tok.kind is not TokenKind.OP:
+                return expr
+            if tok.value == "(":
                 if not isinstance(expr, Ident):
                     self._error("only named functions can be called")
+                expr = self._grown(tok, Call(expr.name, self._items("(", ")", self._expression)),
+                                   self.height)
+            elif tok.value == "[":
                 self._advance()
-                args: list[Expr] = []
-                while not self._at_op(")"):
-                    args.append(self._expression())
-                    if not self._at_op(")"):
-                        self._expect_op(",")
-                self._expect_op(")")
-                expr = Call(expr.name, args)
-            elif self._at_op("["):
-                self._advance()
-                idx = self._expression()
+                expr = self._grown(tok, Index(expr, self._expression()), height, self.height)
                 self._expect_op("]")
-                expr = Index(expr, idx)
-            elif self._at_op("."):
+            elif tok.value == ".":
                 self._advance()
-                name = self._expect(TokenKind.IDENT).value
-                expr = Member(expr, name)
-            elif self._at_op("++") or self._at_op("--"):
-                op = self._advance().value
-                expr = Postfix(op, expr)
+                expr = self._grown(tok, Member(expr, self._expect(TokenKind.IDENT).value), height)
+            elif tok.value in ("++", "--"):
+                self._advance()
+                expr = self._grown(tok, Postfix(tok.value, expr), height)
             else:
                 return expr
 
     def _primary(self) -> Expr:
         tok = self._current()
-        if tok.kind is TokenKind.INT:
+        self.height = 1
+        if tok.kind is TokenKind.INT or tok.kind is TokenKind.CHAR:
             self._advance()
             return IntLit(tok.value)
         if tok.kind is TokenKind.FLOAT:
             self._advance()
             return FloatLit(tok.value)
-        if tok.kind is TokenKind.CHAR:
-            self._advance()
-            return IntLit(tok.value)
         if tok.kind is TokenKind.STRING:
             self._advance()
             return StrLit(tok.value)

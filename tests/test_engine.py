@@ -1,5 +1,6 @@
 """Dual-mode template evaluation: frozen vectors, builtins, splicing."""
 
+import gc
 import hashlib
 import io
 import linecache
@@ -31,11 +32,13 @@ from btfuzz.errors import (
     RecursionTooDeep,
     SpliceMisaligned,
     StepBudgetExceeded,
+    TemplateSyntaxError,
     TrailingBytes,
     UnrepresentableValue,
 )
 from btfuzz.runtime import MAX_DEPTH
 from btfuzz.templatelang import parse_template
+from btfuzz.templatelang.parser import MAX_HEIGHT, MAX_NESTING
 
 from conftest import trees_agree
 
@@ -480,6 +483,34 @@ def test_read_bytes_without_tokens_logs_a_zero_width_event(gen):
     assert (ev.start, ev.end, ev.node_id, ev.token) == (3, 3, 0, None)
 
 
+PROBABILITY = """
+    local string tag = "";
+    local string preferred[] = {{ "\\xff" }};
+    local int arr[1];
+    ubyte a;
+    ReadBytes(tag, FTell(), 1, preferred, preferred, {});
+    ubyte b;
+"""
+
+
+@pytest.mark.parametrize("prob", ["0", "1", "0.25", "1.0"])
+def test_read_bytes_takes_a_probability_in_zero_to_one(prob):
+    unit = parse_template(PROBABILITY.format(prob))
+    for s in range(5):
+        result = generate_random(unit, random.Random(s))
+        assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
+
+
+@pytest.mark.parametrize("prob", ["9" * 400 + ".0", '"x"', "arr", "-1", "2", "1.5"],
+                         ids=["inf", "string", "array", "-1", "2", "1.5"])
+def test_read_bytes_probability_outside_zero_to_one_is_an_eval_error(prob):
+    unit = parse_template(PROBABILITY.format(prob))
+    with pytest.raises(EvalError, match="probability"):
+        generate_random(unit, random.Random(0))
+    with pytest.raises(ParseRejected, match="EvalError: ReadBytes probability"):
+        parse(unit, b"\x41\xff")
+
+
 # A lookahead reserves hdr[2] before hdr is declared, so hdr cannot take
 # the byte kernel and goes element by element; tail is bounded.
 RESERVED_ARRAY = """
@@ -749,6 +780,32 @@ def test_emitted_source_reads_back_by_filename_and_line():
     assert any(f.filename == "<btfuzz:div.bt>" and "_binary('/'" in f.line for f in frames)
 
 
+def test_units_of_one_name_keep_their_own_source_lines():
+    # every unit is named <template> unless its caller names it
+    first = parse_template("ubyte a;\nlocal int v = 5 / (a - a);")
+    with pytest.raises(EvalError) as info:
+        generate_random(first, random.Random(0))
+    second = parse_template("ubyte b;\nlocal int w = 7 % (b - b);")
+    with pytest.raises(EvalError):
+        generate_random(second, random.Random(0))
+    names = {unit.program.toplevel.__code__.co_filename for unit in (first, second)}
+    assert len(names) == 2
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+              if f.filename.startswith("<btfuzz:")]
+    assert any("_binary('/'" in f.line for f in frames)
+    assert not any("'%'" in f.line for f in frames)
+
+
+def test_a_freed_program_drops_its_source_lines():
+    unit = parse_template("ubyte a;")
+    generate_random(unit, random.Random(0))
+    filename = unit.program.toplevel.__code__.co_filename
+    assert filename in linecache.cache
+    del unit
+    gc.collect()
+    assert filename not in linecache.cache
+
+
 def test_template_names_reach_the_source_only_as_literals():
     unit = parse_template("""
         int wombat(int numbat) { return numbat + 1; }
@@ -807,6 +864,37 @@ def test_nesting_deeper_than_one_python_function_holds(source):
     # Python nests only 20 blocks and 200 parentheses in one function
     unit = parse_template(source)
     for s in range(5):
+        result = generate_random(unit, random.Random(s))
+        assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
+
+
+@pytest.mark.parametrize("template, bound", [
+    (lambda n: "local int x = " + "(" * n + "1" + ")" * n + ";", MAX_NESTING - 2),
+    (lambda n: "{" * n + "ubyte a;" + "}" * n, MAX_NESTING - 1),
+    (lambda n: "ubyte a;\n" + "if (a)\n" * n + "ubyte b;", MAX_NESTING - 1),
+    (lambda n: "ubyte a;\nlocal int x = " + "a ? " * n + "1" + " : 2" * n + ";", MAX_NESTING - 2),
+    (lambda n: "ubyte a;\nlocal int x = " + "a ? 1 : " * n + "2;", MAX_HEIGHT - 3),
+    (lambda n: "ubyte a;\nlocal int x = " + " + ".join(["a"] * n) + ";", MAX_HEIGHT - 2),
+    (lambda n: "ubyte a;\nlocal int x = " + "- " * n + "a;", MAX_HEIGHT - 3),
+    (lambda n: "ubyte a;\nif (" + " || ".join(["a == 1"] * n) + ") ubyte b;", MAX_HEIGHT - 3),
+], ids=["parentheses", "blocks", "ifs", "ternary-then", "ternary-else", "sum", "unary", "or"])
+def test_nesting_bound_is_the_parsers_own(template, bound):
+    # at the bound a template runs both ways; one level more is refused at
+    # load, whatever Python's stack would have allowed
+    unit = parse_template(template(bound))
+    for s in range(3):
+        result = generate_random(unit, random.Random(s))
+        assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
+    with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
+        parse_template(template(bound + 1))
+
+
+@pytest.mark.parametrize("op", ["||", "&&"])
+def test_long_conditions_compile(op):
+    # Python parses only 200 nested parentheses in one expression
+    unit = parse_template(f"ubyte a;\nif ({f' {op} '.join(['a != 7'] * 199)}) ubyte b;\n"
+                          f"local int v = {f' {op} '.join(['a'] * 200)};\nubyte c = {{ v }};")
+    for s in range(3):
         result = generate_random(unit, random.Random(s))
         assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
 

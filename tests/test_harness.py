@@ -370,6 +370,18 @@ def test_fuzz_empty_target_exits_one(tmp_path, capsys, jobs):
     assert not out.exists()  # the command is checked before --out is made
 
 
+@pytest.mark.parametrize("source", [
+    "local int c = '\\xzz';", "local int c = '\\", "local int a = \u00b2;",
+    "local int x = " + "(" * 1000 + "1" + ")" * 1000 + ";",
+], ids=["char-hex-escape", "char-escape-at-end", "superscript-two", "deep-parentheses"])
+def test_malformed_template_exits_one(tmp_path, capsys, source):
+    bad = tmp_path / "bad.bt"
+    bad.write_text(source, encoding="utf-8")
+    assert run_cli("generate", "--template", bad, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("btfuzz: ")
+
+
 def test_replay_unsplittable_target_exits_one(tmp_path, capsys):
     seed = tmp_path / "x.seed"
     seed.write_bytes(generate_random(load_template("mini"), 1).seed)

@@ -140,3 +140,21 @@ def test_local_string_array_redeclaration_parses():
         local string names[0];
     """)
     assert len(unit.toplevel) == 4
+
+
+@pytest.mark.parametrize("source, where", [
+    ("local int c = '\\xzz';", (1, 18)),  # not hex digits
+    ("local int c = '\\", (1, 17)),  # the input ends inside the escape
+    ("local int a = \u00b2;", (1, 15)),  # a digit to str.isdigit, not to int()
+], ids=["char-hex-escape", "char-escape-at-end", "superscript-two"])
+def test_malformed_literals_are_syntax_errors(source, where):
+    with pytest.raises(TemplateSyntaxError) as info:
+        parse_template(source)
+    assert (info.value.line, info.value.col) == where
+
+
+def test_identifiers_and_numbers_are_ascii():
+    with pytest.raises(TemplateSyntaxError, match="1:11: unexpected character 'é'"):
+        parse_template("local int é = 1;")
+    with pytest.raises(TemplateSyntaxError, match="integer literal too long"):
+        parse_template("local int a = " + "9" * 5000 + ";")
