@@ -101,7 +101,7 @@ def _literal(source: str, at: int, quote: str) -> tuple[object, int]:
             _fail(source, at, "unterminated char literal")
         return value, at + 1
     values = []
-    while at >= n or source[at] != '"':
+    while not source.startswith('"', at):
         if at >= n or source[at] == "\n":
             _fail(source, at, "unterminated string literal")
         value, at = _piece(source, at, quote)
@@ -144,7 +144,7 @@ def tokenize(source: str) -> list[Token]:
             if end - at == 2:
                 _fail(source, at, "malformed hex literal")
             tokens.append(Token(TokenKind.INT, int(m.group(2), 16), line, col))
-        else:
+        else:  # a comment that never closes
             _fail(source, n, "unterminated block comment")
         at = end
     tokens.append(Token(TokenKind.EOF, None, line, n - line_start + 1))
