@@ -48,6 +48,9 @@ _BINARY_BP = {
     "*": 10, "/": 10, "%": 10,
 }
 
+_LEAVES = {TokenKind.INT: IntLit, TokenKind.CHAR: IntLit, TokenKind.FLOAT: FloatLit,
+           TokenKind.STRING: StrLit, TokenKind.IDENT: Ident}
+
 _UNARY_OPS = {"-", "+", "!", "~"}
 _PREFIX_OPS = _UNARY_OPS | {"++", "--"}
 
@@ -56,7 +59,8 @@ _PREFIX_OPS = _UNARY_OPS | {"++", "--"}
 # Python stack.  MAX_NESTING bounds the statements and the parenthesized,
 # bracketed and argument expressions open at once (up to six parser frames
 # each); MAX_HEIGHT bounds an expression tree's height plus the levels
-# open around it (a few compiler frames each).
+# and else-if arms open around it (a few compiler frames each), and so the
+# length of an else-if chain.
 MAX_NESTING = 50
 MAX_HEIGHT = 320
 
@@ -69,6 +73,7 @@ class Parser:
         self.warnings: list[str] = []
         self.nesting = 0  # statements and expressions open
         self.height = 0  # of the expression parsed last
+        self.arms = 0  # else-if arms open
 
     # -- token helpers ------------------------------------------------
 
@@ -364,14 +369,24 @@ class Parser:
         return cond
 
     def _if_stmt(self) -> If:
-        start = self._current()
-        cond = self._condition()
-        then = self._body_or_single()
-        other: list[Stmt] = []
-        if self._at_kw("else"):
+        # an else-if chain is read arm by arm: the compiler emits it flat,
+        # so its arms open no nesting level, only the tree's height
+        arms, other = [], []
+        while True:
+            if self.arms + self.nesting > MAX_HEIGHT:
+                self._error(f"else-if chain nested deeper than {MAX_HEIGHT}")
+            arms.append((self._current(), self._condition(), self._body_or_single()))
+            self.arms += 1
+            if not self._at_kw("else"):
+                break
             self._advance()
-            other = self._body_or_single()
-        return If(cond=cond, then=then, other=other, span=(start.line, start.col))
+            if not self._at_kw("if"):
+                other = self._body_or_single()
+                break
+        self.arms -= len(arms)
+        for start, cond, then in reversed(arms):
+            other = [If(cond=cond, then=then, other=other, span=(start.line, start.col))]
+        return other[0]
 
     def _while_stmt(self) -> While:
         start = self._current()
@@ -451,7 +466,7 @@ class Parser:
     def _grown(self, tok: Token, node: Expr, a: int, b: int = 0) -> Expr:
         """node, built at tok over operands as tall as a and b."""
         self.height = height = (a if a > b else b) + 1
-        if height + self.nesting > MAX_HEIGHT:
+        if height + self.nesting + self.arms > MAX_HEIGHT:
             self._error(f"expression nested deeper than {MAX_HEIGHT}", tok)
         return node
 
@@ -529,21 +544,13 @@ class Parser:
     def _primary(self) -> Expr:
         tok = self._current()
         self.height = 1
-        if tok.kind is TokenKind.INT or tok.kind is TokenKind.CHAR:
+        leaf = _LEAVES.get(tok.kind)
+        if leaf is not None:
             self._advance()
-            return IntLit(tok.value)
-        if tok.kind is TokenKind.FLOAT:
-            self._advance()
-            return FloatLit(tok.value)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return StrLit(tok.value)
+            return leaf(tok.value)
         if tok.kind is TokenKind.KEYWORD and tok.value in ("true", "false"):
             self._advance()
             return IntLit(1 if tok.value == "true" else 0)
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            return Ident(tok.value)
         if self._at_op("("):
             self._advance()
             expr = self._expression()

@@ -877,7 +877,10 @@ def test_nesting_deeper_than_one_python_function_holds(source):
     (lambda n: "ubyte a;\nlocal int x = " + " + ".join(["a"] * n) + ";", MAX_HEIGHT - 2),
     (lambda n: "ubyte a;\nlocal int x = " + "- " * n + "a;", MAX_HEIGHT - 3),
     (lambda n: "ubyte a;\nif (" + " || ".join(["a == 1"] * n) + ") ubyte b;", MAX_HEIGHT - 3),
-], ids=["parentheses", "blocks", "ifs", "ternary-then", "ternary-else", "sum", "unary", "or"])
+    (lambda n: "ubyte a;\nif (a == 0) ubyte b;\n" + "else if (a == 1) ubyte b;\n" * (n - 1),
+     MAX_HEIGHT - 3),
+], ids=["parentheses", "blocks", "ifs", "ternary-then", "ternary-else", "sum", "unary", "or",
+        "else-if"])
 def test_nesting_bound_is_the_parsers_own(template, bound):
     # at the bound a template runs both ways; one level more is refused at
     # load, whatever Python's stack would have allowed
@@ -887,6 +890,22 @@ def test_nesting_bound_is_the_parsers_own(template, bound):
         assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
     with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
         parse_template(template(bound + 1))
+
+
+@pytest.mark.parametrize("source", [
+    "ubyte a;\nif (a == 0) ubyte b;\n"
+    + "".join(f"else if (a == {i}) ubyte b{i};\n" for i in range(1, 60)) + "else ubyte c;",
+    "int f(int a) {\n" + "while (a < 256) {\n" * 12 + "if (a == 0) return 1;\n"
+    + "".join(f"else if (a == {i}) return {i};\n" for i in range(1, 60)) + "}\n" * 12
+    + "return 0;\n}\nubyte a;\nlocal int v = f(a);\nubyte c = { v };",
+], ids=["toplevel", "in-loops"])
+def test_long_else_if_chains_load(source):
+    # an else-if arm is a sibling in the compiled source, not a level deeper
+    unit = parse_template(source)
+    copy = pickle.loads(pickle.dumps(unit))
+    for s in range(3):
+        result = generate_random(unit, random.Random(s))
+        assert generate_from_seed(copy, parse(unit, result.file).seed).file == result.file
 
 
 @pytest.mark.parametrize("op", ["||", "&&"])
