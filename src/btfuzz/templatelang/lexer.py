@@ -42,7 +42,10 @@ _TOKEN = re.compile(r"""
 # One character or escape inside a literal.
 _PIECE = re.compile(r"""\\(?:x([0-9a-fA-F]{2})|([nrt0\\"']))|([^\\])""", re.DOTALL)
 
-_ESCAPES = {"n": 0x0A, "r": 0x0D, "t": 0x09, "0": 0x00, "\\": 0x5C, '"': 0x22, "'": 0x27}
+_ESCAPES = {
+    "n": 0x0A, "r": 0x0D, "t": 0x09, "0": 0x00,
+    "\\": 0x5C, '"': 0x22, "'": 0x27,
+}
 
 # quote -> (the literal's name in errors, the error for a character above 0xFF)
 _LITERALS = {

@@ -184,25 +184,23 @@ class Parser:
 
     def _typedef(self) -> TypeDef:
         start = self._expect(TokenKind.KEYWORD, "typedef")
-        span = (start.line, start.col)
         if self._at_kw("struct"):
             return self._struct(start, named=False)
+        kind, members = "alias", []
         if self._at_kw("enum"):
             self._advance()
-            underlying = "int32"
+            kind, underlying = "enum", "int32"
             if self._at_op("<"):
                 self._advance()
                 underlying = self._type_name()
                 self._expect_op(">")
             members = self._enum_body()
-            name = self._expect(TokenKind.IDENT).value
-            self._expect_op(";")
-            return TypeDef(name=name, kind="enum", members=members, underlying=underlying, span=span)
-        # plain alias: typedef uint32 DWORD;
-        underlying = self._type_name()
+        else:  # plain alias: typedef uint32 DWORD;
+            underlying = self._type_name()
         name = self._expect(TokenKind.IDENT).value
         self._expect_op(";")
-        return TypeDef(name=name, kind="alias", underlying=underlying, span=span)
+        return TypeDef(name=name, kind=kind, members=members, underlying=underlying,
+                       span=(start.line, start.col))
 
     def _struct(self, start: Token, named: bool = True) -> TypeDef:
         """`struct NAME (params) { body };`, or without NAME and with the
@@ -438,18 +436,16 @@ class Parser:
     def _expr_or_assign(self, eat_semi: bool = True) -> Stmt:
         start = self._current()
         span = (start.line, start.col)
-        expr = self._expression()
+        expr, value = self._expression(), None
         if self._at_op("="):
             if not isinstance(expr, (Ident, Member, Index)):
                 self._error("assignment target must be a variable, field, or element")
             self._advance()
             value = self._expression()
-            if eat_semi:
-                self._expect_op(";")
-            return Assign(target=expr, value=value, span=span)
         if eat_semi:
             self._expect_op(";")
-        return ExprStmt(expr=expr, span=span)
+        return ExprStmt(expr=expr, span=span) if value is None \
+            else Assign(target=expr, value=value, span=span)
 
     _KEYWORD_RULES = {"local": _local_decl, "if": _if_stmt, "while": _while_stmt,
                       "for": _for_stmt, "switch": _switch_stmt, "break": _break,
