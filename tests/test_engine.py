@@ -877,10 +877,11 @@ def test_nesting_deeper_than_one_python_function_holds(source):
     (lambda n: "ubyte a;\nlocal int x = " + " + ".join(["a"] * n) + ";", MAX_HEIGHT - 2),
     (lambda n: "ubyte a;\nlocal int x = " + "- " * n + "a;", MAX_HEIGHT - 3),
     (lambda n: "ubyte a;\nif (" + " || ".join(["a == 1"] * n) + ") ubyte b;", MAX_HEIGHT - 3),
+    (lambda n: "ubyte a;\nif (a) ubyte b;\n" + "else if (a) ubyte b;\n" * (n - 1), MAX_HEIGHT),
     (lambda n: "ubyte a;\nif (a == 0) ubyte b;\n" + "else if (a == 1) ubyte b;\n" * (n - 1),
      MAX_HEIGHT - 3),
 ], ids=["parentheses", "blocks", "ifs", "ternary-then", "ternary-else", "sum", "unary", "or",
-        "else-if"])
+        "else-if", "else-if-compare"])
 def test_nesting_bound_is_the_parsers_own(template, bound):
     # at the bound a template runs both ways; one level more is refused at
     # load, whatever Python's stack would have allowed
