@@ -2,7 +2,8 @@
 
 choose_bytes and emit_bytes decide an unconstrained one-byte array in one
 call; they must match a choose_value/emit_value loop over the same array
-in file bytes, recorded seed, cursor, RNG state and SeedExhausted errors.
+in file bytes, recorded seed, cursor, RNG state and SeedExhausted errors,
+on every source a stream reads: a seed, an RNG, and each phase of a splice.
 """
 
 import random
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 
 from btfuzz.decisionstream import ChoiceSpec, DecisionStream, StreamMode
 from btfuzz.engine import generate_from_seed, generate_random, parse, wrap64
-from btfuzz.errors import SeedExhausted
+from btfuzz.errors import SeedExhausted, SpliceMisaligned
 from btfuzz.templatelang import parse_template
 
 LENGTHS = st.integers(0, 300)
 # seed bytes rich in evil gates (127, 255) and FULL controls (3 mod 4)
 SEED_BYTES = st.lists(st.one_of(st.sampled_from([0x03, 0x7F, 0x83, 0xFF]),
                                 st.integers(0, 255)), max_size=1000).map(bytes)
+SPLICE_PART = st.lists(st.sampled_from([0x00, 0x03, 0x7F, 0x83, 0xFF]),
+                       min_size=20, max_size=120).map(bytes)
 
 
 def _reference_gen(ds: DecisionStream, n: int) -> bytes:
@@ -31,11 +34,11 @@ def _reference_gen(ds: DecisionStream, n: int) -> bytes:
 
 
 def _run(fn):
-    """fn's result, or the SeedExhausted message it raised."""
+    """fn's result, or the class and message of the error it raised."""
     try:
         return fn()
-    except SeedExhausted as exc:
-        return f"SeedExhausted: {exc}"
+    except (SeedExhausted, SpliceMisaligned) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,6 +80,45 @@ def test_seed_batch_matches_per_element(n, evil, seed):
         ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
         out = _run(lambda: ds.choose_bytes(n) if batched else _reference_gen(ds, n))
         streams.append((out, ds.seed, ds.cursor))
+    assert streams[0] == streams[1]
+
+
+def _splice_arrays(batched, base, span, alt, ns, evil):
+    """Arrays of ns[0], ns[1] and ns[2] elements decided in a splice's
+    prefix, middle and suffix.  Raw draws pad the prefix to the span start
+    and use up a donor, so that each phase ends where the splice expects."""
+    decide = DecisionStream.choose_bytes if batched else _reference_gen
+    ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base, evil_enabled=evil,
+                        splice=(span, alt))
+    outs = []
+
+    def phases():
+        outs.append(decide(ds, ns[0]))
+        ds.draw_raw(span[0] - ds.cursor)
+        ds.splice.begin_alt()
+        outs.append(decide(ds, ns[1]))
+        if isinstance(alt, bytes):
+            ds.draw_raw(span[0] + len(alt) - ds.cursor)
+        ds.splice.end_alt()
+        outs.append(decide(ds, ns[2]))
+
+    error = _run(phases)
+    return outs, error, ds.seed, ds.cursor
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(SPLICE_PART, min_size=3, max_size=3),
+       donor=st.none() | SPLICE_PART, rng_seed=st.integers(0, 2**32),
+       ns=st.lists(st.integers(0, 30), min_size=3, max_size=3), evil=st.booleans())
+def test_splice_batch_matches_per_element(parts, donor, rng_seed, ns, evil):
+    # donor None splices in random bytes
+    base = b"".join(parts)  # prefix, spliced-out middle, suffix
+    span = (len(parts[0]), len(parts[0]) + len(parts[1]))
+    streams = []
+    for batched in (True, False):
+        alt = random.Random(rng_seed) if donor is None else donor
+        got = _splice_arrays(batched, base, span, alt, ns, evil)
+        streams.append((got, donor is None and alt.getstate()))
     assert streams[0] == streams[1]
 
 

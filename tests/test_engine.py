@@ -731,19 +731,37 @@ def test_splice_random_chunk_parses(mini):
         assert generate_from_seed(mini, reparsed.seed).file == result.file
 
 
-def test_splice_short_donor_misaligns(mini):
-    outcome = parse(mini, MINI_ONE_DATA_FILE)
-    chunk = next(n for n in outcome.tree.walk() if n.name == "data")
-    span = (chunk.seed_start, chunk.seed_end)
-    with pytest.raises(SpliceMisaligned):
-        run_with_splice(mini, outcome.seed, span, chunk.id, b"\x00")
+# Splices of mini's one DATA chunk that cannot line up, as functions of the
+# base seed s, the DATA node d and its payload node p: each gives the base
+# seed, the span, the target node id and the spliced-in bytes.
+_MISALIGNED = {
+    "prefix-draw-crosses-span-start":  # DATA's tag is drawn before its payload opens
+        lambda s, d, p: (s, (d.seed_start, d.seed_end), p.id, s[d.seed_start:d.seed_end]),
+    "node-starts-at-wrong-offset":
+        lambda s, d, p: (s, (p.seed_start, d.seed_end), d.id, s[p.seed_start:d.seed_end]),
+    "donor-too-short":
+        lambda s, d, p: (s, (d.seed_start, d.seed_end), d.id, b"\x00"),
+    "donor-bytes-left-over":
+        lambda s, d, p: (s, (d.seed_start, d.seed_end), d.id, s[d.seed_start:d.seed_end] + b"\x00"),
+    "base-suffix-runs-out":
+        lambda s, d, p: (s[:d.seed_end], (d.seed_start, d.seed_end), d.id, s[d.seed_start:d.seed_end]),
+    "base-bytes-left-after-run":
+        lambda s, d, p: (s + b"\x00", (d.seed_start, d.seed_end), d.id, s[d.seed_start:d.seed_end]),
+    "node-never-opens":
+        lambda s, d, p: (s, (len(s), len(s)), 999, b""),
+    "span-outside-seed":
+        lambda s, d, p: (b"\x00\x00\x00", (1, 99), d.id, b""),
+}
 
 
-def test_splice_span_outside_seed(mini):
+@pytest.mark.parametrize("case", _MISALIGNED)
+def test_splice_misaligned(mini, case):
     outcome = parse(mini, MINI_ONE_DATA_FILE)
-    chunk = next(n for n in outcome.tree.walk() if n.name == "data")
+    data = next(n for n in outcome.tree.walk() if n.name == "data")
+    payload = next(n for n in data.children if n.name == "payload")
+    base, span, node_id, alt = _MISALIGNED[case](outcome.seed, data, payload)
     with pytest.raises(SpliceMisaligned):
-        run_with_splice(mini, b"\x00\x00\x00", (1, 99), chunk.id, b"")
+        run_with_splice(mini, base, span, node_id, alt)
 
 
 # -- generation axioms ----------------------------------------------------------
