@@ -144,54 +144,34 @@ class _RandomSource:
         return self.rng.randbytes(4 * n)[3::4]
 
 
-class _SpliceSource:
-    """Prefix from a base seed, a spliced-in middle, then the base suffix.
-
-    The engine marks the middle: begin_alt when it starts the target node,
-    which must be where the base's prefix runs out, and end_alt when that
-    node has completed.
-    """
+class _Splice:
+    """Switches a stream between plain sources: a seed source over the
+    base's prefix; at begin_alt, when the engine opens the target node,
+    the middle (donor bytes or random); at end_alt, when that node has
+    completed, a seed source over the base from the span end."""
 
     PREFIX, ALT, SUFFIX = 0, 1, 2
 
-    def __init__(self, base: bytes, span: tuple[int, int], alt):
-        self.base = base
+    def __init__(self, ds: DecisionStream, base: bytes, span: tuple[int, int], alt):
+        self.ds, self.base, self.alt = ds, base, alt  # alt: a _SeedSource or _RandomSource
         self.start, self.resume = span
-        self.alt = alt  # _SeedSource (donor bytes) or _RandomSource
         self.phase = self.PREFIX
-        self.pos = 0  # position within base for prefix/suffix
+        ds._source = _SeedSource(base[:self.start])
 
     def begin_alt(self):
-        if self.pos != self.start:
-            raise SpliceMisaligned(
-                f"splice target starts at seed offset {self.pos}, not {self.start}")
+        pos = self.ds._source.pos  # the node must open where the prefix runs out
+        if pos != self.start:
+            raise SpliceMisaligned(f"splice target starts at seed offset {pos}, not {self.start}")
         self.phase = self.ALT
+        self.ds._source = self.alt
 
     def end_alt(self):
         if isinstance(self.alt, _SeedSource) and self.alt.pos != len(self.alt.data):
             left = len(self.alt.data) - self.alt.pos
             raise SpliceMisaligned(f"{left} donor decision byte(s) left unconsumed")
         self.phase = self.SUFFIX
-        self.pos = self.resume
-
-    def draw(self, n: int) -> bytes:
-        if self.phase == self.PREFIX:
-            if self.pos + n > self.start:
-                raise SpliceMisaligned(
-                    f"draw of {n} byte(s) at {self.pos} crosses the splice boundary {self.start}")
-            out = self.base[self.pos:self.pos + n]
-            self.pos += n
-        elif self.phase == self.ALT:
-            try:
-                out = self.alt.draw(n)
-            except SeedExhausted as exc:
-                raise SpliceMisaligned(f"donor decision bytes exhausted: {exc}") from exc
-        else:
-            if self.pos + n > len(self.base):
-                raise SpliceMisaligned("base seed suffix exhausted after splice")
-            out = self.base[self.pos:self.pos + n]
-            self.pos += n
-        return out
+        self.ds._source = _SeedSource(self.base)
+        self.ds._source.pos = self.resume
 
 
 # --- the stream ------------------------------------------------------------
@@ -214,7 +194,7 @@ class DecisionStream:
         self.evil_enabled = evil_enabled
         self._recorded = bytearray()
         self._source = None
-        self.splice: _SpliceSource | None = None  # the source, during a splice
+        self.splice: _Splice | None = None
         if mode is StreamMode.GEN_FROM_SEED:
             if splice is not None:
                 span, alt = splice
@@ -222,7 +202,7 @@ class DecisionStream:
                     alt_source = _SeedSource(bytes(alt))
                 else:
                     alt_source = _RandomSource(self._coerce_rng(alt))
-                self._source = self.splice = _SpliceSource(seed or b"", span, alt_source)
+                self.splice = _Splice(self, seed or b"", span, alt_source)
             else:
                 self._source = _SeedSource(seed or b"")
         elif mode is StreamMode.GEN_RANDOM:
@@ -313,8 +293,9 @@ class DecisionStream:
         """File bytes of n unconstrained one-byte elements.
 
         Consumes and records the same seed bytes, and leaves the same RNG
-        state, as choose_value(ChoiceSpec()) once per element; seed and
-        random sources decode the whole array in one pass.
+        state, as choose_value(ChoiceSpec()) once per element, decoding the
+        whole array in one pass.  A splice switches sources only between
+        nodes, so one array always reads one source.
         """
         source = self._source
         gated = self.evil_enabled
@@ -329,27 +310,19 @@ class DecisionStream:
             self._recorded += data[pos:end]
             source.pos = end
             return out
-        if isinstance(source, _RandomSource):
-            # Fetch a lower bound of the draws still needed (at least 2
-            # per element, exactly known once its gate is seen), so every
-            # word fetched is used and the RNG ends where it would per element.
-            out = bytearray()
-            pending = b""  # the draws of an element not yet complete
-            while len(out) < n:
-                cost = 3 - _EVIL_MARK[pending[0]] if gated and pending else 2
-                block = pending + source.draw_singles(
-                    cost - len(pending) + 2 * (n - len(out) - 1))
-                got, end = _decode_bytes(block, 0, n - len(out), gated)
-                out += got
-                self._recorded += block[:end]
-                pending = block[end:]
-            return bytes(out)
-        # a splice can switch sources between any two draws
-        spec = ChoiceSpec()
+        # Fetch a lower bound of the draws still needed (at least 2 per
+        # element, exactly known once its gate is seen), so every word
+        # fetched is used and the RNG ends where it would per element.
         out = bytearray()
-        for _ in range(n):
-            kind, payload = self.choose_value(spec)
-            out.append(payload[0] if kind == "raw" else payload)
+        pending = b""  # the draws of an element not yet complete
+        while len(out) < n:
+            cost = 3 - _EVIL_MARK[pending[0]] if gated and pending else 2
+            block = pending + source.draw_singles(
+                cost - len(pending) + 2 * (n - len(out) - 1))
+            got, end = _decode_bytes(block, 0, n - len(out), gated)
+            out += got
+            self._recorded += block[:end]
+            pending = block[end:]
         return bytes(out)
 
     def choose_token(self, spec: ChoiceSpec) -> bytes | None:

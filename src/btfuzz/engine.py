@@ -28,7 +28,8 @@ from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
 from .errors import (
     BudgetExceeded, ChecksumAlgoUnknown, DecodeError, EvalError, GenerationFailed,
     InvalidFieldAccess, LocalArrayTooLarge, OutOfRange, ParseRejected, RecursionTooDeep,
-    SpliceMisaligned, StepBudgetExceeded, TemplateAbort, TrailingBytes, UnrepresentableValue)
+    SeedExhausted, SpliceMisaligned, StepBudgetExceeded, TemplateAbort, TrailingBytes,
+    UnrepresentableValue)
 from .runtime import DEFAULT_BUDGET, FileBuffer, ParseNode, RecordVal, Scope
 from .templatelang import NATIVE_INTS, TemplateUnit, bound_names
 from .templatelang import nodes as ast
@@ -1131,15 +1132,16 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
                     budget: int = DEFAULT_BUDGET) -> GenResult:
     """Generate with base_seed's decisions replayed around `span` and `alt`
     (donor seed bytes, or an int/Random for random bytes) consumed inside
-    it.  The prefix replays the base exactly, so node ids match the base's
-    parse tree; the splice covers node `node_id`, which must begin at the
-    span start.  Any desynchronization raises SpliceMisaligned.
+    it: base_seed[:start] until node `node_id` opens, which must be at the
+    span start, `alt` until it closes, then base_seed from the span end.
+    Node ids match the base's parse tree, as the prefix replays it exactly.
+    Any desynchronization raises SpliceMisaligned: a seed source running
+    dry (SeedExhausted) or any failure outside the node, the node opening
+    elsewhere or never completing, and donor or base bytes left over.
     """
     start, end = span
     if not 0 <= start <= end <= len(base_seed):
         raise SpliceMisaligned(f"span [{start}, {end}) outside seed of {len(base_seed)}")
-    if isinstance(alt, int):
-        alt = random.Random(alt)
     ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base_seed, evil_enabled=evil,
                         splice=(span, alt))
     splice = ds.splice
@@ -1148,17 +1150,15 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     try:
         ex.run()
         data = buf.finalize()
-    except SpliceMisaligned:
-        raise
     except GenerationFailed as exc:
-        if splice.phase == splice.PREFIX:
-            raise SpliceMisaligned(f"replay failed before the splice region: {exc}") from exc
-        if splice.phase == splice.SUFFIX:
-            raise SpliceMisaligned(f"replay failed after the splice region: {exc}") from exc
-        raise
+        if splice.phase == splice.ALT and not isinstance(exc, SeedExhausted):
+            raise
+        where = ("before the splice region", "in the donor bytes",
+                 "after the splice region")[splice.phase]
+        raise SpliceMisaligned(f"replay failed {where}: {exc}") from exc
     if splice.phase != splice.SUFFIX:
         raise SpliceMisaligned(f"generation finished before node {node_id} completed")
-    leftover = len(base_seed) - splice.pos
+    leftover = len(base_seed) - ds._source.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")
     return GenResult(data, ex.root, ds.seed, ex.events, ex.covered, ex.log)

@@ -4,8 +4,9 @@ Wall-clock rates drift with the host; the number of opcodes a fixed piece
 of work executes does not.  Counted with `sys.settrace` and
 `f_trace_opcodes` (CPython 3.11 has no `sys.monitoring`), over pnglite
 generate, parse and replay of the files of 20 fixed RNG seeds, every
-second one with evil off.  The template is compiled before counting, so
-the counts cover running it only.  A change that makes the interpreter do
+second one with evil off, and over 40 smart mutations of those files, each
+drawn with its own fixed RNG seed.  The template is compiled and the
+corpus indexed before counting, so the counts cover running them only.  A change that makes the interpreter do
 more work per file fails here on any host.
 
 The ceilings are about 1.05 times the counts measured when they were set
@@ -21,9 +22,12 @@ import pytest
 
 from btfuzz import Error, formats
 from btfuzz.engine import generate_from_seed, generate_random, parse
+from btfuzz.errors import NoApplicableMutation
+from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
-COUNTED = {"generate": 554_880, "parse": 413_089, "replay": 558_153}
+MUTATIONS = range(40)
+COUNTED = {"generate": 554_880, "parse": 413_089, "replay": 558_153, "mutate": 1_063_928}
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
 pytestmark = pytest.mark.skipif(
@@ -59,6 +63,14 @@ def _parse_or_reject(unit, data, evil):
         pass
 
 
+def _mutate_or_reject(unit, pool, bases, s):
+    rng = random.Random(s)
+    try:
+        random_smart_mutation(unit, pool, rng.choice(bases), rng)
+    except NoApplicableMutation:
+        pass
+
+
 def _stage_counts() -> dict[str, int]:
     unit = formats.load_template("pnglite")
     generate_random(unit, random.Random(0))  # compiles the template
@@ -74,6 +86,10 @@ def _stage_counts() -> dict[str, int]:
         lambda: [_parse_or_reject(unit, results[s].file, evil[s]) for s in RNG_SEEDS])
     counts["replay"] = _count_opcodes(
         lambda: [generate_from_seed(unit, results[s].seed, evil=evil[s]) for s in RNG_SEEDS])
+    pool = index_corpus(unit, [results[s].file for s in RNG_SEEDS])
+    bases = sorted(base for base, menu in pool.menus.items() if menu.ops)
+    counts["mutate"] = _count_opcodes(
+        lambda: [_mutate_or_reject(unit, pool, bases, s) for s in MUTATIONS])
     return counts
 
 
