@@ -124,8 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value each numeric option accepts, by its argparse dest.
+_LEAST = {"count": 0, "max_size": 0, "timeout_ms": 1, "jobs": 1}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, least in _LEAST.items():
+        if getattr(args, dest, least) < least:
+            parser.error(f"argument --{dest.replace('_', '-')}: must be at least {least}")
     try:
         return args.func(args)
     except (OSError, TemplateError) as exc:

@@ -7,6 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..engine import register_codec
+from ..errors import TemplateError
 from ..templatelang import TemplateUnit, parse_template
 from .mini import verify_mini
 from .pnglite import verify_pnglite
@@ -31,7 +32,10 @@ def resolve_template(spec: str) -> tuple[str, str]:
         return spec, template_text(spec)
     path = Path(spec)
     if path.is_file():
-        return path.stem, path.read_text()
+        try:
+            return path.stem, path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TemplateError(f"{spec}: not UTF-8 text (byte {exc.start})") from None
     raise FileNotFoundError(
         f"{spec!r} is neither a bundled template ({', '.join(BUNDLED)}) nor a file")
 

@@ -725,22 +725,21 @@ def cmd_fuzz(args) -> int:
         "pool": pool,
         "rng_seed": master,
     }
-    jobs = max(1, args.jobs)
-    per = [args.count // jobs + (1 if w < args.count % jobs else 0)
-           for w in range(jobs)]
+    per = [args.count // args.jobs + (1 if w < args.count % args.jobs else 0)
+           for w in range(args.jobs)]
     cfgs = []
     start = 0
     for w, n in enumerate(per):
         if n == 0:
             continue
         cfg = dict(base_cfg, worker=w, start=start, count=n,
-                   progress_every=(max(1, args.count // 10) if jobs == 1 else 0))
+                   progress_every=(max(1, args.count // 10) if args.jobs == 1 else 0))
         cfgs.append(cfg)
         start += n
     started = time.perf_counter()
     try:
-        if len(cfgs) == 1:
-            results = [_fuzz_worker(cfgs[0])]
+        if len(cfgs) < 2:  # no worker at all under --count 0
+            results = [_fuzz_worker(cfg) for cfg in cfgs]
         else:
             with multiprocessing.Pool(len(cfgs)) as mp:
                 results = mp.map(_fuzz_worker, cfgs)

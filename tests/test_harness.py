@@ -382,6 +382,16 @@ def test_malformed_template_exits_one(tmp_path, capsys, source):
     assert len(err) == 1 and err[0].startswith("btfuzz: ")
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_non_utf8_template_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bt"
+    bad.write_bytes(b"ubyte a;\xff")
+    args = ["--out", tmp_path / "out"] if command == "generate" else [bad]
+    assert run_cli(command, "--template", bad, *args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"btfuzz: {bad}: not UTF-8 text (byte 8)"]
+
+
 def test_replay_unsplittable_target_exits_one(tmp_path, capsys):
     seed = tmp_path / "x.seed"
     seed.write_bytes(generate_random(load_template("mini"), 1).seed)
@@ -435,7 +445,32 @@ def test_usage_errors_exit_one():
     assert run_cli("generate", "--template", "no-such-template") == 1
 
 
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("generate", "--count", -1, 0), ("generate", "--max-size", -1, 0),
+    ("fuzz", "--timeout-ms", 0, 1), ("fuzz", "--jobs", 0, 1),
+], ids=["count", "max-size", "timeout-ms", "jobs"])
+def test_numeric_option_below_its_least_exits_one(tmp_path, capsys, command, flag, value, least):
+    out = tmp_path / "out"
+    target = ["--target", f"{PY} -c pass"] if command == "fuzz" else []
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--template", "mini", *target, "--count", 2, flag, value, "--out", out)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"btfuzz: error: argument {flag}: must be at least {least}")
+    assert not out.exists()
+
+
 # -- fuzz loop ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fuzz_count_zero_writes_empty_stats(tmp_path, jobs):
+    out = tmp_path / "findings"
+    rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass",
+                 "--count", 0, "--jobs", jobs, "--rng-seed", 1, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["iterations"] == 0 and stats["findings"] == []
 
 
 def test_fuzz_finds_stub_crash(tmp_path, capsys):
