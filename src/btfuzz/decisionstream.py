@@ -32,6 +32,7 @@ locate decisions in the seed.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -153,7 +154,8 @@ class _Splice:
     PREFIX, ALT, SUFFIX = 0, 1, 2
 
     def __init__(self, ds: DecisionStream, base: bytes, span: tuple[int, int], alt):
-        self.ds, self.base, self.alt = ds, base, alt  # alt: a _SeedSource or _RandomSource
+        # weakly: a stream and splice in a cycle would wait for the cyclic GC
+        self.ds, self.base, self.alt = weakref.proxy(ds), base, alt
         self.start, self.resume = span
         self.phase = self.PREFIX
         ds._source = _SeedSource(base[:self.start])

@@ -1,5 +1,8 @@
 """Decision stream codec: every choice kind and its parse-side inverse."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +237,22 @@ def test_emit_bounded_rejects_out_of_range():
     with pytest.raises(UnrepresentableValue):
         parse_stream().emit_bounded(7, 0, 5)
 
+
+
+# -- splices ----------------------------------------------------------------
+
+
+def test_spliced_stream_is_freed_without_the_cycle_collector():
+    # a mutation campaign makes one spliced stream per attempt; one kept
+    # alive until the cyclic GC runs raises the campaign's peak memory
+    gc.disable()
+    try:
+        ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=bytes(8),
+                            splice=((2, 4), bytes(2)))
+        ds.draw_raw(2)
+        ds.splice.begin_alt()
+        freed = weakref.ref(ds)
+        del ds
+        assert freed() is None
+    finally:
+        gc.enable()
