@@ -15,11 +15,22 @@ from .errors import TemplateError
 from .runtime import DEFAULT_BUDGET
 
 
+# The least value each numeric option accepts, by its argparse dest.
+_LEAST = {"count": 0, "max_size": 0, "timeout_ms": 1, "jobs": 1}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is taken by "parse rejected"
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for dest, least in _LEAST.items():
+            if getattr(parsed, dest, least) < least:
+                self.error(f"argument --{dest.replace('_', '-')}: must be at least {least}")
+        return parsed
 
 
 def _template_flag(sp):
@@ -124,16 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The least value each numeric option accepts, by its argparse dest.
-_LEAST = {"count": 0, "max_size": 0, "timeout_ms": 1, "jobs": 1}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for dest, least in _LEAST.items():
-        if getattr(args, dest, least) < least:
-            parser.error(f"argument --{dest.replace('_', '-')}: must be at least {least}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, TemplateError) as exc:
