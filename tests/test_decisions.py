@@ -238,7 +238,6 @@ def test_emit_bounded_rejects_out_of_range():
         parse_stream().emit_bounded(7, 0, 5)
 
 
-
 # -- splices ----------------------------------------------------------------
 
 
