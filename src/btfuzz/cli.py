@@ -56,12 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    sp = sub.add_parser("generate", help="generate files from random or given seeds")
+    sp = sub.add_parser("generate", help="generate files from random seeds")
     _template_flag(sp)
     sp.add_argument("--count", type=int, default=1)
     _rng_flag(sp)
-    sp.add_argument("--seed", metavar="FILE",
-                    help="replay one decision seed instead of drawing randomly")
     sp.add_argument("--out", default="out", metavar="DIR")
     _gen_flags(sp)
     sp.set_defaults(func=harness.cmd_generate)

@@ -139,9 +139,6 @@ class ParseOutcome:
     covered: set[int] = dc_field(default_factory=set)
     log: list[tuple[str, str]] = dc_field(default_factory=list)
 
-    def __iter__(self):
-        return iter((self.tree, self.seed))
-
 
 class Execution:
     """One generation or parse run over a compiled template."""
@@ -1103,13 +1100,12 @@ def generate_random(unit: TemplateUnit, rng: random.Random | int | None = None, 
     return generate(unit, ds, budget)
 
 
-def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True,
-          trailing: str = "error") -> ParseOutcome:
+def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> ParseOutcome:
     """Run the template backward over `data`, emitting the canonical seed.
 
     On success, generate_from_seed(unit, outcome.seed) reproduces `data`
     bit-exactly.  Engine-level failures surface as ParseRejected; leftover
-    input raises TrailingBytes unless trailing="allow".
+    input raises TrailingBytes.
     """
     ds = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
     buf = FileBuffer(data=bytes(data))
@@ -1121,9 +1117,7 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True,
     except GenerationFailed as exc:
         raise ParseRejected(f"{type(exc).__name__}: {exc}") from exc
     if buf.position < buf.size:
-        if trailing == "error":
-            raise TrailingBytes(buf.position, buf.size)
-        ex.log.append(("warning", f"{buf.size - buf.position} trailing byte(s) ignored"))
+        raise TrailingBytes(buf.position, buf.size)
     return ParseOutcome(ex.root, ds.seed, ex.events, ex.covered, ex.log)
 
 

@@ -555,6 +555,44 @@ def _master_seed(args) -> int:
     return seed
 
 
+def _generations(unit, args):
+    """(i, GenResult, or None if generation failed) for each of --count
+    random files, file i drawn from its own iteration rng."""
+    master = _master_seed(args)
+    for i in range(args.count):
+        try:
+            result = generate_random(unit, _iteration_rng(master, i),
+                                     evil=not args.no_evil, budget=args.max_size)
+        except GenerationFailed:
+            result = None
+        yield i, result
+
+
+def _corpus_pool(unit, args):
+    """--corpus indexed for mutation, each unparsable file reported; None,
+    after saying so, when no file parsed."""
+    pool = index_corpus(unit, _load_corpus_dir(args.corpus), evil=not args.no_evil,
+                        budget=args.max_size)
+    for cid, why in pool.failures:
+        print(f"skipping {cid}: {why}", file=sys.stderr)
+    if not pool.seeds:
+        print(f"no corpus file parsed in {args.corpus}", file=sys.stderr)
+        return None
+    return pool
+
+
+def _roundtrip_failure(unit, data: bytes, args) -> str | None:
+    """Parse `data` and regenerate it from its seed: None if that gives
+    `data` back, else why not.  A parse failure raises ParseRejected."""
+    seed = parse(unit, data, evil=not args.no_evil).seed
+    try:
+        regen = generate_from_seed(unit, seed, evil=not args.no_evil,
+                                   budget=max(args.max_size, len(data)))
+    except GenerationFailed as exc:
+        return str(exc)
+    return None if regen.file == data else "regenerated file differs"
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns the process exit code
 
@@ -563,48 +601,18 @@ def cmd_generate(args) -> int:
     unit = load_template(args.template)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evil = not args.no_evil
-
-    if args.seed is not None:
-        if args.rng_seed is not None:
-            print("--seed and --rng-seed are mutually exclusive seed sources",
-                  file=sys.stderr)
-            return 1
-        if args.count != 1:
-            print("--seed replays exactly one file; --count must be 1",
-                  file=sys.stderr)
-            return 1
-        seed = Path(args.seed).read_bytes()
-        try:
-            result = generate_from_seed(unit, seed, evil=evil, budget=args.max_size)
-        except GenerationFailed as exc:
-            print(f"generation failed: {exc}", file=sys.stderr)
-            return 1
-        name = Path(args.seed).stem
-        bin_path = out_dir / f"{name}.bin"
-        bin_path.write_bytes(result.file)
-        (out_dir / f"{name}.seed").write_bytes(result.seed)
-        print(f"replayed {len(seed)} seed byte(s) -> {bin_path} "
-              f"({len(result.file)} bytes)")
-        return 0
-
-    master = _master_seed(args)
-    ok = failed = 0
+    failed = 0
     started = time.perf_counter()
-    for i in range(args.count):
-        rng = _iteration_rng(master, i)
-        try:
-            result = generate_random(unit, rng, evil=evil, budget=args.max_size)
-        except GenerationFailed:
+    for i, result in _generations(unit, args):
+        if result is None:
             failed += 1
             continue
         name = f"gen_{i:06d}"
         (out_dir / f"{name}.bin").write_bytes(result.file)
         (out_dir / f"{name}.seed").write_bytes(result.seed)
-        ok += 1
     elapsed = time.perf_counter() - started
     rate = args.count / elapsed if elapsed > 0 else 0.0
-    print(f"generated {ok}/{args.count} files ({failed} failed) "
+    print(f"generated {args.count - failed}/{args.count} files ({failed} failed) "
           f"in {elapsed:.2f}s, {rate:.0f} files/s -> {out_dir}")
     return 0
 
@@ -660,16 +668,8 @@ def cmd_replay(args) -> int:
 
 def cmd_mutate(args) -> int:
     unit = load_template(args.template)
-    evil = not args.no_evil
-    corpus = _load_corpus_dir(args.corpus)
-    if not corpus:
-        print(f"corpus directory is empty: {args.corpus}", file=sys.stderr)
-        return 1
-    pool = index_corpus(unit, corpus, evil=evil, budget=args.max_size)
-    for cid, why in pool.failures:
-        print(f"skipping {cid}: {why}", file=sys.stderr)
-    if not pool.seeds:
-        print("no corpus file parsed; nothing to mutate", file=sys.stderr)
+    pool = _corpus_pool(unit, args)
+    if pool is None:
         return 1
     bases = sorted(pool.seeds)
     out_dir = Path(args.out)
@@ -703,14 +703,11 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
         return 1
-    corpus = _load_corpus_dir(args.corpus) if args.corpus else None
     unit = load_template(args.template)
-    evil = not args.no_evil
     pool = None
-    if corpus is not None:
-        pool = index_corpus(unit, corpus, evil=evil, budget=args.max_size)
-        if not pool.seeds:
-            print("no corpus file parsed", file=sys.stderr)
+    if args.corpus:
+        pool = _corpus_pool(unit, args)
+        if pool is None:
             return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -719,7 +716,7 @@ def cmd_fuzz(args) -> int:
         "template": args.template,
         "target": args.target,
         "timeout_ms": args.timeout_ms,
-        "evil": evil,
+        "evil": not args.no_evil,
         "budget": args.max_size,
         "out": str(out_dir),
         "pool": pool,
@@ -780,48 +777,34 @@ def cmd_fuzz(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     unit = load_template(args.template)
-    evil = not args.no_evil
     failures = 0
-
     if args.corpus:
         for name, data in _load_corpus_dir(args.corpus).items():
             try:
-                outcome = parse(unit, data, evil=evil)
+                why = _roundtrip_failure(unit, data, args)
             except ParseRejected as exc:
                 print(f"{name}: parse-rejected ({exc})")
                 continue
-            regen = generate_from_seed(unit, outcome.seed, evil=evil,
-                                       budget=max(args.max_size, len(data)))
-            if regen.file == data:
-                print(f"{name}: pass")
-            else:
-                print(f"{name}: FAIL (regenerated file differs)")
-                failures += 1
+            print(f"{name}: pass" if why is None else f"{name}: FAIL ({why})")
+            failures += why is not None
 
-    master = _master_seed(args)
-    gen_failed = checked = 0
-    for i in range(args.count):
-        rng = _iteration_rng(master, i)
-        try:
-            result = generate_random(unit, rng, evil=evil, budget=args.max_size)
-        except GenerationFailed:
+    gen_failed = random_failures = 0
+    for i, result in _generations(unit, args):
+        if result is None:
             gen_failed += 1
             continue
-        checked += 1
         try:
-            outcome = parse(unit, result.file, evil=evil)
-            regen = generate_from_seed(unit, outcome.seed, evil=evil,
-                                       budget=args.max_size)
-        except (ParseRejected, GenerationFailed) as exc:
-            print(f"seed {i}: FAIL ({exc})")
-            failures += 1
-            continue
-        if regen.file != result.file:
-            print(f"seed {i}: FAIL (regenerated file differs)")
-            failures += 1
+            why = _roundtrip_failure(unit, result.file, args)
+        except ParseRejected as exc:
+            why = str(exc)
+        if why is not None:
+            print(f"seed {i}: FAIL ({why})")
+            random_failures += 1
+    checked = args.count - gen_failed
     if args.count:
-        print(f"random seeds: {checked - failures}/{checked} round-tripped "
+        print(f"random seeds: {checked - random_failures}/{checked} round-tripped "
               f"({gen_failed} generation failures skipped)")
+    failures += random_failures
     if failures:
         print(f"{failures} round-trip failure(s)", file=sys.stderr)
         return 3
@@ -830,18 +813,11 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_coverage(args) -> int:
     unit = load_template(args.template)
-    evil = not args.no_evil
-    master = _master_seed(args)
     hits: Counter = Counter()
     gen_failed = 0
-    for i in range(args.count):
-        rng = _iteration_rng(master, i)
-        try:
-            result = generate_random(unit, rng, evil=evil, budget=args.max_size)
-        except GenerationFailed:
-            gen_failed += 1
-            continue
-        hits.update(result.covered)
+    for _, result in _generations(unit, args):
+        gen_failed += result is None
+        hits.update(result.covered if result else ())
     total = len(unit.declarations)
     covered = sum(1 for d in unit.declarations if hits[d.decl_id])
     pct = 100.0 * covered / total if total else 0.0

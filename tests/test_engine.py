@@ -703,11 +703,6 @@ def test_trailing_bytes_reported(mini):
     assert err.value.size == 6
 
 
-def test_trailing_warn_mode(mini):
-    outcome = parse(mini, b"MINI\xff\xaa", trailing="warn")
-    assert any("trailing" in line for _, line in outcome.log)
-
-
 # -- splicing -------------------------------------------------------------------
 
 

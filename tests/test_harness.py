@@ -244,31 +244,6 @@ def test_generate_deterministic(tmp_path):
     assert len(list(a.glob("*.seed"))) == 5
 
 
-def test_generate_seed_replay(tmp_path):
-    seed_file = tmp_path / "in.seed"
-    seed_file.write_bytes(b"\x00\x00\x00")
-    rc = run_cli("generate", "--template", "mini", "--seed", seed_file,
-                 "--out", tmp_path)
-    assert rc == 0
-    assert (tmp_path / "in.bin").read_bytes() == b"MINI\xff"
-
-
-def test_generate_seed_and_rng_conflict(tmp_path):
-    seed_file = tmp_path / "in.seed"
-    seed_file.write_bytes(b"\x00\x00\x00")
-    rc = run_cli("generate", "--template", "mini", "--seed", seed_file,
-                 "--rng-seed", 7, "--out", tmp_path)
-    assert rc == 1
-
-
-def test_generate_seed_needs_count_one(tmp_path):
-    seed_file = tmp_path / "in.seed"
-    seed_file.write_bytes(b"\x00\x00\x00")
-    rc = run_cli("generate", "--template", "mini", "--seed", seed_file,
-                 "--count", 2, "--out", tmp_path)
-    assert rc == 1
-
-
 def test_parse_exit_codes(tmp_path):
     good = tmp_path / "good.mini"
     good.write_bytes(b"MINI\xff")
@@ -298,11 +273,11 @@ def test_parse_generate_inverse(tmp_path):
     f = tmp_path / "x.mini"
     f.write_bytes(b"MINI\x01\x02\x00hi\xd3\xff")
     assert run_cli("parse", "--template", "mini", f) == 0
-    rc = run_cli("generate", "--template", "mini",
-                 "--seed", tmp_path / "x.mini.seed", "--out", tmp_path / "regen")
+    regen = tmp_path / "regen.mini"
+    rc = run_cli("replay", "--template", "mini", "--seed", tmp_path / "x.mini.seed",
+                 "--out", regen)
     assert rc == 0
-    regen = (tmp_path / "regen" / "x.mini.bin").read_bytes()
-    assert regen == f.read_bytes()
+    assert regen.read_bytes() == f.read_bytes()
 
 
 def test_replay_writes_file(tmp_path):
@@ -344,6 +319,11 @@ def test_mutate_missing_corpus(tmp_path, capsys):
                  "--corpus", tmp_path / "nope", "--out", tmp_path / "m")
     assert rc == 1
     assert "btfuzz: corpus directory not found" in capsys.readouterr().err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_cli("mutate", "--template", "mini", "--corpus", empty,
+                   "--out", tmp_path / "m") == 1
+    assert capsys.readouterr().err == f"no corpus file parsed in {empty}\n"
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -417,6 +397,38 @@ def test_roundtrip_with_corpus(tmp_path):
                    "--count", 5, "--rng-seed", 1) == 0
 
 
+def test_roundtrip_counts_corpus_and_random_failures_apart(tmp_path, capsys):
+    # Generation sees FileSize() == 0, so it never writes `a`: the corpus
+    # file regenerates empty, while every random file is empty and passes.
+    template = tmp_path / "sized.bt"
+    template.write_text("if (FileSize() > 0) ubyte a;")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "one.bin").write_bytes(b"\x05")
+    rc = run_cli("roundtrip", "--template", template, "--corpus", corpus,
+                 "--count", 5, "--rng-seed", 1)
+    assert rc == 3
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [
+        "one.bin: FAIL (regenerated file differs)",
+        "random seeds: 5/5 round-tripped (0 generation failures skipped)"]
+    assert out.err == "1 round-trip failure(s)\n"
+
+
+def test_roundtrip_corpus_regeneration_failure_is_a_fail_line(tmp_path, capsys):
+    template = tmp_path / "abort.bt"
+    template.write_text("if (FileSize() == 0) return -1; ubyte a;")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "one.bin").write_bytes(b"\x05")
+    rc = run_cli("roundtrip", "--template", template, "--corpus", corpus,
+                 "--count", 5, "--rng-seed", 1)
+    assert rc == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("one.bin: FAIL (")
+    assert lines[1:] == ["random seeds: 0/0 round-tripped (5 generation failures skipped)"]
+
+
 def test_coverage_report(tmp_path, capsys):
     report = tmp_path / "cov.json"
     rc = run_cli("coverage", "--template", "mini", "--count", 300,
@@ -443,6 +455,9 @@ def test_usage_errors_exit_one():
         cli.build_parser().parse_args(["generate"])  # missing --template
     assert err.value.code == 1
     assert run_cli("generate", "--template", "no-such-template") == 1
+    with pytest.raises(SystemExit) as err:  # `replay` turns a seed into a file
+        cli.build_parser().parse_args(["generate", "--template", "mini", "--seed", "s"])
+    assert err.value.code == 1
 
 
 @pytest.mark.parametrize("command, flag, value, least", [
@@ -544,8 +559,20 @@ def test_fuzz_unparsable_corpus_exits_one(tmp_path, capsys):
     rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass",
                  "--corpus", corpus, "--rng-seed", 1, "--out", tmp_path / "f")
     assert rc == 1
-    assert "no corpus file parsed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "skipping junk.bin: " in err
+    assert f"no corpus file parsed in {corpus}" in err
     assert not (tmp_path / "f").exists()
+
+    # with one good file the campaign runs, and names the file it skipped
+    (corpus / "good.bin").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass",
+                 "--corpus", corpus, "--count", 2, "--rng-seed", 1,
+                 "--out", tmp_path / "f")
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err if line.startswith("skipping ")] == [
+        "skipping junk.bin"]
 
 
 def test_fuzz_unknown_checksum_counts_as_gen_failed(tmp_path):
