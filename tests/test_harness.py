@@ -397,11 +397,19 @@ def test_roundtrip_with_corpus(tmp_path):
                    "--count", 5, "--rng-seed", 1) == 0
 
 
-def test_roundtrip_counts_corpus_and_random_failures_apart(tmp_path, capsys):
+@pytest.mark.parametrize("source, expected", [
     # Generation sees FileSize() == 0, so it never writes `a`: the corpus
     # file regenerates empty, while every random file is empty and passes.
-    template = tmp_path / "sized.bt"
-    template.write_text("if (FileSize() > 0) ubyte a;")
+    ("if (FileSize() > 0) ubyte a;",
+     ["one.bin: FAIL (regenerated file differs)",
+      "random seeds: 5/5 round-tripped (0 generation failures skipped)"]),
+    ("if (FileSize() == 0) return -1; ubyte a;",
+     ["one.bin: FAIL (template returned -1)",
+      "random seeds: 0/0 round-tripped (5 generation failures skipped)"]),
+], ids=["corpus-failure-counted-apart", "regeneration-fails"])
+def test_roundtrip_corpus_failures(tmp_path, capsys, source, expected):
+    template = tmp_path / "t.bt"
+    template.write_text(source)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "one.bin").write_bytes(b"\x05")
@@ -409,24 +417,8 @@ def test_roundtrip_counts_corpus_and_random_failures_apart(tmp_path, capsys):
                  "--count", 5, "--rng-seed", 1)
     assert rc == 3
     out = capsys.readouterr()
-    assert out.out.splitlines() == [
-        "one.bin: FAIL (regenerated file differs)",
-        "random seeds: 5/5 round-tripped (0 generation failures skipped)"]
+    assert out.out.splitlines() == expected
     assert out.err == "1 round-trip failure(s)\n"
-
-
-def test_roundtrip_corpus_regeneration_failure_is_a_fail_line(tmp_path, capsys):
-    template = tmp_path / "abort.bt"
-    template.write_text("if (FileSize() == 0) return -1; ubyte a;")
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "one.bin").write_bytes(b"\x05")
-    rc = run_cli("roundtrip", "--template", template, "--corpus", corpus,
-                 "--count", 5, "--rng-seed", 1)
-    assert rc == 3
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("one.bin: FAIL (")
-    assert lines[1:] == ["random seeds: 0/0 round-tripped (5 generation failures skipped)"]
 
 
 def test_coverage_report(tmp_path, capsys):
