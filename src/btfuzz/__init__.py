@@ -11,8 +11,6 @@ from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
 from .engine import (
     ChoiceEvent,
     GenResult,
-    ParseOutcome,
-    generate,
     generate_from_seed,
     generate_random,
     parse,
@@ -57,14 +55,12 @@ __all__ = [
     "GenerationFailed",
     "MutationError",
     "ParseNode",
-    "ParseOutcome",
     "ParseRejected",
     "SpliceMisaligned",
     "StreamMode",
     "TemplateError",
     "TrailingBytes",
     "formats",
-    "generate",
     "generate_from_seed",
     "generate_random",
     "index_corpus",

@@ -147,7 +147,7 @@ class _RandomSource:
 
 class _Splice:
     """Switches a stream between plain sources: a seed source over the
-    base's prefix; at begin_alt, when the engine opens the target node,
+    base's prefix; at begin_alt, when the engine opens the target record,
     the middle (donor bytes or random); at end_alt, when that node has
     completed, a seed source over the base from the span end."""
 
@@ -274,30 +274,27 @@ class DecisionStream:
         width = bounded_width(hi - lo + 1)
         self.emit_raw((value - lo).to_bytes(width, "little"))
 
-    def choose_value(self, spec: ChoiceSpec) -> tuple[str, object]:
-        """One field value.  Returns ("value", v) for a decoded value or
-        ("raw", bytes) when the seed supplies the field's file bytes
-        verbatim (evil values and FULL-class unconstrained values)."""
+    def choose_value(self, spec: ChoiceSpec):
+        """One field value, decoded (an int or a candidate), or the field's
+        file bytes when the seed gives them verbatim (evil and FULL class)."""
         if self.evil_gate():
-            return ("raw", self.draw_raw(spec.width))
+            return self.draw_raw(spec.width)
         if spec.candidates:
-            idx = self.choose_index(len(spec.candidates))
-            return ("value", spec.candidates[idx])
+            return spec.candidates[self.choose_index(len(spec.candidates))]
         if spec.bounds is not None:
-            lo, hi = spec.bounds
-            return ("value", self.choose_bounded(lo, hi))
+            return self.choose_bounded(*spec.bounds)
         control = self._draw(1)[0]
         if control % 4 < SMALL_CLASSES:
-            return ("value", self._draw(1)[0])
-        return ("raw", self._draw(spec.width))
+            return self._draw(1)[0]
+        return self._draw(spec.width)
 
     def choose_bytes(self, n: int) -> bytes:
         """File bytes of n unconstrained one-byte elements.
 
         Consumes and records the same seed bytes, and leaves the same RNG
         state, as choose_value(ChoiceSpec()) once per element, decoding the
-        whole array in one pass.  A splice switches sources only between
-        nodes, so one array always reads one source.
+        whole array in one pass.  A splice switches sources only where a
+        record opens or closes, so one array always reads one source.
         """
         source = self._source
         gated = self.evil_enabled

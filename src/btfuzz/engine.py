@@ -120,6 +120,9 @@ class ChoiceEvent:
 
 @dataclass
 class GenResult:
+    """What a run returns in either direction: the file it generated or
+    parsed, its parse tree, and the seed it consumed or emitted."""
+
     file: bytes
     tree: ParseNode
     seed: bytes
@@ -129,15 +132,6 @@ class GenResult:
 
     def __iter__(self):
         return iter((self.file, self.tree, self.seed))
-
-
-@dataclass
-class ParseOutcome:
-    tree: ParseNode
-    seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads
-    covered: set[int] = dc_field(default_factory=set)
-    log: list[tuple[str, str]] = dc_field(default_factory=list)
 
 
 class Execution:
@@ -161,10 +155,10 @@ class Execution:
         self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
         self.record_stack = [RecordVal("<toplevel>")]
-        self.splice_id = splice_id  # the node ds.splice's middle belongs to
+        self.splice_id = splice_id  # the record node ds.splice's middle belongs to
 
-    def run(self) -> int:
-        """Execute the template; the top-level return code (0 if it fell off the end)."""
+    def run(self) -> GenResult:
+        """Execute the template; what the run generated or parsed."""
         try:
             code = self.program.toplevel(self)
         except _ReturnSignal as sig:  # from a record body or a split-off block
@@ -173,14 +167,16 @@ class Execution:
             raise EvalError("break outside of a loop or switch")
         except RecursionError:
             raise RecursionTooDeep("template recursion exceeds the interpreter stack") from None
-        code = code if isinstance(code, int) else 0
-        if code < 0:
+        buf = self.buf
+        if isinstance(code, int) and code < 0:
             if self.gen:
                 raise TemplateAbort(code)
             raise ParseRejected(f"template rejected the input with return code {code}")
-        self.root.file_end = self.buf.high_water if self.gen else self.buf.position
-        self.root.seed_end = self.ds.cursor
-        return code
+        if not self.gen and buf.position < buf.size:
+            raise TrailingBytes(buf.position, buf.size)
+        data = buf.finalize()
+        self.root.file_end, self.root.seed_end = len(data), self.ds.cursor
+        return GenResult(data, self.root, self.ds.seed, self.events, self.covered, self.log)
 
     # -- fields: what compiled code calls outside its scalar fast path -----
 
@@ -202,10 +198,10 @@ class Execution:
 
     def _choose_raw(self, spec: ChoiceSpec) -> bytes:
         """A drawn value as file bytes; an integer is encoded at the spec's width."""
-        _, payload = self.ds.choose_value(spec)
-        if isinstance(payload, bytes):
-            return payload
-        return (payload & ((1 << (8 * spec.width)) - 1)).to_bytes(spec.width, self.order)
+        value = self.ds.choose_value(spec)
+        if isinstance(value, bytes):
+            return value
+        return (value & ((1 << (8 * spec.width)) - 1)).to_bytes(spec.width, self.order)
 
     def _redeclare(self, instance: RecordVal, name: str, spec, signed: bool):
         """Fix-up declaration: same name, same record instance.  The bytes
@@ -487,13 +483,11 @@ _NEEDS = {"fr": "sc", "res": "buf", "sd": "ds"}
 # Source that opens a parse tree node, as {0}, with name {1} and type {2};
 # and source that closes the innermost node, {0}.
 _PUSH = """{0} = ParseNode(next(ex.ids), {1}, {2}, buf.position, len(sd))
-if {0}.id == ex.splice_id: ds.splice.begin_alt()
 if (lead := ex.last_lookahead) is not None and lead.end == {0}.seed_start: {0}.lead = lead
 stack[-1].children.append({0})
 stack.append({0})"""
 _POP = """{0}.file_end, {0}.seed_end = buf.position, len(sd)
-stack.pop()
-if {0}.id == ex.splice_id: ds.splice.end_alt()"""
+stack.pop()"""
 
 
 def _forget_lines(filename: str, entry):
@@ -567,11 +561,13 @@ class _Compiler:
         params = [p for p, _ in tdef.params]
         binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
         lines = ["fr = sc.push_activation()", _PUSH.format("rn", "name", repr(tdef.name)),
+                 "if rn.id == ex.splice_id: ds.splice.begin_alt()",
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
                    if params else []),  # a snapshot: local arrays may change after the call
                  f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
                  "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
-                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn")]),
+                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn"),
+                           "if rn.id == ex.splice_id: ds.splice.end_alt()"]),
                  "return rec, rn"]
         self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
                      given=("fr", "rec"))
@@ -787,7 +783,7 @@ class _Compiler:
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
         field = [f"held = buf.reserved_block(buf.position, {width}) if buf.position in res "
                  "else None", "if gen:", "    if (raw := held) is None:",
-                 f"        raw = ds.choose_value({sp})[1]",
+                 f"        raw = ds.choose_value({sp})",
                  f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
                  f".to_bytes({width}, ex.order)",
                  "    buf.write(raw)", f"    v = {decode}", "else:",
@@ -1076,49 +1072,33 @@ _BUILTINS = {
 # --- public entry points ----------------------------------------------------
 
 
-def generate(unit: TemplateUnit, ds: DecisionStream,
-             budget: int = DEFAULT_BUDGET) -> GenResult:
-    """Run the template forward.  Deterministic: the same unit and the
-    same consumed seed bytes yield a bit-identical file and tree."""
-    buf = FileBuffer(budget)
-    ex = Execution(unit, ds, buf)
-    ex.run()
-    data = buf.finalize()
-    ex.root.file_end = len(data)
-    return GenResult(data, ex.root, ds.seed, ex.events, ex.covered, ex.log)
-
-
 def generate_from_seed(unit: TemplateUnit, seed: bytes, *, evil: bool = True,
                        budget: int = DEFAULT_BUDGET) -> GenResult:
+    """Run the template forward on seed.  Deterministic: the same unit and
+    the same consumed seed bytes yield a bit-identical file and tree."""
     ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
-    return generate(unit, ds, budget)
+    return Execution(unit, ds, FileBuffer(budget)).run()
 
 
 def generate_random(unit: TemplateUnit, rng: random.Random | int | None = None, *,
                     evil: bool = True, budget: int = DEFAULT_BUDGET) -> GenResult:
     ds = DecisionStream(StreamMode.GEN_RANDOM, rng=rng, evil_enabled=evil)
-    return generate(unit, ds, budget)
+    return Execution(unit, ds, FileBuffer(budget)).run()
 
 
-def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> ParseOutcome:
+def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
     """Run the template backward over `data`, emitting the canonical seed.
 
-    On success, generate_from_seed(unit, outcome.seed) reproduces `data`
-    bit-exactly.  Engine-level failures surface as ParseRejected; leftover
-    input raises TrailingBytes.
+    On success, generate_from_seed(unit, result.seed) reproduces `data`
+    (result.file) bit-exactly.  Engine-level failures surface as
+    ParseRejected; leftover input raises TrailingBytes.
     """
     ds = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
-    buf = FileBuffer(data=bytes(data))
-    ex = Execution(unit, ds, buf)
+    ex = Execution(unit, ds, FileBuffer(data=bytes(data)))
     try:
-        ex.run()
-    except ParseRejected:
-        raise
+        return ex.run()
     except GenerationFailed as exc:
         raise ParseRejected(f"{type(exc).__name__}: {exc}") from exc
-    if buf.position < buf.size:
-        raise TrailingBytes(buf.position, buf.size)
-    return ParseOutcome(ex.root, ds.seed, ex.events, ex.covered, ex.log)
 
 
 def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
@@ -1126,12 +1106,13 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
                     budget: int = DEFAULT_BUDGET) -> GenResult:
     """Generate with base_seed's decisions replayed around `span` and `alt`
     (donor seed bytes, or an int/Random for random bytes) consumed inside
-    it: base_seed[:start] until node `node_id` opens, which must be at the
-    span start, `alt` until it closes, then base_seed from the span end.
-    Node ids match the base's parse tree, as the prefix replays it exactly.
-    Any desynchronization raises SpliceMisaligned: a seed source running
-    dry (SeedExhausted) or any failure outside the node, the node opening
-    elsewhere or never completing, and donor or base bytes left over.
+    it: base_seed[:start] until record node `node_id` opens, which must be
+    at the span start, `alt` until it closes, then base_seed from the span
+    end.  Node ids match the base's parse tree, as the prefix replays it
+    exactly; only a record node opens a splice.  Any desynchronization
+    raises SpliceMisaligned: a seed source running dry (SeedExhausted) or
+    any failure outside the node, the node opening elsewhere or never
+    (any id that is not a record's), and donor or base bytes left over.
     """
     start, end = span
     if not 0 <= start <= end <= len(base_seed):
@@ -1139,11 +1120,9 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base_seed, evil_enabled=evil,
                         splice=(span, alt))
     splice = ds.splice
-    buf = FileBuffer(budget)
-    ex = Execution(unit, ds, buf, node_id)
+    ex = Execution(unit, ds, FileBuffer(budget), node_id)
     try:
-        ex.run()
-        data = buf.finalize()
+        result = ex.run()
     except GenerationFailed as exc:
         if splice.phase == splice.ALT and not isinstance(exc, SeedExhausted):
             raise
@@ -1155,4 +1134,4 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     leftover = len(base_seed) - ds._source.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")
-    return GenResult(data, ex.root, ds.seed, ex.events, ex.covered, ex.log)
+    return result

@@ -1,10 +1,11 @@
 """Independent validity oracle for PNG-lite.
 
 PNG-lite is PNG trimmed to the chunk set IHDR, PLTE, IDAT, IEND, tIME,
-tEXt.  The oracle re-implements the signature check, per-chunk CRC-32
-(via the zlib module: the engine carries its own table), the chunk
-ordering automaton, IHDR's color/bit-depth table, and IDAT
-decompressibility.  All findings are collected, not just the first.
+tEXt.  The oracle re-implements the signature check, the chunk ordering
+automaton, IHDR's color/bit-depth table, and IDAT decompressibility.  It
+checks per-chunk CRC-32 with `zlib.crc32`, which the engine's `crc32` is
+too, so the two share one CRC.  All findings are collected, not just the
+first.
 """
 
 from __future__ import annotations

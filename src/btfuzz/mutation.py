@@ -52,7 +52,6 @@ class ChunkRecord:
     source_file: object
     node_id: int
     type_name: str
-    file_span: tuple[int, int]
     decision_span: tuple[int, int]
     lead_start: int = -1
     tail_start: int = -1
@@ -100,7 +99,6 @@ class ChunkPool:
     donors: dict[tuple, list[ChunkRecord]] = field(default_factory=dict)
     menus: dict[object, BaseMenu] = field(default_factory=dict)
     seeds: dict[object, bytes] = field(default_factory=dict)
-    files: dict[object, bytes] = field(default_factory=dict)
     failures: list[tuple[object, str]] = field(default_factory=list)
     evil: bool = True
     budget: int = DEFAULT_BUDGET
@@ -141,14 +139,12 @@ def index_corpus(unit, files, *, evil: bool = True,
     positions = {}  # file id -> its lookahead events by context
     items = files.items() if isinstance(files, Mapping) else enumerate(files)
     for cid, data in items:
-        data = bytes(data)
         try:
             outcome = parse(unit, data, evil=evil)
         except (ParseRejected, GenerationFailed) as exc:
             pool.failures.append((cid, str(exc)))
             continue
         pool.seeds[cid] = outcome.seed
-        pool.files[cid] = data
         looks = outcome.events
         type_of = {}
         nodes = []
@@ -177,7 +173,6 @@ def index_corpus(unit, files, *, evil: bool = True,
                 source_file=cid,
                 node_id=node.id,
                 type_name=node.type_name,
-                file_span=(node.file_start, node.file_end),
                 decision_span=(node.seed_start, node.seed_end),
                 lead_start=-1 if lead is None else lead.start,
                 tail_start=tail_start,

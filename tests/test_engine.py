@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from btfuzz.engine import (
     MAX_LOCAL_ARRAY,
+    GenResult,
     crc32,
     generate_from_seed,
     generate_random,
@@ -67,6 +68,10 @@ def test_frozen_one_data_mini(mini):
 def test_frozen_parse_emits_canonical_seed(mini):
     outcome = parse(mini, MINI_ONE_DATA_FILE)
     assert outcome.seed == MINI_ONE_DATA_SEED
+    # a parse ends in what a generation does, with the input as its file
+    assert isinstance(outcome, GenResult) and outcome.file == MINI_ONE_DATA_FILE
+    assert (outcome.tree.file_end, outcome.tree.seed_end) == (len(MINI_ONE_DATA_FILE),
+                                                              len(MINI_ONE_DATA_SEED))
 
 
 def test_parse_tree_matches_regenerated_tree(mini):
@@ -744,6 +749,8 @@ _MISALIGNED = {
         lambda s, d, p: (s + b"\x00", (d.seed_start, d.seed_end), d.id, s[d.seed_start:d.seed_end]),
     "node-never-opens":
         lambda s, d, p: (s, (len(s), len(s)), 999, b""),
+    "target-not-a-record":  # only a record node opens a splice, so its own bytes do not fit
+        lambda s, d, p: (s, (p.seed_start, p.seed_end), p.id, s[p.seed_start:p.seed_end]),
     "span-outside-seed":
         lambda s, d, p: (b"\x00\x00\x00", (1, 99), d.id, b""),
 }

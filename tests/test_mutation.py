@@ -37,9 +37,7 @@ def test_pool_counts(mini, pool):
 
 def test_pool_spans_are_plausible(pool):
     for rec in pool.records():
-        fs, fe = rec.file_span
         ss, se = rec.decision_span
-        assert 0 <= fs < fe <= len(pool.files[rec.source_file])
         # END chunks cost no decisions: the lookahead reservation forces
         # their tag byte, so the span may be empty
         assert 0 <= ss <= se <= len(pool.seeds[rec.source_file])
@@ -75,14 +73,14 @@ def test_mapping_corpus_keys(mini):
 def test_replace_with_self_is_identity(mini, pool):
     for rec in pool.records():
         mutated = smart_replace(mini, pool, rec, rec)
-        assert mutated == pool.files[rec.source_file]
+        assert mutated == TWO_FILES[rec.source_file]
 
 
 def test_replace_cross_file(mini, pool):
     targets = [r for r in pool.by_type["DATA"] if r.source_file == 0]
     donors = [r for r in pool.by_type["DATA"] if r.source_file == 1]
     mutated = smart_replace(mini, pool, targets[0], donors[0])
-    assert mutated != pool.files[0]
+    assert mutated != TWO_FILES[0]
     ok, violation = verify_mini(mutated)
     assert ok, violation
     parse(mini, mutated)
@@ -99,7 +97,7 @@ def test_abstract_identity_with_original_bytes(mini, pool):
     rec = pool.by_type["DATA"][0]
     seed = pool.seeds[rec.source_file]
     original = seed[rec.decision_span[0]:rec.decision_span[1]]
-    assert smart_replace(mini, pool, rec, rec) == pool.files[rec.source_file]
+    assert smart_replace(mini, pool, rec, rec) == TWO_FILES[rec.source_file]
     assert original  # non-degenerate span
 
 
@@ -134,19 +132,19 @@ def test_delete_insert_roundtrip(mini, pool):
     deleted = smart_delete(mini, pool, rec)
 
     # index base and donor files in one pool so both sides are available
-    combo = index_corpus(mini, [deleted, pool.files[0]])
+    combo = index_corpus(mini, [deleted, TWO_FILES[0]])
     donor = next(
         r for r in combo.records(base=1)
         if r.type_name == "DATA" and r.decision_span == rec.decision_span)
     position = next(
         ev for ev in parse(mini, deleted).events if ev.start == rec.lead_start)
     restored = smart_insert(mini, combo, 0, position, donor)
-    assert restored == pool.files[0]
+    assert restored == TWO_FILES[0]
 
 
 def test_insert_grows_chunk_count(mini, pool):
     donor = next(r for r in pool.by_type["DATA"] if r.source_file == 1)
-    position = parse(mini, pool.files[0]).events[0]
+    position = parse(mini, TWO_FILES[0]).events[0]
     mutated = smart_insert(mini, pool, 0, position, donor)
     ok, violation = verify_mini(mutated)
     assert ok, violation
@@ -221,7 +219,7 @@ def test_mutations_on_pnglite_parse_back(pnglite):
     assert accepted == 30
 
 
-def _bundled_pool(unit, evil):
+def _bundled_files(unit, evil):
     from btfuzz.engine import generate_random
     from btfuzz.errors import Error
     files = []
@@ -230,7 +228,7 @@ def _bundled_pool(unit, evil):
             files.append(generate_random(unit, random.Random(i), evil=evil, budget=1024).file)
         except Error:
             pass
-    return index_corpus(unit, files, budget=1024)
+    return files
 
 
 @pytest.mark.parametrize("evil", [False, True])
@@ -239,10 +237,11 @@ def test_every_record_restores_itself(template, evil):
     # replace-with-self and abstraction fed the record's own decisions
     # regenerate the base bit-exactly, nested records included
     unit = formats.load_template(template)
-    pool = _bundled_pool(unit, evil)
+    files = _bundled_files(unit, evil)
+    pool = index_corpus(unit, files, budget=1024)
     assert not pool.failures
     for rec in pool.records():
-        base = pool.files[rec.source_file]
+        base = files[rec.source_file]
         assert smart_replace(unit, pool, rec, rec) == base, rec
         own = pool.seeds[rec.source_file][slice(*rec.decision_span)]
         assert smart_abstract(unit, pool, rec, own) == base, rec
@@ -301,7 +300,7 @@ def test_pnglite_attempts_per_accepted_mutation(pnglite, monkeypatch):
     assert calls["attempts"] / calls["accepts"] <= 1.3, calls
 
 
-def _small_pool(unit, n, evil):
+def _small_files(unit, n, evil):
     from btfuzz.engine import generate_random
     from btfuzz.errors import Error
     files = []
@@ -312,7 +311,11 @@ def _small_pool(unit, n, evil):
             continue
         if len(files) == n:
             break
-    return index_corpus(unit, files, evil=True, budget=512)
+    return files
+
+
+def _small_pool(unit, n, evil):
+    return index_corpus(unit, _small_files(unit, n, evil), evil=True, budget=512)
 
 
 @pytest.mark.parametrize("template,n", [("mini", 8), ("pnglite", 6)])
@@ -360,17 +363,18 @@ def test_mini_end_is_neither_deletable_nor_a_donor(mini, pool):
     assert not any(r.type_name == "END" for r in pool.insert_donors)
     for rec in ends:
         # END's lead is the token lookahead before it, not the empty one after
-        looks = parse(mini, pool.files[rec.source_file]).events
+        looks = parse(mini, TWO_FILES[rec.source_file]).events
         lead = next(ev for ev in looks if ev.start == rec.lead_start)
         assert lead.token == b"\xff" and lead.end == rec.decision_span[0]
         assert rec.lead_start < rec.tail_start == rec.decision_span[1]
 
 
 def test_end_only_mini_file_keeps_insert(mini):
-    combo = index_corpus(mini, [build_mini_file([]), TWO_FILES[0]])
+    base = build_mini_file([])
+    combo = index_corpus(mini, [base, TWO_FILES[0]])
     assert combo.menus[0].ops == ["insert"]
     mutated, desc = random_smart_mutation(mini, combo, 0, random.Random(1))
-    assert desc["op"] == "insert" and mutated != combo.files[0]
+    assert desc["op"] == "insert" and mutated != base
     ok, violation = verify_mini(mutated)
     assert ok, violation
 
@@ -386,13 +390,14 @@ def test_pnglite_list_editing_chunks_are_not_deletable(pnglite):
 
 
 def test_mini_mutations_change_the_base(mini):
-    pool = _small_pool(mini, 20, evil=True)
+    files = _small_files(mini, 20, evil=True)
+    pool = index_corpus(mini, files, budget=512)
     rng = random.Random(5)
     unchanged = 0
     for i in range(300):
         base = i % len(pool.seeds)
         mutated, _ = random_smart_mutation(mini, pool, base, rng)
-        unchanged += mutated == pool.files[base]
+        unchanged += mutated == files[base]
     assert unchanged < 15  # under 5%
 
 
