@@ -167,11 +167,11 @@ class Execution:
             raise EvalError("break outside of a loop or switch")
         except RecursionError:
             raise RecursionTooDeep("template recursion exceeds the interpreter stack") from None
-        buf = self.buf
         if isinstance(code, int) and code < 0:
             if self.gen:
                 raise TemplateAbort(code)
             raise ParseRejected(f"template rejected the input with return code {code}")
+        buf = self.buf
         if not self.gen and buf.position < buf.size:
             raise TrailingBytes(buf.position, buf.size)
         data = buf.finalize()
