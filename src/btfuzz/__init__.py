@@ -7,7 +7,7 @@ the substrate for smart mutations, and a black-box harness drives
 targets with the results.
 """
 
-from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
+from .decisionstream import ChoiceSpec, DecisionStream
 from .engine import (
     ChoiceEvent,
     GenResult,
@@ -57,7 +57,6 @@ __all__ = [
     "ParseNode",
     "ParseRejected",
     "SpliceMisaligned",
-    "StreamMode",
     "TemplateError",
     "TrailingBytes",
     "formats",

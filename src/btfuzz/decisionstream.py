@@ -1,10 +1,11 @@
 """Decision streams: the byte-level protocol between seeds and choices.
 
-A decision seed is a flat byte string.  Generation consumes it through the
-choice operations below; parsing runs the same operations in reverse and
-emits the canonical byte encoding of every observed choice.  The two
-directions are exact inverses: generating from a parse-emitted seed
-reproduces the parsed file bit for bit.
+A decision seed is a flat byte string.  A stream with a byte source (a
+SeedSource or RandomSource) generates: it consumes the source through the
+choice operations below.  A stream without one parses: it runs them in
+reverse and emits the canonical byte encoding of every observed choice.
+The two directions are exact inverses: generating from a parse-emitted
+seed reproduces the parsed file bit for bit.
 
 Wire protocol, in consumption order:
 
@@ -15,7 +16,7 @@ Wire protocol, in consumption order:
   index choice   choosing among k known options.  k == 1 with evil
                  disabled is forced and consumes nothing.  Otherwise one
                  byte b1 gives b1 mod k (two little-endian bytes when
-                 k > 256).  Parsing emits the index itself.
+                 k > 256, at most 65536).  Parsing emits the index itself.
   bounded value  minimal little-endian width covering max-min+1; the
                  value is min + raw mod span.
   unconstrained  a control byte c.  c mod 4 < 3 selects the SMALL class
@@ -32,21 +33,13 @@ locate decisions in the seed.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
-from enum import Enum, auto
 
-from .errors import SeedExhausted, SpliceMisaligned, UnrepresentableValue
+from .errors import EvalError, SeedExhausted, SpliceMisaligned, UnrepresentableValue
 
 EVIL_MODULUS = 128
 EVIL_RESIDUE = 127
 SMALL_CLASSES = 3  # control byte classes 0..2 are SMALL, 3 is FULL
-
-
-class StreamMode(Enum):
-    GEN_FROM_SEED = auto()
-    GEN_RANDOM = auto()
-    PARSE_RECORD = auto()
 
 
 @dataclass
@@ -115,7 +108,9 @@ _SIGNED_CONTROL = bytes(SMALL_CLASSES if b >= 0x80 else 0 for b in range(256))
 # --- byte sources for generation ------------------------------------------
 
 
-class _SeedSource:
+class SeedSource:
+    """Decision bytes read from a fixed seed."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -129,9 +124,11 @@ class _SeedSource:
         return out
 
 
-class _RandomSource:
-    def __init__(self, rng: random.Random):
-        self.rng = rng
+class RandomSource:
+    """Decision bytes drawn from a PRNG: a Random, or an int or None to seed one."""
+
+    def __init__(self, rng: random.Random | int | None = None):
+        self.rng = rng if isinstance(rng, random.Random) else random.Random(rng)
 
     def draw(self, n: int) -> bytes:
         return self.rng.randbytes(n)
@@ -146,34 +143,33 @@ class _RandomSource:
 
 
 class _Splice:
-    """Switches a stream between plain sources: a seed source over the
-    base's prefix; at begin_alt, when the engine opens the target record,
-    the middle (donor bytes or random); at end_alt, when that node has
-    completed, a seed source over the base from the span end."""
+    """Switches the source of a stream that starts on a seed source over
+    the base's prefix: at begin_alt, when the engine opens record node
+    node_id, to alt (donor bytes or random); at end_alt, when that node
+    has completed, to a seed source over the base from the span end."""
 
     PREFIX, ALT, SUFFIX = 0, 1, 2
 
-    def __init__(self, ds: DecisionStream, base: bytes, span: tuple[int, int], alt):
-        # weakly: a stream and splice in a cycle would wait for the cyclic GC
-        self.ds, self.base, self.alt = weakref.proxy(ds), base, alt
+    def __init__(self, ds: DecisionStream, base: bytes, span: tuple[int, int],
+                 node_id: int, alt: SeedSource | RandomSource):
+        self.ds, self.base, self.node_id, self.alt = ds, base, node_id, alt
         self.start, self.resume = span
         self.phase = self.PREFIX
-        ds._source = _SeedSource(base[:self.start])
 
     def begin_alt(self):
-        pos = self.ds._source.pos  # the node must open where the prefix runs out
+        pos = self.ds.source.pos  # the node must open where the prefix runs out
         if pos != self.start:
             raise SpliceMisaligned(f"splice target starts at seed offset {pos}, not {self.start}")
         self.phase = self.ALT
-        self.ds._source = self.alt
+        self.ds.source = self.alt
 
     def end_alt(self):
-        if isinstance(self.alt, _SeedSource) and self.alt.pos != len(self.alt.data):
+        if isinstance(self.alt, SeedSource) and self.alt.pos != len(self.alt.data):
             left = len(self.alt.data) - self.alt.pos
             raise SpliceMisaligned(f"{left} donor decision byte(s) left unconsumed")
         self.phase = self.SUFFIX
-        self.ds._source = _SeedSource(self.base)
-        self.ds._source.pos = self.resume
+        self.ds.source = SeedSource(self.base)
+        self.ds.source.pos = self.resume
 
 
 # --- the stream ------------------------------------------------------------
@@ -182,41 +178,17 @@ class _Splice:
 class DecisionStream:
     """One direction of the seed protocol.
 
-    Generation modes consume bytes (from a fixed seed or a seeded PRNG,
-    recording everything so any run is replayable).  Parse mode emits the
-    canonical encoding of observed values.  Either way `seed` holds the
-    bytes so far and `cursor` their count.
+    With a source it generates, recording every byte it consumes so any
+    run is replayable.  Without one it parses, emitting the canonical
+    encoding of observed values.  Either way `seed` holds the bytes so
+    far and `cursor` their count.
     """
 
-    def __init__(self, mode: StreamMode, *, seed: bytes | None = None,
-                 rng: random.Random | int | None = None,
-                 evil_enabled: bool = True,
-                 splice: tuple[tuple[int, int], object] | None = None):
-        self.mode = mode
+    def __init__(self, source: SeedSource | RandomSource | None = None, *,
+                 evil_enabled: bool = True):
+        self.source = source
         self.evil_enabled = evil_enabled
         self._recorded = bytearray()
-        self._source = None
-        self.splice: _Splice | None = None
-        if mode is StreamMode.GEN_FROM_SEED:
-            if splice is not None:
-                span, alt = splice
-                if isinstance(alt, (bytes, bytearray)):
-                    alt_source = _SeedSource(bytes(alt))
-                else:
-                    alt_source = _RandomSource(self._coerce_rng(alt))
-                self.splice = _Splice(self, seed or b"", span, alt_source)
-            else:
-                self._source = _SeedSource(seed or b"")
-        elif mode is StreamMode.GEN_RANDOM:
-            self._source = _RandomSource(self._coerce_rng(rng))
-        elif mode is not StreamMode.PARSE_RECORD:
-            raise ValueError(f"unsupported mode {mode}")
-
-    @staticmethod
-    def _coerce_rng(rng) -> random.Random:
-        if isinstance(rng, random.Random):
-            return rng
-        return random.Random(rng)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -237,7 +209,7 @@ class DecisionStream:
     # -- generation primitives ------------------------------------------
 
     def _draw(self, n: int) -> bytes:
-        out = self._source.draw(n)
+        out = self.source.draw(n)
         self._recorded.extend(out)
         return out
 
@@ -252,14 +224,14 @@ class DecisionStream:
 
     def choose_index(self, k: int) -> int:
         if k < 1:
-            raise ValueError(f"choose_index over {k} options")
+            raise EvalError(f"a choice among {k} options")
         if k == 1 and not self.evil_enabled:
             return 0
         if k <= 256:
             return self._draw(1)[0] % k
         if k <= 65536:
             return int.from_bytes(self._draw(2), "little") % k
-        raise ValueError(f"choose_index supports at most 65536 options, got {k}")
+        raise EvalError(f"a choice among {k} options; at most 65536 are supported")
 
     def choose_bounded(self, lo: int, hi: int) -> int:
         """A value in [lo, hi], gate-free (codec payload lengths)."""
@@ -296,9 +268,9 @@ class DecisionStream:
         whole array in one pass.  A splice switches sources only where a
         record opens or closes, so one array always reads one source.
         """
-        source = self._source
+        source = self.source
         gated = self.evil_enabled
-        if isinstance(source, _SeedSource):
+        if isinstance(source, SeedSource):
             data, pos = source.data, source.pos
             out, end = _decode_bytes(data, pos, n, gated)
             if len(out) < n:
@@ -361,8 +333,10 @@ class DecisionStream:
             return
         if k <= 256:
             self.emit_raw(bytes([idx]))
-        else:
+        elif k <= 65536:
             self.emit_raw(idx.to_bytes(2, "little"))
+        else:
+            raise EvalError(f"a choice among {k} options; at most 65536 are supported")
 
     def emit_raw(self, payload: bytes):
         self._recorded.extend(payload)

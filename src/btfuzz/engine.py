@@ -24,7 +24,7 @@ import weakref
 import zlib
 from dataclasses import dataclass, field as dc_field
 
-from .decisionstream import ChoiceSpec, DecisionStream, StreamMode
+from .decisionstream import ChoiceSpec, DecisionStream, RandomSource, SeedSource, _Splice
 from .errors import (
     BudgetExceeded, ChecksumAlgoUnknown, DecodeError, EvalError, GenerationFailed,
     InvalidFieldAccess, LocalArrayTooLarge, OutOfRange, ParseRejected, RecursionTooDeep,
@@ -138,12 +138,12 @@ class Execution:
     """One generation or parse run over a compiled template."""
 
     def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
-                 splice_id: int = -1):
+                 splice: _Splice | None = None):
         if unit.program is None:
             unit.program = _Compiler(unit)
         self.program = unit.program
         self.ds, self.buf = ds, buf
-        self.gen = ds.mode is not StreamMode.PARSE_RECORD
+        self.gen = ds.source is not None
         self.scope = Scope(self.program.globals)
         self.order, self.hint_mode = "little", False  # byte order of integer fields
         self.steps = 0  # loop iterations so far
@@ -155,7 +155,8 @@ class Execution:
         self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
         self.record_stack = [RecordVal("<toplevel>")]
-        self.splice_id = splice_id  # the record node ds.splice's middle belongs to
+        self.splice = splice
+        self.splice_id = -1 if splice is None else splice.node_id  # -1 matches no node
 
     def run(self) -> GenResult:
         """Execute the template; what the run generated or parsed."""
@@ -561,13 +562,13 @@ class _Compiler:
         params = [p for p, _ in tdef.params]
         binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
         lines = ["fr = sc.push_activation()", _PUSH.format("rn", "name", repr(tdef.name)),
-                 "if rn.id == ex.splice_id: ds.splice.begin_alt()",
+                 "if rn.id == ex.splice_id: ex.splice.begin_alt()",
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
                    if params else []),  # a snapshot: local arrays may change after the call
                  f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
                  "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
                  *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn"),
-                           "if rn.id == ex.splice_id: ds.splice.end_alt()"]),
+                           "if rn.id == ex.splice_id: ex.splice.end_alt()"]),
                  "return rec, rn"]
         self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
                      given=("fr", "rec"))
@@ -1055,7 +1056,7 @@ _BUILTINS = {
     "FTell": "buf.position",
     "FSeek": "(buf.seek({i0}) or 0)",
     "FEof": "ex._feof()",
-    "FileSize": "(buf.high_water if gen else buf.size)",
+    "FileSize": "buf.high_water",
     "ReadByte": "ex._read_byte({i0}, {1})",
     "ReadBytes": "ex._read_bytes({out}, {i1}, {i2}, {3}, {4}, {5})",
     "Checksum": "ex._checksum({i0}, {i1}, {i2})",
@@ -1076,13 +1077,13 @@ def generate_from_seed(unit: TemplateUnit, seed: bytes, *, evil: bool = True,
                        budget: int = DEFAULT_BUDGET) -> GenResult:
     """Run the template forward on seed.  Deterministic: the same unit and
     the same consumed seed bytes yield a bit-identical file and tree."""
-    ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
+    ds = DecisionStream(SeedSource(seed), evil_enabled=evil)
     return Execution(unit, ds, FileBuffer(budget)).run()
 
 
 def generate_random(unit: TemplateUnit, rng: random.Random | int | None = None, *,
                     evil: bool = True, budget: int = DEFAULT_BUDGET) -> GenResult:
-    ds = DecisionStream(StreamMode.GEN_RANDOM, rng=rng, evil_enabled=evil)
+    ds = DecisionStream(RandomSource(rng), evil_enabled=evil)
     return Execution(unit, ds, FileBuffer(budget)).run()
 
 
@@ -1093,8 +1094,7 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
     (result.file) bit-exactly.  Engine-level failures surface as
     ParseRejected; leftover input raises TrailingBytes.
     """
-    ds = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
-    ex = Execution(unit, ds, FileBuffer(data=bytes(data)))
+    ex = Execution(unit, DecisionStream(evil_enabled=evil), FileBuffer(data=bytes(data)))
     try:
         return ex.run()
     except GenerationFailed as exc:
@@ -1117,10 +1117,10 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     start, end = span
     if not 0 <= start <= end <= len(base_seed):
         raise SpliceMisaligned(f"span [{start}, {end}) outside seed of {len(base_seed)}")
-    ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base_seed, evil_enabled=evil,
-                        splice=(span, alt))
-    splice = ds.splice
-    ex = Execution(unit, ds, FileBuffer(budget), node_id)
+    alt = SeedSource(bytes(alt)) if isinstance(alt, (bytes, bytearray)) else RandomSource(alt)
+    ds = DecisionStream(SeedSource(base_seed[:start]), evil_enabled=evil)
+    splice = _Splice(ds, base_seed, span, node_id, alt)
+    ex = Execution(unit, ds, FileBuffer(budget), splice)
     try:
         result = ex.run()
     except GenerationFailed as exc:
@@ -1131,7 +1131,7 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
         raise SpliceMisaligned(f"replay failed {where}: {exc}") from exc
     if splice.phase != splice.SUFFIX:
         raise SpliceMisaligned(f"generation finished before node {node_id} completed")
-    leftover = len(base_seed) - ds._source.pos
+    leftover = len(base_seed) - ds.source.pos
     if leftover:
         raise SpliceMisaligned(f"{leftover} base seed byte(s) left after the splice")
     return result

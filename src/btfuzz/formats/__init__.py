@@ -11,7 +11,7 @@ from ..errors import TemplateError
 from ..templatelang import TemplateUnit, parse_template
 from .mini import verify_mini
 from .pnglite import verify_pnglite
-from .zstream import StoredZlibCodec, adler32, idat_hook_decode, idat_hook_encode
+from .zstream import StoredZlibCodec, adler32
 
 register_codec(StoredZlibCodec.name, StoredZlibCodec)
 
@@ -69,8 +69,6 @@ __all__ = [
     "BUNDLED",
     "VERIFIERS",
     "adler32",
-    "idat_hook_decode",
-    "idat_hook_encode",
     "load_template",
     "resolve_template",
     "template_text",

@@ -103,13 +103,9 @@ class ChunkPool:
     evil: bool = True
     budget: int = DEFAULT_BUDGET
 
-    def records(self, base=None):
-        """Every record by type, in first-seen type order, then file order;
-        with `base`, that file's records in the same order."""
-        recs = (rec for recs in self.by_type.values() for rec in recs)
-        if base is not None:
-            return (rec for rec in recs if rec.source_file == base)
-        return recs
+    def records(self):
+        """Every record by type, in first-seen type order, then file order."""
+        return (rec for recs in self.by_type.values() for rec in recs)
 
 
 def _context(site: str, spec: ChoiceSpec) -> tuple:

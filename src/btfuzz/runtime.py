@@ -1,9 +1,10 @@
 """Execution-time state: file buffer, variable scope, and parse tree.
 
 The same FileBuffer type backs both directions.  Generating writes into a
-growable buffer capped by a byte budget; parsing reads from an immutable
-byte string whose size doubles as the budget.  Reservations pin bytes that
-a lookahead has already fixed, at single byte granularity.
+growable buffer capped by a byte budget; parsing reads the input bytes
+themselves, whose size is the budget and the high-water mark from the
+start.  Reservations pin bytes that a lookahead has already fixed, at
+single byte granularity.
 """
 
 from __future__ import annotations
@@ -28,15 +29,12 @@ class FileBuffer:
     """Byte buffer with position, budget, reservations, and gap tracking."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET, data: bytes | None = None):
-        self.parse_mode = data is not None
-        if self.parse_mode:
-            self.data = bytearray(data)
-            self.budget = len(data)
-        else:
-            self.data = bytearray()
-            self.budget = budget
+        if data is None:
+            self.data, self.budget = bytearray(), budget
+        else:  # parsing: the input itself, never written
+            self.data, self.budget = data, len(data)
         self.position = 0
-        self.high_water = len(self.data) if self.parse_mode else 0
+        self.high_water = len(self.data)
         self.reservations: dict[int, int] = {}
         self._reserved_end = 0  # past the highest reserved offset
         self._gaps: set[int] = set()
@@ -86,21 +84,23 @@ class FileBuffer:
 
     def reserve(self, pos: int, payload: bytes):
         """Pin bytes chosen by a lookahead before they are declared."""
-        if pos < 0 or pos + len(payload) > self.budget:
-            raise OutOfRange(f"reservation [{pos}, {pos + len(payload)}) outside budget")
-        for i, b in enumerate(payload):
-            off = pos + i
+        end = pos + len(payload)
+        if pos < 0 or end > self.budget:
+            raise OutOfRange(f"reservation [{pos}, {end}) outside budget")
+        # written bytes are checked one by one only when they differ (never on a parse)
+        differs = not payload.startswith(self.data[pos:end])
+        for off, b in enumerate(payload, pos):
             held = self.reservations.get(off)
             if held is not None and held != b:
                 raise ReservationConflict(
                     f"reservation {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
-            if not self.parse_mode and off < len(self.data) and off not in self._gaps:
+            if differs and off < len(self.data) and off not in self._gaps:
                 if self.data[off] != b:
                     raise ReservationConflict(
                         f"reservation {b:#04x} at offset {off} conflicts with written "
                         f"{self.data[off]:#04x}")
             self.reservations[off] = b
-        self._reserved_end = max(self._reserved_end, pos + len(payload))
+        self._reserved_end = max(self._reserved_end, end)
 
     def reserved_offsets(self, pos: int, end: int) -> list[int]:
         """The reserved offsets in [pos, end), ascending.  Costs the smaller
@@ -129,18 +129,18 @@ class FileBuffer:
         if self._gaps:
             first = min(self._gaps)
             raise GenerationFailed(f"{len(self._gaps)} gap byte(s) never written, first at {first}")
-        unwritten = [off for off in self.reservations if off >= self.high_water]
-        if not self.parse_mode and unwritten:
-            raise GenerationFailed(
-                f"{len(unwritten)} reserved byte(s) never declared, first at {min(unwritten)}")
-        return bytes(self.data)
+        if self._reserved_end > self.high_water:
+            if unwritten := [off for off in self.reservations if off >= self.high_water]:
+                raise GenerationFailed(
+                    f"{len(unwritten)} reserved byte(s) never declared, first at {min(unwritten)}")
+        return bytes(self.data)  # a parse's input as it is: bytes(b) of bytes is b
 
     # -- parse side -------------------------------------------------------
 
     def read(self, n: int) -> bytes:
         if self.position + n > len(self.data):
             raise OutOfRange(f"read of {n} bytes at {self.position} past end ({len(self.data)})")
-        out = bytes(self.data[self.position:self.position + n])
+        out = self.data[self.position:self.position + n]
         self.position += n
         return out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from btfuzz import cli
-from btfuzz.decisionstream import DecisionStream, StreamMode
+from btfuzz.decisionstream import DecisionStream, RandomSource
 from btfuzz.engine import generate_from_seed, generate_random, parse
 from btfuzz.errors import GenerationFailed, NoApplicableMutation, ParseRejected
 from btfuzz.formats import load_template
@@ -94,7 +94,7 @@ def test_criterion_03_validity_with_evil():
 
 def test_criterion_04_evil_rate():
     trials = 131_072  # > 1e5 gates
-    stream = DecisionStream(StreamMode.GEN_RANDOM, rng=random.Random(99))
+    stream = DecisionStream(RandomSource(99))
     fired = sum(stream.evil_gate() for _ in range(trials))
     rate = fired / trials
     assert 0.0063 <= rate <= 0.0094, f"evil rate {rate:.5f}"
@@ -158,7 +158,7 @@ def test_criterion_07_smart_mutation_identities():
     trials = 0
     for _ in range(200):
         base = rng.randrange(len(corpus))
-        records = [r for r in pool.records(base=base)]
+        records = [r for r in pool.records() if r.source_file == base]
 
         target = rng.choice(records)
         assert smart_replace_identity(unit, pool, target, corpus[base])
@@ -180,8 +180,8 @@ def delete_insert_identity(unit, pool, target, base_file) -> bool:
     from btfuzz.mutation import smart_delete, smart_insert
     deleted = smart_delete(unit, pool, target)
     combo = index_corpus(unit, [deleted, base_file])
-    donor = next(r for r in combo.records(base=1)
-                 if r.type_name == target.type_name
+    donor = next(r for r in combo.records()
+                 if r.source_file == 1 and r.type_name == target.type_name
                  and r.decision_span == target.decision_span)
     position = next(ev for ev in parse(unit, deleted).events if ev.start == target.lead_start)
     return smart_insert(unit, combo, 0, position, donor) == base_file

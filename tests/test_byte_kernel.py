@@ -11,7 +11,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btfuzz.decisionstream import ChoiceSpec, DecisionStream, StreamMode
+from btfuzz.decisionstream import ChoiceSpec, DecisionStream, RandomSource, SeedSource, _Splice
 from btfuzz.engine import generate_from_seed, generate_random, parse, wrap64
 from btfuzz.errors import SeedExhausted, SpliceMisaligned
 from btfuzz.templatelang import parse_template
@@ -48,7 +48,7 @@ def test_random_batch_matches_per_element(n, evil, rng_seed, before, after):
     streams = []
     for batched in (True, False):
         rng = random.Random(rng_seed)
-        ds = DecisionStream(StreamMode.GEN_RANDOM, rng=rng, evil_enabled=evil)
+        ds = DecisionStream(RandomSource(rng), evil_enabled=evil)
         ds.draw_raw(before)
         out = ds.choose_bytes(n) if batched else _reference_gen(ds, n)
         tail = ds.draw_raw(after)
@@ -65,8 +65,8 @@ def test_random_batch_after_evil_gate_fetches_no_spare_word():
     for s in evil_first:
         for n in (1, 2, 3):
             rngs = [random.Random(s), random.Random(s)]
-            batched = DecisionStream(StreamMode.GEN_RANDOM, rng=rngs[0])
-            reference = DecisionStream(StreamMode.GEN_RANDOM, rng=rngs[1])
+            batched = DecisionStream(RandomSource(rngs[0]))
+            reference = DecisionStream(RandomSource(rngs[1]))
             assert batched.choose_bytes(n) == _reference_gen(reference, n)
             assert batched.seed == reference.seed
             assert rngs[0].getstate() == rngs[1].getstate()
@@ -77,7 +77,7 @@ def test_random_batch_after_evil_gate_fetches_no_spare_word():
 def test_seed_batch_matches_per_element(n, evil, seed):
     streams = []
     for batched in (True, False):
-        ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
+        ds = DecisionStream(SeedSource(seed), evil_enabled=evil)
         out = _run(lambda: ds.choose_bytes(n) if batched else _reference_gen(ds, n))
         streams.append((out, ds.seed, ds.cursor))
     assert streams[0] == streams[1]
@@ -88,18 +88,19 @@ def _splice_arrays(batched, base, span, alt, ns, evil):
     prefix, middle and suffix.  Raw draws pad the prefix to the span start
     and use up a donor, so that each phase ends where the splice expects."""
     decide = DecisionStream.choose_bytes if batched else _reference_gen
-    ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=base, evil_enabled=evil,
-                        splice=(span, alt))
+    ds = DecisionStream(SeedSource(base[:span[0]]), evil_enabled=evil)
+    source = SeedSource(alt) if isinstance(alt, bytes) else RandomSource(alt)
+    splice = _Splice(ds, base, span, 0, source)
     outs = []
 
     def phases():
         outs.append(decide(ds, ns[0]))
         ds.draw_raw(span[0] - ds.cursor)
-        ds.splice.begin_alt()
+        splice.begin_alt()
         outs.append(decide(ds, ns[1]))
         if isinstance(alt, bytes):
             ds.draw_raw(span[0] + len(alt) - ds.cursor)
-        ds.splice.end_alt()
+        splice.end_alt()
         outs.append(decide(ds, ns[2]))
 
     error = _run(phases)
@@ -125,9 +126,9 @@ def test_splice_batch_matches_per_element(parts, donor, rng_seed, ns, evil):
 @settings(max_examples=150, deadline=None)
 @given(raw=st.binary(max_size=300), evil=st.booleans(), signed=st.booleans())
 def test_emit_batch_matches_per_element(raw, evil, signed):
-    batched = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
+    batched = DecisionStream(evil_enabled=evil)
     batched.emit_bytes(raw, signed)
-    reference = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
+    reference = DecisionStream(evil_enabled=evil)
     for b in raw:
         value = b - 256 if signed and b >= 0x80 else b
         reference.emit_value(ChoiceSpec(), value, bytes([b]))
@@ -158,7 +159,7 @@ def _fold(values) -> int:
 def test_engine_byte_arrays_match_reference(type_name, n, evil, seed):
     signed = type_name in ("char", "byte")
     unit = _checksum_template(type_name, n)
-    ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
+    ds = DecisionStream(SeedSource(seed), evil_enabled=evil)
     expected = _run(lambda: _reference_gen(ds, n))
     got = _run(lambda: generate_from_seed(unit, seed, evil=evil))
     if isinstance(expected, str):
@@ -169,7 +170,7 @@ def test_engine_byte_arrays_match_reference(type_name, n, evil, seed):
     assert got.log == [("printf", str(_fold(values)))]
 
     outcome = parse(unit, got.file, evil=evil)
-    reference = DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
+    reference = DecisionStream(evil_enabled=evil)
     for b, v in zip(expected, values):
         reference.emit_value(ChoiceSpec(), v, bytes([b]))
     assert outcome.seed == reference.seed
@@ -184,7 +185,7 @@ def test_engine_random_byte_array_matches_reference(n, evil, rng_seed):
     rng = random.Random(rng_seed)
     got = generate_random(unit, rng, evil=evil)
     ref_rng = random.Random(rng_seed)
-    ds = DecisionStream(StreamMode.GEN_RANDOM, rng=ref_rng, evil_enabled=evil)
+    ds = DecisionStream(RandomSource(ref_rng), evil_enabled=evil)
     expected = _reference_gen(ds, n)
     value = ds.choose_value(ChoiceSpec(width=2))
     expected += value if isinstance(value, bytes) else value.to_bytes(2, "little")

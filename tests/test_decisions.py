@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 from btfuzz.decisionstream import (
     ChoiceSpec,
     DecisionStream,
-    StreamMode,
+    SeedSource,
+    _Splice,
     bounded_width,
 )
-from btfuzz.errors import UnrepresentableValue
+from btfuzz.errors import EvalError, UnrepresentableValue
 
 
 def gen_stream(seed: bytes, evil=True) -> DecisionStream:
-    return DecisionStream(StreamMode.GEN_FROM_SEED, seed=seed, evil_enabled=evil)
+    return DecisionStream(SeedSource(seed), evil_enabled=evil)
 
 
 def parse_stream(evil=True) -> DecisionStream:
-    return DecisionStream(StreamMode.PARSE_RECORD, evil_enabled=evil)
+    return DecisionStream(evil_enabled=evil)
 
 
 # -- widths and gates --------------------------------------------------------
@@ -89,8 +90,10 @@ def test_index_emission_inverts_choice(k, data):
 
 
 def test_index_wider_than_two_bytes_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EvalError, match="among 65537 options"):
         gen_stream(b"\x00\x00\x00").choose_index(65537)
+    with pytest.raises(EvalError, match="among 65537 options"):
+        parse_stream().emit_index(65537, 65536)
 
 
 # -- value choices -----------------------------------------------------------
@@ -238,12 +241,12 @@ def test_spliced_stream_is_freed_without_the_cycle_collector():
     # alive until the cyclic GC runs raises the campaign's peak memory
     gc.disable()
     try:
-        ds = DecisionStream(StreamMode.GEN_FROM_SEED, seed=bytes(8),
-                            splice=((2, 4), bytes(2)))
+        ds = DecisionStream(SeedSource(bytes(2)))
+        splice = _Splice(ds, bytes(8), (2, 4), 0, SeedSource(bytes(2)))
         ds.draw_raw(2)
-        ds.splice.begin_alt()
-        freed = weakref.ref(ds)
-        del ds
-        assert freed() is None
+        splice.begin_alt()
+        freed = weakref.ref(ds), weakref.ref(splice)
+        del ds, splice
+        assert [ref() for ref in freed] == [None, None]
     finally:
         gc.enable()

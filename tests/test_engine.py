@@ -74,6 +74,11 @@ def test_frozen_parse_emits_canonical_seed(mini):
                                                               len(MINI_ONE_DATA_SEED))
 
 
+def test_parse_returns_its_input_uncopied(mini):
+    data = bytes(MINI_ONE_DATA_FILE)
+    assert parse(mini, data).file is data
+
+
 def test_parse_tree_matches_regenerated_tree(mini):
     outcome = parse(mini, MINI_ONE_DATA_FILE)
     regen = generate_from_seed(mini, outcome.seed)
@@ -860,6 +865,18 @@ def test_runaway_recursion_is_a_typed_error():
     with pytest.raises(ParseRejected, match="RecursionTooDeep"):
         parse(unit, b"")
     assert issubclass(RecursionTooDeep, GenerationFailed)
+
+
+def test_choice_among_more_than_65536_options_is_a_typed_error():
+    # an index takes at most two seed bytes: a raw ValueError ended a fuzz
+    # campaign, and a parse emitted an index no seed regenerates
+    unit = parse_template("local int arr[70000];\narr[69999] = 7;\n"
+                          "local int b = ReadByte(0, arr);\nubyte x;\n")
+    with pytest.raises(EvalError, match="among 70000 options"):
+        generate_random(unit, random.Random(0))
+    for data in (b"\x07", b"\x00"):  # index 69999 overflowed; index 0 did not regenerate
+        with pytest.raises(ParseRejected, match="among 70000 options"):
+            parse(unit, data)
 
 
 @pytest.mark.parametrize("template", [

@@ -18,7 +18,7 @@ from btfuzz.formats import (
 )
 from btfuzz.formats.mini import verify_mini
 from btfuzz.formats.pnglite import SIGNATURE, verify_pnglite
-from btfuzz.formats.zstream import adler32, idat_hook_decode, idat_hook_encode
+from btfuzz.formats.zstream import StoredZlibCodec, adler32
 
 
 def png_chunk(ctype: bytes, body: bytes) -> bytes:
@@ -170,25 +170,25 @@ def test_adler32_matches_zlib(data):
 @given(st.binary(max_size=300))
 @settings(max_examples=100, deadline=None)
 def test_codec_identity(data):
-    assert idat_hook_decode(idat_hook_encode(data)) == data
+    assert StoredZlibCodec.decode(StoredZlibCodec.encode(data)) == data
 
 
 @given(st.binary(max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_codec_output_is_real_zlib(data):
-    assert zlib.decompress(idat_hook_encode(data)) == data
+    assert zlib.decompress(StoredZlibCodec.encode(data)) == data
 
 
 def test_codec_reads_zlib_stored_output():
     # zlib at level 0 also emits stored blocks, which we must accept
     for raw in (b"", b"x", b"hello world" * 20):
-        assert idat_hook_decode(zlib.compress(raw, 0)) == raw
+        assert StoredZlibCodec.decode(zlib.compress(raw, 0)) == raw
 
 
 def test_codec_rejects_oversized_payload():
     with pytest.raises(ValueError):
-        idat_hook_encode(b"\x00" * 0x10000)
-    assert idat_hook_encode(b"\x00" * 0xFFFF)  # boundary is fine
+        StoredZlibCodec.encode(b"\x00" * 0x10000)
+    assert StoredZlibCodec.encode(b"\x00" * 0xFFFF)  # boundary is fine
 
 
 @pytest.mark.parametrize("mangle, reason", [
@@ -201,15 +201,15 @@ def test_codec_rejects_oversized_payload():
     (lambda c: c[:2] + b"\x03" + c[3:], "stored"),
 ])
 def test_codec_rejects_malformed(mangle, reason):
-    container = idat_hook_encode(b"payload")
+    container = StoredZlibCodec.encode(b"payload")
     with pytest.raises(DecodeError) as err:
-        idat_hook_decode(mangle(container))
+        StoredZlibCodec.decode(mangle(container))
     assert reason in str(err.value)
 
 
 def test_codec_rejects_trailing_garbage():
     with pytest.raises(DecodeError):
-        idat_hook_decode(idat_hook_encode(b"x") + b"\x00")
+        StoredZlibCodec.decode(StoredZlibCodec.encode(b"x") + b"\x00")
 
 
 # -- template registry ----------------------------------------------------------
