@@ -14,7 +14,6 @@ from .engine import (
     generate_from_seed,
     generate_random,
     parse,
-    register_codec,
     run_with_splice,
 )
 from .errors import (
@@ -39,7 +38,7 @@ from .mutation import (
 from .runtime import DEFAULT_BUDGET, ParseNode
 from .templatelang import parse_template
 
-from . import formats  # noqa: E402  (registers the bundled codec)
+from . import formats
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "parse",
     "parse_template",
     "random_smart_mutation",
-    "register_codec",
     "run_with_splice",
     "smart_abstract",
     "smart_delete",

@@ -22,7 +22,7 @@ import random
 import re
 import weakref
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .decisionstream import ChoiceSpec, DecisionStream, RandomSource, SeedSource, _Splice
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     InvalidFieldAccess, LocalArrayTooLarge, OutOfRange, ParseRejected, RecursionTooDeep,
     SeedExhausted, SpliceMisaligned, StepBudgetExceeded, TemplateAbort, TrailingBytes,
     UnrepresentableValue)
+from .formats.zstream import StoredZlibCodec
 from .runtime import DEFAULT_BUDGET, FileBuffer, ParseNode, RecordVal, Scope
 from .templatelang import NATIVE_INTS, TemplateUnit, bound_names
 from .templatelang import nodes as ast
@@ -80,19 +81,9 @@ def sum8(data: bytes) -> int:
     return sum(data) % 256
 
 
-# --- codec registry (pluggable stream hook, used by CodecStream) -----------
-
-CODECS: dict[str, object] = {}
-
-
-def register_codec(name: str, codec) -> None:
-    """Register an encode/decode pair for CodecStream bodies.
-
-    `codec` needs encode(raw: bytes) -> bytes and decode(container: bytes)
-    -> bytes (raising DecodeError on malformed input).
-    """
-    CODECS[name] = codec
-
+# The codecs a CodecStream names, by name.  Each has encode(raw) -> bytes
+# and decode(container) -> bytes, which raises DecodeError on bad input.
+CODECS = {StoredZlibCodec.name: StoredZlibCodec}
 
 # Raw byte lengths fed to a codec are drawn from [0, CODEC_RAW_MAX].
 CODEC_RAW_MAX = 5
@@ -126,9 +117,9 @@ class GenResult:
     file: bytes
     tree: ParseNode
     seed: bytes
-    events: list[ChoiceEvent] = dc_field(default_factory=list)  # lookaheads
-    covered: set[int] = dc_field(default_factory=set)
-    log: list[tuple[str, str]] = dc_field(default_factory=list)
+    events: list[ChoiceEvent]  # lookaheads
+    covered: set[int]
+    log: list[tuple[str, str]]
 
     def __iter__(self):
         return iter((self.file, self.tree, self.seed))
@@ -205,9 +196,10 @@ class Execution:
         return (value & ((1 << (8 * spec.width)) - 1)).to_bytes(spec.width, self.order)
 
     def _redeclare(self, instance: RecordVal, name: str, spec, signed: bool):
-        """Fix-up declaration: same name, same record instance.  The bytes
-        at the current position are rewritten (GEN) or revalidated (PARSE);
-        the node keeps its decision span and takes the bytes' file span."""
+        """Fix-up declaration: same name, same record instance; gives the
+        value.  The bytes at the current position are written again (GEN)
+        or revalidated (PARSE); the scalar's node keeps its decision span
+        and takes the bytes' file span."""
         if not isinstance(instance.fields[name], int):
             raise EvalError(f"field {name!r} is redeclared as a scalar, "
                             "but its current field is not one")
@@ -219,8 +211,8 @@ class Execution:
             value = int.from_bytes(self._field(spec, signed), self.order, signed=signed)
         finally:
             self.node_stack.pop()
-        node.file_start, node.file_end, node.rewritten = start, self.buf.position, True
-        return value, node
+        node.file_start, node.file_end = start, self.buf.position
+        return value
 
     def _elements(self, length: int, spec0, per_index, spec, width, signed, is_char):
         """An integer array, in one stream call if it is an unconstrained
@@ -569,7 +561,7 @@ class _Compiler:
                  "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
                  *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn"),
                            "if rn.id == ex.splice_id: ex.splice.end_alt()"]),
-                 "return rec, rn"]
+                 "return rec"]
         self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
                      given=("fr", "rec"))
 
@@ -793,17 +785,12 @@ class _Compiler:
         if sp == "sp":  # only a spec that runs template code can raise a break or return
             field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"]
         self.put(f"cov.add({decl.decl_id})", f"if {name} in rec.fields:",
-                 f"    v, node = ex._redeclare(rec, {name}, "
+                 f"    v = ex._redeclare(rec, {name}, "
                  f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})",
                  "else:", *_indent([_PUSH.format("node", name, repr(label)), *field,
-                                    *_indent([_POP.format("node")], 1 if sp == "sp" else 0)]))
-        self._bind(name)
-
-    def _bind(self, name: str, node_may_be_none: bool = False):
-        """Bind a field in its record and scope; an empty record array keeps the old node."""
-        self.put(f"rec.fields[{name}] = fr[{name}] = v",
-                 f"if node is not None: rec.field_nodes[{name}] = node" if node_may_be_none
-                 else f"rec.field_nodes[{name}] = node")
+                                    *_indent([_POP.format("node")], 1 if sp == "sp" else 0),
+                                    f"rec.field_nodes[{name}] = node"]),
+                 f"rec.fields[{name}] = fr[{name}] = v")
 
     def _length(self, decl, width: int) -> bool:
         """Source setting n to an input array's length; False if it has none."""
@@ -843,8 +830,8 @@ class _Compiler:
         self.put(f"cov.add({decl.decl_id})")
         if self._length(decl, width):
             self.put(_PUSH.format("node", repr(name), f"'%s[%s]' % ({label!r}, n)"), "try:",
-                     f"    v = {value}", "finally:", *_indent([_POP.format("node")]))
-            self._bind(repr(name))
+                     f"    v = {value}", "finally:", *_indent([_POP.format("node")]),
+                     f"rec.fields[{name!r}] = fr[{name!r}] = v")
 
     def _record(self, decl: ast.InputDecl, tdef):
         # repeated declarations of one record name (chunk loops) each
@@ -855,13 +842,12 @@ class _Compiler:
         call = f"{self.records[tdef.name]}(ex, {name}, ({args}))"
         self.put(f"cov.add({decl.decl_id})")
         if decl.array_len is None:
-            self.put(f"v, node = {call}")
+            self.put(f"v = {call}")
         elif self._length(decl, 1):
-            self.put("v, node = [], None", "for _ in range(n):", f"    r, node = {call}",
-                     "    v.append(r)")
+            self.put("v = []", "for _ in range(n):", f"    v.append({call})")
         else:
             return
-        self._bind(name, decl.array_len is not None)
+        self.put(f"rec.fields[{name}] = fr[{name}] = v")
 
     # -- expressions ------------------------------------------------------
 
@@ -1012,7 +998,7 @@ class _Compiler:
             f"if not isinstance(codec := {args[1]}, bytes): "
             "_fail(EvalError, 'CodecStream codec must be a string')",
             "codec_name = codec.decode('latin-1')", "if (codec := CODECS.get(codec_name)) is None:"
-            " _fail(EvalError, f'no codec registered under {codec_name!r}')",
+            " _fail(EvalError, f'no codec named {codec_name!r}')",
             _PUSH.format("node", repr(name), "codec_name"),
             "try:", f"    return ex._codec_stream({name!r}, codec, None if gen else "
             f"{self.integer(expr.args[2])})", "finally:", *_indent([_POP.format("node")])])

@@ -6,14 +6,11 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from ..engine import register_codec
 from ..errors import TemplateError
 from ..templatelang import TemplateUnit, parse_template
 from .mini import verify_mini
 from .pnglite import verify_pnglite
-from .zstream import StoredZlibCodec, adler32
-
-register_codec(StoredZlibCodec.name, StoredZlibCodec)
+from .zstream import adler32
 
 BUNDLED = ("mini", "pnglite", "magic16")
 

@@ -26,7 +26,7 @@ def adler32(data: bytes) -> int:
 
 
 class StoredZlibCodec:
-    """The codec registered for CodecStream bodies."""
+    """The codec a CodecStream names as "zlib_stored"."""
 
     name = "zlib_stored"
 

@@ -258,7 +258,6 @@ class _ForkServer(_Target):
         shim = _shim()
         super().__init__(target, timeout_ms)
         self.proc = None
-        self.pending = b""
         self.ctl = self.replies = None
         try:
             theirs = []  # the server's ends, closed here once it has them
@@ -290,17 +289,13 @@ class _ForkServer(_Target):
 
     def recv(self, deadline: float | None) -> bytes | None:
         """The server's next 4-byte word: None if `deadline` (perf_counter
-        seconds; None waits for ever) passes first, b"" once it exited."""
-        while len(self.pending) < 4:
-            if deadline is not None and not self.poller.poll(
-                    max(0.0, deadline - time.perf_counter()) * 1000):
-                return None
-            chunk = os.read(self.replies, 4096)
-            if not chunk:
-                return b""
-            self.pending += chunk
-        word, self.pending = self.pending[:4], self.pending[4:]
-        return word
+        seconds; None waits for ever) passes first, b"" once it exited.
+        The server sends each word with one 4-byte write to a pipe, which
+        is atomic, so one read of 4 bytes takes one whole word."""
+        if deadline is not None and not self.poller.poll(
+                max(0.0, deadline - time.perf_counter()) * 1000):
+            return None
+        return os.read(self.replies, 4)
 
     def spawn(self, data: bytes) -> _ForkRun:
         """Fork the target on `data`."""

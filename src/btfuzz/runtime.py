@@ -193,7 +193,8 @@ class Scope:
 
 
 class RecordVal:
-    """Value of a record instance: ordered fields plus their tree nodes."""
+    """Value of a record instance: ordered fields, and the tree node of
+    each scalar field (what a fix-up declaration of it rewrites)."""
 
     __slots__ = ("type_name", "fields", "field_nodes")
 
@@ -211,13 +212,12 @@ class ParseNode:
 
     file span and seed span are half-open offset pairs.  lead is the
     lookahead event that ended where an optional node starts (the token
-    decision that selected it), None otherwise; rewritten marks nodes
-    whose bytes were overwritten by a later fix-up declaration.  args holds
-    a parameterized record's argument values.
+    decision that selected it), None otherwise.  args holds a
+    parameterized record's argument values.
     """
 
     __slots__ = ("id", "name", "type_name", "file_start", "file_end",
-                 "seed_start", "seed_end", "lead", "rewritten", "args", "children")
+                 "seed_start", "seed_end", "lead", "args", "children")
 
     def __init__(self, node_id: int, name: str, type_name: str,
                  file_start: int = 0, seed_start: int = 0):
@@ -227,7 +227,6 @@ class ParseNode:
         self.file_start = self.file_end = file_start
         self.seed_start = self.seed_end = seed_start
         self.lead = None
-        self.rewritten = False
         self.args = ()
         self.children: list[ParseNode] = []
 

@@ -68,8 +68,7 @@ def trees_agree(a, b, compare_seed_spans: bool = True) -> bool:
     Seed spans are encoding dependent: a tree generated from a hand-made
     seed can differ in span widths from the canonical parse of the same
     file, so callers comparing across encodings pass compare_seed_spans
-    False.  The rewritten flag never participates (only the generator
-    observes fix-ups).
+    False.
     """
     if (a.name != b.name or a.type_name != b.type_name
             or a.file_span != b.file_span or a.optional != b.optional

@@ -27,7 +27,7 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 534_185, "parse": 402_780, "replay": 537_700, "mutate": 1_021_008}
+COUNTED = {"generate": 527_646, "parse": 397_557, "replay": 531_161, "mutate": 1_010_058}
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
 pytestmark = pytest.mark.skipif(

@@ -121,14 +121,6 @@ def test_trees_agree_checks_spans_and_structure():
     assert not trees_agree(a, b, compare_seed_spans=False)
 
 
-def test_trees_agree_ignores_rewritten_flag():
-    # the flag marks generator-side fix-ups; it is not part of identity
-    a = _node(0, "root", "T", (0, 4), (0, 2))
-    b = _node(0, "root", "T", (0, 4), (0, 2))
-    b.rewritten = True
-    assert trees_agree(a, b)
-
-
 def test_node_json_shape():
     n = _node(3, "x", "ubyte", (0, 1), (2, 5))
     js = n.to_json()
