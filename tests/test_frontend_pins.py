@@ -5,7 +5,9 @@ Each case pins three digests: the token stream as (kind, value, line,
 col); the repr() of the typedefs, functions and top level, spans
 included; and the analysis results (declarations, magic table in order,
 bound names, warnings).  A change to the front end that keeps these keeps
-every template's meaning, declaration ids and magic order.
+every template's meaning, declaration ids and magic order.  The compiled
+program's source is pinned apart: a change to the AST's shapes that keeps
+it keeps what every template runs.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import hashlib
 import pytest
 
 from btfuzz import formats
+from btfuzz.engine import _Compiler
 from btfuzz.errors import ArityError, ResolveError, TemplateSyntaxError
 from btfuzz.templatelang import DYNAMIC_ARRAY, bound_names, parse_template, tokenize
 
@@ -127,6 +130,32 @@ def test_bundled_template_front_end_is_pinned(name):
 @pytest.mark.parametrize("name", SNIPPETS)
 def test_snippet_front_end_is_pinned(name):
     assert front_end_digests(SNIPPETS[name]) == EXPECTED[name]
+
+
+PROGRAM_SOURCE = {
+    'mini': '3d7545e0078cf64d',
+    'pnglite': 'b4093a1aeb63820a',
+    'magic16': '1f18c47b05c8e153',
+    'hex': 'a87a9718340b092c',
+    'float': '7be6b20e42566c4f',
+    'char': '31a9d7aaf98bbd2b',
+    'string': '8f50d265790c82df',
+    'comments': 'c53b759bc7b327d7',
+    'positions': 'f549f1d587f468db',
+    'operators': 'b2aeb40e8d540c5e',
+    'statements': 'd63030dd778283ac',
+    'switch': 'b29f8df20a7697bb',
+    'for': '385ecd8eacc4f91c',
+    'attributes': '25a2d2656075b9ec',
+    'magic': '87bc956ec4bf971f',
+}
+
+
+@pytest.mark.parametrize("name", PROGRAM_SOURCE)
+def test_program_source_is_pinned(name):
+    source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
+    program = _Compiler(parse_template(source)).source
+    assert hashlib.sha256(program.encode()).hexdigest()[:16] == PROGRAM_SOURCE[name]
 
 
 ERRORS = {
