@@ -663,30 +663,21 @@ class _Compiler:
 
     def _if(self, stmt: ast.If):
         word = "if"
-        while True:
-            self.put(f"{word} {self.test(stmt.cond)}:")
-            self.block(stmt.then)
-            if len(stmt.other) != 1 or not isinstance(stmt.other[0], ast.If):
-                break
-            stmt, word = stmt.other[0], "elif"
-        if stmt.other:
-            self.put("else:")
-            self.block(stmt.other)
+        for arm in stmt.arms:
+            self.put("else:" if arm.match is None else f"{word} {self.test(arm.match)}:")
+            self.block(arm.body)
+            word = "elif"
 
-    def _loop(self, cond: str, body, step=None):
+    def _while(self, stmt: ast.While):
         """A loop; a break in a record or function it calls ends it too."""
+        cond = "True" if stmt.cond is None else self.test(stmt.cond)
         self.put("try:", f"    while {cond}:", "        ex.steps += 1", "        if ex.steps > "
                  f"{MAX_STEPS}: _fail(StepBudgetExceeded, "
                  f"{f'loops ran more than {MAX_STEPS} iterations'!r})")
         self.depth, self.loops = self.depth + 1, self.loops + 1
-        self.block(body + ([step] if step is not None else []))
+        self.block(stmt.body)
         self.depth, self.loops = self.depth - 1, self.loops - 1
         self.put("except _BreakSignal:", "    pass")
-
-    def _for(self, stmt: ast.For):
-        if stmt.init is not None:
-            self.stmt(stmt.init)
-        self._loop("True" if stmt.cond is None else self.test(stmt.cond), stmt.body, stmt.step)
 
     def _switch(self, stmt: ast.Switch):
         value, start = self.temp(), self.temp()
@@ -1015,14 +1006,12 @@ _STMT_RULES = {
     ast.Assign: _Compiler._assign,
     ast.ArrayExtend: _Compiler._extend,
     ast.If: _Compiler._if,
-    ast.While: lambda self, stmt: self._loop(self.test(stmt.cond), stmt.body),
-    ast.For: _Compiler._for,
+    ast.While: _Compiler._while,
     ast.Switch: _Compiler._switch,
     ast.Break: lambda self, stmt: self.put("break" if self.loops
                                            else "raise _BreakSignal('break')"),
     ast.Return: _Compiler._return,
     ast.ExprStmt: lambda self, stmt: self.put(self.expr(stmt.expr)),
-    ast.BlockStmt: lambda self, stmt: [self.stmt(s) for s in stmt.body],
 }
 
 _EXPR_RULES = {

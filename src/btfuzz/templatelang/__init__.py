@@ -21,15 +21,12 @@ from .nodes import (
     ArrayExtend,
     Assign,
     Binary,
-    BlockStmt,
     Break,
     Call,
-    Declaration,
     EnumMember,
     Expr,
     ExprStmt,
     FloatLit,
-    For,
     FunctionDef,
     Ident,
     If,
@@ -76,7 +73,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "TemplateUnit",
-    "Declaration",
     "BUILTINS",
     "NATIVE_TYPES",
     "NATIVE_INTS",

@@ -1,5 +1,5 @@
 """Static checks over a parsed template: name resolution, declaration
-catalog, and magic-value mining."""
+numbering, and magic-value mining."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .nodes import (
     Assign,
     Binary,
     Call,
-    Declaration,
     Expr,
     Ident,
     Index,
@@ -72,10 +71,13 @@ def _fields_holding(holds) -> dict[type, tuple[str, ...]]:
             for cls in (*Expr.__subclasses__(), *Stmt.__subclasses__(), SwitchCase)}
 
 
-# A switch case holds both statements and expressions; a scalar neither.
+# A case (of a switch, or an if chain's arm) holds both statements and
+# expressions: its match is walked where the case is met among the
+# statements.  A scalar holds neither.
 _SCALARS = ("str", "int", "float", "bytes")
 _STMT_FIELDS = _fields_holding(lambda t: "Stmt" in t or "SwitchCase" in t)
-_EXPR_FIELDS = _fields_holding(lambda t: "Stmt" not in t and t not in _SCALARS)
+_EXPR_FIELDS = _fields_holding(lambda t: not ("Stmt" in t or "SwitchCase" in t
+                                              or t in _SCALARS))
 _NODES = (Expr, Stmt, SwitchCase)
 
 
@@ -105,18 +107,17 @@ def _all_stmts(unit: TemplateUnit):
 
 
 def _all_exprs(unit: TemplateUnit):
-    """Every expression, each statement's in turn (mixed with the statements
-    and switch cases that hold them)."""
+    """Every expression, each statement's and case's in turn (mixed with the
+    statements and cases that hold them)."""
     for stmt in _all_stmts(unit):
-        if isinstance(stmt, Stmt):
-            yield from _walk([stmt], _EXPR_FIELDS)
+        yield from _walk([stmt], _EXPR_FIELDS)
 
 
 def resolve(unit: TemplateUnit) -> None:
     """Check type references, call targets, and arities.
 
     Raises ResolveError or ArityError.  Also numbers every input
-    declaration and fills unit.declarations.
+    declaration and lists them in unit.declarations.
     """
     for name in unit.typedefs:
         if name in NATIVE_TYPES:
@@ -157,7 +158,6 @@ def resolve(unit: TemplateUnit) -> None:
         if fn.ret_type != "void":
             check_type(fn.ret_type, fn.span)
 
-    decl_id = 0
     unit.declarations.clear()
     for stmt in _all_stmts(unit):
         if isinstance(stmt, InputDecl):
@@ -172,10 +172,8 @@ def resolve(unit: TemplateUnit) -> None:
             elif stmt.args:
                 raise ArityError(
                     f"type {stmt.type_name!r} takes no arguments", *stmt.span)
-            stmt.decl_id = decl_id
-            unit.declarations.append(
-                Declaration(decl_id, stmt.name, stmt.type_name, stmt.span))
-            decl_id += 1
+            stmt.decl_id = len(unit.declarations)
+            unit.declarations.append(stmt)
         elif isinstance(stmt, LocalDecl):
             check_type(stmt.type_name, stmt.span)
 

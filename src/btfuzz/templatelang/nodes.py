@@ -138,30 +138,26 @@ class ArrayExtend(Stmt):
 
 
 @dataclass
+class SwitchCase:
+    match: Expr | None  # None = default, or an if chain's else
+    body: list[Stmt]
+
+
+@dataclass
 class If(Stmt):
-    cond: Expr = None
-    then: list[Stmt] = field(default_factory=list)
-    other: list[Stmt] = field(default_factory=list)
+    """An if / else-if / else chain: the body of the first arm whose
+    condition holds, or of the else arm last."""
+
+    arms: list[SwitchCase] = field(default_factory=list)
 
 
 @dataclass
 class While(Stmt):
-    cond: Expr = None
+    """Also a `for`, which the parser lowers to its init and a While whose
+    body ends in the step."""
+
+    cond: Expr | None = None  # None = for (;;)
     body: list[Stmt] = field(default_factory=list)
-
-
-@dataclass
-class For(Stmt):
-    init: Stmt | None = None
-    cond: Expr | None = None
-    step: Stmt | None = None
-    body: list[Stmt] = field(default_factory=list)
-
-
-@dataclass
-class SwitchCase:
-    match: Expr | None  # None = default
-    body: list[Stmt]
 
 
 @dataclass
@@ -183,11 +179,6 @@ class Return(Stmt):
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = None
-
-
-@dataclass
-class BlockStmt(Stmt):
-    body: list[Stmt] = field(default_factory=list)
 
 
 # --- top-level definitions -------------------------------------------------
@@ -228,16 +219,6 @@ class FunctionDef:
 
 
 @dataclass
-class Declaration:
-    """Catalog entry for one input-declaration statement."""
-
-    decl_id: int
-    name: str
-    type_name: str
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass
 class TemplateUnit:
     """A parsed template: immutable once parse_template returns it."""
 
@@ -245,7 +226,7 @@ class TemplateUnit:
     functions: dict[str, FunctionDef] = field(default_factory=dict)
     toplevel: list[Stmt] = field(default_factory=list)
     magic: dict[tuple[str, int | None], list[object]] = field(default_factory=dict, compare=False)
-    declarations: list[Declaration] = field(default_factory=list, compare=False)
+    declarations: list[InputDecl] = field(default_factory=list, compare=False)
     warnings: list[str] = field(default_factory=list, compare=False)
     source_name: str = field(default="<template>", compare=False)
     # the engine's compiled form, built on the first run; closures do not

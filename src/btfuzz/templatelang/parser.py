@@ -9,14 +9,12 @@ from .nodes import (
     ArrayExtend,
     Assign,
     Binary,
-    BlockStmt,
     Break,
     Call,
     EnumMember,
     Expr,
     ExprStmt,
     FloatLit,
-    For,
     FunctionDef,
     Ident,
     If,
@@ -133,7 +131,7 @@ class Parser:
         self._expect_op("{")
         body = []
         while not self._at_op("}"):
-            body.append(self._statement())
+            body += self._statement()
         self._expect_op("}")
         return body
 
@@ -152,7 +150,7 @@ class Parser:
                     raise TemplateSyntaxError(f"duplicate function {fn.name!r}", *fn.span)
                 unit.functions[fn.name] = fn
             else:
-                unit.toplevel.append(self._statement())
+                unit.toplevel += self._statement()
         unit.warnings.extend(self.warnings)
         return unit
 
@@ -261,24 +259,29 @@ class Parser:
 
     # -- statements ------------------------------------------------------
 
-    def _statement(self) -> Stmt:
+    def _statement(self) -> list[Stmt]:
+        """One statement, as the statements it lowers to: a `for` is its init
+        and a While, and a bare block its statements, since braces open no
+        scope."""
         tok, nxt = self._current(), self._peek()
         self._enter()
-        if tok.kind is TokenKind.KEYWORD:
+        if tok.kind is TokenKind.KEYWORD and tok.value == "for":
+            stmts = self._for_stmt()
+        elif tok.kind is TokenKind.KEYWORD:
             rule = self._KEYWORD_RULES.get(tok.value)
             if rule is None:
                 self._error(f"unexpected keyword {tok.value!r}")
-            stmt = rule(self)
+            stmts = [rule(self)]
         elif tok.kind is TokenKind.OP and tok.value == "{":
-            stmt = BlockStmt(body=self._block(), span=(tok.line, tok.col))
+            stmts = self._block()
         elif tok.kind is TokenKind.IDENT and nxt.kind is TokenKind.IDENT:
-            stmt = self._input_decl()
+            stmts = [self._input_decl()]
         elif tok.kind is TokenKind.IDENT and nxt.kind is TokenKind.OP and nxt.value in ("+=", "-="):
-            stmt = self._array_extend()
+            stmts = [self._array_extend()]
         else:
-            stmt = self._expr_or_assign()
+            stmts = [self._expr_or_assign()]
         self.nesting -= 1
-        return stmt
+        return stmts
 
     def _break(self) -> Break:
         tok = self._advance()
@@ -356,7 +359,7 @@ class Parser:
         return ArrayExtend(op=op, name=name, values=values, span=(start.line, start.col))
 
     def _body_or_single(self) -> list[Stmt]:
-        return self._block() if self._at_op("{") else [self._statement()]
+        return self._block() if self._at_op("{") else self._statement()
 
     def _condition(self) -> Expr:
         """`( expression )` after if, while or switch."""
@@ -367,24 +370,22 @@ class Parser:
         return cond
 
     def _if_stmt(self) -> If:
-        # an else-if chain is read arm by arm: the compiler emits it flat,
-        # so its arms open no nesting level, only the tree's height
-        arms, other = [], []
+        # an else-if chain is one If: the compiler emits its arms flat, so
+        # they open no nesting level, only the tree's height
+        start, arms, opened = self._current(), [], self.arms
         while True:
             if self.arms + self.nesting > MAX_HEIGHT:
                 self._error(f"else-if chain nested deeper than {MAX_HEIGHT}")
-            arms.append((self._current(), self._condition(), self._body_or_single()))
+            arms.append(SwitchCase(self._condition(), self._body_or_single()))
             self.arms += 1
             if not self._at_kw("else"):
                 break
             self._advance()
             if not self._at_kw("if"):
-                other = self._body_or_single()
+                arms.append(SwitchCase(None, self._body_or_single()))
                 break
-        self.arms -= len(arms)
-        for start, cond, then in reversed(arms):
-            other = [If(cond=cond, then=then, other=other, span=(start.line, start.col))]
-        return other[0]
+        self.arms = opened
+        return If(arms=arms, span=(start.line, start.col))
 
     def _while_stmt(self) -> While:
         start = self._current()
@@ -399,17 +400,19 @@ class Parser:
             self._error("local declarations are not allowed in for-headers")
         return self._expr_or_assign(eat_semi=False)
 
-    def _for_stmt(self) -> For:
+    def _for_stmt(self) -> list[Stmt]:
+        """`for (init; cond; step) body` as init, then while (cond) { body
+        step }: the same loop, since the language has no `continue`."""
         start = self._expect(TokenKind.KEYWORD, "for")
         self._expect_op("(")
-        init = None if self._at_op(";") else self._simple_stmt()
+        init = [] if self._at_op(";") else [self._simple_stmt()]
         self._expect_op(";")
         cond = None if self._at_op(";") else self._expression()
         self._expect_op(";")
-        step = None if self._at_op(")") else self._simple_stmt()
+        step = [] if self._at_op(")") else [self._simple_stmt()]
         self._expect_op(")")
-        body = self._body_or_single()
-        return For(init=init, cond=cond, step=step, body=body, span=(start.line, start.col))
+        body = self._body_or_single() + step
+        return [*init, While(cond=cond, body=body, span=(start.line, start.col))]
 
     def _switch_stmt(self) -> Switch:
         start = self._current()
@@ -428,7 +431,7 @@ class Parser:
             self._expect_op(":")
             body: list[Stmt] = []
             while not (self._at_kw("case") or self._at_kw("default") or self._at_op("}")):
-                body.append(self._statement())
+                body += self._statement()
             cases.append(SwitchCase(match=match, body=body))
         self._expect_op("}")
         return Switch(scrutinee=scrutinee, cases=cases, span=(start.line, start.col))
@@ -448,8 +451,7 @@ class Parser:
             else Assign(target=expr, value=value, span=span)
 
     _KEYWORD_RULES = {"local": _local_decl, "if": _if_stmt, "while": _while_stmt,
-                      "for": _for_stmt, "switch": _switch_stmt, "break": _break,
-                      "return": _return}
+                      "switch": _switch_stmt, "break": _break, "return": _return}
 
     # -- expressions -----------------------------------------------------
 

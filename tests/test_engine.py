@@ -920,10 +920,14 @@ def test_nesting_deeper_than_one_python_function_holds(source):
 def test_nesting_bound_is_the_parsers_own(template, bound):
     # at the bound a template runs both ways; one level more is refused at
     # load, whatever Python's stack would have allowed
-    unit = parse_template(template(bound))
+    source = template(bound)
+    unit = parse_template(source)
+    # an else-if chain is one If however long, so its unit pickles
+    copy = pickle.loads(pickle.dumps(unit)) if "else if" in source else unit
     for s in range(3):
         result = generate_random(unit, random.Random(s))
         assert generate_from_seed(unit, parse(unit, result.file).seed).file == result.file
+        assert generate_random(copy, random.Random(s)).file == result.file
     with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
         parse_template(template(bound + 1))
 

@@ -104,21 +104,21 @@ SNIPPETS = {
 }
 
 EXPECTED = {
-    'mini': ('e5f8e9be46a0ea66', '8861f8406f7bb460', '7ff432feb8788e1f'),
-    'pnglite': ('f541a1631accdd13', 'b4c6951ed30ce5c8', '1476abd934a274aa'),
-    'magic16': ('a2f4aac7bc0d7e50', '55ea5b3a6e1cf67a', '0522c00cf65b933f'),
+    'mini': ('e5f8e9be46a0ea66', '6192b2ddb8c4a9af', '7301604e27021cf5'),
+    'pnglite': ('f541a1631accdd13', '34dee949c61ab889', '6abcea25eb68fe97'),
+    'magic16': ('a2f4aac7bc0d7e50', '981687cb4775ea93', 'b0431b18e47f5d92'),
     'hex': ('d023614365569a32', '64c19bbe4be43442', '95d05f4a7b5a2ede'),
     'float': ('8cca962e124523c1', '38f4e6d572e3aeef', '6d5ffe397e3d429c'),
     'char': ('02327639b853dd2d', '8b8df7ef8724bceb', '3e4bf4ae5b3ca9d7'),
     'string': ('1a2d70024f5f089e', '0e3a932d4505f9b3', '0f711e079a7f6cab'),
-    'comments': ('6b6ea4439051bee6', '9d69dcfd40e8deb9', '4e7f36d96340ba28'),
-    'positions': ('ec6b8e30ad7f8bae', '0843709757393402', '252c8aa66890a6e4'),
+    'comments': ('6b6ea4439051bee6', '9d69dcfd40e8deb9', '6796377fa59451d6'),
+    'positions': ('ec6b8e30ad7f8bae', '0843709757393402', 'e03395afbd618aef'),
     'operators': ('b24bb3bb5b38135b', 'b38f79014ff53558', '26b5b37ad532e4d9'),
-    'statements': ('183d7403c4883d6d', '9014549d949b6a82', 'c319b09255f50ce2'),
-    'switch': ('082100e1062c74f2', '4bc4810601ae88a7', 'fc0ffcf3a6659707'),
-    'for': ('ce074c9d50dc257b', '002b5ada1dbaeab7', 'b4e6ea0773820309'),
-    'attributes': ('8332d8986deafae6', 'cb63f3b0c187732c', 'bcd52149bddb45be'),
-    'magic': ('529d207de8f1dbca', 'fda1ede15708d9dc', '9b84db27aab4e08b'),
+    'statements': ('183d7403c4883d6d', '6e25b4edf930a158', 'f89a63df3afd1295'),
+    'switch': ('082100e1062c74f2', 'd0b762f18ec834e0', '51d1902205bfd092'),
+    'for': ('ce074c9d50dc257b', '6deac3ae72d7bcfe', '8550be732d5e0efe'),
+    'attributes': ('8332d8986deafae6', 'cb63f3b0c187732c', '9d12927e8cca1d28'),
+    'magic': ('529d207de8f1dbca', '398d0d556c518af7', '9dddd40297cf2d0f'),
 }
 
 

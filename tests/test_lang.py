@@ -4,15 +4,22 @@ import pytest
 
 from btfuzz.errors import ResolveError, TemplateSyntaxError
 from btfuzz.templatelang import (
+    Assign,
     Binary,
+    Break,
+    ExprStmt,
     Ident,
     If,
+    InputDecl,
     IntLit,
+    Postfix,
     StrLit,
     TokenKind,
+    While,
     parse_template,
     tokenize,
 )
+from btfuzz.templatelang.parser import Parser
 
 
 def test_tokenize_literals():
@@ -69,7 +76,7 @@ def test_attr_bounds_close_without_consuming_gt():
 
 def test_comparison_still_parses_in_expressions():
     unit = parse_template("local int x = 3; if (x < 4) { x = 5; }")
-    cond = unit.toplevel[1].cond
+    cond = unit.toplevel[1].arms[0].match
     assert isinstance(cond, Binary) and cond.op == "<"
 
 
@@ -90,8 +97,37 @@ def test_braceless_if_body_may_declare():
     """)
     stmt = unit.toplevel[1]
     assert isinstance(stmt, If)
-    assert stmt.then[0].name == "data"
-    assert stmt.other[0].name == "other"
+    assert [arm.body[0].name for arm in stmt.arms] == ["data", "other"]
+    assert stmt.arms[1].match is None
+
+
+def test_for_and_bare_blocks_lower_to_their_statements():
+    # for is its init, then a While whose body ends in the step; a bare
+    # block's statements join the list around it
+    unit = parse_template("""
+        local int i;
+        for (i = 0; i < 2; i++) { ubyte a; }
+        { ubyte b; { ubyte c; } }
+        for (;;) break;
+    """)
+    _, init, loop, b, c, forever = unit.toplevel
+    assert isinstance(init, Assign) and init.target == Ident("i")
+    assert isinstance(loop, While) and loop.cond == Binary("<", Ident("i"), IntLit(2))
+    assert [type(s) for s in loop.body] == [InputDecl, ExprStmt]
+    assert loop.body[1].expr == Postfix("++", Ident("i"))
+    assert [b.name, c.name] == ["b", "c"]
+    assert isinstance(forever, While) and forever.cond is None
+    assert [type(s) for s in forever.body] == [Break]
+
+
+def test_else_if_chain_is_one_if():
+    parser = Parser("ubyte a; if (a == 1) ubyte b; else if (a == 2) ubyte c; else ubyte d;")
+    unit = parser.parse_unit()
+    (stmt,) = unit.toplevel[1:]
+    assert [arm.match for arm in stmt.arms] == [Binary("==", Ident("a"), IntLit(1)),
+                                                Binary("==", Ident("a"), IntLit(2)), None]
+    assert [arm.body[0].name for arm in stmt.arms] == ["b", "c", "d"]
+    assert parser.arms == 0
 
 
 def test_magic_mining_both_operand_orders():
