@@ -6,7 +6,10 @@
  * the target starts never run a server, and says hello on ST.  Then, for
  * each go word read from CTL, it forks: the child returns into main on the
  * input btfuzz has just written, and the server reports the child's pid and
- * then its raw wait status on ST.  EOF on CTL ends the server.
+ * then its raw wait status on ST.  Each child leads a process group of its
+ * own, made before its pid is reported, so that btfuzz can kill it and the
+ * processes it starts without signalling the server.  EOF on CTL ends the
+ * server.
  */
 #define _GNU_SOURCE
 #include <signal.h>
@@ -35,6 +38,7 @@ __attribute__((constructor)) static void btfuzz_forkserver(void) {
     while (read(ctl, &go, sizeof go) == sizeof go) {
         pid_t pid = fork();
         if (pid == 0) {
+            setpgid(0, 0);
             prctl(PR_SET_PDEATHSIG, SIGKILL);
             if (getppid() != server) /* the server died before prctl */
                 _exit(1);
@@ -43,6 +47,8 @@ __attribute__((constructor)) static void btfuzz_forkserver(void) {
             lseek(0, 0, SEEK_SET); /* stdin is the input file, or not seekable */
             return;
         }
+        if (pid > 0)
+            setpgid(pid, pid); /* whichever of the two runs first */
         if (pid < 0 || !put(st, pid) || waitpid(pid, &status, 0) != pid || !put(st, status))
             _exit(1);
     }

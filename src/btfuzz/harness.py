@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import select
@@ -84,15 +83,17 @@ class _Run:
     finish() or kill().
 
     `stdin` is the open input file of a stdin target, None for a `{}`
-    target.  On Linux finish() blocks on a pidfd, which wakes the moment the
-    target exits; without one it falls back to Popen.wait.
+    target.  The target leads a session of its own, so that kill() takes
+    the processes it started along.  On Linux finish() blocks on a pidfd,
+    which wakes the moment the target exits; without one it falls back to
+    Popen.wait.
     """
 
     def __init__(self, argv: list[str], stdin: int | None, timeout_ms: int):
         self.started = time.perf_counter()
         self.deadline = self.started + timeout_ms / 1000.0
         self.proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.DEVNULL,
-                                     stderr=subprocess.DEVNULL)
+                                     stderr=subprocess.DEVNULL, start_new_session=True)
         try:
             self.pidfd = os.pidfd_open(self.proc.pid)
         except (AttributeError, OSError):
@@ -121,10 +122,11 @@ class _Run:
         return _outcome(code, time.perf_counter() - self.started)
 
     def kill(self) -> None:
-        """Kill and reap the target if it still runs; release the pidfd."""
-        if self.proc.returncode is None:
-            self.proc.kill()
-            self.proc.wait()
+        """Kill the target's process group, whether or not the target still
+        runs, and reap the target; release the pidfd."""
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        self.proc.wait()
         if self.pidfd is not None:
             os.close(self.pidfd)
             self.pidfd = None
@@ -320,7 +322,8 @@ class _ForkServer(_Target):
 class _ForkRun:
     """One input in flight in a fork server: started by _ForkServer.spawn,
     ended by finish() or kill().  The server reports the child's pid, then
-    its wait status."""
+    its wait status.  The child leads a process group of its own, which
+    the server is not in."""
 
     def __init__(self, server: _ForkServer):
         self.server = server
@@ -354,18 +357,17 @@ class _ForkRun:
         return _outcome(code, time.perf_counter() - self.started)
 
     def kill(self) -> None:
-        """Kill the child if it still runs, and take its status, which leaves
-        the server ready for the next input."""
-        if self.status is not None:
-            return
+        """Kill the child's process group, whether or not the child still
+        runs, and take its status, which leaves the server ready for the
+        next input."""
         try:
             if self.pid is None:
                 self._read(None)
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # reaped by the server already; the status is on its way
-            self._read(None)
+            # no group left: the child is reaped, and its status on its way
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.pid, signal.SIGKILL)
+            if self.status is None:
+                self._read(None)
         except ChildProcessError:
             pass  # the server died, and PR_SET_PDEATHSIG took the child along
 
@@ -432,7 +434,7 @@ def _ops_line(ops: dict) -> str:
 
 
 def _fuzz_worker(cfg: dict) -> dict:
-    """One fuzzing loop; top-level so multiprocessing can pickle it.
+    """One fuzzing loop; top-level so a worker process can unpickle it.
 
     The loop is a two-stage pipeline: the input of iteration i+1 is built
     while target i runs, then target i is settled (counted, persisted if it
@@ -733,8 +735,16 @@ def cmd_fuzz(args) -> int:
         if len(cfgs) < 2:  # no worker at all under --count 0
             results = [_fuzz_worker(cfg) for cfg in cfgs]
         else:
-            with multiprocessing.Pool(len(cfgs)) as mp:
-                results = mp.map(_fuzz_worker, cfgs)
+            # imported here: its modules would add about 0.5 MiB to every
+            # btfuzz process, and only --jobs above 1 needs them
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            try:
+                # unlike multiprocessing.Pool, raises once a worker dies
+                with ProcessPoolExecutor(len(cfgs)) as mp:
+                    results = list(mp.map(_fuzz_worker, cfgs))
+            except BrokenProcessPool as exc:
+                print(f"btfuzz: a fuzz worker died: {exc}", file=sys.stderr)
+                return 1
     except OSError as exc:
         print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
         return 1

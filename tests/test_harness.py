@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -840,6 +841,62 @@ def test_fuzz_hanging_target_times_out(tmp_path, spawned, runs, monkeypatch):
             pid, code = _pid_and_code(run)
             assert code == -signal.SIGKILL
             _assert_gone(pid)
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.parametrize("delivery", ["fork-server", "spawn"])
+def test_target_children_die_with_it(tmp_path, monkeypatch, delivery):
+    # each target leaves a background sleep behind, which must not outlive it
+    pids = tmp_path / "pids"
+    sleep, cat = shutil.which("sleep"), shutil.which("cat")
+    target = f"sh -c '{sleep} 20 & echo $! >> {pids}; {cat} \"$0\" >/dev/null' {{}}"
+    if delivery == "spawn":
+        force_spawn(monkeypatch, tmp_path / "spawn-only")
+    try:
+        rc = run_cli("fuzz", "--template", "mini", "--target", target, "--count", 2,
+                     "--rng-seed", 1, "--timeout-ms", 5000, "--out", tmp_path / "out")
+        assert rc == 0
+        stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+        assert stats["delivery"] == [delivery] and stats["valid"] == 2
+        left = [int(pid) for pid in pids.read_text().split()]
+        assert len(left) == 2
+        deadline = time.perf_counter() + 5
+        while time.perf_counter() < deadline and not all(map(_gone_or_zombie, left)):
+            time.sleep(0.01)
+        assert all(map(_gone_or_zombie, left))
+    finally:
+        for pid in pids.read_text().split() if pids.exists() else ():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(pid), signal.SIGKILL)
+
+
+def test_dead_fuzz_worker_ends_the_run(tmp_path, monkeypatch):
+    # on the spawn path the target's parent is the worker, which it kills;
+    # multiprocessing.Pool would wait for that worker for ever
+    force_spawn(monkeypatch, tmp_path / "spawn-only")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "TMPDIR": str(tmp_path)}
+    argv = [sys.executable, "-m", "btfuzz.cli", "fuzz", "--template", "mini", "--jobs", "2",
+            "--count", "2", "--rng-seed", "1", "--target", "sh -c 'kill -KILL $PPID'",
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the run, its workers and their targets
+        proc.communicate()
+        raise
+    assert proc.returncode == 1
+    lines = [line for line in err.splitlines() if "fork server unavailable" not in line]
+    assert len(lines) == 1 and lines[0].startswith("btfuzz: a fuzz worker died")
 
 
 @pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],
