@@ -378,8 +378,10 @@ def _open_target(target: str, timeout_ms: int) -> _Target:
     try:
         return _ForkServer(target, timeout_ms)
     except _NoForkServer as exc:
-        print(f"btfuzz: fork server unavailable: {exc}; starting the target once "
-              "per input", file=sys.stderr)
+        # one write: print() writes the line and its newline apart, and the
+        # fuzz workers share stderr, so their warnings would interleave
+        sys.stderr.write(f"btfuzz: fork server unavailable: {exc}; starting the target "
+                         "once per input\n")
         return _Target(target, timeout_ms)
 
 
