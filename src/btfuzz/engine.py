@@ -1,16 +1,22 @@
 """Dual-mode template evaluator.
 
-Each TemplateUnit is compiled once, on its first run, into Python source:
-one function per record body and per user function, and one for the top
-level (`unit.program.source`, registered with linecache so tracebacks show
-it).  Control flow becomes Python statements, each input declaration's
-work runs inline, and what the template fixes statically is bound in then:
+Each TemplateUnit compiles into up to two Python programs, each on its
+first run: one function per record body and per user function, and one
+for the top level, registered with linecache so tracebacks show it.
+Control flow becomes Python statements, each input declaration's work
+runs inline, and what the template fixes statically is bound in then:
 literal operands, constant choice specs, native widths and signs.  A run
-calls the compiled top level on an Execution, which holds the run's
-state.  In GEN mode every input declaration turns decisions into file
-bytes; in PARSE mode it consumes file bytes and emits the canonical
-decision encoding.  Both modes build the same parse tree and run the same
-control flow, which is what keeps generation and parsing synchronized.
+calls a compiled top level on an Execution, which holds the run's state.
+
+The tree program (`unit.program`) runs in both directions.  In GEN mode
+every input declaration turns decisions into file bytes; in PARSE mode it
+consumes file bytes and emits the canonical decision encoding.  Both
+modes build the same parse tree and run the same control flow, which is
+what keeps generation and parsing synchronized.  The lean program
+(`unit.lean`, tree=False) only generates, for callers that read only the
+file and seed: it builds no tree, lookahead events or coverage, and so
+has no direction to branch on, but numbers the nodes it does not build
+as the tree program does.  Both give the same file, seed and log.
 """
 
 from __future__ import annotations
@@ -112,10 +118,11 @@ class ChoiceEvent:
 @dataclass
 class GenResult:
     """What a run returns in either direction: the file it generated or
-    parsed, its parse tree, and the seed it consumed or emitted."""
+    parsed, its parse tree, and the seed it consumed or emitted.  A lean
+    run has no tree (None), events or coverage."""
 
     file: bytes
-    tree: ParseNode
+    tree: ParseNode | None
     seed: bytes
     events: list[ChoiceEvent]  # lookaheads
     covered: set[int]
@@ -125,14 +132,21 @@ class GenResult:
         return iter((self.file, self.tree, self.seed))
 
 
+def compiled(unit: TemplateUnit, tree: bool = True) -> _Compiler:
+    """unit's tree or lean program, compiled on its first use."""
+    slot = "program" if tree else "lean"
+    if (program := getattr(unit, slot)) is None:
+        setattr(unit, slot, program := _Compiler(unit, tree))
+    return program
+
+
 class Execution:
-    """One generation or parse run over a compiled template."""
+    """One run over a compiled template: of its tree program, or of its lean
+    program, which generates without a parse tree, events or coverage."""
 
     def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
-                 splice: _Splice | None = None):
-        if unit.program is None:
-            unit.program = _Compiler(unit)
-        self.program = unit.program
+                 splice: _Splice | None = None, tree: bool = True):
+        self.program = (unit.program if tree else unit.lean) or compiled(unit, tree)
         self.ds, self.buf = ds, buf
         self.gen = ds.source is not None
         self.scope = Scope(self.program.globals)
@@ -142,7 +156,7 @@ class Execution:
         self.log: list[tuple[str, str]] = []
         self.events: list[ChoiceEvent] = []
         self.last_lookahead: ChoiceEvent | None = None
-        self.root = ParseNode(0, "<file>", unit.source_name)
+        self.root = ParseNode(0, "<file>", unit.source_name) if tree else None
         self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
         self.record_stack = [RecordVal("<toplevel>")]
@@ -167,7 +181,8 @@ class Execution:
         if not self.gen and buf.position < buf.size:
             raise TrailingBytes(buf.position, buf.size)
         data = buf.finalize()
-        self.root.file_end, self.root.seed_end = len(data), self.ds.cursor
+        if self.root is not None:
+            self.root.file_end, self.root.seed_end = len(data), self.ds.cursor
         return GenResult(data, self.root, self.ds.seed, self.events, self.covered, self.log)
 
     # -- fields: what compiled code calls outside its scalar fast path -----
@@ -198,11 +213,14 @@ class Execution:
     def _redeclare(self, instance: RecordVal, name: str, spec, signed: bool):
         """Fix-up declaration: same name, same record instance; gives the
         value.  The bytes at the current position are written again (GEN)
-        or revalidated (PARSE); the scalar's node keeps its decision span
-        and takes the bytes' file span."""
+        or revalidated (PARSE); in a tree run the scalar's node keeps its
+        decision span and takes the bytes' file span."""
         if not isinstance(instance.fields[name], int):
             raise EvalError(f"field {name!r} is redeclared as a scalar, "
                             "but its current field is not one")
+        if self.root is None:
+            spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
+            return int.from_bytes(self._field(spec, signed), self.order, signed=signed)
         node = instance.field_nodes[name]
         self.node_stack.append(node)  # the node a lookahead here runs in
         try:
@@ -286,7 +304,10 @@ class Execution:
         return 1
 
     def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
-        """Log a lookahead whose decisions began at seed offset start."""
+        """Log a lookahead whose decisions began at seed offset start;
+        a lean run logs none."""
+        if self.root is None:
+            return
         self.last_lookahead = ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id,
                                           token, spec)
         self.events.append(self.last_lookahead)
@@ -481,6 +502,14 @@ stack[-1].children.append({0})
 stack.append({0})"""
 _POP = """{0}.file_end, {0}.seed_end = buf.position, len(sd)
 stack.pop()"""
+# The lean program's write of a scalar's {0} bytes, raw: appended inline
+# where FileBuffer.write would append and check nothing else.
+_APPEND = """if (p := buf.position) == len(d := buf.data) and buf._reserved_end <= p \
+        and p + {0} <= buf.budget:
+    d += raw
+    buf.position = buf.high_water = p + {0}
+else:
+    buf.write(raw)"""
 
 
 def _forget_lines(filename: str, entry):
@@ -501,10 +530,15 @@ class _Compiler:
     name or literal, or as a named constant (c<i>).  Records and functions
     are called by generated names, so they may call each other and
     themselves.  A run changes nothing compiled: one program serves all runs.
+
+    The tree program runs either direction and builds the parse tree, the
+    lookahead events and the coverage.  The lean one (tree=False) only
+    generates: it opens no node, but takes each node's id from ex.ids, so
+    a splice opens at the record the tree program gave that id.
     """
 
-    def __init__(self, unit: TemplateUnit):
-        self.unit = unit
+    def __init__(self, unit: TemplateUnit, tree: bool = True):
+        self.unit, self.tree = unit, tree
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
@@ -522,10 +556,11 @@ class _Compiler:
             self._function_body(name, fdef)
         self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
         self.source = source = "\n".join(self.defs) + "\n"
-        filename, n = f"<btfuzz:{unit.source_name}>", 1
+        stem = f"<btfuzz:{unit.source_name}" + ("" if tree else ":lean")
+        filename, n = stem + ">", 1
         while filename in linecache.cache:  # another live program's
             n += 1
-            filename = f"<btfuzz:{unit.source_name}#{n}>"
+            filename = f"{stem}#{n}>"
         entry = linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         weakref.finalize(self, _forget_lines, filename, entry)
         namespace, offset = dict(globals(), **self.names), ""
@@ -539,6 +574,7 @@ class _Compiler:
     def _define(self, header: str, lines: list[str], given=()):
         """Add a function: header, the _LOCALS its lines name, then lines."""
         text = "\n".join(lines)
+        given = (*given, *(() if self.tree else ("stack", "cov", "gen")))  # lean: never named
         used = {n for n in _LOCALS if n in text and n not in given}  # maybe one too many
         used |= {_NEEDS[n] for n in used if n in _NEEDS}
         self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
@@ -553,14 +589,15 @@ class _Compiler:
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
         binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
-        lines = ["fr = sc.push_activation()", _PUSH.format("rn", "name", repr(tdef.name)),
-                 "if rn.id == ex.splice_id: ex.splice.begin_alt()",
+        rid = "rn.id" if self.tree else "rn"
+        lines = ["fr = sc.push_activation()", *self._open("rn", "name", repr(tdef.name)),
+                 f"if {rid} == ex.splice_id: ex.splice.begin_alt()",
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
-                   if params else []),  # a snapshot: local arrays may change after the call
+                   if params and self.tree else []),  # a snapshot: local arrays may change
                  f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
                  "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
-                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", _POP.format("rn"),
-                           "if rn.id == ex.splice_id: ex.splice.end_alt()"]),
+                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", *self._shut("rn"),
+                           f"if {rid} == ex.splice_id: ex.splice.end_alt()"]),
                  "return rec"]
         self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
                      given=("fr", "rec"))
@@ -581,6 +618,17 @@ class _Compiler:
     def temp(self) -> str:
         self.count += 1
         return f"t{self.count}"
+
+    def _open(self, var: str, name: str, type_name: str) -> list[str]:
+        """Source that opens a node as var; the lean program only takes its id."""
+        return [_PUSH.format(var, name, type_name) if self.tree else f"{var} = next(ex.ids)"]
+
+    def _shut(self, var: str) -> list[str]:
+        return [_POP.format(var)] if self.tree else []
+
+    def _cover(self, decl):
+        if self.tree:
+            self.put(f"cov.add({decl.decl_id})")
 
     # -- statements -----------------------------------------------------
 
@@ -765,22 +813,25 @@ class _Compiler:
     def _scalar(self, decl, width, signed, label, spec):
         name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        field = [f"held = buf.reserved_block(buf.position, {width}) if buf.position in res "
-                 "else None", "if gen:", "    if (raw := held) is None:",
-                 f"        raw = ds.choose_value({sp})",
-                 f"        if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
+        field = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
+                 f"    if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
                  f".to_bytes({width}, ex.order)",
-                 "    buf.write(raw)", f"    v = {decode}", "else:",
-                 f"    v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
-                 f"    if held is None: ds.emit_value({sp}, v, raw)"]
+                 "buf.write(raw)" if self.tree else _APPEND.format(width), f"v = {decode}"]
+        if self.tree:
+            field = ["if gen:", *_indent(field), "else:",
+                     f"    v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
+                     f"    if held is None: ds.emit_value({sp}, v, raw)"]
+        field.insert(0, f"held = buf.reserved_block(buf.position, {width}) if buf.position in "
+                        "res else None")
         if sp == "sp":  # only a spec that runs template code can raise a break or return
-            field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"]
-        self.put(f"cov.add({decl.decl_id})", f"if {name} in rec.fields:",
-                 f"    v = ex._redeclare(rec, {name}, "
+            field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"] if self.tree \
+                else [f"sp = {spec}", *field]
+        self._cover(decl)
+        self.put(f"if {name} in rec.fields:", f"    v = ex._redeclare(rec, {name}, "
                  f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})",
-                 "else:", *_indent([_PUSH.format("node", name, repr(label)), *field,
-                                    *_indent([_POP.format("node")], 1 if sp == "sp" else 0),
-                                    f"rec.field_nodes[{name}] = node"]),
+                 "else:", *_indent([*self._open("node", name, repr(label)), *field,
+                                    *_indent(self._shut("node"), 1 if sp == "sp" else 0),
+                                    *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]),
                  f"rec.fields[{name}] = fr[{name}] = v")
 
     def _length(self, decl, width: int) -> bool:
@@ -792,7 +843,8 @@ class _Compiler:
         misfit = f"array {decl.name}[%s] does not fit the remaining %s byte(s)"
         self.put(f"n = {self.integer(decl.array_len)}",
                  f"if n < 0 or n * {max(width, 1)} > buf.budget - buf.position:",
-                 f"    n = ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if gen and ex.hint_mode else "
+                 f"    n = ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if "
+                 f"{'gen and ' if self.tree else ''}ex.hint_mode else "
                  f"_fail(BudgetExceeded, {misfit!r} % (n, buf.budget - buf.position))")
         return True
 
@@ -818,10 +870,11 @@ class _Compiler:
             whole = f"{self.ref(mined)}.get(n)" if mined else None
         if whole is not None:
             value = f"(ex._field(sp, None) if (sp := {whole}) is not None else {value})"
-        self.put(f"cov.add({decl.decl_id})")
+        self._cover(decl)
         if self._length(decl, width):
-            self.put(_PUSH.format("node", repr(name), f"'%s[%s]' % ({label!r}, n)"), "try:",
-                     f"    v = {value}", "finally:", *_indent([_POP.format("node")]),
+            self.put(*self._open("node", repr(name), f"'%s[%s]' % ({label!r}, n)"),
+                     *(["try:", f"    v = {value}", "finally:", *_indent(self._shut("node"))]
+                       if self.tree else [f"v = {value}"]),
                      f"rec.fields[{name!r}] = fr[{name!r}] = v")
 
     def _record(self, decl: ast.InputDecl, tdef):
@@ -831,7 +884,7 @@ class _Compiler:
             return self.fail(f"record field {decl.name!r} takes no initializer or bounds")
         name, args = repr(decl.name), "".join(self.expr(a) + ", " for a in decl.args)
         call = f"{self.records[tdef.name]}(ex, {name}, ({args}))"
-        self.put(f"cov.add({decl.decl_id})")
+        self._cover(decl)
         if decl.array_len is None:
             self.put(f"v = {call}")
         elif self._length(decl, 1):
@@ -990,9 +1043,10 @@ class _Compiler:
             "_fail(EvalError, 'CodecStream codec must be a string')",
             "codec_name = codec.decode('latin-1')", "if (codec := CODECS.get(codec_name)) is None:"
             " _fail(EvalError, f'no codec named {codec_name!r}')",
-            _PUSH.format("node", repr(name), "codec_name"),
-            "try:", f"    return ex._codec_stream({name!r}, codec, None if gen else "
-            f"{self.integer(expr.args[2])})", "finally:", *_indent([_POP.format("node")])])
+            *self._open("node", repr(name), "codec_name"),
+            *(["try:", f"    return ex._codec_stream({name!r}, codec, None if gen else "
+               f"{self.integer(expr.args[2])})", "finally:", *_indent(self._shut("node"))]
+              if self.tree else [f"return ex._codec_stream({name!r}, codec, None)"])])
         return f"{codec_call}(ex)"
 
 
@@ -1049,17 +1103,20 @@ _BUILTINS = {
 
 
 def generate_from_seed(unit: TemplateUnit, seed: bytes, *, evil: bool = True,
-                       budget: int = DEFAULT_BUDGET) -> GenResult:
+                       budget: int = DEFAULT_BUDGET, tree: bool = True) -> GenResult:
     """Run the template forward on seed.  Deterministic: the same unit and
-    the same consumed seed bytes yield a bit-identical file and tree."""
+    the same consumed seed bytes yield a bit-identical file and tree.
+    tree=False runs the lean program: the same file, seed and log, but no
+    tree, events or coverage."""
     ds = DecisionStream(SeedSource(seed), evil_enabled=evil)
-    return Execution(unit, ds, FileBuffer(budget)).run()
+    return Execution(unit, ds, FileBuffer(budget), tree=tree).run()
 
 
 def generate_random(unit: TemplateUnit, rng: random.Random | int | None = None, *,
-                    evil: bool = True, budget: int = DEFAULT_BUDGET) -> GenResult:
+                    evil: bool = True, budget: int = DEFAULT_BUDGET,
+                    tree: bool = True) -> GenResult:
     ds = DecisionStream(RandomSource(rng), evil_enabled=evil)
-    return Execution(unit, ds, FileBuffer(budget)).run()
+    return Execution(unit, ds, FileBuffer(budget), tree=tree).run()
 
 
 def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
@@ -1078,7 +1135,7 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
 
 def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
                     node_id: int, alt, *, evil: bool = True,
-                    budget: int = DEFAULT_BUDGET) -> GenResult:
+                    budget: int = DEFAULT_BUDGET, tree: bool = True) -> GenResult:
     """Generate with base_seed's decisions replayed around `span` and `alt`
     (donor seed bytes, or an int/Random for random bytes) consumed inside
     it: base_seed[:start] until record node `node_id` opens, which must be
@@ -1088,6 +1145,7 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     raises SpliceMisaligned: a seed source running dry (SeedExhausted) or
     any failure outside the node, the node opening elsewhere or never
     (any id that is not a record's), and donor or base bytes left over.
+    tree=False runs the lean program, as generate_from_seed does.
     """
     start, end = span
     if not 0 <= start <= end <= len(base_seed):
@@ -1095,7 +1153,7 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     alt = SeedSource(bytes(alt)) if isinstance(alt, (bytes, bytearray)) else RandomSource(alt)
     ds = DecisionStream(SeedSource(base_seed[:start]), evil_enabled=evil)
     splice = _Splice(ds, base_seed, span, node_id, alt)
-    ex = Execution(unit, ds, FileBuffer(budget), splice)
+    ex = Execution(unit, ds, FileBuffer(budget), splice, tree)
     try:
         result = ex.run()
     except GenerationFailed as exc:

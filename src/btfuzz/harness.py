@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .engine import generate_from_seed, generate_random, parse
+from .engine import compiled, generate_from_seed, generate_random, parse
 from .errors import Error, GenerationFailed, NoApplicableMutation, ParseRejected, TrailingBytes
 from .formats import VERIFIERS, load_template, resolve_template, verify
 from .mutation import index_corpus, random_smart_mutation
@@ -143,19 +143,19 @@ def _target_argv(target: str) -> list[str]:
 class _Target:
     """A target command, run on one input after another, one process each.
 
-    Every input is written to one temporary file, created here and removed
-    by close().  The file's path replaces a `{}` token in the command; a
-    command without one reads the file as its stdin, from offset 0 for
-    every input.
+    Every input is written to one temporary file, created here (in
+    `tmp_dir`, or the default temporary directory) and removed by close().
+    The file's path replaces a `{}` token in the command; a command without
+    one reads the file as its stdin, from offset 0 for every input.
     """
 
     delivery = "spawn"
 
-    def __init__(self, target: str, timeout_ms: int):
+    def __init__(self, target: str, timeout_ms: int, tmp_dir: str | None = None):
         argv = _target_argv(target)
         self.timeout_ms = timeout_ms
         self.stdin = None
-        fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_")
+        fd, self.path = tempfile.mkstemp(prefix="btfuzz_in_", dir=tmp_dir)
         os.close(fd)
         try:
             if any("{}" in word for word in argv):
@@ -256,9 +256,9 @@ class _ForkServer(_Target):
 
     delivery = "fork-server"
 
-    def __init__(self, target: str, timeout_ms: int):
+    def __init__(self, target: str, timeout_ms: int, tmp_dir: str | None = None):
         shim = _shim()
-        super().__init__(target, timeout_ms)
+        super().__init__(target, timeout_ms, tmp_dir)
         self.proc = None
         self.ctl = self.replies = None
         try:
@@ -372,17 +372,17 @@ class _ForkRun:
             pass  # the server died, and PR_SET_PDEATHSIG took the child along
 
 
-def _open_target(target: str, timeout_ms: int) -> _Target:
+def _open_target(target: str, timeout_ms: int, tmp_dir: str) -> _Target:
     """The target behind a fork server; the spawn path, with a warning, when
     the server cannot start."""
     try:
-        return _ForkServer(target, timeout_ms)
+        return _ForkServer(target, timeout_ms, tmp_dir)
     except _NoForkServer as exc:
         # one write: print() writes the line and its newline apart, and the
         # fuzz workers share stderr, so their warnings would interleave
         sys.stderr.write(f"btfuzz: fork server unavailable: {exc}; starting the target "
                          "once per input\n")
-        return _Target(target, timeout_ms)
+        return _Target(target, timeout_ms, tmp_dir)
 
 
 def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
@@ -457,7 +457,7 @@ def _fuzz_worker(cfg: dict) -> dict:
         rng = _iteration_rng(cfg["rng_seed"], index)
         try:
             if pool is None:
-                result = generate_random(unit, rng, evil=evil, budget=budget)
+                result = generate_random(unit, rng, evil=evil, budget=budget, tree=False)
                 return result.file, result.seed
             data, desc = random_smart_mutation(unit, pool, rng.choice(bases), rng)
             _count_ops(ops, desc["op"], desc["rejected"])
@@ -503,7 +503,7 @@ def _fuzz_worker(cfg: dict) -> dict:
         settle(outcome.kind)
 
     interrupted = False
-    with _open_target(cfg["target"], cfg["timeout_ms"]) as target:
+    with _open_target(cfg["target"], cfg["timeout_ms"], cfg["tmp_dir"]) as target:
         try:
             began = time.perf_counter()
             for index in range(cfg["start"], cfg["start"] + cfg["count"]):
@@ -554,14 +554,15 @@ def _master_seed(args) -> int:
     return seed
 
 
-def _generations(unit, args):
+def _generations(unit, args, tree: bool = False):
     """(i, GenResult, or None if generation failed) for each of --count
-    random files, file i drawn from its own iteration rng."""
+    random files, file i drawn from its own iteration rng; only a tree run
+    (tree=True) has a tree, events and coverage."""
     master = _master_seed(args)
     for i in range(args.count):
         try:
-            result = generate_random(unit, _iteration_rng(master, i),
-                                     evil=not args.no_evil, budget=args.max_size)
+            result = generate_random(unit, _iteration_rng(master, i), evil=not args.no_evil,
+                                     budget=args.max_size, tree=tree)
         except GenerationFailed:
             result = None
         yield i, result
@@ -586,7 +587,7 @@ def _roundtrip_failure(unit, data: bytes, args) -> str | None:
     seed = parse(unit, data, evil=not args.no_evil).seed
     try:
         regen = generate_from_seed(unit, seed, evil=not args.no_evil,
-                                   budget=max(args.max_size, len(data)))
+                                   budget=max(args.max_size, len(data)), tree=False)
     except GenerationFailed as exc:
         return str(exc)
     return None if regen.file == data else "regenerated file differs"
@@ -645,7 +646,7 @@ def cmd_replay(args) -> int:
     seed = Path(args.seed).read_bytes()
     try:
         result = generate_from_seed(unit, seed, evil=not args.no_evil,
-                                    budget=args.max_size)
+                                    budget=args.max_size, tree=False)
     except GenerationFailed as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
@@ -708,9 +709,14 @@ def cmd_fuzz(args) -> int:
         pool = _corpus_pool(unit, args)
         if pool is None:
             return 1
+    # the program every worker runs, compiled once: the workers fork from here
+    compiled(unit, tree=False)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)
+    # every worker's input file, in one directory that goes with the run,
+    # even when a worker dies and leaves its file behind
+    tmp_dir = tempfile.mkdtemp(prefix="btfuzz_")
     base_cfg = {
         "template": args.template,
         "target": args.target,
@@ -720,6 +726,7 @@ def cmd_fuzz(args) -> int:
         "out": str(out_dir),
         "pool": pool,
         "rng_seed": master,
+        "tmp_dir": tmp_dir,
     }
     per = [args.count // args.jobs + (1 if w < args.count % args.jobs else 0)
            for w in range(args.jobs)]
@@ -740,9 +747,11 @@ def cmd_fuzz(args) -> int:
             # imported here: its modules would add about 0.5 MiB to every
             # btfuzz process, and only --jobs above 1 needs them
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            from multiprocessing import get_context
             try:
-                # unlike multiprocessing.Pool, raises once a worker dies
-                with ProcessPoolExecutor(len(cfgs)) as mp:
+                # unlike multiprocessing.Pool, raises once a worker dies; fork
+                # hands each worker the unit with its program compiled
+                with ProcessPoolExecutor(len(cfgs), mp_context=get_context("fork")) as mp:
                     results = list(mp.map(_fuzz_worker, cfgs))
             except BrokenProcessPool as exc:
                 print(f"btfuzz: a fuzz worker died: {exc}", file=sys.stderr)
@@ -750,6 +759,8 @@ def cmd_fuzz(args) -> int:
     except OSError as exc:
         print(f"btfuzz: cannot run target: {exc}", file=sys.stderr)
         return 1
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
     wall = time.perf_counter() - started
     counts: Counter = Counter()
     gen_failed: Counter = Counter()
@@ -822,7 +833,7 @@ def cmd_coverage(args) -> int:
     unit = load_template(args.template)
     hits: Counter = Counter()
     gen_failed = 0
-    for _, result in _generations(unit, args):
+    for _, result in _generations(unit, args, tree=True):
         gen_failed += result is None
         hits.update(result.covered if result else ())
     total = len(unit.declarations)

@@ -212,7 +212,8 @@ def _regenerate_exact(unit, seed: bytes, pool: ChunkPool) -> GenResult:
     the edit did not line up with decision boundaries.
     """
     try:
-        result = generate_from_seed(unit, seed, evil=pool.evil, budget=pool.budget)
+        result = generate_from_seed(unit, seed, evil=pool.evil, budget=pool.budget,
+                                    tree=False)
     except SeedExhausted as exc:
         raise SpliceMisaligned(f"edited seed desynchronized: {exc}") from exc
     unused = len(seed) - len(result.seed)
@@ -230,7 +231,7 @@ def smart_abstract(unit, pool: ChunkPool, target: ChunkRecord, rng) -> bytes:
     """
     base = pool.seeds[target.source_file]
     result = run_with_splice(unit, base, target.decision_span, target.node_id, rng,
-                             evil=pool.evil, budget=pool.budget)
+                             evil=pool.evil, budget=pool.budget, tree=False)
     return result.file
 
 
@@ -247,7 +248,7 @@ def smart_replace(unit, pool: ChunkPool, target: ChunkRecord,
     donor_bytes = _seed_slice(pool, donor)
     base = pool.seeds[target.source_file]
     result = run_with_splice(unit, base, target.decision_span, target.node_id,
-                             donor_bytes, evil=pool.evil, budget=pool.budget)
+                             donor_bytes, evil=pool.evil, budget=pool.budget, tree=False)
     return result.file
 
 

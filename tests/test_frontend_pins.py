@@ -6,8 +6,9 @@ col); the repr() of the typedefs, functions and top level, spans
 included; and the analysis results (declarations, magic table in order,
 bound names, warnings).  A change to the front end that keeps these keeps
 every template's meaning, declaration ids and magic order.  The compiled
-program's source is pinned apart: a change to the AST's shapes that keeps
-it keeps what every template runs.
+programs' sources, tree and lean, are pinned apart: a change to the AST's
+shapes that keeps them keeps what every template runs.  Templates without
+input declarations compile to the same source both ways.
 """
 
 import hashlib
@@ -156,6 +157,32 @@ def test_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
     program = _Compiler(parse_template(source)).source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == PROGRAM_SOURCE[name]
+
+
+LEAN_SOURCE = {
+    'mini': '7828f66372fbc1bd',
+    'pnglite': '0b589612b2cf92a8',
+    'magic16': 'a3ded2ae1067a46a',
+    'hex': 'a87a9718340b092c',
+    'float': '7be6b20e42566c4f',
+    'char': '31a9d7aaf98bbd2b',
+    'string': '8f50d265790c82df',
+    'comments': 'a1983e456210fc0b',
+    'positions': 'f9d2347dbba452dc',
+    'operators': 'b2aeb40e8d540c5e',
+    'statements': 'a2d588aebf3348d8',
+    'switch': '0ffb04e96f9401ef',
+    'for': '9b3d98dcb7421870',
+    'attributes': '0cd50bc6eb8b9675',
+    'magic': '0d7258097613837a',
+}
+
+
+@pytest.mark.parametrize("name", LEAN_SOURCE)
+def test_lean_program_source_is_pinned(name):
+    source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
+    program = _Compiler(parse_template(source), tree=False).source
+    assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_SOURCE[name]
 
 
 ERRORS = {

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from btfuzz import cli, harness
+from btfuzz import cli, engine, harness
 from btfuzz.engine import generate_from_seed, generate_random
-from btfuzz.formats import load_template
+from btfuzz.formats import load_template, template_text
 from btfuzz.harness import Outcome, run_target
 from conftest import force_spawn
 
@@ -881,8 +881,9 @@ def test_dead_fuzz_worker_ends_the_run(tmp_path, monkeypatch):
     # on the spawn path the target's parent is the worker, which it kills;
     # multiprocessing.Pool would wait for that worker for ever
     force_spawn(monkeypatch, tmp_path / "spawn-only")
+    (tmp_path / "tmp").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
-           "TMPDIR": str(tmp_path)}
+           "TMPDIR": str(tmp_path / "tmp")}
     argv = [sys.executable, "-m", "btfuzz.cli", "fuzz", "--template", "mini", "--jobs", "2",
             "--count", "2", "--rng-seed", "1", "--target", "sh -c 'kill -KILL $PPID'",
             "--out", str(tmp_path / "out")]
@@ -897,6 +898,28 @@ def test_dead_fuzz_worker_ends_the_run(tmp_path, monkeypatch):
     assert proc.returncode == 1
     lines = [line for line in err.splitlines() if "fork server unavailable" not in line]
     assert len(lines) == 1 and lines[0].startswith("btfuzz: a fuzz worker died")
+    assert list((tmp_path / "tmp").iterdir()) == []  # the dead worker's input file too
+
+
+def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
+    # a template path of its own, so that no earlier test compiled its unit
+    template = tmp_path / "fresh.bt"
+    template.write_text(template_text("mini"))
+    parent, compiles = os.getpid(), tmp_path / "compiles"
+
+    class Recording(engine._Compiler):
+        def __init__(self, unit, tree=True):
+            with open(compiles, "a") as log:  # appended to by any process
+                log.write(f"{'parent' if os.getpid() == parent else 'worker'} tree={tree}\n")
+            super().__init__(unit, tree)
+
+    monkeypatch.setattr(engine, "_Compiler", Recording)
+    out = tmp_path / "out"
+    assert run_cli("fuzz", "--template", template, "--target", f"{PY} -c pass",
+                   "--count", 4, "--jobs", 2, "--rng-seed", 1, "--out", out) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["iterations"] == 4 and len(stats["delivery"]) == 2
+    assert compiles.read_text() == "parent tree=False\n"
 
 
 @pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],

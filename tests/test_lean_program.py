@@ -1,0 +1,94 @@
+"""The lean program generates what the tree program generates.
+
+generate_random, generate_from_seed and run_with_splice take tree=False to
+run a unit's lean program, which opens no parse tree node, logs no
+lookahead event and records no coverage.  Over every bundled template,
+every front-end pin snippet and one lean-specific case, with evil on and
+off, it must give the same file, seed and log as the tree program and
+leave the RNG in the same state, or fail with the same error class and
+message, also where a small byte budget ends the run.  Splices must open
+at the same record and end the same way.
+"""
+
+import random
+
+import pytest
+
+from btfuzz import DEFAULT_BUDGET, Error, formats
+from btfuzz.engine import generate_from_seed, generate_random, run_with_splice
+from btfuzz.mutation import index_corpus
+from btfuzz.templatelang import parse_template
+from test_frontend_pins import SNIPPETS
+from test_golden import RNG_SEEDS
+
+UNITS = {**{name: formats.template_text(name) for name in formats.BUNDLED}, **SNIPPETS,
+         # a lookahead that reserves the second byte of the next field, which
+         # the lean program must write through FileBuffer.write's checks
+         "partial-reservation": "local ubyte c[] = { 7, 9 }; "
+                                "local int k = ReadByte(FTell() + 1, c); uint16 x; ubyte y;"}
+
+
+@pytest.fixture(scope="module", params=UNITS)
+def unit(request):
+    return parse_template(UNITS[request.param], request.param)
+
+
+def _outcome(run, tree: bool):
+    """What a caller that reads only the file, seed and log sees of a run."""
+    try:
+        result = run(tree)
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+    if not tree:
+        assert result.tree is None and result.events == [] and result.covered == set()
+    return result.file, result.seed, result.log
+
+
+def _same_on_both(run):
+    """The tree program's outcome, once the lean program has given it too."""
+    tree = _outcome(run, True)
+    assert _outcome(run, False) == tree
+    return tree
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 40], ids=["budget", "small-budget"])
+@pytest.mark.parametrize("evil", [True, False], ids=["evil", "no-evil"])
+def test_generation_is_the_same_without_the_tree(unit, evil, budget):
+    for s in RNG_SEEDS:
+        def random_run(tree):
+            rng = random.Random(s)
+            result = generate_random(unit, rng, evil=evil, budget=budget, tree=tree)
+            result.log.append(("rng", repr(rng.getstate())))  # the draws consumed
+            return result
+
+        made = _same_on_both(random_run)
+        seeds = [random.Random(s).randbytes(48)]  # mostly ones that run dry
+        if isinstance(made[1], bytes):
+            seeds += [made[1], made[1][:len(made[1]) // 2]]
+        for seed in seeds:
+            _same_on_both(lambda tree: generate_from_seed(unit, seed, evil=evil, budget=budget,
+                                                          tree=tree))
+
+
+@pytest.mark.parametrize("name", [name for name, text in UNITS.items() if any(
+    t.kind == "record" for t in parse_template(text).typedefs.values())])
+def test_every_splice_is_the_same_without_the_tree(name):
+    unit = parse_template(UNITS[name], name)
+    corpus = []
+    for s in RNG_SEEDS[:30]:
+        try:
+            corpus.append(generate_random(unit, random.Random(s), budget=1024).file)
+        except Error:
+            continue
+    pool = index_corpus(unit, corpus, budget=1024)
+    records = list(pool.records())
+    assert records
+    for i, rec in enumerate(records):
+        base = pool.seeds[rec.source_file]
+        donors = pool.donors[rec.key]
+        # random decisions, a donor replace may pick, and any other record's
+        alts = [i] + [pool.seeds[d.source_file][slice(*d.decision_span)]
+                      for d in (donors[i % len(donors)], records[(i + 1) % len(records)])]
+        for alt in alts:
+            _same_on_both(lambda tree: run_with_splice(
+                unit, base, rec.decision_span, rec.node_id, alt, budget=1024, tree=tree))

@@ -4,10 +4,13 @@ Wall-clock rates drift with the host; the number of opcodes a fixed piece
 of work executes does not.  Counted with `sys.settrace` and
 `f_trace_opcodes` (CPython 3.11 has no `sys.monitoring`), over pnglite
 generate, parse and replay of the files of 20 fixed RNG seeds, every
-second one with evil off, and over 40 smart mutations of those files, each
-drawn with its own fixed RNG seed.  The template is compiled and the
-corpus indexed before counting, so the counts cover running them only.  A change that makes the interpreter do
-more work per file fails here on any host.
+second one with evil off, over generate of the same files by the lean
+program (tree=False), and over 40 smart mutations of those files, each
+drawn with its own fixed RNG seed.  Both programs are compiled and the
+corpus indexed before counting, so the counts cover running them only.
+A change that makes the interpreter do more work per file fails here on
+any host.  The lean program must also stay at most LEAN_SHARE of the
+tree program's generate count: that is what it exists for.
 
 The ceilings are about 1.05 times the counts measured when they were set
 (COUNTED).  Bytecode differs between CPython minor versions, so the
@@ -27,7 +30,9 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 527_646, "parse": 397_557, "replay": 531_161, "mutate": 1_010_058}
+COUNTED = {"generate": 527_646, "parse": 397_557, "replay": 531_161, "mutate": 804_630,
+           "generate_lean": 419_716}
+LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
 pytestmark = pytest.mark.skipif(
@@ -73,7 +78,8 @@ def _mutate_or_reject(unit, pool, bases, s):
 
 def _stage_counts() -> dict[str, int]:
     unit = formats.load_template("pnglite")
-    generate_random(unit, random.Random(0))  # compiles the template
+    generate_random(unit, random.Random(0))  # compiles the tree program
+    generate_random(unit, random.Random(0), tree=False)  # and the lean one
     evil = {s: s % 2 == 0 for s in RNG_SEEDS}
     results = {}
 
@@ -82,6 +88,9 @@ def _stage_counts() -> dict[str, int]:
             results[s] = generate_random(unit, random.Random(s), evil=evil[s])
 
     counts = {"generate": _count_opcodes(gen)}
+    counts["generate_lean"] = _count_opcodes(
+        lambda: [generate_random(unit, random.Random(s), evil=evil[s], tree=False)
+                 for s in RNG_SEEDS])
     counts["parse"] = _count_opcodes(
         lambda: [_parse_or_reject(unit, results[s].file, evil[s]) for s in RNG_SEEDS])
     counts["replay"] = _count_opcodes(
@@ -97,3 +106,4 @@ def test_pnglite_opcodes_stay_under_their_ceilings():
     counts = _stage_counts()
     over = {stage: (n, CEILING[stage]) for stage, n in counts.items() if n > CEILING[stage]}
     assert not over, f"executed opcodes above ceiling (count, ceiling): {over}"
+    assert counts["generate_lean"] <= LEAN_SHARE * counts["generate"], counts
