@@ -1,6 +1,6 @@
 """Dual-mode template evaluator.
 
-Each TemplateUnit compiles into up to two Python programs, each on its
+Each TemplateUnit compiles into up to three Python programs, each on its
 first run: one function per record body and per user function, and one
 for the top level, registered with linecache so tracebacks show it.
 Control flow becomes Python statements, each input declaration's work
@@ -12,11 +12,13 @@ The tree program (`unit.program`) runs in both directions.  In GEN mode
 every input declaration turns decisions into file bytes; in PARSE mode it
 consumes file bytes and emits the canonical decision encoding.  Both
 modes build the same parse tree and run the same control flow, which is
-what keeps generation and parsing synchronized.  The lean program
-(`unit.lean`, tree=False) only generates, for callers that read only the
-file and seed: it builds no tree, lookahead events or coverage, and so
-has no direction to branch on, but numbers the nodes it does not build
-as the tree program does.  Both give the same file, seed and log.
+what keeps generation and parsing synchronized.  The two lean programs
+serve callers that read only the file and seed, and each runs in one
+direction: `unit.lean` generates and `unit.lean_parse` parses.  They
+build no tree, lookahead events or coverage, and have no direction to
+branch on, but number the nodes they do not build as the tree program
+does.  Each gives the tree program's file, seed and log, or its error.
+The entry points run a lean program unless passed tree=True.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ class ChoiceEvent:
 @dataclass
 class GenResult:
     """What a run returns in either direction: the file it generated or
-    parsed, its parse tree, and the seed it consumed or emitted.  A lean
-    run has no tree (None), events or coverage."""
+    parsed, its parse tree, and the seed it consumed or emitted.  Only a
+    tree run (tree=True) has a tree; a lean run's is None, and it has no
+    events or coverage."""
 
     file: bytes
     tree: ParseNode | None
@@ -132,23 +135,25 @@ class GenResult:
         return iter((self.file, self.tree, self.seed))
 
 
-def compiled(unit: TemplateUnit, tree: bool = True) -> _Compiler:
-    """unit's tree or lean program, compiled on its first use."""
-    slot = "program" if tree else "lean"
+def compiled(unit: TemplateUnit, tree: bool = False, gen: bool = True) -> _Compiler:
+    """unit's tree program, or its lean program in direction gen, compiled
+    on its first use."""
+    slot = "program" if tree else "lean" if gen else "lean_parse"
     if (program := getattr(unit, slot)) is None:
-        setattr(unit, slot, program := _Compiler(unit, tree))
+        setattr(unit, slot, program := _Compiler(unit, tree, gen))
     return program
 
 
 class Execution:
-    """One run over a compiled template: of its tree program, or of its lean
-    program, which generates without a parse tree, events or coverage."""
+    """One run over a compiled template: of its tree program, or of the lean
+    program of its direction, which builds no parse tree, events or
+    coverage.  A stream with a source generates; one without parses."""
 
     def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
-                 splice: _Splice | None = None, tree: bool = True):
-        self.program = (unit.program if tree else unit.lean) or compiled(unit, tree)
-        self.ds, self.buf = ds, buf
+                 splice: _Splice | None = None, tree: bool = False):
         self.gen = ds.source is not None
+        self.program = compiled(unit, tree, self.gen)
+        self.ds, self.buf = ds, buf
         self.scope = Scope(self.program.globals)
         self.order, self.hint_mode = "little", False  # byte order of integer fields
         self.steps = 0  # loop iterations so far
@@ -532,13 +537,14 @@ class _Compiler:
     themselves.  A run changes nothing compiled: one program serves all runs.
 
     The tree program runs either direction and builds the parse tree, the
-    lookahead events and the coverage.  The lean one (tree=False) only
-    generates: it opens no node, but takes each node's id from ex.ids, so
-    a splice opens at the record the tree program gave that id.
+    lookahead events and the coverage.  A lean one (tree=False) runs only
+    in direction gen (generate, or parse when False): it opens no node, but
+    takes each node's id from ex.ids, so a splice opens at the record the
+    tree program gave that id.
     """
 
-    def __init__(self, unit: TemplateUnit, tree: bool = True):
-        self.unit, self.tree = unit, tree
+    def __init__(self, unit: TemplateUnit, tree: bool = True, gen: bool = True):
+        self.unit, self.tree, self.gen = unit, tree, gen or tree  # gen: it generates
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
@@ -556,7 +562,7 @@ class _Compiler:
             self._function_body(name, fdef)
         self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
         self.source = source = "\n".join(self.defs) + "\n"
-        stem = f"<btfuzz:{unit.source_name}" + ("" if tree else ":lean")
+        stem = f"<btfuzz:{unit.source_name}" + ("" if tree else ":lean" if gen else ":lean-parse")
         filename, n = stem + ">", 1
         while filename in linecache.cache:  # another live program's
             n += 1
@@ -568,6 +574,7 @@ class _Compiler:
             exec(compile(offset + text, filename, "exec"), namespace)
             offset += "\n" * (text.count("\n") + 1)
         self.toplevel = namespace["toplevel"]
+        del self.defs, self.lines  # the source's other copies: nothing reads them now
 
     # -- functions --------------------------------------------------------
 
@@ -813,14 +820,14 @@ class _Compiler:
     def _scalar(self, decl, width, signed, label, spec):
         name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        field = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
+        write = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
                  f"    if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
                  f".to_bytes({width}, ex.order)",
                  "buf.write(raw)" if self.tree else _APPEND.format(width), f"v = {decode}"]
-        if self.tree:
-            field = ["if gen:", *_indent(field), "else:",
-                     f"    v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
-                     f"    if held is None: ds.emit_value({sp}, v, raw)"]
+        read = [f"v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
+                f"if held is None: ds.emit_value({sp}, v, raw)"]
+        field = ["if gen:", *_indent(write), "else:", *_indent(read)] if self.tree \
+            else write if self.gen else read
         field.insert(0, f"held = buf.reserved_block(buf.position, {width}) if buf.position in "
                         "res else None")
         if sp == "sp":  # only a spec that runs template code can raise a break or return
@@ -841,11 +848,12 @@ class _Compiler:
             return False
         # one that is negative or does not fit is replaced in hint mode generation
         misfit = f"array {decl.name}[%s] does not fit the remaining %s byte(s)"
+        hint = f"ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if " \
+               f"{'gen and ' if self.tree else ''}ex.hint_mode else " if self.gen else ""
         self.put(f"n = {self.integer(decl.array_len)}",
                  f"if n < 0 or n * {max(width, 1)} > buf.budget - buf.position:",
-                 f"    n = ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if "
-                 f"{'gen and ' if self.tree else ''}ex.hint_mode else "
-                 f"_fail(BudgetExceeded, {misfit!r} % (n, buf.budget - buf.position))")
+                 f"    n = {hint}_fail(BudgetExceeded, "
+                 f"{misfit!r} % (n, buf.budget - buf.position))")
         return True
 
     def _int_array(self, decl, native, width, signed, label, enum_cands):
@@ -1038,15 +1046,18 @@ class _Compiler:
             "latin-1") if isinstance(named, ast.StrLit) else None
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
+        # the stream's length, which only a parse reads
+        length = "None" if self.gen and not self.tree else self.integer(expr.args[2])
+        call = f"return ex._codec_stream({name!r}, codec, " \
+               f"{'None if gen else ' if self.tree else ''}{length})"
         codec_call = self._deferred([
             f"if not isinstance(codec := {args[1]}, bytes): "
             "_fail(EvalError, 'CodecStream codec must be a string')",
             "codec_name = codec.decode('latin-1')", "if (codec := CODECS.get(codec_name)) is None:"
             " _fail(EvalError, f'no codec named {codec_name!r}')",
             *self._open("node", repr(name), "codec_name"),
-            *(["try:", f"    return ex._codec_stream({name!r}, codec, None if gen else "
-               f"{self.integer(expr.args[2])})", "finally:", *_indent(self._shut("node"))]
-              if self.tree else [f"return ex._codec_stream({name!r}, codec, None)"])])
+            *(["try:", f"    {call}", "finally:", *_indent(self._shut("node"))]
+              if self.tree else [call])])
         return f"{codec_call}(ex)"
 
 
@@ -1103,30 +1114,36 @@ _BUILTINS = {
 
 
 def generate_from_seed(unit: TemplateUnit, seed: bytes, *, evil: bool = True,
-                       budget: int = DEFAULT_BUDGET, tree: bool = True) -> GenResult:
+                       budget: int = DEFAULT_BUDGET, tree: bool = False) -> GenResult:
     """Run the template forward on seed.  Deterministic: the same unit and
-    the same consumed seed bytes yield a bit-identical file and tree.
-    tree=False runs the lean program: the same file, seed and log, but no
-    tree, events or coverage."""
+    the same consumed seed bytes yield a bit-identical file (and tree).
+    It runs the lean program unless tree=True, which runs the tree program:
+    the same file, seed and log, with the tree, events and coverage."""
     ds = DecisionStream(SeedSource(seed), evil_enabled=evil)
     return Execution(unit, ds, FileBuffer(budget), tree=tree).run()
 
 
 def generate_random(unit: TemplateUnit, rng: random.Random | int | None = None, *,
                     evil: bool = True, budget: int = DEFAULT_BUDGET,
-                    tree: bool = True) -> GenResult:
+                    tree: bool = False) -> GenResult:
+    """Run the template forward on decisions drawn from rng; tree=True as
+    for generate_from_seed."""
     ds = DecisionStream(RandomSource(rng), evil_enabled=evil)
     return Execution(unit, ds, FileBuffer(budget), tree=tree).run()
 
 
-def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
+def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True,
+          tree: bool = False) -> GenResult:
     """Run the template backward over `data`, emitting the canonical seed.
 
     On success, generate_from_seed(unit, result.seed) reproduces `data`
     (result.file) bit-exactly.  Engine-level failures surface as
-    ParseRejected; leftover input raises TrailingBytes.
+    ParseRejected; leftover input raises TrailingBytes.  It runs the lean
+    parse program unless tree=True, which also gives the parse tree, the
+    lookahead events and the coverage; the seed and errors are the same.
     """
-    ex = Execution(unit, DecisionStream(evil_enabled=evil), FileBuffer(data=bytes(data)))
+    ex = Execution(unit, DecisionStream(evil_enabled=evil), FileBuffer(data=bytes(data)),
+                   tree=tree)
     try:
         return ex.run()
     except GenerationFailed as exc:
@@ -1135,7 +1152,7 @@ def parse(unit: TemplateUnit, data: bytes, *, evil: bool = True) -> GenResult:
 
 def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
                     node_id: int, alt, *, evil: bool = True,
-                    budget: int = DEFAULT_BUDGET, tree: bool = True) -> GenResult:
+                    budget: int = DEFAULT_BUDGET, tree: bool = False) -> GenResult:
     """Generate with base_seed's decisions replayed around `span` and `alt`
     (donor seed bytes, or an int/Random for random bytes) consumed inside
     it: base_seed[:start] until record node `node_id` opens, which must be
@@ -1145,7 +1162,7 @@ def run_with_splice(unit: TemplateUnit, base_seed: bytes, span: tuple[int, int],
     raises SpliceMisaligned: a seed source running dry (SeedExhausted) or
     any failure outside the node, the node opening elsewhere or never
     (any id that is not a record's), and donor or base bytes left over.
-    tree=False runs the lean program, as generate_from_seed does.
+    tree=True runs the tree program, as for generate_from_seed.
     """
     start, end = span
     if not 0 <= start <= end <= len(base_seed):

@@ -457,7 +457,7 @@ def _fuzz_worker(cfg: dict) -> dict:
         rng = _iteration_rng(cfg["rng_seed"], index)
         try:
             if pool is None:
-                result = generate_random(unit, rng, evil=evil, budget=budget, tree=False)
+                result = generate_random(unit, rng, evil=evil, budget=budget)
                 return result.file, result.seed
             data, desc = random_smart_mutation(unit, pool, rng.choice(bases), rng)
             _count_ops(ops, desc["op"], desc["rejected"])
@@ -587,7 +587,7 @@ def _roundtrip_failure(unit, data: bytes, args) -> str | None:
     seed = parse(unit, data, evil=not args.no_evil).seed
     try:
         regen = generate_from_seed(unit, seed, evil=not args.no_evil,
-                                   budget=max(args.max_size, len(data)), tree=False)
+                                   budget=max(args.max_size, len(data)))
     except GenerationFailed as exc:
         return str(exc)
     return None if regen.file == data else "regenerated file differs"
@@ -622,7 +622,7 @@ def cmd_parse(args) -> int:
     in_path = Path(args.file)
     data = in_path.read_bytes()
     try:
-        outcome = parse(unit, data, evil=not args.no_evil)
+        outcome = parse(unit, data, evil=not args.no_evil, tree=True)
     except TrailingBytes as exc:
         print(f"trailing bytes: {exc}", file=sys.stderr)
         return 4
@@ -645,8 +645,7 @@ def cmd_replay(args) -> int:
     unit = load_template(args.template)
     seed = Path(args.seed).read_bytes()
     try:
-        result = generate_from_seed(unit, seed, evil=not args.no_evil,
-                                    budget=args.max_size, tree=False)
+        result = generate_from_seed(unit, seed, evil=not args.no_evil, budget=args.max_size)
     except GenerationFailed as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
@@ -709,8 +708,10 @@ def cmd_fuzz(args) -> int:
         pool = _corpus_pool(unit, args)
         if pool is None:
             return 1
-    # the program every worker runs, compiled once: the workers fork from here
-    compiled(unit, tree=False)
+    # the programs every worker runs, compiled once: the workers fork from here
+    compiled(unit)
+    if pool is not None:
+        compiled(unit, gen=False)  # recovers a crashing mutant's seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)

@@ -136,7 +136,7 @@ def index_corpus(unit, files, *, evil: bool = True,
     items = files.items() if isinstance(files, Mapping) else enumerate(files)
     for cid, data in items:
         try:
-            outcome = parse(unit, data, evil=evil)
+            outcome = parse(unit, data, evil=evil, tree=True)
         except (ParseRejected, GenerationFailed) as exc:
             pool.failures.append((cid, str(exc)))
             continue
@@ -212,8 +212,7 @@ def _regenerate_exact(unit, seed: bytes, pool: ChunkPool) -> GenResult:
     the edit did not line up with decision boundaries.
     """
     try:
-        result = generate_from_seed(unit, seed, evil=pool.evil, budget=pool.budget,
-                                    tree=False)
+        result = generate_from_seed(unit, seed, evil=pool.evil, budget=pool.budget)
     except SeedExhausted as exc:
         raise SpliceMisaligned(f"edited seed desynchronized: {exc}") from exc
     unused = len(seed) - len(result.seed)
@@ -231,7 +230,7 @@ def smart_abstract(unit, pool: ChunkPool, target: ChunkRecord, rng) -> bytes:
     """
     base = pool.seeds[target.source_file]
     result = run_with_splice(unit, base, target.decision_span, target.node_id, rng,
-                             evil=pool.evil, budget=pool.budget, tree=False)
+                             evil=pool.evil, budget=pool.budget)
     return result.file
 
 
@@ -248,7 +247,7 @@ def smart_replace(unit, pool: ChunkPool, target: ChunkRecord,
     donor_bytes = _seed_slice(pool, donor)
     base = pool.seeds[target.source_file]
     result = run_with_splice(unit, base, target.decision_span, target.node_id,
-                             donor_bytes, evil=pool.evil, budget=pool.budget, tree=False)
+                             donor_bytes, evil=pool.evil, budget=pool.budget)
     return result.file
 
 

@@ -229,10 +229,12 @@ class TemplateUnit:
     declarations: list[InputDecl] = field(default_factory=list, compare=False)
     warnings: list[str] = field(default_factory=list, compare=False)
     source_name: str = field(default="<template>", compare=False)
-    # the engine's compiled programs, tree and lean, each built on its first
-    # run; closures do not pickle, so a pickled unit leaves them behind
+    # the engine's compiled programs, tree and lean (generate and parse),
+    # each built on its first run; closures do not pickle, so a pickled
+    # unit leaves them behind
     program: object = field(default=None, compare=False, repr=False)
     lean: object = field(default=None, compare=False, repr=False)
+    lean_parse: object = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
-        return dict(self.__dict__, program=None, lean=None)
+        return dict(self.__dict__, program=None, lean=None, lean_parse=None)

@@ -108,7 +108,7 @@ def test_criterion_05_declaration_coverage():
         hit = set()
         for i in range(10_000):
             try:
-                result = generate_random(unit, random.Random(30_000 + i))
+                result = generate_random(unit, random.Random(30_000 + i), tree=True)
             except GenerationFailed:
                 continue
             hit.update(result.covered)
@@ -183,7 +183,8 @@ def delete_insert_identity(unit, pool, target, base_file) -> bool:
     donor = next(r for r in combo.records()
                  if r.source_file == 1 and r.type_name == target.type_name
                  and r.decision_span == target.decision_span)
-    position = next(ev for ev in parse(unit, deleted).events if ev.start == target.lead_start)
+    position = next(ev for ev in parse(unit, deleted, tree=True).events
+                    if ev.start == target.lead_start)
     return smart_insert(unit, combo, 0, position, donor) == base_file
 
 

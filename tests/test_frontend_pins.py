@@ -6,9 +6,10 @@ col); the repr() of the typedefs, functions and top level, spans
 included; and the analysis results (declarations, magic table in order,
 bound names, warnings).  A change to the front end that keeps these keeps
 every template's meaning, declaration ids and magic order.  The compiled
-programs' sources, tree and lean, are pinned apart: a change to the AST's
-shapes that keeps them keeps what every template runs.  Templates without
-input declarations compile to the same source both ways.
+programs' sources, tree, lean generate and lean parse, are pinned apart: a
+change to the AST's shapes that keeps them keeps what every template runs.
+Templates without input declarations compile to the same source all three
+ways.
 """
 
 import hashlib
@@ -183,6 +184,32 @@ def test_lean_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
     program = _Compiler(parse_template(source), tree=False).source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_SOURCE[name]
+
+
+LEAN_PARSE_SOURCE = {
+    'mini': 'b757427dd3b12b1b',
+    'pnglite': 'e6c14f5228d3c4df',
+    'magic16': 'c43e9f0a4340e3ea',
+    'hex': 'a87a9718340b092c',
+    'float': '7be6b20e42566c4f',
+    'char': '31a9d7aaf98bbd2b',
+    'string': '8f50d265790c82df',
+    'comments': '0c144ce0e3e49b84',
+    'positions': '818208aa98a44cd9',
+    'operators': 'b2aeb40e8d540c5e',
+    'statements': 'e24b85898b7e69fb',
+    'switch': '9f3c69a4316a66f1',
+    'for': '3aa66011bb856255',
+    'attributes': 'ed7cc4588d7fc3be',
+    'magic': '01c6fbd9fdd31c15',
+}
+
+
+@pytest.mark.parametrize("name", LEAN_PARSE_SOURCE)
+def test_lean_parse_program_source_is_pinned(name):
+    source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
+    program = _Compiler(parse_template(source), tree=False, gen=False).source
+    assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_PARSE_SOURCE[name]
 
 
 ERRORS = {

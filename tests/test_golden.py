@@ -141,9 +141,9 @@ def event_digest(name: str) -> str:
         for s in RNG_SEEDS:
             h.update(f"== evil={evil} rng={s}\n".encode())
             result = _hash_events(h, "gen", lambda: generate_random(unit, random.Random(s),
-                                                                    evil=evil))
+                                                                    evil=evil, tree=True))
             if result is not None:
-                _hash_events(h, "parse", lambda: parse(unit, result.file, evil=evil))
+                _hash_events(h, "parse", lambda: parse(unit, result.file, evil=evil, tree=True))
     return h.hexdigest()
 
 

@@ -1,13 +1,15 @@
-"""The lean program generates what the tree program generates.
+"""The lean programs generate and parse what the tree program does.
 
-generate_random, generate_from_seed and run_with_splice take tree=False to
-run a unit's lean program, which opens no parse tree node, logs no
-lookahead event and records no coverage.  Over every bundled template,
-every front-end pin snippet and one lean-specific case, with evil on and
-off, it must give the same file, seed and log as the tree program and
-leave the RNG in the same state, or fail with the same error class and
-message, also where a small byte budget ends the run.  Splices must open
-at the same record and end the same way.
+generate_random, generate_from_seed, run_with_splice and parse run a
+unit's lean program of their direction unless passed tree=True: it opens
+no parse tree node, logs no lookahead event and records no coverage.
+Over every bundled template, every front-end pin snippet and one
+lean-specific case, with evil on and off, it must give the same file,
+seed and log as the tree program and leave the RNG in the same state, or
+fail with the same error class and message, also where a small byte
+budget ends the run or the input is cut short, has a byte flipped or has
+one byte too many.  Splices must open at the same record and end the
+same way.
 """
 
 import random
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from btfuzz import DEFAULT_BUDGET, Error, formats
-from btfuzz.engine import generate_from_seed, generate_random, run_with_splice
+from btfuzz.engine import generate_from_seed, generate_random, parse, run_with_splice
 from btfuzz.mutation import index_corpus
 from btfuzz.templatelang import parse_template
 from test_frontend_pins import SNIPPETS
@@ -68,6 +70,39 @@ def test_generation_is_the_same_without_the_tree(unit, evil, budget):
         for seed in seeds:
             _same_on_both(lambda tree: generate_from_seed(unit, seed, evil=evil, budget=budget,
                                                           tree=tree))
+
+
+def _variants(data: bytes, rng: random.Random) -> list[bytes]:
+    """data, and inputs a parse may reject: cut short, one byte flipped,
+    one byte too many."""
+    variants = [data, data[:-1], data[:len(data) // 2], data + b"\x00"]
+    if data:
+        i = rng.randrange(len(data))
+        variants.append(data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:])
+    return variants
+
+
+@pytest.mark.parametrize("evil", [True, False], ids=["evil", "no-evil"])
+def test_parse_is_the_same_without_the_tree(unit, evil):
+    for s in RNG_SEEDS:
+        try:
+            data = generate_random(unit, random.Random(s), evil=evil).file
+        except Error:
+            continue
+        for variant in _variants(data, random.Random(s)):
+            _same_on_both(lambda tree: parse(unit, variant, evil=evil, tree=tree))
+
+
+def test_parse_parity_covers_each_rejection():
+    """The bundled templates' variants reach both parse errors."""
+    seen = set()
+    for name in formats.BUNDLED:
+        unit = formats.load_template(name)
+        for s in RNG_SEEDS[:20]:
+            for variant in _variants(generate_random(unit, random.Random(s)).file,
+                                     random.Random(s)):
+                seen.add(_outcome(lambda tree: parse(unit, variant, tree=tree), False)[0])
+    assert {"ParseRejected", "TrailingBytes"} <= seen
 
 
 @pytest.mark.parametrize("name", [name for name, text in UNITS.items() if any(

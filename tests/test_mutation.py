@@ -115,7 +115,7 @@ def test_delete_removes_one_chunk(mini, pool):
     mutated = smart_delete(mini, pool, rec)
     ok, violation = verify_mini(mutated)
     assert ok, violation
-    tree = parse(mini, mutated).tree
+    tree = parse(mini, mutated, tree=True).tree
     remaining = [n for n in tree.walk() if n.type_name == "DATA"]
     assert len(remaining) == 1
 
@@ -137,18 +137,18 @@ def test_delete_insert_roundtrip(mini, pool):
         r for r in combo.records()
         if r.source_file == 1 and r.type_name == "DATA" and r.decision_span == rec.decision_span)
     position = next(
-        ev for ev in parse(mini, deleted).events if ev.start == rec.lead_start)
+        ev for ev in parse(mini, deleted, tree=True).events if ev.start == rec.lead_start)
     restored = smart_insert(mini, combo, 0, position, donor)
     assert restored == TWO_FILES[0]
 
 
 def test_insert_grows_chunk_count(mini, pool):
     donor = next(r for r in pool.by_type["DATA"] if r.source_file == 1)
-    position = parse(mini, TWO_FILES[0]).events[0]
+    position = parse(mini, TWO_FILES[0], tree=True).events[0]
     mutated = smart_insert(mini, pool, 0, position, donor)
     ok, violation = verify_mini(mutated)
     assert ok, violation
-    tree = parse(mini, mutated).tree
+    tree = parse(mini, mutated, tree=True).tree
     assert len([n for n in tree.walk() if n.type_name == "DATA"]) == 3
 
 
@@ -250,7 +250,7 @@ def test_every_record_restores_itself(template, evil):
 
 
 def test_splice_target_must_start_at_span_start(mini):
-    outcome = parse(mini, TWO_FILES[0])
+    outcome = parse(mini, TWO_FILES[0], tree=True)
     data = next(n for n in outcome.tree.walk() if n.type_name == "DATA")
     payload = next(n for n in data.children if n.name == "payload")
     own = outcome.seed[payload.seed_start:data.seed_end]
@@ -339,8 +339,8 @@ def test_every_offered_delete_and_insert_lines_up(request, template, n):
 @pytest.mark.parametrize("gen", [False, True])
 def test_lookahead_events_carry_their_spec(pnglite, gen):
     from btfuzz.engine import generate_random
-    result = generate_random(pnglite, random.Random(3), evil=False)
-    looks = result.events if gen else parse(pnglite, result.file).events
+    result = generate_random(pnglite, random.Random(3), evil=False, tree=True)
+    looks = result.events if gen else parse(pnglite, result.file, tree=True).events
     read_bytes = [ev for ev in looks if ev.spec.preferred is not None]
     read_byte = [ev for ev in looks if ev.spec.candidates is not None]
     assert len(read_bytes) + len(read_byte) == len(looks)
@@ -362,7 +362,7 @@ def test_mini_end_is_neither_deletable_nor_a_donor(mini, pool):
     assert not any(r.type_name == "END" for r in pool.insert_donors)
     for rec in ends:
         # END's lead is the token lookahead before it, not the empty one after
-        looks = parse(mini, TWO_FILES[rec.source_file]).events
+        looks = parse(mini, TWO_FILES[rec.source_file], tree=True).events
         lead = next(ev for ev in looks if ev.start == rec.lead_start)
         assert lead.token == b"\xff" and lead.end == rec.decision_span[0]
         assert rec.lead_start < rec.tail_start == rec.decision_span[1]

@@ -4,13 +4,14 @@ Wall-clock rates drift with the host; the number of opcodes a fixed piece
 of work executes does not.  Counted with `sys.settrace` and
 `f_trace_opcodes` (CPython 3.11 has no `sys.monitoring`), over pnglite
 generate, parse and replay of the files of 20 fixed RNG seeds, every
-second one with evil off, over generate of the same files by the lean
-program (tree=False), and over 40 smart mutations of those files, each
-drawn with its own fixed RNG seed.  Both programs are compiled and the
-corpus indexed before counting, so the counts cover running them only.
-A change that makes the interpreter do more work per file fails here on
-any host.  The lean program must also stay at most LEAN_SHARE of the
-tree program's generate count: that is what it exists for.
+second one with evil off, by the tree program (tree=True); over generate
+and parse of the same files by the lean programs (tree=False); and over
+40 smart mutations of those files, each drawn with its own fixed RNG
+seed.  All three programs are compiled and the corpus indexed before
+counting, so the counts cover running them only.  A change that makes
+the interpreter do more work per file fails here on any host.  Each lean
+program must also stay at most LEAN_SHARE of the tree program's count in
+its direction: that is what it exists for.
 
 The ceilings are about 1.05 times the counts measured when they were set
 (COUNTED).  Bytecode differs between CPython minor versions, so the
@@ -31,7 +32,7 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
 COUNTED = {"generate": 527_646, "parse": 397_557, "replay": 531_161, "mutate": 804_630,
-           "generate_lean": 419_716}
+           "generate_lean": 419_716, "parse_lean": 300_973}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
@@ -61,9 +62,9 @@ def _count_opcodes(fn) -> int:
     return count
 
 
-def _parse_or_reject(unit, data, evil):
+def _parse_or_reject(unit, data, evil, tree):
     try:
-        parse(unit, data, evil=evil)
+        parse(unit, data, evil=evil, tree=tree)
     except Error:  # evil-off pnglite files can be unparsable (bench/NOTES.md)
         pass
 
@@ -78,23 +79,25 @@ def _mutate_or_reject(unit, pool, bases, s):
 
 def _stage_counts() -> dict[str, int]:
     unit = formats.load_template("pnglite")
-    generate_random(unit, random.Random(0))  # compiles the tree program
-    generate_random(unit, random.Random(0), tree=False)  # and the lean one
+    made = generate_random(unit, random.Random(0), tree=True)  # compiles the tree program
+    generate_random(unit, random.Random(0), tree=False)  # and the lean ones
+    parse(unit, made.file, tree=False)
     evil = {s: s % 2 == 0 for s in RNG_SEEDS}
     results = {}
 
     def gen():
         for s in RNG_SEEDS:
-            results[s] = generate_random(unit, random.Random(s), evil=evil[s])
+            results[s] = generate_random(unit, random.Random(s), evil=evil[s], tree=True)
 
     counts = {"generate": _count_opcodes(gen)}
     counts["generate_lean"] = _count_opcodes(
         lambda: [generate_random(unit, random.Random(s), evil=evil[s], tree=False)
                  for s in RNG_SEEDS])
-    counts["parse"] = _count_opcodes(
-        lambda: [_parse_or_reject(unit, results[s].file, evil[s]) for s in RNG_SEEDS])
-    counts["replay"] = _count_opcodes(
-        lambda: [generate_from_seed(unit, results[s].seed, evil=evil[s]) for s in RNG_SEEDS])
+    for stage, tree in (("parse", True), ("parse_lean", False)):
+        counts[stage] = _count_opcodes(
+            lambda: [_parse_or_reject(unit, results[s].file, evil[s], tree) for s in RNG_SEEDS])
+    counts["replay"] = _count_opcodes(lambda: [
+        generate_from_seed(unit, results[s].seed, evil=evil[s], tree=True) for s in RNG_SEEDS])
     pool = index_corpus(unit, [results[s].file for s in RNG_SEEDS])
     bases = sorted(base for base, menu in pool.menus.items() if menu.ops)
     counts["mutate"] = _count_opcodes(
@@ -107,3 +110,4 @@ def test_pnglite_opcodes_stay_under_their_ceilings():
     over = {stage: (n, CEILING[stage]) for stage, n in counts.items() if n > CEILING[stage]}
     assert not over, f"executed opcodes above ceiling (count, ceiling): {over}"
     assert counts["generate_lean"] <= LEAN_SHARE * counts["generate"], counts
+    assert counts["parse_lean"] <= LEAN_SHARE * counts["parse"], counts
