@@ -901,8 +901,8 @@ def test_dead_fuzz_worker_ends_the_run(tmp_path, monkeypatch):
     assert list((tmp_path / "tmp").iterdir()) == []  # the dead worker's input file too
 
 
-@pytest.mark.parametrize("mutate", [False, True], ids=["generate", "mutate"])
-def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch, mutate):
+def forked_fuzz_compiles(tmp_path, monkeypatch, mutate):
+    """Run a two-worker fuzz and return its stats and which processes compiled what."""
     # a template path of its own, so that no earlier test compiled its unit
     template = tmp_path / "fresh.bt"
     template.write_text(template_text("mini"))
@@ -928,10 +928,19 @@ def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch, mu
                    "--count", 4, "--jobs", 2, "--rng-seed", 1, "--out", out) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["iterations"] == 4 and len(stats["delivery"]) == 2
-    assert len(stats["findings"]) == (4 if mutate else 0)
-    assert compiles.read_text() == ("parent tree=True\nparent tree=False\n"
-                                    "parent tree=False parse\n" if mutate
-                                    else "parent tree=False\n")
+    return stats, compiles.read_text()
+
+
+def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
+    stats, compiles = forked_fuzz_compiles(tmp_path, monkeypatch, mutate=False)
+    assert stats["findings"] == []
+    assert compiles == "parent tree=False\n"
+
+
+def test_forked_mutate_workers_find_the_parse_program_compiled(tmp_path, monkeypatch):
+    stats, compiles = forked_fuzz_compiles(tmp_path, monkeypatch, mutate=True)
+    assert len(stats["findings"]) == 4
+    assert compiles == "parent tree=True\nparent tree=False\nparent tree=False parse\n"
 
 
 @pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],
