@@ -16,8 +16,9 @@ what keeps generation and parsing synchronized.  The two lean programs
 serve callers that read only the file and seed, and each runs in one
 direction: `unit.lean` generates and `unit.lean_parse` parses.  They
 build no tree, lookahead events or coverage, and have no direction to
-branch on, but number the nodes they do not build as the tree program
-does.  Each gives the tree program's file, seed and log, or its error.
+branch on, but the generate program numbers the nodes it does not build
+as the tree program does, so a splice finds its record.  Each gives the
+tree program's file, seed and log, or its error.
 The entry points run a lean program unless passed tree=True.
 """
 
@@ -135,12 +136,17 @@ class GenResult:
         return iter((self.file, self.tree, self.seed))
 
 
-def compiled(unit: TemplateUnit, tree: bool = False, gen: bool = True) -> _Compiler:
-    """unit's tree program, or its lean program in direction gen, compiled
-    on its first use."""
-    slot = "program" if tree else "lean" if gen else "lean_parse"
+# each kind of program's slot on the unit and its linecache name's suffix
+_PROGRAMS = {"tree": ("program", ""), "gen": ("lean", ":lean"),
+             "parse": ("lean_parse", ":lean-parse")}
+
+
+def compiled(unit: TemplateUnit, kind: str = "tree") -> _Compiler:
+    """unit's program of kind "tree", or its lean "gen" or "parse" program,
+    compiled on its first use."""
+    slot = _PROGRAMS[kind][0]
     if (program := getattr(unit, slot)) is None:
-        setattr(unit, slot, program := _Compiler(unit, tree, gen))
+        setattr(unit, slot, program := _Compiler(unit, kind))
     return program
 
 
@@ -152,7 +158,7 @@ class Execution:
     def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
                  splice: _Splice | None = None, tree: bool = False):
         self.gen = ds.source is not None
-        self.program = compiled(unit, tree, self.gen)
+        self.program = compiled(unit, "tree" if tree else "gen" if self.gen else "parse")
         self.ds, self.buf = ds, buf
         self.scope = Scope(self.program.globals)
         self.order, self.hint_mode = "little", False  # byte order of integer fields
@@ -537,14 +543,14 @@ class _Compiler:
     themselves.  A run changes nothing compiled: one program serves all runs.
 
     The tree program runs either direction and builds the parse tree, the
-    lookahead events and the coverage.  A lean one (tree=False) runs only
-    in direction gen (generate, or parse when False): it opens no node, but
-    takes each node's id from ex.ids, so a splice opens at the record the
-    tree program gave that id.
+    lookahead events and the coverage.  A lean one runs in one direction:
+    "gen" generates and "parse" parses.  Neither opens a node, but the
+    "gen" program takes each node's id from ex.ids, so a splice opens at
+    the record the tree program gave that id; a parse never splices.
     """
 
-    def __init__(self, unit: TemplateUnit, tree: bool = True, gen: bool = True):
-        self.unit, self.tree, self.gen = unit, tree, gen or tree  # gen: it generates
+    def __init__(self, unit: TemplateUnit, kind: str = "tree"):
+        self.unit, self.program_kind, self.tree = unit, kind, kind == "tree"
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
@@ -562,7 +568,7 @@ class _Compiler:
             self._function_body(name, fdef)
         self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
         self.source = source = "\n".join(self.defs) + "\n"
-        stem = f"<btfuzz:{unit.source_name}" + ("" if tree else ":lean" if gen else ":lean-parse")
+        stem = f"<btfuzz:{unit.source_name}" + _PROGRAMS[kind][1]
         filename, n = stem + ">", 1
         while filename in linecache.cache:  # another live program's
             n += 1
@@ -597,14 +603,17 @@ class _Compiler:
         params = [p for p, _ in tdef.params]
         binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
         rid = "rn.id" if self.tree else "rn"
-        lines = ["fr = sc.push_activation()", *self._open("rn", "name", repr(tdef.name)),
-                 f"if {rid} == ex.splice_id: ex.splice.begin_alt()",
+        # a splice opens and closes at a record; a parse never splices
+        begin, end = ([] if self.program_kind == "parse" else
+                      [f"if {rid} == ex.splice_id: ex.splice.{step}()"]
+                      for step in ("begin_alt", "end_alt"))
+        lines = ["fr = sc.push_activation()", *self._open("rn", "name", repr(tdef.name)), *begin,
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
                    if params and self.tree else []),  # a snapshot: local arrays may change
                  f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
                  "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
                  *_indent(["sc.pop_activation()", "ex.record_stack.pop()", *self._shut("rn"),
-                           f"if {rid} == ex.splice_id: ex.splice.end_alt()"]),
+                           *end]),
                  "return rec"]
         self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
                      given=("fr", "rec"))
@@ -627,7 +636,10 @@ class _Compiler:
         return f"t{self.count}"
 
     def _open(self, var: str, name: str, type_name: str) -> list[str]:
-        """Source that opens a node as var; the lean program only takes its id."""
+        """Source that opens a node as var; the lean "gen" program only takes
+        its id, which a splice reads, and the lean "parse" one does nothing."""
+        if self.program_kind == "parse":
+            return []
         return [_PUSH.format(var, name, type_name) if self.tree else f"{var} = next(ex.ids)"]
 
     def _shut(self, var: str) -> list[str]:
@@ -827,7 +839,7 @@ class _Compiler:
         read = [f"v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
                 f"if held is None: ds.emit_value({sp}, v, raw)"]
         field = ["if gen:", *_indent(write), "else:", *_indent(read)] if self.tree \
-            else write if self.gen else read
+            else read if self.program_kind == "parse" else write
         field.insert(0, f"held = buf.reserved_block(buf.position, {width}) if buf.position in "
                         "res else None")
         if sp == "sp":  # only a spec that runs template code can raise a break or return
@@ -848,8 +860,9 @@ class _Compiler:
             return False
         # one that is negative or does not fit is replaced in hint mode generation
         misfit = f"array {decl.name}[%s] does not fit the remaining %s byte(s)"
-        hint = f"ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if " \
-               f"{'gen and ' if self.tree else ''}ex.hint_mode else " if self.gen else ""
+        hint = "" if self.program_kind == "parse" else \
+            f"ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if " \
+            f"{'gen and ' if self.tree else ''}ex.hint_mode else "
         self.put(f"n = {self.integer(decl.array_len)}",
                  f"if n < 0 or n * {max(width, 1)} > buf.budget - buf.position:",
                  f"    n = {hint}_fail(BudgetExceeded, "
@@ -1047,7 +1060,7 @@ class _Compiler:
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
         # the stream's length, which only a parse reads
-        length = "None" if self.gen and not self.tree else self.integer(expr.args[2])
+        length = "None" if self.program_kind == "gen" else self.integer(expr.args[2])
         call = f"return ex._codec_stream({name!r}, codec, " \
                f"{'None if gen else ' if self.tree else ''}{length})"
         codec_call = self._deferred([

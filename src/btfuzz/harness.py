@@ -494,8 +494,9 @@ def _fuzz_worker(cfg: dict) -> dict:
         blocked_s += time.perf_counter() - since
         if outcome.kind in ("crash", "timeout"):
             if seed_bytes is None:
-                # mutated inputs: recover the canonical seed for replay
-                seed_bytes = parse(unit, data, evil=evil).seed
+                # mutated inputs: recover the canonical seed for replay, with
+                # the tree program, which indexing the corpus compiled
+                seed_bytes = parse(unit, data, evil=evil, tree=True).seed
             name = f"{outcome.kind}_{cfg['worker']:02d}_{index:06d}"
             (out_dir / f"{name}.bin").write_bytes(data)
             (out_dir / f"{name}.seed").write_bytes(seed_bytes)
@@ -708,10 +709,8 @@ def cmd_fuzz(args) -> int:
         pool = _corpus_pool(unit, args)
         if pool is None:
             return 1
-    # the programs every worker runs, compiled once: the workers fork from here
-    compiled(unit)
-    if pool is not None:
-        compiled(unit, gen=False)  # recovers a crashing mutant's seed
+    # the program every worker runs, compiled once: the workers fork from here
+    compiled(unit, "gen")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)

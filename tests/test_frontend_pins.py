@@ -182,33 +182,33 @@ LEAN_SOURCE = {
 @pytest.mark.parametrize("name", LEAN_SOURCE)
 def test_lean_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
-    program = _Compiler(parse_template(source), tree=False).source
+    program = _Compiler(parse_template(source), "gen").source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_SOURCE[name]
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': 'b757427dd3b12b1b',
-    'pnglite': 'e6c14f5228d3c4df',
-    'magic16': 'c43e9f0a4340e3ea',
+    'mini': 'e92d6ecd0c1f0951',
+    'pnglite': 'fa264702cfe2ba21',
+    'magic16': '094f863e2e91a501',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': '0c144ce0e3e49b84',
-    'positions': '818208aa98a44cd9',
+    'comments': 'dfbefd02fd02983e',
+    'positions': '3d90afdb8dc358a2',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': 'e24b85898b7e69fb',
-    'switch': '9f3c69a4316a66f1',
-    'for': '3aa66011bb856255',
-    'attributes': 'ed7cc4588d7fc3be',
-    'magic': '01c6fbd9fdd31c15',
+    'statements': '4e135e44de9972e0',
+    'switch': '5e82b5161fadbb79',
+    'for': 'a18ecfa8002306c1',
+    'attributes': '4229bdb2dc43f92f',
+    'magic': '3ae9aa31115d90b0',
 }
 
 
 @pytest.mark.parametrize("name", LEAN_PARSE_SOURCE)
 def test_lean_parse_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
-    program = _Compiler(parse_template(source), tree=False, gen=False).source
+    program = _Compiler(parse_template(source), "parse").source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_PARSE_SOURCE[name]
 
 

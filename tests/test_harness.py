@@ -901,46 +901,25 @@ def test_dead_fuzz_worker_ends_the_run(tmp_path, monkeypatch):
     assert list((tmp_path / "tmp").iterdir()) == []  # the dead worker's input file too
 
 
-def forked_fuzz_compiles(tmp_path, monkeypatch, mutate):
-    """Run a two-worker fuzz and return its stats and which processes compiled what."""
+def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
     # a template path of its own, so that no earlier test compiled its unit
     template = tmp_path / "fresh.bt"
     template.write_text(template_text("mini"))
     parent, compiles = os.getpid(), tmp_path / "compiles"
 
     class Recording(engine._Compiler):
-        def __init__(self, unit, tree=True, gen=True):
-            super().__init__(unit, tree, gen)
+        def __init__(self, unit, kind="tree"):
             with open(compiles, "a") as log:  # appended to by any process
-                log.write(f"{'parent' if os.getpid() == parent else 'worker'} tree={tree}"
-                          f"{'' if self.gen else ' parse'}\n")
+                log.write(f"{'parent' if os.getpid() == parent else 'worker'} {kind}\n")
+            super().__init__(unit, kind)
 
-    out, target, corpus = tmp_path / "out", f"{PY} -c pass", []
-    if mutate:  # every input crashes, and a crashing mutant's seed comes from a parse
-        (tmp_path / "corpus").mkdir()
-        for i in range(2):
-            data = generate_random(load_template("mini"), i, evil=False, budget=256).file
-            (tmp_path / "corpus" / f"c{i}.bin").write_bytes(data)
-        code = "import os, signal; os.kill(os.getpid(), signal.SIGSEGV)"
-        target, corpus = f'{PY} -c "{code}"', ["--corpus", tmp_path / "corpus"]
     monkeypatch.setattr(engine, "_Compiler", Recording)
-    assert run_cli("fuzz", "--template", template, "--target", target, *corpus,
+    out = tmp_path / "out"
+    assert run_cli("fuzz", "--template", template, "--target", f"{PY} -c pass",
                    "--count", 4, "--jobs", 2, "--rng-seed", 1, "--out", out) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["iterations"] == 4 and len(stats["delivery"]) == 2
-    return stats, compiles.read_text()
-
-
-def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
-    stats, compiles = forked_fuzz_compiles(tmp_path, monkeypatch, mutate=False)
-    assert stats["findings"] == []
-    assert compiles == "parent tree=False\n"
-
-
-def test_forked_mutate_workers_find_the_parse_program_compiled(tmp_path, monkeypatch):
-    stats, compiles = forked_fuzz_compiles(tmp_path, monkeypatch, mutate=True)
-    assert len(stats["findings"]) == 4
-    assert compiles == "parent tree=True\nparent tree=False\nparent tree=False parse\n"
+    assert compiles.read_text() == "parent gen\n"
 
 
 @pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],

@@ -32,7 +32,7 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
 COUNTED = {"generate": 527_646, "parse": 397_557, "replay": 531_161, "mutate": 804_630,
-           "generate_lean": 419_716, "parse_lean": 300_973}
+           "generate_lean": 419_716, "parse_lean": 293_631}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
