@@ -1,6 +1,6 @@
 """Dual-mode template evaluator.
 
-Each TemplateUnit compiles into up to three Python programs, each on its
+Each TemplateUnit compiles into up to four Python programs, each on its
 first run: one function per record body and per user function, and one
 for the top level, registered with linecache so tracebacks show it.
 Control flow becomes Python statements, each input declaration's work
@@ -8,18 +8,18 @@ runs inline, and what the template fixes statically is bound in then:
 literal operands, constant choice specs, native widths and signs.  A run
 calls a compiled top level on an Execution, which holds the run's state.
 
-The tree program (`unit.program`) runs in both directions.  In GEN mode
-every input declaration turns decisions into file bytes; in PARSE mode it
-consumes file bytes and emits the canonical decision encoding.  Both
-modes build the same parse tree and run the same control flow, which is
-what keeps generation and parsing synchronized.  The two lean programs
-serve callers that read only the file and seed, and each runs in one
-direction: `unit.lean` generates and `unit.lean_parse` parses.  They
-build no tree, lookahead events or coverage, and have no direction to
-branch on, but the generate program numbers the nodes it does not build
-as the tree program does, so a splice finds its record.  Each gives the
-tree program's file, seed and log, or its error.
-The entry points run a lean program unless passed tree=True.
+Every program runs one direction, fixed when it is compiled.  A generate
+program turns each input declaration's decisions into file bytes; a
+parse program consumes file bytes and emits the canonical decision
+encoding.  Both compile from the same template into the same control
+flow, which is what keeps generation and parsing synchronized.  Each
+direction has a tree program, which builds the parse tree, lookahead
+events and coverage, and a lean one for callers that read only the file
+and seed: it builds none of them, but the lean generate program numbers
+the nodes it does not build as the tree program does, so a splice finds
+its record.  A lean program gives the tree program's file, seed and log,
+or its error.  The entry points run a lean program unless passed
+tree=True; `unit.programs` holds what has been compiled, by (gen, tree).
 """
 
 from __future__ import annotations
@@ -136,29 +136,23 @@ class GenResult:
         return iter((self.file, self.tree, self.seed))
 
 
-# each kind of program's slot on the unit and its linecache name's suffix
-_PROGRAMS = {"tree": ("program", ""), "gen": ("lean", ":lean"),
-             "parse": ("lean_parse", ":lean-parse")}
-
-
-def compiled(unit: TemplateUnit, kind: str = "tree") -> _Compiler:
-    """unit's program of kind "tree", or its lean "gen" or "parse" program,
-    compiled on its first use."""
-    slot = _PROGRAMS[kind][0]
-    if (program := getattr(unit, slot)) is None:
-        setattr(unit, slot, program := _Compiler(unit, kind))
+def compiled(unit: TemplateUnit, gen: bool, tree: bool = False) -> _Compiler:
+    """unit's generate (gen) or parse program, its tree program if tree
+    else its lean one, compiled on its first use."""
+    if (program := unit.programs.get((gen, tree))) is None:
+        program = unit.programs[gen, tree] = _Compiler(unit, gen, tree)
     return program
 
 
 class Execution:
-    """One run over a compiled template: of its tree program, or of the lean
-    program of its direction, which builds no parse tree, events or
-    coverage.  A stream with a source generates; one without parses."""
+    """One run over a compiled template: of the tree or the lean program of
+    its direction; a lean one builds no parse tree, events or coverage.  A
+    stream with a source generates; one without parses."""
 
     def __init__(self, unit: TemplateUnit, ds: DecisionStream, buf: FileBuffer,
                  splice: _Splice | None = None, tree: bool = False):
         self.gen = ds.source is not None
-        self.program = compiled(unit, "tree" if tree else "gen" if self.gen else "parse")
+        self.program = compiled(unit, self.gen, tree)
         self.ds, self.buf = ds, buf
         self.scope = Scope(self.program.globals)
         self.order, self.hint_mode = "little", False  # byte order of integer fields
@@ -501,7 +495,7 @@ _WRAP = f"(((({{}}) + {_SIGN}) & {_U64}) - {_SIGN})"  # wrap64, as source
 _LOCALS = {"sc": "sc = ex.scope", "fr": "fr = sc.frame", "rec": "rec = ex.record_stack[-1]",
            "buf": "buf = ex.buf", "res": "res = buf.reservations", "ds": "ds = ex.ds",
            "sd": "sd = ds._recorded",  # the seed so far: its length is ds.cursor
-           "stack": "stack = ex.node_stack", "cov": "cov = ex.covered", "gen": "gen = ex.gen"}
+           "stack": "stack = ex.node_stack", "cov": "cov = ex.covered"}
 _NEEDS = {"fr": "sc", "res": "buf", "sd": "ds"}
 
 
@@ -513,7 +507,7 @@ stack[-1].children.append({0})
 stack.append({0})"""
 _POP = """{0}.file_end, {0}.seed_end = buf.position, len(sd)
 stack.pop()"""
-# The lean program's write of a scalar's {0} bytes, raw: appended inline
+# The lean generate program's write of a scalar's {0} bytes, raw: appended inline
 # where FileBuffer.write would append and check nothing else.
 _APPEND = """if (p := buf.position) == len(d := buf.data) and buf._reserved_end <= p \
         and p + {0} <= buf.budget:
@@ -542,15 +536,15 @@ class _Compiler:
     are called by generated names, so they may call each other and
     themselves.  A run changes nothing compiled: one program serves all runs.
 
-    The tree program runs either direction and builds the parse tree, the
-    lookahead events and the coverage.  A lean one runs in one direction:
-    "gen" generates and "parse" parses.  Neither opens a node, but the
-    "gen" program takes each node's id from ex.ids, so a splice opens at
-    the record the tree program gave that id; a parse never splices.
+    Every program runs one direction: it generates if gen, else it parses.
+    A tree program builds the parse tree, the lookahead events and the
+    coverage.  A lean one opens no node, but the lean generate program
+    takes each node's id from ex.ids, so a splice opens at the record the
+    tree program gave that id; a parse never splices.
     """
 
-    def __init__(self, unit: TemplateUnit, kind: str = "tree"):
-        self.unit, self.program_kind, self.tree = unit, kind, kind == "tree"
+    def __init__(self, unit: TemplateUnit, gen: bool, tree: bool):
+        self.unit, self.gen, self.tree = unit, gen, tree
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
@@ -568,7 +562,8 @@ class _Compiler:
             self._function_body(name, fdef)
         self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
         self.source = source = "\n".join(self.defs) + "\n"
-        stem = f"<btfuzz:{unit.source_name}" + _PROGRAMS[kind][1]
+        stem = f"<btfuzz:{unit.source_name}" + (("" if gen else ":parse") if tree
+                                                 else ":lean" if gen else ":lean-parse")
         filename, n = stem + ">", 1
         while filename in linecache.cache:  # another live program's
             n += 1
@@ -587,7 +582,7 @@ class _Compiler:
     def _define(self, header: str, lines: list[str], given=()):
         """Add a function: header, the _LOCALS its lines name, then lines."""
         text = "\n".join(lines)
-        given = (*given, *(() if self.tree else ("stack", "cov", "gen")))  # lean: never named
+        given = (*given, *(() if self.tree else ("stack", "cov")))  # lean: never named
         used = {n for n in _LOCALS if n in text and n not in given}  # maybe one too many
         used |= {_NEEDS[n] for n in used if n in _NEEDS}
         self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
@@ -604,8 +599,7 @@ class _Compiler:
         binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
         rid = "rn.id" if self.tree else "rn"
         # a splice opens and closes at a record; a parse never splices
-        begin, end = ([] if self.program_kind == "parse" else
-                      [f"if {rid} == ex.splice_id: ex.splice.{step}()"]
+        begin, end = ([f"if {rid} == ex.splice_id: ex.splice.{step}()"] if self.gen else []
                       for step in ("begin_alt", "end_alt"))
         lines = ["fr = sc.push_activation()", *self._open("rn", "name", repr(tdef.name)), *begin,
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
@@ -636,11 +630,11 @@ class _Compiler:
         return f"t{self.count}"
 
     def _open(self, var: str, name: str, type_name: str) -> list[str]:
-        """Source that opens a node as var; the lean "gen" program only takes
-        its id, which a splice reads, and the lean "parse" one does nothing."""
-        if self.program_kind == "parse":
-            return []
-        return [_PUSH.format(var, name, type_name) if self.tree else f"{var} = next(ex.ids)"]
+        """Source that opens a node as var; the lean generate program only
+        takes its id, which a splice reads, and the lean parse one nothing."""
+        if self.tree:
+            return [_PUSH.format(var, name, type_name)]
+        return [f"{var} = next(ex.ids)"] if self.gen else []
 
     def _shut(self, var: str) -> list[str]:
         return [_POP.format(var)] if self.tree else []
@@ -832,14 +826,12 @@ class _Compiler:
     def _scalar(self, decl, width, signed, label, spec):
         name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        write = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
+        field = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
                  f"    if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
                  f".to_bytes({width}, ex.order)",
-                 "buf.write(raw)" if self.tree else _APPEND.format(width), f"v = {decode}"]
-        read = [f"v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
-                f"if held is None: ds.emit_value({sp}, v, raw)"]
-        field = ["if gen:", *_indent(write), "else:", *_indent(read)] if self.tree \
-            else read if self.program_kind == "parse" else write
+                 "buf.write(raw)" if self.tree else _APPEND.format(width), f"v = {decode}"] \
+            if self.gen else [f"v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
+                              f"if held is None: ds.emit_value({sp}, v, raw)"]
         field.insert(0, f"held = buf.reserved_block(buf.position, {width}) if buf.position in "
                         "res else None")
         if sp == "sp":  # only a spec that runs template code can raise a break or return
@@ -860,9 +852,7 @@ class _Compiler:
             return False
         # one that is negative or does not fit is replaced in hint mode generation
         misfit = f"array {decl.name}[%s] does not fit the remaining %s byte(s)"
-        hint = "" if self.program_kind == "parse" else \
-            f"ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if " \
-            f"{'gen and ' if self.tree else ''}ex.hint_mode else "
+        hint = f"ds.draw_raw(1)[0] % {HINT_LENGTH_MOD} if ex.hint_mode else " if self.gen else ""
         self.put(f"n = {self.integer(decl.array_len)}",
                  f"if n < 0 or n * {max(width, 1)} > buf.budget - buf.position:",
                  f"    n = {hint}_fail(BudgetExceeded, "
@@ -1060,9 +1050,8 @@ class _Compiler:
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
         # the stream's length, which only a parse reads
-        length = "None" if self.program_kind == "gen" else self.integer(expr.args[2])
-        call = f"return ex._codec_stream({name!r}, codec, " \
-               f"{'None if gen else ' if self.tree else ''}{length})"
+        length = "None" if self.gen else self.integer(expr.args[2])
+        call = f"return ex._codec_stream({name!r}, codec, {length})"
         codec_call = self._deferred([
             f"if not isinstance(codec := {args[1]}, bytes): "
             "_fail(EvalError, 'CodecStream codec must be a string')",

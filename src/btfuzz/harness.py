@@ -612,8 +612,9 @@ def cmd_generate(args) -> int:
         (out_dir / f"{name}.bin").write_bytes(result.file)
         (out_dir / f"{name}.seed").write_bytes(result.seed)
     elapsed = time.perf_counter() - started
-    rate = args.count / elapsed if elapsed > 0 else 0.0
-    print(f"generated {args.count - failed}/{args.count} files ({failed} failed) "
+    written = args.count - failed
+    rate = written / elapsed if elapsed > 0 else 0.0
+    print(f"generated {written}/{args.count} files ({failed} failed) "
           f"in {elapsed:.2f}s, {rate:.0f} files/s -> {out_dir}")
     return 0
 
@@ -710,7 +711,7 @@ def cmd_fuzz(args) -> int:
         if pool is None:
             return 1
     # the program every worker runs, compiled once: the workers fork from here
-    compiled(unit, "gen")
+    compiled(unit, gen=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = _master_seed(args)

@@ -229,12 +229,9 @@ class TemplateUnit:
     declarations: list[InputDecl] = field(default_factory=list, compare=False)
     warnings: list[str] = field(default_factory=list, compare=False)
     source_name: str = field(default="<template>", compare=False)
-    # the engine's compiled programs, tree and lean (generate and parse),
-    # each built on its first run; closures do not pickle, so a pickled
-    # unit leaves them behind
-    program: object = field(default=None, compare=False, repr=False)
-    lean: object = field(default=None, compare=False, repr=False)
-    lean_parse: object = field(default=None, compare=False, repr=False)
+    # the engine's compiled programs by (gen, tree), each built on its first
+    # run; closures do not pickle, so a pickled unit leaves them behind
+    programs: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getstate__(self):
-        return dict(self.__dict__, program=None, lean=None, lean_parse=None)
+        return dict(self.__dict__, programs={})

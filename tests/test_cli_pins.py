@@ -55,6 +55,11 @@ def test_generate_files(tmp_path, capsys):
     files = [*out.glob("*.bin"), *out.glob("*.seed")]
     assert len(files) == 60
     assert digest(files) == GENERATE_PNGLITE
+    # the rate counts the files written, not the attempts that failed
+    rc, stdout, _ = run(capsys, "generate", "--template", "mini", "--count", 2,
+                        "--max-size", 0, "--out", tmp_path / "none")
+    assert rc == 0
+    assert stdout.startswith("generated 0/2 files (2 failed) in ") and " 0 files/s " in stdout
 
 
 ROUNDTRIP = {

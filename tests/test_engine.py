@@ -788,10 +788,10 @@ def test_every_generated_file_parses_back(mini, seed):
 def test_compiled_unit_pickles_without_its_closures(mini):
     # the copy compiles its own programs on their first runs
     first = generate_random(mini, random.Random(5), tree=True)
-    parse(mini, generate_random(mini, random.Random(5)).file)  # and both lean programs
+    for tree in (True, False):  # and the other three programs
+        parse(mini, generate_random(mini, random.Random(5), tree=tree).file, tree=tree)
     copy = pickle.loads(pickle.dumps(mini))
-    for slot in ("program", "lean", "lean_parse"):
-        assert getattr(mini, slot) is not None and getattr(copy, slot) is None
+    assert len(mini.programs) == 4 and copy.programs == {}
     assert generate_random(copy, random.Random(5)).file == first.file
 
 
@@ -800,7 +800,7 @@ def test_emitted_source_reads_back_by_filename_and_line():
     unit = parse_template("ubyte a;\nlocal int v = 5 / (a - a);", "div.bt")
     with pytest.raises(EvalError) as info:
         generate_random(unit, random.Random(0), tree=True)
-    lines = unit.program.source.splitlines()
+    lines = unit.programs[True, True].source.splitlines()
     assert lines and all(linecache.getline("<btfuzz:div.bt>", n) == line + "\n"
                          for n, line in enumerate(lines, 1))
     frames = traceback.extract_tb(info.value.__traceback__)
@@ -815,7 +815,8 @@ def test_units_of_one_name_keep_their_own_source_lines():
     second = parse_template("ubyte b;\nlocal int w = 7 % (b - b);")
     with pytest.raises(EvalError):
         generate_random(second, random.Random(0), tree=True)
-    names = {unit.program.toplevel.__code__.co_filename for unit in (first, second)}
+    names = {unit.programs[True, True].toplevel.__code__.co_filename
+             for unit in (first, second)}
     assert len(names) == 2
     frames = [f for f in traceback.extract_tb(info.value.__traceback__)
               if f.filename.startswith("<btfuzz:")]
@@ -826,11 +827,21 @@ def test_units_of_one_name_keep_their_own_source_lines():
 def test_a_freed_program_drops_its_source_lines():
     unit = parse_template("ubyte a;")
     generate_random(unit, random.Random(0), tree=True)
-    filename = unit.program.toplevel.__code__.co_filename
+    filename = unit.programs[True, True].toplevel.__code__.co_filename
     assert filename in linecache.cache
     del unit
     gc.collect()
     assert filename not in linecache.cache
+
+
+def test_each_program_reads_back_under_its_own_name():
+    unit = parse_template("ubyte a;", "named.bt")
+    for tree in (True, False):
+        parse(unit, generate_random(unit, random.Random(0), tree=tree).file, tree=tree)
+    names = {key: program.toplevel.__code__.co_filename for key, program in unit.programs.items()}
+    assert names == {(True, True): "<btfuzz:named.bt>", (False, True): "<btfuzz:named.bt:parse>",
+                     (True, False): "<btfuzz:named.bt:lean>",
+                     (False, False): "<btfuzz:named.bt:lean-parse>"}
 
 
 def test_template_names_reach_the_source_only_as_literals():
@@ -843,9 +854,11 @@ def test_template_names_reach_the_source_only_as_literals():
         if (dingo != bilby) return -1;
     """)
     data = b"\x03platypus"
-    for tree in (True, False):  # all three programs
-        assert generate_from_seed(unit, parse(unit, data, tree=tree).seed).file == data
-    for program in (unit.program, unit.lean, unit.lean_parse):
+    for tree in (True, False):  # all four programs
+        seed = parse(unit, data, tree=tree).seed
+        assert generate_from_seed(unit, seed, tree=tree).file == data
+    assert len(unit.programs) == 4
+    for program in unit.programs.values():
         tokens = list(tokenize.generate_tokens(io.StringIO(program.source).readline))
         names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
         literals = {tok.string for tok in tokens if tok.type == tokenize.STRING}

@@ -5,11 +5,11 @@ Each case pins three digests: the token stream as (kind, value, line,
 col); the repr() of the typedefs, functions and top level, spans
 included; and the analysis results (declarations, magic table in order,
 bound names, warnings).  A change to the front end that keeps these keeps
-every template's meaning, declaration ids and magic order.  The compiled
-programs' sources, tree, lean generate and lean parse, are pinned apart: a
-change to the AST's shapes that keeps them keeps what every template runs.
-Templates without input declarations compile to the same source all three
-ways.
+every template's meaning, declaration ids and magic order.  The sources
+of the four compiled programs, tree and lean, generate and parse, are
+pinned apart: a change to the AST's shapes that keeps them keeps what
+every template runs.  Templates without input declarations compile to the
+same source all four ways.
 """
 
 import hashlib
@@ -134,30 +134,56 @@ def test_snippet_front_end_is_pinned(name):
     assert front_end_digests(SNIPPETS[name]) == EXPECTED[name]
 
 
-PROGRAM_SOURCE = {
-    'mini': '3d7545e0078cf64d',
-    'pnglite': 'b4093a1aeb63820a',
-    'magic16': '1f18c47b05c8e153',
+TREE_GEN_SOURCE = {
+    'mini': '27dea5fa69b537c7',
+    'pnglite': '4e1adbdc3ba5c3e2',
+    'magic16': '317380a433d0ea75',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': 'c53b759bc7b327d7',
-    'positions': 'f549f1d587f468db',
+    'comments': '24478cded6de1a98',
+    'positions': 'd00dffbb3627f246',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': 'd63030dd778283ac',
-    'switch': 'b29f8df20a7697bb',
-    'for': '385ecd8eacc4f91c',
-    'attributes': '25a2d2656075b9ec',
-    'magic': '87bc956ec4bf971f',
+    'statements': 'b67bc905edfa5cf6',
+    'switch': 'e06e1f5d43075f33',
+    'for': '5ff88291209eec4f',
+    'attributes': '904df5a27043744e',
+    'magic': '3c15e9e2b685c164',
 }
 
 
-@pytest.mark.parametrize("name", PROGRAM_SOURCE)
+@pytest.mark.parametrize("name", TREE_GEN_SOURCE)
 def test_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
-    program = _Compiler(parse_template(source)).source
-    assert hashlib.sha256(program.encode()).hexdigest()[:16] == PROGRAM_SOURCE[name]
+    program = _Compiler(parse_template(source), gen=True, tree=True).source
+    assert hashlib.sha256(program.encode()).hexdigest()[:16] == TREE_GEN_SOURCE[name]
+
+
+TREE_PARSE_SOURCE = {
+    'mini': '8d932e6f6d14f4ad',
+    'pnglite': '58d70837a13db898',
+    'magic16': '8efcc52c3175ab35',
+    'hex': 'a87a9718340b092c',
+    'float': '7be6b20e42566c4f',
+    'char': '31a9d7aaf98bbd2b',
+    'string': '8f50d265790c82df',
+    'comments': '3213f250e5dd2f3c',
+    'positions': '302c17c4a09c8a6d',
+    'operators': 'b2aeb40e8d540c5e',
+    'statements': '5c68540c6068c0b3',
+    'switch': '9f5289e6dae8a920',
+    'for': 'a017e694a84f59b4',
+    'attributes': '56c573df5bbb3e32',
+    'magic': '9b567ff686e715fe',
+}
+
+
+@pytest.mark.parametrize("name", TREE_PARSE_SOURCE)
+def test_tree_parse_program_source_is_pinned(name):
+    source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
+    program = _Compiler(parse_template(source), gen=False, tree=True).source
+    assert hashlib.sha256(program.encode()).hexdigest()[:16] == TREE_PARSE_SOURCE[name]
 
 
 LEAN_SOURCE = {
@@ -182,7 +208,7 @@ LEAN_SOURCE = {
 @pytest.mark.parametrize("name", LEAN_SOURCE)
 def test_lean_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
-    program = _Compiler(parse_template(source), "gen").source
+    program = _Compiler(parse_template(source), gen=True, tree=False).source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_SOURCE[name]
 
 
@@ -208,7 +234,7 @@ LEAN_PARSE_SOURCE = {
 @pytest.mark.parametrize("name", LEAN_PARSE_SOURCE)
 def test_lean_parse_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
-    program = _Compiler(parse_template(source), "parse").source
+    program = _Compiler(parse_template(source), gen=False, tree=False).source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_PARSE_SOURCE[name]
 
 

@@ -908,10 +908,10 @@ def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
     parent, compiles = os.getpid(), tmp_path / "compiles"
 
     class Recording(engine._Compiler):
-        def __init__(self, unit, kind="tree"):
+        def __init__(self, unit, gen, tree):
             with open(compiles, "a") as log:  # appended to by any process
-                log.write(f"{'parent' if os.getpid() == parent else 'worker'} {kind}\n")
-            super().__init__(unit, kind)
+                log.write(f"{'parent' if os.getpid() == parent else 'worker'} {gen} {tree}\n")
+            super().__init__(unit, gen, tree)
 
     monkeypatch.setattr(engine, "_Compiler", Recording)
     out = tmp_path / "out"
@@ -919,7 +919,7 @@ def test_forked_fuzz_workers_find_the_program_compiled(tmp_path, monkeypatch):
                    "--count", 4, "--jobs", 2, "--rng-seed", 1, "--out", out) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["iterations"] == 4 and len(stats["delivery"]) == 2
-    assert compiles.read_text() == "parent gen\n"
+    assert compiles.read_text() == "parent True False\n"
 
 
 @pytest.mark.parametrize("delivery", [harness._Target, harness._ForkServer],

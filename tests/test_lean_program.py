@@ -1,23 +1,29 @@
-"""The lean programs generate and parse what the tree program does.
+"""The lean programs generate and parse what the tree programs do.
+
+Each of a unit's four programs runs one direction: no generate program
+reads the file or emits a decision, no parse program draws a decision,
+writes the file or splices, and none branches on a direction.
 
 generate_random, generate_from_seed, run_with_splice and parse run a
 unit's lean program of their direction unless passed tree=True: it opens
 no parse tree node, logs no lookahead event and records no coverage.
 Over every bundled template, every front-end pin snippet and one
 lean-specific case, with evil on and off, it must give the same file,
-seed and log as the tree program and leave the RNG in the same state, or
-fail with the same error class and message, also where a small byte
-budget ends the run or the input is cut short, has a byte flipped or has
-one byte too many.  Splices must open at the same record and end the
-same way.
+seed and log as the tree program of its direction and leave the RNG in
+the same state, or fail with the same error class and message, also
+where a small byte budget ends the run or the input is cut short, has a
+byte flipped or has one byte too many.  Splices must open at the same
+record and end the same way.
 """
 
+import io
 import random
+import tokenize
 
 import pytest
 
 from btfuzz import DEFAULT_BUDGET, Error, formats
-from btfuzz.engine import generate_from_seed, generate_random, parse, run_with_splice
+from btfuzz.engine import compiled, generate_from_seed, generate_random, parse, run_with_splice
 from btfuzz.mutation import index_corpus
 from btfuzz.templatelang import parse_template
 from test_frontend_pins import SNIPPETS
@@ -51,6 +57,20 @@ def _same_on_both(run):
     tree = _outcome(run, True)
     assert _outcome(run, False) == tree
     return tree
+
+
+# what only a program of the other direction may call
+NOT_IN = {True: ("emit_value", "buf.read("),
+          False: ("choose_value", "draw_raw", "buf.write(", "ex.splice")}
+
+
+def test_every_program_runs_one_direction(unit):
+    for gen in (True, False):
+        for tree in (True, False):
+            source = compiled(unit, gen, tree).source
+            assert not [call for call in NOT_IN[gen] if call in source], (gen, tree)
+            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+            assert "gen" not in {tok.string for tok in tokens if tok.type == tokenize.NAME}
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 40], ids=["budget", "small-budget"])
