@@ -672,10 +672,7 @@ class _Compiler:
         self.depth -= 1
 
     def stmt(self, stmt):
-        rule = _STMT_RULES.get(type(stmt))
-        if rule is None:
-            return self.put(f"_fail(EvalError, {'cannot execute ' + type(stmt).__name__!r})")
-        rule(self, stmt)
+        _STMT_RULES[type(stmt)](self, stmt)
 
     def _local(self, stmt: ast.LocalDecl):
         name, fill = repr(stmt.name), b"" if stmt.type_name == "string" else 0
@@ -924,11 +921,8 @@ class _Compiler:
         return (2 if wrap64(value) == value else 1) if type(value) is int else 0
 
     def expr(self, expr) -> str:
-        rule = _EXPR_RULES.get(type(expr))
-        if rule is None:
-            return f"_fail(EvalError, {'cannot evaluate ' + type(expr).__name__!r})"
         self.nesting += 1
-        return self._close(rule(self, expr))
+        return self._close(_EXPR_RULES[type(expr)](self, expr))
 
     def test(self, expr) -> str:
         """Source whose Python truth is expr's truth in the template."""
@@ -974,8 +968,6 @@ class _Compiler:
     def _unary(self, expr: ast.Unary):
         if expr.op == "!":
             return f"(0 if {self.test(expr.operand)} else 1)"
-        if expr.op not in ("-", "+", "~"):
-            return f"_fail(EvalError, {'unknown unary operator ' + expr.op!r})"
         t = self.temp()
         value = t if expr.op == "+" else _WRAP.format(expr.op + t)
         return f"({value} if isinstance({t} := {self.expr(expr.operand)}, int) else " \
@@ -1038,8 +1030,6 @@ class _Compiler:
                 return "_fail(EvalError, 'ReadBytes output must be a local variable name')"
             return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]),
                                           out=repr(getattr(out, "name", None)))
-        if name not in self.functions:
-            return f"_fail(EvalError, {f'unknown function {name!r}'!r})"
         return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
 
     def _codec_stream(self, expr: ast.Call, args):

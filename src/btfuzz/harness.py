@@ -78,60 +78,6 @@ def _outcome(code: int | None, duration: float) -> Outcome:
                    duration=duration)
 
 
-class _Run:
-    """One target execution in flight: started by the constructor, ended by
-    finish() or kill().
-
-    `stdin` is the open input file of a stdin target, None for a `{}`
-    target.  The target leads a session of its own, so that kill() takes
-    the processes it started along.  On Linux finish() blocks on a pidfd,
-    which wakes the moment the target exits; without one it falls back to
-    Popen.wait.
-    """
-
-    def __init__(self, argv: list[str], stdin: int | None, timeout_ms: int):
-        self.started = time.perf_counter()
-        self.deadline = self.started + timeout_ms / 1000.0
-        self.proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.DEVNULL,
-                                     stderr=subprocess.DEVNULL, start_new_session=True)
-        try:
-            self.pidfd = os.pidfd_open(self.proc.pid)
-        except (AttributeError, OSError):
-            self.pidfd = None
-
-    def _wait(self) -> None:
-        """Return once the target has exited or its deadline has passed."""
-        if self.pidfd is not None:
-            poller = select.poll()
-            poller.register(self.pidfd, select.POLLIN)
-            left = max(0.0, self.deadline - time.perf_counter())
-            poller.poll(left * 1000)  # ms, rounded up
-        try:
-            self.proc.wait(max(0.0, self.deadline - time.perf_counter()))
-        except subprocess.TimeoutExpired:
-            pass
-
-    def finish(self) -> Outcome:
-        """Wait for the target until its deadline, then classify it; a target
-        still running at the deadline is killed and counts as a timeout."""
-        try:
-            self._wait()
-            code = self.proc.poll()
-        finally:
-            self.kill()
-        return _outcome(code, time.perf_counter() - self.started)
-
-    def kill(self) -> None:
-        """Kill the target's process group, whether or not the target still
-        runs, and reap the target; release the pidfd."""
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        self.proc.wait()
-        if self.pidfd is not None:
-            os.close(self.pidfd)
-            self.pidfd = None
-
-
 def _target_argv(target: str) -> list[str]:
     """A target command's words; ValueError if none, or if a quote is left open."""
     argv = shlex.split(target)
@@ -143,10 +89,13 @@ def _target_argv(target: str) -> list[str]:
 class _Target:
     """A target command, run on one input after another, one process each.
 
-    Every input is written to one temporary file, created here (in
-    `tmp_dir`, or the default temporary directory) and removed by close().
-    The file's path replaces a `{}` token in the command; a command without
-    one reads the file as its stdin, from offset 0 for every input.
+    One input is in flight at a time, started by spawn() and ended by
+    finish() or kill().  Every input is written to one temporary file,
+    created here (in `tmp_dir`, or the default temporary directory) and
+    removed by close().  The file's path replaces a `{}` token in the
+    command; a command without one reads the file as its stdin, from
+    offset 0 for every input.  The target leads a session of its own, so
+    that kill() takes the processes it started along.
     """
 
     delivery = "spawn"
@@ -183,12 +132,54 @@ class _Target:
         finally:
             os.close(fd)
 
-    def spawn(self, data: bytes) -> _Run:
+    def spawn(self, data: bytes) -> None:
         """Start the target on `data`."""
         self._write(data)
         if self.stdin is not None:
             os.lseek(self.stdin, 0, os.SEEK_SET)
-        return _Run(self.argv, self.stdin, self.timeout_ms)
+        self.started = time.perf_counter()
+        self.deadline = self.started + self.timeout_ms / 1000.0
+        self.run = subprocess.Popen(self.argv, stdin=self.stdin, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            self.pidfd = os.pidfd_open(self.run.pid)
+        except (AttributeError, OSError):
+            self.pidfd = None
+
+    def _code(self) -> int | None:
+        """The target's return code, as Popen reports it, once it exits; None
+        if its deadline passes first.  On Linux this blocks on a pidfd, which
+        wakes the moment the target exits; without one it falls back to
+        Popen.wait."""
+        if self.pidfd is not None:
+            poller = select.poll()
+            poller.register(self.pidfd, select.POLLIN)
+            left = max(0.0, self.deadline - time.perf_counter())
+            poller.poll(left * 1000)  # ms, rounded up
+        try:
+            self.run.wait(max(0.0, self.deadline - time.perf_counter()))
+        except subprocess.TimeoutExpired:
+            pass
+        return self.run.poll()
+
+    def finish(self) -> Outcome:
+        """Wait for the input in flight until its deadline, then classify it;
+        one still running at the deadline is killed and counts as a timeout."""
+        try:
+            code = self._code()
+        finally:
+            self.kill()
+        return _outcome(code, time.perf_counter() - self.started)
+
+    def kill(self) -> None:
+        """Kill the target's process group, whether or not the target still
+        runs, and reap the target; release the pidfd."""
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(self.run.pid, signal.SIGKILL)
+        self.run.wait()
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
 
     def close(self) -> None:
         if self.stdin is not None:
@@ -246,6 +237,8 @@ def _shim() -> str:
 class _ForkServer(_Target):
     """A target started once with the shim preloaded; the shim forks it
     before `main` for every input, and the child runs `main` on that input.
+    The server reports the child's pid, then its wait status.  The child
+    leads a process group of its own, which the server is not in.
 
     The input file is _Target's.  A stdin target's file is the server's
     stdin, and each child seeks it back to 0.  The constructor raises
@@ -299,11 +292,49 @@ class _ForkServer(_Target):
             return None
         return os.read(self.replies, 4)
 
-    def spawn(self, data: bytes) -> _ForkRun:
+    def spawn(self, data: bytes) -> None:
         """Fork the target on `data`."""
         self._write(data)
         os.write(self.ctl, b"\0\0\0\0")
-        return _ForkRun(self)
+        self.started = time.perf_counter()
+        self.deadline = self.started + self.timeout_ms / 1000.0
+        self.pid = self.status = None
+
+    def _read(self, deadline: float | None) -> bool:
+        """Take the next of the child's pid and status; False if `deadline`
+        passed first."""
+        word = self.recv(deadline)
+        if word is None:
+            return False
+        if not word:
+            raise ChildProcessError("the fork server exited")
+        value = int.from_bytes(word, sys.byteorder, signed=True)
+        if self.pid is None:
+            self.pid = value
+        else:
+            self.status = value
+        return True
+
+    def _code(self) -> int | None:
+        """The child's return code, as _Target._code gives a target's."""
+        while self.status is None and self._read(self.deadline):
+            pass
+        return None if self.status is None else os.waitstatus_to_exitcode(self.status)
+
+    def kill(self) -> None:
+        """Kill the child's process group, whether or not the child still
+        runs, and take its status, which leaves the server ready for the
+        next input.  The server itself is never signalled."""
+        try:
+            if self.pid is None:
+                self._read(None)
+            # no group left: the child is reaped, and its status on its way
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.pid, signal.SIGKILL)
+            if self.status is None:
+                self._read(None)
+        except ChildProcessError:
+            pass  # the server died, and PR_SET_PDEATHSIG took the child along
 
     def close(self) -> None:
         """Kill and reap the server, whose children are already settled."""
@@ -317,59 +348,6 @@ class _ForkServer(_Target):
             self.ctl = self.replies = None
         finally:
             super().close()
-
-
-class _ForkRun:
-    """One input in flight in a fork server: started by _ForkServer.spawn,
-    ended by finish() or kill().  The server reports the child's pid, then
-    its wait status.  The child leads a process group of its own, which
-    the server is not in."""
-
-    def __init__(self, server: _ForkServer):
-        self.server = server
-        self.started = time.perf_counter()
-        self.deadline = self.started + server.timeout_ms / 1000.0
-        self.pid = self.status = None
-
-    def _read(self, deadline: float | None) -> bool:
-        """Take the next of pid and status; False if `deadline` passed first."""
-        word = self.server.recv(deadline)
-        if word is None:
-            return False
-        if not word:
-            raise ChildProcessError("the fork server exited")
-        value = int.from_bytes(word, sys.byteorder, signed=True)
-        if self.pid is None:
-            self.pid = value
-        else:
-            self.status = value
-        return True
-
-    def finish(self) -> Outcome:
-        """Wait for the child until its deadline, then classify it as _Run
-        does; a child still running at the deadline is killed."""
-        try:
-            while self.status is None and self._read(self.deadline):
-                pass
-            code = None if self.status is None else os.waitstatus_to_exitcode(self.status)
-        finally:
-            self.kill()
-        return _outcome(code, time.perf_counter() - self.started)
-
-    def kill(self) -> None:
-        """Kill the child's process group, whether or not the child still
-        runs, and take its status, which leaves the server ready for the
-        next input."""
-        try:
-            if self.pid is None:
-                self._read(None)
-            # no group left: the child is reaped, and its status on its way
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(self.pid, signal.SIGKILL)
-            if self.status is None:
-                self._read(None)
-        except ChildProcessError:
-            pass  # the server died, and PR_SET_PDEATHSIG took the child along
 
 
 def _open_target(target: str, timeout_ms: int, tmp_dir: str) -> _Target:
@@ -394,7 +372,8 @@ def run_target(target: str, data: bytes, timeout_ms: int) -> Outcome:
     OSError to the caller.
     """
     with _Target(target, timeout_ms) as tgt:
-        return tgt.spawn(data).finish()
+        tgt.spawn(data)
+        return tgt.finish()
 
 
 def _stats_line(counts: Counter, iters: int, elapsed: float) -> str:
@@ -473,7 +452,7 @@ def _fuzz_worker(cfg: dict) -> dict:
     started = time.perf_counter()
     done = 0
     produce_s = spawn_s = blocked_s = 0.0
-    running = None  # (index, data, seed or None, run) of the target in flight
+    running = None  # (index, data, seed or None) of the target in flight
 
     def settle(kind: str) -> None:
         nonlocal done
@@ -488,9 +467,9 @@ def _fuzz_worker(cfg: dict) -> dict:
         nonlocal running, blocked_s
         if running is None:
             return
-        index, data, seed_bytes, run = running
+        index, data, seed_bytes = running
         running = None  # finish() kills and reaps the target whatever happens
-        outcome = run.finish()
+        outcome = target.finish()
         blocked_s += time.perf_counter() - since
         if outcome.kind in ("crash", "timeout"):
             if seed_bytes is None:
@@ -517,7 +496,8 @@ def _fuzz_worker(cfg: dict) -> dict:
                     began = time.perf_counter()
                     continue
                 spawning = time.perf_counter()
-                running = (index, *made, target.spawn(made[0]))
+                target.spawn(made[0])
+                running = (index, *made)
                 began = time.perf_counter()
                 spawn_s += began - spawning
             settle_running(began)
@@ -525,7 +505,7 @@ def _fuzz_worker(cfg: dict) -> dict:
             interrupted = True
         finally:
             if running is not None:
-                running[3].kill()
+                target.kill()
     return {"counts": dict(counts), "findings": findings,
             "duration": time.perf_counter() - started, "delivery": target.delivery,
             "produce_s": produce_s, "spawn_s": spawn_s, "blocked_s": blocked_s,

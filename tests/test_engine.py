@@ -6,6 +6,7 @@ import io
 import linecache
 import pickle
 import random
+import re
 import tokenize
 import traceback
 import tracemalloc
@@ -31,12 +32,14 @@ from btfuzz.errors import (
     LocalArrayTooLarge,
     ParseRejected,
     RecursionTooDeep,
+    ReservationConflict,
     SpliceMisaligned,
     StepBudgetExceeded,
     TemplateSyntaxError,
     TrailingBytes,
     UnrepresentableValue,
 )
+from btfuzz.formats.zstream import StoredZlibCodec, adler32
 from btfuzz.runtime import MAX_DEPTH
 from btfuzz.templatelang import parse_template
 from btfuzz.templatelang.parser import MAX_HEIGHT, MAX_NESTING
@@ -179,6 +182,48 @@ def test_division_is_c_style():
         ubyte ok = { 1 };
     """)
     parse(unit, b"\x01")
+
+
+# Template features, each as (source, want): the file generation makes, a
+# check of the file and its parse seed, or the (error, message) the
+# generator fails with.
+FEATURES = {
+    "array-slot-postfix": ("local int a[2] = {1, 2}; a[1]--; ubyte x = { a[1] };", b"\x01"),
+    "array-slot-out-of-range": ("local int a[2] = {1, 2}; a[5]++; ubyte x;",
+                                (EvalError, "++ target is not a valid array slot")),
+    # one choice among the strings, not a decision per byte
+    "char-array-decided-whole": ('char m[4] = { "ABCD", "WXYZ" };',
+                                 lambda file, seed: file in (b"ABCD", b"WXYZ")
+                                 and len(seed) <= 2),
+    "char-array-initializer-too-short": (
+        'char m[4] = { "ABC" };',
+        (EvalError, "initializer for 'm' has length 3, array holds 4")),
+    "bounds-known-at-run-time": ("ubyte lo; ubyte v <min=lo, max=200>;",
+                                 lambda file, seed: file[0] <= file[1] <= 200),
+    "min-exceeds-max-at-run-time": ("local int lo = 9; ubyte v <min=lo, max=3>;",
+                                    (EvalError, "field 'v': min 9 exceeds max 3")),
+    "return-in-a-record-ends-the-run": (
+        "typedef struct { ubyte a; return 7; ubyte b; } R; R r; ubyte z;",
+        lambda file, seed: len(file) == 1),
+    "break-outside-a-loop": ("ubyte a; break;",
+                             (EvalError, "break outside of a loop or switch")),
+}
+
+
+@pytest.mark.parametrize("evil", [False, True], ids=["evil-off", "evil-on"])
+@pytest.mark.parametrize("name", FEATURES)
+def test_template_feature(name, evil):
+    source, want = FEATURES[name]
+    unit = parse_template(source)
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error, match=re.escape(message)):
+            generate_random(unit, random.Random(0), evil=evil)
+        return
+    made = generate_random(unit, random.Random(0), evil=evil)
+    parsed = parse(unit, made.file, evil=evil)
+    assert generate_from_seed(unit, parsed.seed, evil=evil).file == made.file
+    assert made.file == want if isinstance(want, bytes) else want(made.file, parsed.seed)
 
 
 @pytest.mark.parametrize("expr, want", [
@@ -451,6 +496,13 @@ def test_read_byte_lookahead_reserves(magic16):
         parse(unit, b"\x05", evil=False)
 
 
+def test_read_byte_reservation_meets_an_earlier_write():
+    unit = parse_template("ubyte a; local ubyte c[] = { 9 }; local int k = ReadByte(0, c);")
+    with pytest.raises(ReservationConflict, match="conflicts with written 0x05"):
+        generate_from_seed(unit, bytes.fromhex("0005"), evil=False)
+    assert generate_from_seed(unit, bytes.fromhex("0009"), evil=False).file == b"\x09"
+
+
 TOKEN_IN_RECORD = """
     local string tag = "";
     local string preferred[] = { "\\xff" };
@@ -493,6 +545,41 @@ def test_read_bytes_without_tokens_logs_a_zero_width_event(gen):
     assert run.seed == seed
     [ev] = run.events
     assert (ev.start, ev.end, ev.node_id, ev.token) == (3, 3, 0, None)
+
+
+@pytest.mark.parametrize("evil", [False, True])
+def test_read_bytes_at_end_of_input_without_preferred_tokens_round_trips(evil):
+    unit = parse_template("""
+        local string tag = "";
+        local string none[0];
+        local string possible[] = { "\\x01" };
+        ubyte a;
+        if (ReadBytes(tag, FTell(), 1, none, possible, 0.5)) { ubyte b; }
+    """)
+    parsed = parse(unit, b"\x41", evil=evil)  # no token: the input has ended
+    assert generate_from_seed(unit, parsed.seed, evil=evil).file == b"\x41"
+
+
+CODEC_STREAM = 'ubyte n; CodecStream(body, "zlib_stored", n);'
+
+
+def _two_stored_blocks(raw: bytes) -> bytes:
+    """A valid zlib container holding raw in two stored blocks, not one."""
+    blocks = b"".join(bytes([final]) + len(part).to_bytes(2, "little")
+                      + (len(part) ^ 0xFFFF).to_bytes(2, "little") + part
+                      for final, part in ((0, raw[:2]), (1, raw[2:])))
+    return b"\x78\x01" + blocks + adler32(raw).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("stream, message", [
+    (StoredZlibCodec.encode(b"abcdef"), "carries 6 raw bytes"),
+    (_two_stored_blocks(b"abc"), "not in canonical form"),
+], ids=["too-long", "two-blocks"])
+def test_codec_stream_rejections_are_typed(stream, message):
+    unit = parse_template(CODEC_STREAM)
+    for evil in (False, True):
+        with pytest.raises(UnrepresentableValue, match=message):
+            parse(unit, bytes([len(stream)]) + stream, evil=evil)
 
 
 PROBABILITY = """

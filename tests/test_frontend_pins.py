@@ -275,6 +275,11 @@ ERRORS = {
     "unknown function": ("local int a = frob(1);", ResolveError),
     "record arity": ("typedef struct (int n) { } R;\nR r;", ArityError),
     "builtin arity": ("FTell(1);", ArityError),
+    "type shadows a native type": ("typedef ubyte int;", ResolveError),
+    "type and function": ("typedef ubyte f;\nint f() { return 1; }", ResolveError),
+    "alias cycle": ("typedef A B;\ntypedef B A;\nB x;", ResolveError),
+    "native type with arguments": ("ubyte x(3);", ArityError),
+    "function arity": ("int f(int a) { return a; }\nlocal int v = f();", ArityError),
 }
 
 EXPECTED_ERRORS = {
@@ -318,6 +323,11 @@ EXPECTED_ERRORS = {
     'unknown function': ('ResolveError', "unknown function 'frob'"),
     'record arity': ('ArityError', "2:1: record 'R' takes 1 argument(s), got 0"),
     'builtin arity': ('ArityError', 'FTell takes 0 argument(s), got 1'),
+    'type shadows a native type': ('ResolveError', "type 'int' shadows a native type"),
+    'type and function': ('ResolveError', "'f' defined as both type and function"),
+    'alias cycle': ('ResolveError', "1:1: alias cycle through 'A'"),
+    'native type with arguments': ('ArityError', "1:1: type 'ubyte' takes no arguments"),
+    'function arity': ('ArityError', 'f takes 1 argument(s), got 0'),
 }
 
 

@@ -107,7 +107,8 @@ def _recorder(log_dir: Path, then: str = "pass") -> str:
 def _delivered(target: str, inputs: list[bytes]) -> None:
     with harness._Target(target, timeout_ms=10000) as tgt:
         for data in inputs:
-            assert tgt.spawn(data).finish().kind == "valid"
+            tgt.spawn(data)
+            assert tgt.finish().kind == "valid"
 
 
 def test_file_input_shrinks_to_each_length(tmp_path):
@@ -150,7 +151,8 @@ def test_file_input_truncated_to_zero_only_when_empty(tmp_path, monkeypatch):
         monkeypatch.setattr(builtins, "open", spy_open)
         monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
         for data in inputs:
-            tgt.spawn(data).finish()
+            tgt.spawn(data)
+            tgt.finish()
     assert len(opens) == len(inputs)
     assert not any(flags & os.O_TRUNC for flags in opens)
     assert truncations == [len(data) for data in inputs]
@@ -313,6 +315,28 @@ def test_mutate_writes_jsonl(tmp_path):
     records = [json.loads(line) for line in lines]
     produced = len(list(out.glob("mut_*.bin")))
     assert produced == sum(1 for r in records if r["ok"])
+
+
+def test_replay_without_out_or_target_writes_the_file_to_stdout(tmp_path, capsysbinary):
+    seed = tmp_path / "s.seed"
+    seed.write_bytes(b"\x00\x00\x00")
+    assert run_cli("replay", "--template", "mini", "--seed", seed) == 0
+    assert capsysbinary.readouterr().out == b"MINI\xff"
+
+
+def test_mutate_a_corpus_no_operator_applies_to(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mini").write_bytes(b"MINI\xff")  # no record to mutate
+    out = tmp_path / "mut"
+    rc = run_cli("mutate", "--template", "mini", "--corpus", corpus,
+                 "--count", 3, "--rng-seed", 1, "--out", out)
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 0/3 mutated files -> {out}", '{"mutations": {}}']
+    records = [json.loads(line) for line in (out / "mutations.jsonl").read_text().splitlines()]
+    assert [(r["op"], r["ok"], r["rejected"]) for r in records] == [(None, False, [])] * 3
+    assert list(out.glob("mut_*.bin")) == []
 
 
 def test_mutate_missing_corpus(tmp_path, capsys):
@@ -699,15 +723,20 @@ def spawned(tmp_path, monkeypatch):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Every target run the fuzz loop starts, under either delivery."""
-    started = []
-    for cls in (harness._Target, harness._ForkServer):
-        def spawn(self, data, real=cls.spawn):
-            run = real(self, data)
-            started.append(run)
-            return run
-        monkeypatch.setattr(cls, "spawn", spawn)
-    return started
+    """(delivery, target pid, return code as Popen reports it) of every
+    target run the fuzz loop ends, under either delivery.  Every run ends
+    in kill(), called by finish() or directly."""
+    settled = []
+    pid_and_code = {
+        harness._Target: lambda tgt: (tgt.run.pid, tgt.run.returncode),
+        harness._ForkServer: lambda tgt: (tgt.pid, os.waitstatus_to_exitcode(tgt.status)),
+    }
+    for cls, read in pid_and_code.items():
+        def kill(self, real=cls.kill, read=read):
+            real(self)
+            settled.append((self.delivery, *read(self)))
+        monkeypatch.setattr(cls, "kill", kill)
+    return settled
 
 
 def _assert_reaped(procs):
@@ -716,13 +745,6 @@ def _assert_reaped(procs):
         assert proc.returncode is not None
         with pytest.raises(ChildProcessError):  # no zombie left to wait for
             os.waitpid(proc.pid, os.WNOHANG)
-
-
-def _pid_and_code(run) -> tuple[int, int]:
-    """A settled run's target pid and its return code as Popen reports it."""
-    if isinstance(run, harness._Run):
-        return run.proc.pid, run.proc.returncode
-    return run.pid, os.waitstatus_to_exitcode(run.status)
 
 
 def _assert_gone(pid):
@@ -749,8 +771,7 @@ def test_fuzz_leaves_no_input_file_or_child(tmp_path, monkeypatch, spawned, runs
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)  # the targets, or the server
         assert len(runs) == 6
-        for run in runs:
-            pid, code = _pid_and_code(run)
+        for _, pid, code in runs:
             assert code == 0
             _assert_gone(pid)
 
@@ -780,10 +801,10 @@ def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, runs, mon
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)
         assert len(runs) == 1
-        pid, code = _pid_and_code(runs[0])
+        _, pid, code = runs[0]
         assert code == -signal.SIGKILL  # killed, not waited out
         _assert_gone(pid)
-        assert isinstance(runs[0], harness._Run) == (delivery == "spawn")
+        assert runs[0][0] == delivery
 
 
 def test_fuzz_ctrl_c_writes_partial_stats(tmp_path, spawned, runs, monkeypatch):
@@ -815,8 +836,7 @@ def test_fuzz_ctrl_c_writes_partial_stats(tmp_path, spawned, runs, monkeypatch):
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)
         assert len(runs) == 3
-        for run in runs:
-            pid, code = _pid_and_code(run)
+        for _, pid, code in runs:
             assert code == -signal.SIGKILL
             _assert_gone(pid)
 
@@ -837,8 +857,7 @@ def test_fuzz_hanging_target_times_out(tmp_path, spawned, runs, monkeypatch):
         assert stats["blocked_s"][0] > 0.6  # most of three 300 ms deadlines
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)
-        for run in runs:
-            pid, code = _pid_and_code(run)
+        for _, pid, code in runs:
             assert code == -signal.SIGKILL
             _assert_gone(pid)
 
@@ -934,7 +953,8 @@ def test_stdin_is_each_input_exactly(tmp_path, delivery):
     inputs = [BIG, b"abc", b"", b"xy"]
     with delivery(f'{PY} -c "{code}" {log}', timeout_ms=10000) as tgt:
         for data in inputs:
-            assert tgt.spawn(data).finish().kind == "valid"
+            tgt.spawn(data)
+            assert tgt.finish().kind == "valid"
     assert [p.read_bytes() for p in sorted(log.iterdir())] == inputs
 
 
@@ -974,7 +994,8 @@ def test_fork_server_restores_ld_preload(tmp_path, monkeypatch, preload):
     # the shell's child is a grandchild of the server: `; exit` stops an exec
     target = f"sh -c '{PY} {check}; exit $?'"
     with harness._ForkServer(target, timeout_ms=10000) as tgt:
-        assert tgt.spawn(b"").finish().kind == "valid"
+        tgt.spawn(b"")
+        assert tgt.finish().kind == "valid"
 
 
 VALIDATOR_C = r"""
