@@ -109,29 +109,39 @@ _SIGNED_CONTROL = bytes(SMALL_CLASSES if b >= 0x80 else 0 for b in range(256))
 
 
 class SeedSource:
-    """Decision bytes read from a fixed seed."""
+    """Decision bytes read from a fixed seed from offset pos on.  Like a
+    RandomSource's, what a stream took from it is data[start:pos]."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.start = self.pos = pos
 
     def draw(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SeedExhausted(
-                f"need {n} byte(s) at seed offset {self.pos}, have {len(self.data) - self.pos}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
+        pos = self.pos
+        if len(out := self.data[pos:pos + n]) < n:
+            raise SeedExhausted(f"need {n} byte(s) at seed offset {pos}, have {len(self.data) - pos}")
+        self.pos = pos + n
         return out
 
 
 class RandomSource:
-    """Decision bytes drawn from a PRNG: a Random, or an int or None to seed one."""
+    """Decision bytes drawn from a PRNG: a Random, or an int or None to seed
+    one.  data keeps every byte drawn."""
+
+    start = 0
 
     def __init__(self, rng: random.Random | int | None = None):
         self.rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+        self.data = bytearray()
+
+    @property
+    def pos(self) -> int:
+        return len(self.data)
 
     def draw(self, n: int) -> bytes:
-        return self.rng.randbytes(n)
+        out = self.rng.getrandbits(8 * n).to_bytes(n, "little")  # randbytes(n), one call less
+        self.data += out
+        return out
 
     def draw_singles(self, n: int) -> bytes:
         """The bytes of n successive draw(1) calls, fetched at once.
@@ -139,7 +149,9 @@ class RandomSource:
         draw(1) is the top byte of one MT19937 word, and randbytes(4*n)
         holds n words little-endian, so this uses the same n words and
         leaves the generator in the same state."""
-        return self.rng.randbytes(4 * n)[3::4]
+        out = self.rng.randbytes(4 * n)[3::4]
+        self.data += out
+        return out
 
 
 class _Splice:
@@ -161,15 +173,13 @@ class _Splice:
         if pos != self.start:
             raise SpliceMisaligned(f"splice target starts at seed offset {pos}, not {self.start}")
         self.phase = self.ALT
-        self.ds.source = self.alt
+        self.ds.switch(self.alt)
 
     def end_alt(self):
-        if isinstance(self.alt, SeedSource) and self.alt.pos != len(self.alt.data):
-            left = len(self.alt.data) - self.alt.pos
+        if left := len(self.alt.data) - self.alt.pos:  # never on a RandomSource
             raise SpliceMisaligned(f"{left} donor decision byte(s) left unconsumed")
         self.phase = self.SUFFIX
-        self.ds.source = SeedSource(self.base)
-        self.ds.source.pos = self.resume
+        self.ds.switch(SeedSource(self.base, self.resume))
 
 
 # --- the stream ------------------------------------------------------------
@@ -178,8 +188,9 @@ class _Splice:
 class DecisionStream:
     """One direction of the seed protocol.
 
-    With a source it generates, recording every byte it consumes so any
-    run is replayable.  Without one it parses, emitting the canonical
+    With a source it generates, drawing from it directly: its seed is what
+    it took from each source in turn, a slice of each source's data, so
+    any run is replayable.  Without one it parses, emitting the canonical
     encoding of observed values.  Either way `seed` holds the bytes so
     far and `cursor` their count.
     """
@@ -188,18 +199,27 @@ class DecisionStream:
                  evil_enabled: bool = True):
         self.source = source
         self.evil_enabled = evil_enabled
-        self._recorded = bytearray()
+        self._recorded = bytearray()  # emitted, or taken from the sources left behind
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def cursor(self) -> int:
-        return len(self._recorded)
+        src = self.source
+        return len(self._recorded) + (0 if src is None else src.pos - src.start)
 
     @property
     def seed(self) -> bytes:
         """Bytes consumed (generation) or emitted (parse) so far."""
-        return bytes(self._recorded)
+        if (src := self.source) is None:
+            return bytes(self._recorded)
+        taken = src.data[src.start:src.pos]
+        return bytes(self._recorded) + taken if self._recorded else bytes(taken)
+
+    def switch(self, source: SeedSource | RandomSource):
+        """Draw from source from now on; what the current one gave stays in the seed."""
+        old, self.source = self.source, source
+        self._recorded += old.data[old.start:old.pos]
 
     def set_evil(self, enabled: bool) -> bool:
         previous = self.evil_enabled
@@ -208,19 +228,14 @@ class DecisionStream:
 
     # -- generation primitives ------------------------------------------
 
-    def _draw(self, n: int) -> bytes:
-        out = self.source.draw(n)
-        self._recorded.extend(out)
-        return out
-
     def draw_raw(self, n: int) -> bytes:
         """Consume n verbatim bytes (codec payloads, length substitutes)."""
-        return self._draw(n)
+        return self.source.draw(n)
 
     def evil_gate(self) -> bool:
         if not self.evil_enabled:
             return False
-        return self._draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE
+        return self.source.draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE
 
     def choose_index(self, k: int) -> int:
         if k < 1:
@@ -228,16 +243,16 @@ class DecisionStream:
         if k == 1 and not self.evil_enabled:
             return 0
         if k <= 256:
-            return self._draw(1)[0] % k
+            return self.source.draw(1)[0] % k
         if k <= 65536:
-            return int.from_bytes(self._draw(2), "little") % k
+            return int.from_bytes(self.source.draw(2), "little") % k
         raise EvalError(f"a choice among {k} options; at most 65536 are supported")
 
     def choose_bounded(self, lo: int, hi: int) -> int:
         """A value in [lo, hi], gate-free (codec payload lengths)."""
-        span = hi - lo + 1
-        raw = int.from_bytes(self._draw(bounded_width(span)), "little")
-        return lo + raw % span
+        if (span := hi - lo + 1) <= 256:  # bounded_width(span) is 1
+            return lo + self.source.draw(1)[0] % span
+        return lo + int.from_bytes(self.source.draw(bounded_width(span)), "little") % span
 
     def emit_bounded(self, value: int, lo: int, hi: int):
         """Canonical gate-free inverse of choose_bounded."""
@@ -249,16 +264,16 @@ class DecisionStream:
     def choose_value(self, spec: ChoiceSpec):
         """One field value, decoded (an int or a candidate), or the field's
         file bytes when the seed gives them verbatim (evil and FULL class)."""
-        if self.evil_gate():
-            return self.draw_raw(spec.width)
+        source = self.source
+        if self.evil_enabled and source.draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE:  # evil_gate
+            return source.draw(spec.width)
         if spec.candidates:
             return spec.candidates[self.choose_index(len(spec.candidates))]
         if spec.bounds is not None:
             return self.choose_bounded(*spec.bounds)
-        control = self._draw(1)[0]
-        if control % 4 < SMALL_CLASSES:
-            return self._draw(1)[0]
-        return self._draw(spec.width)
+        if source.draw(1)[0] % 4 < SMALL_CLASSES:  # the control byte
+            return source.draw(1)[0]
+        return source.draw(spec.width)
 
     def choose_bytes(self, n: int) -> bytes:
         """File bytes of n unconstrained one-byte elements.
@@ -275,10 +290,8 @@ class DecisionStream:
             out, end = _decode_bytes(data, pos, n, gated)
             if len(out) < n:
                 # per element, the first draw past the end is the one that fails
-                self._recorded += data[pos:]
                 source.pos = len(data)
                 source.draw(1)
-            self._recorded += data[pos:end]
             source.pos = end
             return out
         # Fetch a lower bound of the draws still needed (at least 2 per
@@ -292,7 +305,6 @@ class DecisionStream:
                 cost - len(pending) + 2 * (n - len(out) - 1))
             got, end = _decode_bytes(block, 0, n - len(out), gated)
             out += got
-            self._recorded += block[:end]
             pending = block[end:]
         return bytes(out)
 
@@ -314,7 +326,7 @@ class DecisionStream:
         if self.evil_gate():
             return self.draw_raw(spec.width)
         threshold = int(spec.pref_prob * 256)
-        branch = self._draw(1)[0]
+        branch = self.source.draw(1)[0]
         if branch < threshold:
             if not preferred:
                 return None

@@ -183,8 +183,8 @@ class Execution:
                 raise TemplateAbort(code)
             raise ParseRejected(f"template rejected the input with return code {code}")
         buf = self.buf
-        if not self.gen and buf.position < buf.size:
-            raise TrailingBytes(buf.position, buf.size)
+        if not self.gen and buf.position < len(buf.data):
+            raise TrailingBytes(buf.position, len(buf.data))
         data = buf.finalize()
         if self.root is not None:
             self.root.file_end, self.root.seed_end = len(data), self.ds.cursor
@@ -198,7 +198,8 @@ class Execution:
         are and cost no decision.  signed is None for a whole char array,
         whose value is its bytes."""
         buf = self.buf
-        reserved = buf.reserved_block(buf.position, spec.width)
+        reserved = None if buf.position + spec.width <= buf._free else \
+            buf.reserved_block(buf.position, spec.width)
         if self.gen:
             buf.write(raw := self._choose_raw(spec) if reserved is None else reserved)
             return raw
@@ -242,8 +243,8 @@ class Execution:
         one-byte array with no reservation over its span.  spec0 serves every
         element when given, else per_index[i] or spec (or compiled functions)."""
         buf, pos0 = self.buf, self.buf.position
-        if (width == 1 and spec0 is not None and not spec0.candidates
-                and spec0.bounds is None and not buf.reserved_offsets(pos0, pos0 + length)):
+        if (width == 1 and spec0 is not None and not spec0.candidates and spec0.bounds is None
+                and min(pos0 + length, buf.budget) <= buf._free):
             if self.gen:
                 buf.write(raw := self.ds.choose_bytes(length))
             else:
@@ -261,7 +262,7 @@ class Execution:
 
     def _feof(self):
         if not self.gen:
-            eof = self.buf.position >= self.buf.size
+            eof = self.buf.position >= len(self.buf.data)
             self.ds.emit_index(FEOF_STOP_K, 0 if eof else 1)
             return 1 if eof else 0
         if self.buf.budget - self.buf.position < 1:
@@ -272,7 +273,7 @@ class Execution:
         if choices is not None and not isinstance(choices, list):
             raise EvalError("ReadByte choices must be a local array")
         spec = ChoiceSpec(width=1, candidates=[c & 0xFF for c in choices] if choices else None)
-        start = self.ds.cursor
+        start = None if self.root is None else self.ds.cursor  # a lean run logs no lookahead
         # a reserved byte is taken as it is and costs no decision
         token = self.buf.reserved_block(pos, 1)
         if token is None:
@@ -284,7 +285,8 @@ class Execution:
                     raise OutOfRange(f"lookahead at {pos} is past the end of input")
                 self.ds.emit_value(spec, token[0], token)
             self.buf.reserve(pos, token)
-        self._log_lookahead(start, token, spec)
+        if start is not None:
+            self._log_lookahead(start, token, spec)
         return token[0]
 
     def _read_bytes(self, out: str, pos: int, length: int, preferred, possible, prob):
@@ -294,12 +296,13 @@ class Execution:
             raise EvalError("ReadBytes probability must be a number in [0, 1]")
         spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
                           pref_prob=float(prob))
-        start = self.ds.cursor
+        start = None if self.root is None else self.ds.cursor
         if self.gen:
             token = self.ds.choose_token(spec)
         else:
             token = self.ds.emit_token(spec, self.buf.peek(pos, length))
-        self._log_lookahead(start, token, spec)
+        if start is not None:
+            self._log_lookahead(start, token, spec)
         if token is None:
             return 0
         if len(token) != length:
@@ -309,10 +312,7 @@ class Execution:
         return 1
 
     def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
-        """Log a lookahead whose decisions began at seed offset start;
-        a lean run logs none."""
-        if self.root is None:
-            return
+        """Log a tree run's lookahead whose decisions began at seed offset start."""
         self.last_lookahead = ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id,
                                           token, spec)
         self.events.append(self.last_lookahead)
@@ -493,28 +493,20 @@ _WRAP = f"(((({{}}) + {_SIGN}) & {_U64}) - {_SIGN})"  # wrap64, as source
 # Locals a compiled function sets up when its source names them, in this
 # order; each may use the ones before it.
 _LOCALS = {"sc": "sc = ex.scope", "fr": "fr = sc.frame", "rec": "rec = ex.record_stack[-1]",
-           "buf": "buf = ex.buf", "res": "res = buf.reservations", "ds": "ds = ex.ds",
-           "sd": "sd = ds._recorded",  # the seed so far: its length is ds.cursor
+           "buf": "buf = ex.buf", "ds": "ds = ex.ds",
+           "sd": "sd = ds._recorded",  # a parse's seed so far: its length is ds.cursor
            "stack": "stack = ex.node_stack", "cov": "cov = ex.covered"}
-_NEEDS = {"fr": "sc", "res": "buf", "sd": "ds"}
+_NEEDS = {"fr": "sc", "sd": "ds"}
 
 
 # Source that opens a parse tree node, as {0}, with name {1} and type {2};
-# and source that closes the innermost node, {0}.
-_PUSH = """{0} = ParseNode(next(ex.ids), {1}, {2}, buf.position, len(sd))
+# and source that closes the innermost node, {0}.  {3} is the seed's length.
+_PUSH = """{0} = ParseNode(next(ex.ids), {1}, {2}, buf.position, {3})
 if (lead := ex.last_lookahead) is not None and lead.end == {0}.seed_start: {0}.lead = lead
 stack[-1].children.append({0})
 stack.append({0})"""
-_POP = """{0}.file_end, {0}.seed_end = buf.position, len(sd)
+_POP = """{0}.file_end, {0}.seed_end = buf.position, {1}
 stack.pop()"""
-# The lean generate program's write of a scalar's {0} bytes, raw: appended inline
-# where FileBuffer.write would append and check nothing else.
-_APPEND = """if (p := buf.position) == len(d := buf.data) and buf._reserved_end <= p \
-        and p + {0} <= buf.budget:
-    d += raw
-    buf.position = buf.high_water = p + {0}
-else:
-    buf.write(raw)"""
 
 
 def _forget_lines(filename: str, entry):
@@ -545,6 +537,7 @@ class _Compiler:
 
     def __init__(self, unit: TemplateUnit, gen: bool, tree: bool):
         self.unit, self.gen, self.tree = unit, gen, tree
+        self.cursor = "ds.cursor" if gen else "len(sd)"  # the seed's length, as source
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
@@ -633,11 +626,11 @@ class _Compiler:
         """Source that opens a node as var; the lean generate program only
         takes its id, which a splice reads, and the lean parse one nothing."""
         if self.tree:
-            return [_PUSH.format(var, name, type_name)]
+            return [_PUSH.format(var, name, type_name, self.cursor)]
         return [f"{var} = next(ex.ids)"] if self.gen else []
 
     def _shut(self, var: str) -> list[str]:
-        return [_POP.format(var)] if self.tree else []
+        return [_POP.format(var, self.cursor)] if self.tree else []
 
     def _cover(self, decl):
         if self.tree:
@@ -821,16 +814,21 @@ class _Compiler:
         return self.ref(spec) if type(spec) is ChoiceSpec else self._deferred(["return " + spec])
 
     def _scalar(self, decl, width, signed, label, spec):
+        """A scalar field: read or appended inline where FileBuffer._hold allows,
+        else by Execution._field."""
         name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
         sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        field = ["if (raw := held) is None:", f"    raw = ds.choose_value({sp})",
-                 f"    if not isinstance(raw, bytes): raw = (raw & {(1 << 8 * width) - 1})"
-                 f".to_bytes({width}, ex.order)",
-                 "buf.write(raw)" if self.tree else _APPEND.format(width), f"v = {decode}"] \
-            if self.gen else [f"v = {decode.replace('raw', f'(raw := buf.read({width}))')}",
-                              f"if held is None: ds.emit_value({sp}, v, raw)"]
-        field.insert(0, f"held = buf.reserved_block(buf.position, {width}) if buf.position in "
-                        "res else None")
+        guard = f"if (p := buf.position) + {width} <= buf._hold:"
+        slow = f"ex._field({sp}, {signed})"
+        half, mask = 1 << (8 * width - 1), (1 << 8 * width) - 1  # an int drawn is v as it is read
+        wrap = f"((raw + {half}) & {mask}) - {half}" if signed else f"raw & {mask}"
+        field = [guard, f"    if isinstance(raw := ds.choose_value({sp}), int): "
+                 f"raw = (v := {wrap}).to_bytes({width}, ex.order, signed={signed})",
+                 f"    else: v = {decode}", "    buf.data += raw",
+                 f"    buf.position = buf.high_water = p + {width}"] if self.gen else [
+            guard, f"    v = {decode.replace('raw', f'(raw := buf.data[p:p + {width}])')}",
+            f"    buf.position = p + {width}", f"    ds.emit_value({sp}, v, raw)"]
+        field += ["else:", f"    v = {decode.replace('raw', slow)}"]
         if sp == "sp":  # only a spec that runs template code can raise a break or return
             field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"] if self.tree \
                 else [f"sp = {spec}", *field]

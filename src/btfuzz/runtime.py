@@ -3,20 +3,16 @@
 The same FileBuffer type backs both directions.  Generating writes into a
 growable buffer capped by a byte budget; parsing reads the input bytes
 themselves, whose size is the budget and the high-water mark from the
-start.  Reservations pin bytes that a lookahead has already fixed, at
-single byte granularity.
+start.  Reservations pin the spans of bytes that a lookahead has fixed.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    BudgetExceeded,
-    EvalError,
-    GenerationFailed,
-    OutOfRange,
-    RecursionTooDeep,
-    ReservationConflict,
-)
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
+from .errors import (BudgetExceeded, EvalError, GenerationFailed, OutOfRange, RecursionTooDeep,
+                     ReservationConflict)
 
 DEFAULT_BUDGET = 65536
 
@@ -24,24 +20,27 @@ DEFAULT_BUDGET = 65536
 # bundled template needs.
 MAX_DEPTH = 100
 
+_START, _END = itemgetter(0), itemgetter(1)  # of a span
+
 
 class FileBuffer:
-    """Byte buffer with position, budget, reservations, and gap tracking."""
+    """Byte buffer with position, budget, and sorted spans: reservations as
+    (start, end, bytes), merged where they meet, and gaps as (start, end).
+    _free is the start of the first reservation ending after the position,
+    else the budget.  Compiled code reads or appends w bytes inline if
+    position + w <= _hold: _free, or -1 if generating but not at the end."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET, data: bytes | None = None):
-        if data is None:
-            self.data, self.budget = bytearray(), budget
-        else:  # parsing: the input itself, never written
-            self.data, self.budget = data, len(data)
-        self.position = 0
-        self.high_water = len(self.data)
-        self.reservations: dict[int, int] = {}
-        self._reserved_end = 0  # past the highest reserved offset
-        self._gaps: set[int] = set()
+        self._appends = data is None  # else parsing: the input itself, never written
+        self.data, self.budget = (bytearray(), budget) if self._appends else (data, len(data))
+        self.position, self.high_water, self._hold = 0, len(self.data), self.budget
+        self.spans, self._gaps, self._free = [], [], self.budget
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
+    def _rehold(self):
+        spans, pos = self.spans, self.position  # usually past every span: no search
+        self._free = spans[bisect_right(spans, pos, key=_END)][0] if spans and spans[-1][1] > pos \
+            else self.budget
+        self._hold = -1 if self._appends and pos != len(self.data) else self._free
 
     def tell(self) -> int:
         return self.position
@@ -50,99 +49,100 @@ class FileBuffer:
         if pos < 0 or pos > self.budget:
             raise OutOfRange(f"seek to {pos} outside [0, {self.budget}]")
         self.position = pos
+        self._rehold()
+
+    def _clash(self, pos: int, payload: bytes) -> tuple[int, int] | None:
+        """The first offset where payload at pos differs from a reserved byte, and that byte."""
+        spans, end = self.spans, pos + len(payload)
+        i, j = bisect_right(spans, pos, key=_END), bisect_left(spans, end, key=_START)
+        for start, _, block in spans[i:j]:
+            a = max(start, pos)
+            for off, (held, b) in enumerate(zip(block[a - start:], payload[a - pos:]), a):
+                if held != b:
+                    return off, held
+        return None
 
     # -- generation side ------------------------------------------------
 
     def write(self, payload: bytes):
-        pos = self.position
+        pos, data = self.position, self.data
         end = pos + len(payload)
+        if end <= self._hold:  # an append over nothing reserved, which keeps _hold
+            data += payload
+            self.position = self.high_water = end
+            return
         if end > self.budget:
             raise BudgetExceeded(f"write of {len(payload)} bytes at {pos} exceeds budget {self.budget}")
-        if pos < self._reserved_end:
-            for off in self.reserved_offsets(pos, end):
-                b, held = payload[off - pos], self.reservations[off]
-                if held != b:
-                    raise ReservationConflict(
-                        f"byte {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
-        if pos == len(self.data):
-            self.data += payload  # appending: no gap below it is touched
-        else:
-            if pos > len(self.data):
-                # forward seek left a hole; it must be filled before finalize
-                self._gaps.update(range(len(self.data), pos))
-                self.data.extend(b"\x00" * (pos - len(self.data)))
-            if end <= len(self.data):
-                self.data[pos:end] = payload
-            else:
-                self.data[pos:] = payload[: len(self.data) - pos]
-                self.data.extend(payload[len(self.data) - pos:])
-            if self._gaps:
-                self._gaps.difference_update(range(pos, end))
-        self.position = end
-        if end > self.high_water:
-            self.high_water = end
+        if end > self._free and self.reserved_block(pos, end - pos) != payload and \
+                (clash := self._clash(pos, payload)):  # a whole reserved block clashes with none
+            raise ReservationConflict(f"byte {payload[clash[0] - pos]:#04x} at offset {clash[0]}"
+                                      f" conflicts with reserved {clash[1]:#04x}")
+        if pos > len(data):  # forward seek left a hole; it must be filled before finalize
+            self._gaps.append((len(data), pos))
+            data.extend(bytes(pos - len(data)))
+        data[pos:end] = payload
+        if self._gaps:
+            self._gaps = [(a, b) for s, e in self._gaps
+                          for a, b in ((s, min(e, pos)), (max(s, end), e)) if a < b]
+        self.position, self.high_water = end, max(self.high_water, end)
+        self._rehold()
 
     def reserve(self, pos: int, payload: bytes):
         """Pin bytes chosen by a lookahead before they are declared."""
         end = pos + len(payload)
         if pos < 0 or end > self.budget:
             raise OutOfRange(f"reservation [{pos}, {end}) outside budget")
+        if not payload:
+            return
+        data, spans = self.data, self.spans
+        i, j = (bisect_left(spans, pos, key=_END), bisect_right(spans, end, key=_START)) \
+            if spans and spans[-1][1] >= pos else (len(spans),) * 2  # usually past them all
+        clash = self._clash(pos, payload) if i < j else None  # spans[i:j] meet [pos, end)
         # written bytes are checked one by one only when they differ (never on a parse)
-        differs = not payload.startswith(self.data[pos:end])
-        for off, b in enumerate(payload, pos):
-            held = self.reservations.get(off)
-            if held is not None and held != b:
-                raise ReservationConflict(
-                    f"reservation {b:#04x} at offset {off} conflicts with reserved {held:#04x}")
-            if differs and off < len(self.data) and off not in self._gaps:
-                if self.data[off] != b:
-                    raise ReservationConflict(
-                        f"reservation {b:#04x} at offset {off} conflicts with written "
-                        f"{self.data[off]:#04x}")
-            self.reservations[off] = b
-        self._reserved_end = max(self._reserved_end, end)
-
-    def reserved_offsets(self, pos: int, end: int) -> list[int]:
-        """The reserved offsets in [pos, end), ascending.  Costs the smaller
-        of the span length and the reservation count."""
-        res = self.reservations
-        if not res:
-            return []
-        if len(res) < end - pos:
-            return sorted(off for off in res if pos <= off < end)
-        return [off for off in range(pos, end) if off in res]
+        if not payload.startswith(data[pos:end]):
+            gaps = self._gaps
+            off = next((o for o, (d, p) in enumerate(zip(data[pos:end], payload), pos)
+                        if d != p and not any(a <= o < b for a, b in gaps)), end)
+            if off < (clash or (end,))[0]:  # a written reserved byte agrees with its reservation
+                raise ReservationConflict(f"reservation {payload[off - pos]:#04x} at offset "
+                                          f"{off} conflicts with written {data[off]:#04x}")
+        if clash:
+            raise ReservationConflict(f"reservation {payload[clash[0] - pos]:#04x} at offset "
+                                      f"{clash[0]} conflicts with reserved {clash[1]:#04x}")
+        if i < j:  # they join it
+            (first, _, head), (last, stop, tail) = spans[i], spans[j - 1]
+            payload = head[:max(pos - first, 0)] + payload + tail[end - last:]
+            pos, end = min(first, pos), max(stop, end)
+        spans[i:j] = [(pos, end, bytes(payload))]
+        if end > self.position and pos < self._free:  # now the first span that ends past it
+            self._free, self._hold = pos, -1 if self._hold < 0 else pos
 
     def reserved_block(self, pos: int, length: int) -> bytes | None:
-        """The reserved bytes covering [pos, pos+length), or None if any
-        byte in the range is unreserved."""
-        if length and pos not in self.reservations:
-            return None
-        out = bytearray()
-        for off in range(pos, pos + length):
-            held = self.reservations.get(off)
-            if held is None:
-                return None
-            out.append(held)
-        return bytes(out)
+        """The reserved bytes at [pos, pos+length), or None if any is unreserved."""
+        i = bisect_right(spans := self.spans, pos, key=_END)
+        if i == len(spans) or (span := spans[i])[0] > pos or pos + length > span[1]:
+            return None if length else b""
+        return span[2][pos - span[0]:pos - span[0] + length]
 
     def finalize(self) -> bytes:
         if self._gaps:
-            first = min(self._gaps)
-            raise GenerationFailed(f"{len(self._gaps)} gap byte(s) never written, first at {first}")
-        if self._reserved_end > self.high_water:
-            if unwritten := [off for off in self.reservations if off >= self.high_water]:
-                raise GenerationFailed(
-                    f"{len(unwritten)} reserved byte(s) never declared, first at {min(unwritten)}")
+            raise GenerationFailed(f"{sum(e - s for s, e in self._gaps)} gap byte(s) never "
+                                   f"written, first at {self._gaps[0][0]}")
+        if late := self.spans[bisect_right(self.spans, hw := self.high_water, key=_END):]:
+            raise GenerationFailed(f"{sum(e - max(s, hw) for s, e, _ in late)} reserved byte(s) "
+                                   f"never declared, first at {max(late[0][0], hw)}")
         return bytes(self.data)  # a parse's input as it is: bytes(b) of bytes is b
 
     # -- parse side -------------------------------------------------------
 
     def read(self, n: int) -> bytes:
-        if self.position + n > len(self.data):
-            raise OutOfRange(f"read of {n} bytes at {self.position} past end ({len(self.data)})")
-        out = self.data[self.position:self.position + n]
-        self.position += n
-        return out
+        pos = self.position
+        if pos + n > len(self.data):
+            raise OutOfRange(f"read of {n} bytes at {pos} past end ({len(self.data)})")
+        self.position = pos + n
+        if pos + n > self._free:  # past the start of a reservation
+            self._rehold()
+        return self.data[pos:pos + n]
 
     def peek(self, pos: int, n: int) -> bytes | None:
         """Bytes at [pos, pos+n) without moving, or None past the end."""

@@ -135,21 +135,21 @@ def test_snippet_front_end_is_pinned(name):
 
 
 TREE_GEN_SOURCE = {
-    'mini': '27dea5fa69b537c7',
-    'pnglite': '4e1adbdc3ba5c3e2',
-    'magic16': '317380a433d0ea75',
+    'mini': '900711a4478a1baa',
+    'pnglite': 'c2ea947b1ee07c90',
+    'magic16': '4f3187b6070b53be',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': '24478cded6de1a98',
-    'positions': 'd00dffbb3627f246',
+    'comments': '8a13b8c476f69e12',
+    'positions': '3c388b937cbff806',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': 'b67bc905edfa5cf6',
-    'switch': 'e06e1f5d43075f33',
-    'for': '5ff88291209eec4f',
-    'attributes': '904df5a27043744e',
-    'magic': '3c15e9e2b685c164',
+    'statements': '51df5da606d41e40',
+    'switch': '2bdabe80f9e3ed93',
+    'for': 'a170a142c400e3bd',
+    'attributes': '850e1ae0353df46c',
+    'magic': '38f4745b314883c4',
 }
 
 
@@ -161,21 +161,21 @@ def test_program_source_is_pinned(name):
 
 
 TREE_PARSE_SOURCE = {
-    'mini': '8d932e6f6d14f4ad',
-    'pnglite': '58d70837a13db898',
-    'magic16': '8efcc52c3175ab35',
+    'mini': '91f9decf538777b4',
+    'pnglite': '1dc3abda062e2230',
+    'magic16': 'a9b45ff9839e4500',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': '3213f250e5dd2f3c',
-    'positions': '302c17c4a09c8a6d',
+    'comments': '23f66fbd94a8a1fe',
+    'positions': 'dcd916affa1c48fa',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': '5c68540c6068c0b3',
-    'switch': '9f5289e6dae8a920',
-    'for': 'a017e694a84f59b4',
-    'attributes': '56c573df5bbb3e32',
-    'magic': '9b567ff686e715fe',
+    'statements': '8672972492cc075a',
+    'switch': '9ca5660292c0904e',
+    'for': 'e81d4f60756fbcdc',
+    'attributes': 'edd664fbd7acf3d6',
+    'magic': '9699f3caea7a1348',
 }
 
 
@@ -187,21 +187,21 @@ def test_tree_parse_program_source_is_pinned(name):
 
 
 LEAN_SOURCE = {
-    'mini': '7828f66372fbc1bd',
-    'pnglite': '0b589612b2cf92a8',
-    'magic16': 'a3ded2ae1067a46a',
+    'mini': '96e0a50b960c4de6',
+    'pnglite': '19b43cc1a6c9779a',
+    'magic16': '16248841e89c2a84',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': 'a1983e456210fc0b',
-    'positions': 'f9d2347dbba452dc',
+    'comments': '4d47ee2c9559ff97',
+    'positions': '1bf6795958d6a816',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': 'a2d588aebf3348d8',
-    'switch': '0ffb04e96f9401ef',
-    'for': '9b3d98dcb7421870',
-    'attributes': '0cd50bc6eb8b9675',
-    'magic': '0d7258097613837a',
+    'statements': '94c78aad48e4bc9b',
+    'switch': 'e0fed03069c4b266',
+    'for': '240615d9965d3d8d',
+    'attributes': '89d41c3785a967f0',
+    'magic': '3c0243102397b59b',
 }
 
 
@@ -213,21 +213,21 @@ def test_lean_program_source_is_pinned(name):
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': 'e92d6ecd0c1f0951',
-    'pnglite': 'fa264702cfe2ba21',
-    'magic16': '094f863e2e91a501',
+    'mini': '602b6d1ecb42fe43',
+    'pnglite': '5c9a3a1ed7c2a1bc',
+    'magic16': '772aed40c2a0fd4a',
     'hex': 'a87a9718340b092c',
     'float': '7be6b20e42566c4f',
     'char': '31a9d7aaf98bbd2b',
     'string': '8f50d265790c82df',
-    'comments': 'dfbefd02fd02983e',
-    'positions': '3d90afdb8dc358a2',
+    'comments': 'fbb1944f55b11363',
+    'positions': '06f5d817bfaa5075',
     'operators': 'b2aeb40e8d540c5e',
-    'statements': '4e135e44de9972e0',
-    'switch': '5e82b5161fadbb79',
-    'for': 'a18ecfa8002306c1',
-    'attributes': '4229bdb2dc43f92f',
-    'magic': '3ae9aa31115d90b0',
+    'statements': '33b246fe9459e09c',
+    'switch': 'd3b00fcafa9e8d59',
+    'for': '3d14822163095d0d',
+    'attributes': '81ea8064adf41d3a',
+    'magic': 'c70a70ae0999d94a',
 }
 
 
