@@ -56,13 +56,7 @@ class ChoiceSpec:
 
 def bounded_width(span: int) -> int:
     """Minimal raw byte width whose range covers `span` values."""
-    if span <= 1 << 8:
-        return 1
-    if span <= 1 << 16:
-        return 2
-    if span <= 1 << 32:
-        return 4
-    return 8
+    return 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4 if span <= 1 << 32 else 8
 
 
 # Seed bytes of one unconstrained one-byte element: [gate] control byte,

@@ -32,6 +32,7 @@ import re
 import weakref
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 from .decisionstream import ChoiceSpec, DecisionStream, RandomSource, SeedSource, _Splice
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     UnrepresentableValue)
 from .formats.zstream import StoredZlibCodec
 from .runtime import DEFAULT_BUDGET, FileBuffer, ParseNode, RecordVal, Scope
-from .templatelang import NATIVE_INTS, TemplateUnit, bound_names
+from .templatelang import NATIVE_INTS, TemplateUnit, scoping
 from .templatelang import nodes as ast
 
 # Checksum algorithm selectors, available to templates as globals.
@@ -294,9 +295,10 @@ class Execution:
             raise EvalError("ReadBytes preferred/possible must be local arrays")
         if not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
             raise EvalError("ReadBytes probability must be a number in [0, 1]")
-        spec = ChoiceSpec(width=length, preferred=list(preferred), possible=list(possible),
+        if (start := None if self.root is None else self.ds.cursor) is not None:
+            preferred, possible = list(preferred), list(possible)  # the event keeps them
+        spec = ChoiceSpec(width=length, preferred=preferred, possible=possible,
                           pref_prob=float(prob))
-        start = None if self.root is None else self.ds.cursor
         if self.gen:
             token = self.ds.choose_token(spec)
         else:
@@ -520,13 +522,14 @@ def _indent(lines, depth: int = 1) -> list[str]:
 
 class _Compiler:
     """A TemplateUnit compiled into Python source, and its functions: one
-    per record body (r<i>), user function (f<i>) and expression that runs
-    apart from where it is written (s<i>: a spec that array elements or a
-    fix-up evaluate, a codec stream's call), and `toplevel`.  Each takes
-    the Execution.  Template text enters the source only as repr() of a
-    name or literal, or as a named constant (c<i>).  Records and functions
-    are called by generated names, so they may call each other and
-    themselves.  A run changes nothing compiled: one program serves all runs.
+    per record body (r<i>), user function (f<i>), block or expression too
+    deep for one function and codec stream call (s<i>), and `toplevel`.
+    Each takes the Execution.  A name that dynamic scope cannot reach
+    (scoping()) is a Python local (l<i>), else it lives in a frame dict.
+    Template text enters the source only as repr() of a name or literal,
+    or as a named constant (c<i>).  Records and functions are called by
+    generated names, so they may call each other and themselves.  A run
+    changes nothing compiled: one program serves all runs.
 
     Every program runs one direction: it generates if gen, else it parses.
     A tree program builds the parse tree, the lookahead events and the
@@ -541,19 +544,17 @@ class _Compiler:
         self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
                         for m in t.members}
         self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
-        # a global that nothing can rebind or shadow reads alike everywhere
-        bound = bound_names(unit)
-        self.constants = {k: v for k, v in self.globals.items() if k not in bound}
+        self.scoping = scoping(unit, self.globals)
         # the constants the source names, its functions, temporaries, expression depth
         self.names, self.defs, self.count, self.nesting = {}, [], 0, 0
         records = [t for t in unit.typedefs.values() if t.kind == "record"]
         self.records = {t.name: f"r{i}" for i, t in enumerate(records)}
         self.functions = {n: f"f{i}" for i, n in enumerate(unit.functions)}
         for t in records:
-            self._record_body(t)
+            self._scoped(t.name, self._record_body, t)
         for name, fdef in unit.functions.items():
-            self._function_body(name, fdef)
-        self._define("def toplevel(ex):", self.body(unit.toplevel, 0))
+            self._scoped(name, self._function_body, name, fdef)
+        self._scoped(None, lambda: self._define("def toplevel(ex):", self.body(unit.toplevel, 0)))
         self.source = source = "\n".join(self.defs) + "\n"
         stem = f"<btfuzz:{unit.source_name}" + (("" if gen else ":parse") if tree
                                                  else ":lean" if gen else ":lean-parse")
@@ -581,15 +582,38 @@ class _Compiler:
         self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
                                                      + lines)]))
 
-    def _deferred(self, lines: list[str]) -> str:
-        """A function of the Execution alone, run where it is called."""
+    def _deferred(self, lines: list[str], params: str = "") -> str:
+        """A function of the Execution (and params), run where it is called."""
         name = f"s{len(self.defs)}"
-        self._define(f"def {name}(ex):", lines)
+        self._define(f"def {name}(ex{params}):", lines)
+        self.clash.update(n for n, s in self.slots.items() if re.search(rf"\b{s}\b", self.defs[-1]))
         return name
+
+    def _scoped(self, key, define, *args):
+        """define(*args) adds body key's function, in which each name that
+        scoping() keeps is a Python local (l<i>); again without those that
+        an s<i> function names, since it cannot see them."""
+        kept, defs, names = self.scoping.kept[key], len(self.defs), list(self.names)
+        self.typed = partial(self.scoping.typed, body=key)
+        while True:
+            self.slots, self.clash = {n: f"l{i}" for i, n in enumerate(kept)}, set()
+            define(*args)
+            if not self.clash:
+                return
+            kept = [n for n in kept if n not in self.clash]
+            del self.defs[defs:]
+            self.names = {n: self.names[n] for n in names}
+
+    def _slot(self, name: str, use=None) -> str | None:
+        """The Python local that holds name at this use, if any; at a
+        declaration (no use), where it stores its value."""
+        if use is None:
+            return self.slots.get(name) or f"fr[{name!r}]"
+        return None if id(use) in self.scoping.before else self.slots.get(name)
 
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
-        binds = [f"fr[{p!r}] = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
+        binds = [f"{self._slot(p)} = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
         rid = "rn.id" if self.tree else "rn"
         # a splice opens and closes at a record; a parse never splices
         begin, end = ([f"if {rid} == ex.splice_id: ex.splice.{step}()"] if self.gen else []
@@ -608,7 +632,7 @@ class _Compiler:
     def _function_body(self, name: str, fdef):
         params = [p for p, _ in fdef.params]
         lines = ["fr = sc.push_activation()", "try:",
-                 *_indent(f"fr[{p!r}] = args[{i}]" for i, p in enumerate(params)),
+                 *_indent(f"{self._slot(p)} = args[{i}]" for i, p in enumerate(params)),
                  *self.body(fdef.body, 1), "    return 0", "except _ReturnSignal as sig:",
                  "    return sig.args[0]", "finally:", "    sc.pop_activation()"]
         self._define(f"def {self.functions[name]}(ex, *args):", lines, given=("fr",))
@@ -673,7 +697,7 @@ class _Compiler:
             if isinstance(stmt.init, list):
                 return self.fail(f"brace initializer on scalar local {stmt.name!r}")
             value = repr(fill) if stmt.init is None else self.stored(self.expr(stmt.init),
-                                                                  self.kind(stmt.init))
+                                                                  self.typed(stmt.init))
         elif isinstance(stmt.init, list):
             value = f"[{', '.join(self.expr(e) for e in stmt.init)}]"
         elif stmt.init is not None:
@@ -686,14 +710,14 @@ class _Compiler:
                      f"if {n} < 0: _fail(EvalError, {'negative length for ' + what!r})",
                      f"if {n} > {MAX_LOCAL_ARRAY}: _fail(LocalArrayTooLarge, {big!r} % {n})")
             value = f"[{fill!r}] * {n}"
-        self.put(f"fr[{name}] = {value}")
+        self.put(f"{self._slot(stmt.name)} = {value}")
 
     def _assign(self, stmt: ast.Assign):
         value, target = self.expr(stmt.value), stmt.target
-        if isinstance(target, ast.Ident):
-            t, name = self.temp(), repr(target.name)
-            self.put(f"{t} = {self.stored(value, self.kind(stmt.value))}",
-                     f"if {name} in fr: fr[{name}] = {t}", f"else: sc.assign({name}, {t})")
+        if isinstance(target, ast.Ident):  # sc.assign tries fr first
+            value = self.stored(value, self.typed(stmt.value))
+            slot = self._slot(target.name, target)
+            self.put(f"{slot} = {value}" if slot else f"sc.assign({target.name!r}, {value})")
         elif isinstance(target, ast.Index):
             v, seq, i = self.temp(), self.temp(), self.temp()
             self.put(f"{v}, {seq} = {value}, {self.expr(target.base)}",
@@ -706,8 +730,9 @@ class _Compiler:
             self.fail("unsupported assignment target")
 
     def _extend(self, stmt: ast.ArrayExtend):
-        arr, values = self.temp(), ", ".join(self.expr(e) for e in stmt.values)
-        self.put(f"if not isinstance({arr} := sc.read({stmt.name!r}), list): _fail(EvalError, "
+        arr, values = self._slot(stmt.name, stmt), ", ".join(self.expr(e) for e in stmt.values)
+        read = arr or f"{(arr := self.temp())} := sc.read({stmt.name!r})"
+        self.put(f"if not isinstance({read}, list): _fail(EvalError, "
                  f"{f'{stmt.op} target {stmt.name!r} is not a local array'!r})",
                  f"for v in [{values}]:", f"    while v in {arr}: {arr}.remove(v)"
                  if stmt.op == "-=" else f"    if v not in {arr}: {arr}.append(v)")
@@ -810,8 +835,8 @@ class _Compiler:
                f" else _fail(EvalError, {bad!r} % ({a}, {b})))"
 
     def _spec_ref(self, spec) -> str:
-        """A spec as a constant: a ChoiceSpec, or a function that builds it."""
-        return self.ref(spec) if type(spec) is ChoiceSpec else self._deferred(["return " + spec])
+        """A spec as a constant ChoiceSpec, or a closure that builds it."""
+        return self.ref(spec) if type(spec) is ChoiceSpec else f"(lambda ex: {spec})"
 
     def _scalar(self, decl, width, signed, label, spec):
         """A scalar field: read or appended inline where FileBuffer._hold allows,
@@ -833,12 +858,14 @@ class _Compiler:
             field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"] if self.tree \
                 else [f"sp = {spec}", *field]
         self._cover(decl)
-        self.put(f"if {name} in rec.fields:", f"    v = ex._redeclare(rec, {name}, "
-                 f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})",
-                 "else:", *_indent([*self._open("node", name, repr(label)), *field,
-                                    *_indent(self._shut("node"), 1 if sp == "sp" else 0),
-                                    *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]),
-                 f"rec.fields[{name}] = fr[{name}] = v")
+        field = [*self._open("node", name, repr(label)), *field,
+                 *_indent(self._shut("node"), 1 if sp == "sp" else 0),
+                 *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]
+        if id(decl) not in self.scoping.fresh:  # else rec.fields cannot hold it yet
+            field = [f"if {name} in rec.fields:", f"    v = ex._redeclare(rec, {name}, "
+                     f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})", "else:",
+                     *_indent(field)]
+        self.put(*field, f"rec.fields[{name}] = {self._slot(decl.name)} = v")
 
     def _length(self, decl, width: int) -> bool:
         """Source setting n to an input array's length; False if it has none."""
@@ -881,7 +908,7 @@ class _Compiler:
             self.put(*self._open("node", repr(name), f"'%s[%s]' % ({label!r}, n)"),
                      *(["try:", f"    v = {value}", "finally:", *_indent(self._shut("node"))]
                        if self.tree else [f"v = {value}"]),
-                     f"rec.fields[{name!r}] = fr[{name!r}] = v")
+                     f"rec.fields[{name!r}] = {self._slot(name)} = v")
 
     def _record(self, decl: ast.InputDecl, tdef):
         # repeated declarations of one record name (chunk loops) each
@@ -897,7 +924,7 @@ class _Compiler:
             self.put("v = []", "for _ in range(n):", f"    v.append({call})")
         else:
             return
-        self.put(f"rec.fields[{name}] = fr[{name}] = v")
+        self.put(f"rec.fields[{name}] = {self._slot(decl.name)} = v")
 
     # -- expressions ------------------------------------------------------
 
@@ -906,17 +933,8 @@ class _Compiler:
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StrLit)):
             return expr.value
         if isinstance(expr, ast.Ident):
-            return self.constants.get(expr.name, _VARIES)
+            return self.scoping.constants.get(expr.name, _VARIES)
         return _VARIES
-
-    def kind(self, expr) -> int:
-        """2 if expr is always an int that wrap64 keeps, 1 if an int, else 0."""
-        if isinstance(expr, ast.Binary) or isinstance(expr, ast.Unary) and expr.op != "+":
-            return 2
-        if isinstance(expr, ast.Call) and expr.name in _BUILTINS:
-            return 1  # every builtin gives an int
-        value = self.const(expr)
-        return (2 if wrap64(value) == value else 1) if type(value) is int else 0
 
     def expr(self, expr) -> str:
         self.nesting += 1
@@ -930,7 +948,7 @@ class _Compiler:
         if isinstance(expr, ast.Unary) and expr.op == "!":
             self.nesting += 1
             return self._close(f"(not {self.test(expr.operand)})")
-        return self.expr(expr) if self.kind(expr) else f"_truthy({self.expr(expr)})"
+        return self.expr(expr) if self.typed(expr) else f"_truthy({self.expr(expr)})"
 
     def _close(self, source: str) -> str:
         """The source of an expression level that nesting += 1 opened.
@@ -941,15 +959,15 @@ class _Compiler:
     def integer(self, expr, source: str | None = None) -> str:
         """expr's source (or source, if given), checked to be an int."""
         source = self.expr(expr) if source is None else source
-        if self.kind(expr):
+        if self.typed(expr) in (1, 2):
             return source
         t = self.temp()
         return f"({t} if type({t} := {source}) is int else _int({t}))"
 
-    def stored(self, source: str, kind: int) -> str:
-        """A value as a variable stores it: an int wraps to 64 bits."""
+    def stored(self, source: str, kind) -> str:
+        """A value of the kind typed() gives as a variable stores it: an int wraps to 64 bits."""
         if kind:
-            return source if kind == 2 else _WRAP.format(source)
+            return source if kind in (2, bytes) else _WRAP.format(source)
         t = self.temp()
         return f"({_WRAP.format(t)} if isinstance({t} := {source}, int) else {t})"
 
@@ -958,10 +976,10 @@ class _Compiler:
         return f"({value!r})" if type(value) in (int, bytes) else self.ref(value)
 
     def _ident(self, expr: ast.Ident):
-        if expr.name in self.constants:
+        if expr.name in self.scoping.constants:
             return self._constant(expr)
         name = repr(expr.name)
-        return f"(fr[{name}] if {name} in fr else sc.read({name}))"
+        return self._slot(expr.name, expr) or f"(fr[{name}] if {name} in fr else sc.read({name}))"
 
     def _unary(self, expr: ast.Unary):
         if expr.op == "!":
@@ -982,7 +1000,8 @@ class _Compiler:
             return f"_binary({op!r}, {left}, {right})"
         # the int fast path (or, for == and !=, two strings), else _binary
         fast = _INT_OR_BYTES if op in ("==", "!=") else (int,)
-        lt, rt = (int if self.kind(e) else type(self.const(e)) for e in (expr.left, expr.right))
+        lt, rt = (bytes if (t := self.typed(e)) is bytes else int if t else type(self.const(e))
+                  for e in (expr.left, expr.right))
         check = None
         if object not in (lt, rt):  # both types known
             if lt is not rt or lt not in fast:
@@ -1018,9 +1037,9 @@ class _Compiler:
         return f"_fail(EvalError, {expr.op + ' needs a variable or array element'!r})"
 
     def _call(self, expr: ast.Call):
+        if expr.name == "CodecStream":
+            return self._codec_stream(expr)
         name, args = expr.name, [self.expr(a) for a in expr.args]
-        if name == "CodecStream":
-            return self._codec_stream(expr, args)
         if name in _BUILTINS:
             ints = {f"i{i}": self.integer(e, a) for i, (e, a) in enumerate(zip(expr.args, args))}
             out = expr.args[0] if expr.args else None
@@ -1030,25 +1049,25 @@ class _Compiler:
                                           out=repr(getattr(out, "name", None)))
         return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
 
-    def _codec_stream(self, expr: ast.Call, args):
+    def _codec_stream(self, expr: ast.Call):
         """A codec stream's call: its own function, which opens its node."""
         named = expr.args[0]  # the node itself: it names the stream
         name = named.name if isinstance(named, ast.Ident) else named.value.decode(
             "latin-1") if isinstance(named, ast.StrLit) else None
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
-        # the stream's length, which only a parse reads
-        length = "None" if self.gen else self.integer(expr.args[2])
-        call = f"return ex._codec_stream({name!r}, codec, {length})"
+        # the stream's length, which only a parse reads: once the node is open
+        length = "None" if self.gen else f"lambda: {self.integer(expr.args[2])}"
+        call = f"return ex._codec_stream({name!r}, codec, {'None' if self.gen else 'length()'})"
         codec_call = self._deferred([
-            f"if not isinstance(codec := {args[1]}, bytes): "
+            "if not isinstance(codec, bytes): "
             "_fail(EvalError, 'CodecStream codec must be a string')",
             "codec_name = codec.decode('latin-1')", "if (codec := CODECS.get(codec_name)) is None:"
             " _fail(EvalError, f'no codec named {codec_name!r}')",
             *self._open("node", repr(name), "codec_name"),
             *(["try:", f"    {call}", "finally:", *_indent(self._shut("node"))]
-              if self.tree else [call])])
-        return f"{codec_call}(ex)"
+              if self.tree else [call])], ", codec, length")
+        return f"{codec_call}(ex, {self.expr(expr.args[1])}, {length})"
 
 
 # How each statement and expression node class compiles, and the source of

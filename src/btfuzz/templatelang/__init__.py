@@ -14,6 +14,7 @@ from .analysis import (
     bound_names,
     mine_magic,
     resolve,
+    scoping,
 )
 from .lexer import Token, TokenKind, tokenize
 from .nodes import (
@@ -69,6 +70,7 @@ __all__ = [
     "resolve",
     "mine_magic",
     "bound_names",
+    "scoping",
     "tokenize",
     "Token",
     "TokenKind",

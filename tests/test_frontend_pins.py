@@ -13,6 +13,7 @@ same source all four ways.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -135,21 +136,21 @@ def test_snippet_front_end_is_pinned(name):
 
 
 TREE_GEN_SOURCE = {
-    'mini': '900711a4478a1baa',
-    'pnglite': 'c2ea947b1ee07c90',
-    'magic16': '4f3187b6070b53be',
-    'hex': 'a87a9718340b092c',
-    'float': '7be6b20e42566c4f',
-    'char': '31a9d7aaf98bbd2b',
-    'string': '8f50d265790c82df',
-    'comments': '8a13b8c476f69e12',
-    'positions': '3c388b937cbff806',
-    'operators': 'b2aeb40e8d540c5e',
-    'statements': '51df5da606d41e40',
-    'switch': '2bdabe80f9e3ed93',
-    'for': 'a170a142c400e3bd',
-    'attributes': '850e1ae0353df46c',
-    'magic': '38f4745b314883c4',
+    'mini': '6a5bcb35c50259df',
+    'pnglite': '19a5d0612f69c7eb',
+    'magic16': 'ee0024a2bd15fd3c',
+    'hex': 'decbf010d92003c7',
+    'float': '65fe558f505105da',
+    'char': 'e3c961e126f56077',
+    'string': '556b92e75943607c',
+    'comments': 'bb9837c9f5abb6be',
+    'positions': '57b1868a1b9ea55b',
+    'operators': '5446408258963956',
+    'statements': '378ba936b1887cfc',
+    'switch': 'f206c043ff84fc7b',
+    'for': 'ee72566ef55b67ac',
+    'attributes': '02b3a5bc97ece341',
+    'magic': '747b31a718b54ad0',
 }
 
 
@@ -161,21 +162,21 @@ def test_program_source_is_pinned(name):
 
 
 TREE_PARSE_SOURCE = {
-    'mini': '91f9decf538777b4',
-    'pnglite': '1dc3abda062e2230',
-    'magic16': 'a9b45ff9839e4500',
-    'hex': 'a87a9718340b092c',
-    'float': '7be6b20e42566c4f',
-    'char': '31a9d7aaf98bbd2b',
-    'string': '8f50d265790c82df',
-    'comments': '23f66fbd94a8a1fe',
-    'positions': 'dcd916affa1c48fa',
-    'operators': 'b2aeb40e8d540c5e',
-    'statements': '8672972492cc075a',
-    'switch': '9ca5660292c0904e',
-    'for': 'e81d4f60756fbcdc',
-    'attributes': 'edd664fbd7acf3d6',
-    'magic': '9699f3caea7a1348',
+    'mini': 'eaad0082eb925b46',
+    'pnglite': '130a8f5663067a18',
+    'magic16': '6603e0e7430b06c3',
+    'hex': 'decbf010d92003c7',
+    'float': '65fe558f505105da',
+    'char': 'e3c961e126f56077',
+    'string': '556b92e75943607c',
+    'comments': 'e5bbeeb62b28a841',
+    'positions': '819a4d67f1948ea1',
+    'operators': '5446408258963956',
+    'statements': '225cefa5a4ffba3a',
+    'switch': 'c3af2dcac735daab',
+    'for': 'edefe66002970543',
+    'attributes': 'bf3edd082783c0d9',
+    'magic': '929c0c19640137ab',
 }
 
 
@@ -187,21 +188,21 @@ def test_tree_parse_program_source_is_pinned(name):
 
 
 LEAN_SOURCE = {
-    'mini': '96e0a50b960c4de6',
-    'pnglite': '19b43cc1a6c9779a',
-    'magic16': '16248841e89c2a84',
-    'hex': 'a87a9718340b092c',
-    'float': '7be6b20e42566c4f',
-    'char': '31a9d7aaf98bbd2b',
-    'string': '8f50d265790c82df',
-    'comments': '4d47ee2c9559ff97',
-    'positions': '1bf6795958d6a816',
-    'operators': 'b2aeb40e8d540c5e',
-    'statements': '94c78aad48e4bc9b',
-    'switch': 'e0fed03069c4b266',
-    'for': '240615d9965d3d8d',
-    'attributes': '89d41c3785a967f0',
-    'magic': '3c0243102397b59b',
+    'mini': '2dd92c5e97f04394',
+    'pnglite': '4b2b49767736040e',
+    'magic16': 'c2ba618c1e538a19',
+    'hex': 'decbf010d92003c7',
+    'float': '65fe558f505105da',
+    'char': 'e3c961e126f56077',
+    'string': '556b92e75943607c',
+    'comments': '400aade41d575b6c',
+    'positions': 'f384a906ff919bb2',
+    'operators': '5446408258963956',
+    'statements': 'ca2e2e806652e9e8',
+    'switch': '72e3c301985179af',
+    'for': 'c6ed76cd76054a92',
+    'attributes': 'dedf48c2b792d55d',
+    'magic': '704d4171e262c61f',
 }
 
 
@@ -213,21 +214,21 @@ def test_lean_program_source_is_pinned(name):
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': '602b6d1ecb42fe43',
-    'pnglite': '5c9a3a1ed7c2a1bc',
-    'magic16': '772aed40c2a0fd4a',
-    'hex': 'a87a9718340b092c',
-    'float': '7be6b20e42566c4f',
-    'char': '31a9d7aaf98bbd2b',
-    'string': '8f50d265790c82df',
-    'comments': 'fbb1944f55b11363',
-    'positions': '06f5d817bfaa5075',
-    'operators': 'b2aeb40e8d540c5e',
-    'statements': '33b246fe9459e09c',
-    'switch': 'd3b00fcafa9e8d59',
-    'for': '3d14822163095d0d',
-    'attributes': '81ea8064adf41d3a',
-    'magic': 'c70a70ae0999d94a',
+    'mini': 'e280ae981c115302',
+    'pnglite': '332298a50a039463',
+    'magic16': 'fb36d7aea306f900',
+    'hex': 'decbf010d92003c7',
+    'float': '65fe558f505105da',
+    'char': 'e3c961e126f56077',
+    'string': '556b92e75943607c',
+    'comments': '619ce235b2e80731',
+    'positions': '4cd6ca637ef0172e',
+    'operators': '5446408258963956',
+    'statements': '9bc24ae0f237b2b8',
+    'switch': '89a4f228e4bd98ca',
+    'for': 'a010dd3c8fbd4ab3',
+    'attributes': 'f70bdaa6e677d561',
+    'magic': 'aba119e45cc39b42',
 }
 
 
@@ -236,6 +237,20 @@ def test_lean_parse_program_source_is_pinned(name):
     source = formats.template_text(name) if name in formats.BUNDLED else SNIPPETS[name]
     program = _Compiler(parse_template(source), gen=False, tree=False).source
     assert hashlib.sha256(program.encode()).hexdigest()[:16] == LEAN_PARSE_SOURCE[name]
+
+
+# What each bundled template leaves in a frame dict (fr[...]) rather than a
+# Python local, in all four programs: the ReadBytes outputs.
+IN_FRAME = {"mini": {"tag"}, "pnglite": {"chunk_type"}, "magic16": set()}
+
+
+@pytest.mark.parametrize("name", formats.BUNDLED)
+def test_only_what_dynamic_scope_reaches_stays_in_the_frame(name):
+    unit = parse_template(formats.template_text(name))
+    for gen in (True, False):
+        for tree in (True, False):
+            source = _Compiler(unit, gen=gen, tree=tree).source
+            assert set(re.findall(r"fr\['(\w+)'\] = ", source)) == IN_FRAME[name]
 
 
 ERRORS = {

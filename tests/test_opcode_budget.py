@@ -33,8 +33,8 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 513_812, "parse": 383_997, "replay": 495_149, "mutate": 659_317,
-           "generate_lean": 366_025, "parse_lean": 278_564, "replay_lean": 360_293}
+COUNTED = {"generate": 469_416, "parse": 349_240, "replay": 450_753, "mutate": 582_897,
+           "generate_lean": 320_349, "parse_lean": 242_627, "replay_lean": 314_617}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
