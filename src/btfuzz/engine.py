@@ -541,10 +541,12 @@ class _Compiler:
     def __init__(self, unit: TemplateUnit, gen: bool, tree: bool):
         self.unit, self.gen, self.tree = unit, gen, tree
         self.cursor = "ds.cursor" if gen else "len(sd)"  # the seed's length, as source
-        self.globals = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
-                        for m in t.members}
-        self.globals.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
-        self.scoping = scoping(unit, self.globals)
+        if unit.analysis is None:  # the same for all four programs
+            names = {m.name: m.value for t in unit.typedefs.values() if t.kind == "enum"
+                     for m in t.members}
+            names.update(CHECKSUM_CRC32=CHECKSUM_CRC32, CHECKSUM_SUM8=CHECKSUM_SUM8)
+            unit.analysis = names, scoping(unit, names)
+        self.globals, self.scoping = unit.analysis
         # the constants the source names, its functions, temporaries, expression depth
         self.names, self.defs, self.count, self.nesting = {}, [], 0, 0
         records = [t for t in unit.typedefs.values() if t.kind == "record"]

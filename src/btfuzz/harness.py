@@ -432,15 +432,15 @@ def _fuzz_worker(cfg: dict) -> dict:
     gen_failed: Counter = Counter()  # by error class
 
     def produce(index: int):
-        """(data, seed or None), or None when no input could be built."""
+        """(data, the seed it was made from), or None if none could be built."""
         rng = _iteration_rng(cfg["rng_seed"], index)
         try:
             if pool is None:
                 result = generate_random(unit, rng, evil=evil, budget=budget)
                 return result.file, result.seed
-            data, desc = random_smart_mutation(unit, pool, rng.choice(bases), rng)
+            data, desc, seed = random_smart_mutation(unit, pool, rng.choice(bases), rng)
             _count_ops(ops, desc["op"], desc["rejected"])
-            return data, None
+            return data, seed
         except Error as exc:  # any typed failure of the generator or the mutator
             if isinstance(exc, NoApplicableMutation):
                 _count_ops(ops, None, exc.rejected)
@@ -452,7 +452,7 @@ def _fuzz_worker(cfg: dict) -> dict:
     started = time.perf_counter()
     done = 0
     produce_s = spawn_s = blocked_s = 0.0
-    running = None  # (index, data, seed or None) of the target in flight
+    running = None  # (index, data, seed) of the target in flight
 
     def settle(kind: str) -> None:
         nonlocal done
@@ -467,18 +467,14 @@ def _fuzz_worker(cfg: dict) -> dict:
         nonlocal running, blocked_s
         if running is None:
             return
-        index, data, seed_bytes = running
+        index, data, seed = running
         running = None  # finish() kills and reaps the target whatever happens
         outcome = target.finish()
         blocked_s += time.perf_counter() - since
         if outcome.kind in ("crash", "timeout"):
-            if seed_bytes is None:
-                # mutated inputs: recover the canonical seed for replay, with
-                # the tree program, which indexing the corpus compiled
-                seed_bytes = parse(unit, data, evil=evil, tree=True).seed
             name = f"{outcome.kind}_{cfg['worker']:02d}_{index:06d}"
             (out_dir / f"{name}.bin").write_bytes(data)
-            (out_dir / f"{name}.seed").write_bytes(seed_bytes)
+            (out_dir / f"{name}.seed").write_bytes(seed)
             findings.append(name)
         settle(outcome.kind)
 
@@ -663,7 +659,7 @@ def cmd_mutate(args) -> int:
             rng = _iteration_rng(master, i)
             base = rng.choice(bases)
             try:
-                data, desc = random_smart_mutation(unit, pool, base, rng)
+                data, desc, _ = random_smart_mutation(unit, pool, base, rng)
             except NoApplicableMutation as exc:
                 _count_ops(ops, None, exc.rejected)
                 log.write(json.dumps({"op": None, "base": base, "ok": False,

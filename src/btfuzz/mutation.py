@@ -221,55 +221,57 @@ def _regenerate_exact(unit, seed: bytes, pool: ChunkPool) -> GenResult:
     return result
 
 
-def smart_abstract(unit, pool: ChunkPool, target: ChunkRecord, rng) -> bytes:
+def smart_abstract(unit, pool: ChunkPool, target: ChunkRecord, rng) -> GenResult:
     """Regenerate one chunk from random decisions, replaying all others.
 
     rng may be a random.Random, an int seed, or a fixed byte string (the
     latter makes the operation deterministic; feeding back the chunk's own
-    decision bytes reproduces the base file).
+    decision bytes reproduces the base file).  Returns the splice's run,
+    whose seed regenerates its file under the pool's evil and budget.
     """
     base = pool.seeds[target.source_file]
-    result = run_with_splice(unit, base, target.decision_span, target.node_id, rng,
-                             evil=pool.evil, budget=pool.budget)
-    return result.file
+    return run_with_splice(unit, base, target.decision_span, target.node_id, rng,
+                           evil=pool.evil, budget=pool.budget)
 
 
 def smart_replace(unit, pool: ChunkPool, target: ChunkRecord,
-                  donor: ChunkRecord) -> bytes:
+                  donor: ChunkRecord) -> GenResult:
     """Swap in the donor chunk's decision bytes at the target's slot.
 
     The splice must consume the donor bytes exactly and resume the base
-    suffix in lockstep; any mismatch raises SpliceMisaligned.
+    suffix in lockstep; any mismatch raises SpliceMisaligned.  Returns the
+    splice's run, as smart_abstract does.
     """
     if target.type_name != donor.type_name:
         raise TypeMismatch(
             f"cannot replace {target.type_name} with {donor.type_name}")
     donor_bytes = _seed_slice(pool, donor)
     base = pool.seeds[target.source_file]
-    result = run_with_splice(unit, base, target.decision_span, target.node_id,
-                             donor_bytes, evil=pool.evil, budget=pool.budget)
-    return result.file
+    return run_with_splice(unit, base, target.decision_span, target.node_id,
+                           donor_bytes, evil=pool.evil, budget=pool.budget)
 
 
-def smart_delete(unit, pool: ChunkPool, target: ChunkRecord) -> bytes:
+def smart_delete(unit, pool: ChunkPool, target: ChunkRecord) -> GenResult:
     """Remove an optional chunk: its decisions and the token decision that
     selected it, i.e. the seed range [lead lookahead start, following
-    lookahead start)."""
+    lookahead start).  Returns the run of the edited seed, which it
+    consumed exactly."""
     if target.lead_start < 0 or target.tail_start < 0:
         raise NotOptional(
             f"{target.type_name} chunk is not bracketed by lookahead calls")
     seed = pool.seeds[target.source_file]
     mutated = seed[:target.lead_start] + seed[target.tail_start:]
-    return _regenerate_exact(unit, mutated, pool).file
+    return _regenerate_exact(unit, mutated, pool)
 
 
 def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
-                 donor: ChunkRecord) -> bytes:
+                 donor: ChunkRecord) -> GenResult:
     """Insert an optional donor chunk in front of an existing lookahead.
 
     The spliced-in bytes are the donor's lead lookahead (its token
     decision) plus its chunk decisions; the lookahead already present at
     the insertion point then selects whatever originally followed.
+    Returns the run of the edited seed, as smart_delete does.
     """
     if donor.lead_start < 0:
         raise NotOptional(f"donor {donor.type_name} chunk is not optional")
@@ -277,19 +279,20 @@ def smart_insert(unit, pool: ChunkPool, base, position: ChoiceEvent,
     piece = donor_seed[donor.lead_start:donor.decision_span[1]]
     base_seed = pool.seeds[base]
     mutated = base_seed[:position.start] + piece + base_seed[position.start:]
-    return _regenerate_exact(unit, mutated, pool).file
+    return _regenerate_exact(unit, mutated, pool)
 
 
 def random_smart_mutation(unit, pool: ChunkPool, base,
-                          rng: random.Random) -> tuple[bytes, dict]:
+                          rng: random.Random) -> tuple[bytes, dict, bytes]:
     """Apply one randomly chosen smart mutation to a corpus file.
 
     Picks uniformly among the operators applicable to `base`, retrying on
     rejection up to RETRY_LIMIT times.  A replacement donor has the
     target's key, and an insertion goes to a lookahead of the donor's
-    context.  Returns the mutated file plus a description dict ready for
-    JSONL logging; its `rejected` lists [op, error class] per rejected
-    attempt, as does NoApplicableMutation.rejected when none succeeded.
+    context.  Returns the mutated file, a description dict ready for JSONL
+    logging and the seed the file was made from.  The dict's `rejected`
+    lists [op, error class] per rejected attempt, as does
+    NoApplicableMutation.rejected when none succeeded.
     """
     menu = pool.menus.get(base)
     if menu is None:
@@ -305,18 +308,18 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
         try:
             if op == "abstract":
                 target = rng.choice(menu.targets)
-                data = smart_abstract(unit, pool, target, rng)
+                result = smart_abstract(unit, pool, target, rng)
             elif op == "replace":
                 target = rng.choice(menu.targets)
                 donor = rng.choice(pool.donors[target.key])
-                data = smart_replace(unit, pool, target, donor)
+                result = smart_replace(unit, pool, target, donor)
             elif op == "delete":
                 target = rng.choice(menu.deletable)
-                data = smart_delete(unit, pool, target)
+                result = smart_delete(unit, pool, target)
             else:
                 target = donor = rng.choice(menu.insert_donors)
                 position = rng.choice(menu.positions[donor.context])
-                data = smart_insert(unit, pool, base, position, donor)
+                result = smart_insert(unit, pool, base, position, donor)
         except (MutationError, GenerationFailed) as exc:
             rejected.append([op, type(exc).__name__])
             last = f"{op}: {exc}"
@@ -325,12 +328,12 @@ def random_smart_mutation(unit, pool: ChunkPool, base,
             "op": op,
             "base": base,
             "target_type": target.type_name,
-            "result_bytes": len(data),
+            "result_bytes": len(result.file),
             "ok": True,
             "rejected": rejected,
         }
         if donor is not None:
             desc["donor"] = donor.source_file
-        return data, desc
+        return result.file, desc, result.seed
     raise NoApplicableMutation(
         f"no mutation succeeded in {RETRY_LIMIT} attempts (last: {last})", rejected)

@@ -232,6 +232,9 @@ class TemplateUnit:
     # the engine's compiled programs by (gen, tree), each built on its first
     # run; closures do not pickle, so a pickled unit leaves them behind
     programs: dict = field(default_factory=dict, compare=False, repr=False)
+    # the globals and scoping() that the programs share; a pickled unit
+    # leaves them behind too, since the scoping holds ids of this unit's nodes
+    analysis: tuple | None = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
-        return dict(self.__dict__, programs={})
+        return dict(self.__dict__, programs={}, analysis=None)

@@ -173,19 +173,19 @@ def test_criterion_07_smart_mutation_identities():
 
 def smart_replace_identity(unit, pool, target, base_file) -> bool:
     from btfuzz.mutation import smart_replace
-    return smart_replace(unit, pool, target, target) == base_file
+    return smart_replace(unit, pool, target, target).file == base_file
 
 
 def delete_insert_identity(unit, pool, target, base_file) -> bool:
     from btfuzz.mutation import smart_delete, smart_insert
-    deleted = smart_delete(unit, pool, target)
+    deleted = smart_delete(unit, pool, target).file
     combo = index_corpus(unit, [deleted, base_file])
     donor = next(r for r in combo.records()
                  if r.source_file == 1 and r.type_name == target.type_name
                  and r.decision_span == target.decision_span)
     position = next(ev for ev in parse(unit, deleted, tree=True).events
                     if ev.start == target.lead_start)
-    return smart_insert(unit, combo, 0, position, donor) == base_file
+    return smart_insert(unit, combo, 0, position, donor).file == base_file
 
 
 def test_criterion_08_mutation_validity():
@@ -196,7 +196,7 @@ def test_criterion_08_mutation_validity():
     accepted = 0
     for i in range(500):
         try:
-            mutated, _ = random_smart_mutation(unit, pool, i % len(corpus), rng)
+            mutated, _, _ = random_smart_mutation(unit, pool, i % len(corpus), rng)
         except NoApplicableMutation:
             continue
         try:

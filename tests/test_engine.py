@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btfuzz import engine
 from btfuzz.engine import (
     MAX_LOCAL_ARRAY,
     GenResult,
+    compiled,
     crc32,
     generate_from_seed,
     generate_random,
@@ -39,9 +41,10 @@ from btfuzz.errors import (
     TrailingBytes,
     UnrepresentableValue,
 )
+from btfuzz.formats import template_text
 from btfuzz.formats.zstream import StoredZlibCodec, adler32
 from btfuzz.runtime import MAX_DEPTH
-from btfuzz.templatelang import parse_template
+from btfuzz.templatelang import parse_template, scoping
 from btfuzz.templatelang.parser import MAX_HEIGHT, MAX_NESTING
 
 from conftest import trees_agree
@@ -1007,7 +1010,19 @@ def test_compiled_unit_pickles_without_its_closures(mini):
         parse(mini, generate_random(mini, random.Random(5), tree=tree).file, tree=tree)
     copy = pickle.loads(pickle.dumps(mini))
     assert len(mini.programs) == 4 and copy.programs == {}
+    # the scoping keys its sets by id() of the original's nodes
+    assert mini.analysis is not None and copy.analysis is None
     assert generate_random(copy, random.Random(5)).file == first.file
+
+
+def test_the_four_programs_share_one_scoping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "scoping", lambda *args: calls.append(1) or scoping(*args))
+    unit = parse_template(template_text("pnglite"))  # fresh: nothing compiled yet
+    for gen in (True, False):
+        for tree in (True, False):
+            compiled(unit, gen, tree)
+    assert len(unit.programs) == 4 and len(calls) == 1
 
 
 def test_emitted_source_reads_back_by_filename_and_line():

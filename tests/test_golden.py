@@ -91,7 +91,7 @@ def _mutation_digest(unit, h):
     for i in range(MUTATIONS):
         base = bases[i % len(bases)]
         try:
-            data, desc = random_smart_mutation(unit, pool, base, rng)
+            data, desc, _ = random_smart_mutation(unit, pool, base, rng)
         except Error as exc:
             h.update(f"mut:error:{type(exc).__name__}\n".encode())
             continue

@@ -540,6 +540,47 @@ def test_fuzz_mutation_mode(tmp_path):
                ("valid", "invalid", "crash", "timeout", "gen_failed")) == 15
 
 
+# a fix-up writes k (0-3) over n <min=1, max=4>: a mutant whose k is 0 has
+# no evil-off parse, so a mutated finding's seed must come from its mutator
+FIXUP_OUTSIDE_RANGE = """
+typedef struct {
+    uint16 n <min=1, max=4>;
+    local int start = FTell();
+    ubyte k <min=0, max=3>;
+    ubyte body[k];
+    FSeek(start - 2);
+    uint16 n = { k };
+    FSeek(start + 1 + k);
+} CHUNK;
+CHUNK a;
+CHUNK b;
+"""
+
+
+def test_fuzz_mutation_findings_keep_their_mutator_seed(tmp_path):
+    template = tmp_path / "fixup.bt"
+    template.write_text(FIXUP_OUTSIDE_RANGE)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, hexdata in enumerate(["020002e30a0300037cebd4", "010001b80200021705",
+                                 "02000214c301000125"]):
+        (corpus / f"c{i}.bin").write_bytes(bytes.fromhex(hexdata))
+    out = tmp_path / "findings"
+    rc = run_cli("fuzz", "--template", template, "--no-evil", "--corpus", corpus,
+                 "--target", "sh -c 'kill -SEGV $$' {}", "--count", 40,
+                 "--rng-seed", 1, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert sum(stats[k] for k in harness.OUTCOME_KINDS) == 40
+    assert all(stats["mutation_ops"][op]["accepts"] > 0 for op in ("abstract", "replace"))
+    assert stats["findings"]
+    unit = load_template(str(template))
+    for name in stats["findings"]:
+        seed = (out / f"{name}.seed").read_bytes()
+        regen = generate_from_seed(unit, seed, evil=False, budget=engine.DEFAULT_BUDGET)
+        assert regen.file == (out / f"{name}.bin").read_bytes(), name
+
+
 def test_fuzz_jobs_share_one_corpus_index(tmp_path, monkeypatch):
     real = harness.index_corpus
     calls = tmp_path / "index_calls"

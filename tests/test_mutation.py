@@ -72,14 +72,14 @@ def test_mapping_corpus_keys(mini):
 
 def test_replace_with_self_is_identity(mini, pool):
     for rec in pool.records():
-        mutated = smart_replace(mini, pool, rec, rec)
+        mutated = smart_replace(mini, pool, rec, rec).file
         assert mutated == TWO_FILES[rec.source_file]
 
 
 def test_replace_cross_file(mini, pool):
     targets = [r for r in pool.by_type["DATA"] if r.source_file == 0]
     donors = [r for r in pool.by_type["DATA"] if r.source_file == 1]
-    mutated = smart_replace(mini, pool, targets[0], donors[0])
+    mutated = smart_replace(mini, pool, targets[0], donors[0]).file
     assert mutated != TWO_FILES[0]
     ok, violation = verify_mini(mutated)
     assert ok, violation
@@ -97,14 +97,14 @@ def test_abstract_identity_with_original_bytes(mini, pool):
     rec = pool.by_type["DATA"][0]
     seed = pool.seeds[rec.source_file]
     original = seed[rec.decision_span[0]:rec.decision_span[1]]
-    assert smart_replace(mini, pool, rec, rec) == TWO_FILES[rec.source_file]
+    assert smart_replace(mini, pool, rec, rec).file == TWO_FILES[rec.source_file]
     assert original  # non-degenerate span
 
 
 def test_abstract_regenerates_valid_chunk(mini, pool):
     rec = pool.by_type["DATA"][0]
     for i in range(10):
-        mutated = smart_abstract(mini, pool, rec, random.Random(i))
+        mutated = smart_abstract(mini, pool, rec, random.Random(i)).file
         ok, violation = verify_mini(mutated)
         assert ok, violation
         parse(mini, mutated)
@@ -112,7 +112,7 @@ def test_abstract_regenerates_valid_chunk(mini, pool):
 
 def test_delete_removes_one_chunk(mini, pool):
     rec = next(r for r in pool.by_type["DATA"] if r.source_file == 0)
-    mutated = smart_delete(mini, pool, rec)
+    mutated = smart_delete(mini, pool, rec).file
     ok, violation = verify_mini(mutated)
     assert ok, violation
     tree = parse(mini, mutated, tree=True).tree
@@ -129,7 +129,7 @@ def test_delete_requires_lookahead_context(mini, pool):
 
 def test_delete_insert_roundtrip(mini, pool):
     rec = next(r for r in pool.by_type["DATA"] if r.source_file == 0)
-    deleted = smart_delete(mini, pool, rec)
+    deleted = smart_delete(mini, pool, rec).file
 
     # index base and donor files in one pool so both sides are available
     combo = index_corpus(mini, [deleted, TWO_FILES[0]])
@@ -138,14 +138,14 @@ def test_delete_insert_roundtrip(mini, pool):
         if r.source_file == 1 and r.type_name == "DATA" and r.decision_span == rec.decision_span)
     position = next(
         ev for ev in parse(mini, deleted, tree=True).events if ev.start == rec.lead_start)
-    restored = smart_insert(mini, combo, 0, position, donor)
+    restored = smart_insert(mini, combo, 0, position, donor).file
     assert restored == TWO_FILES[0]
 
 
 def test_insert_grows_chunk_count(mini, pool):
     donor = next(r for r in pool.by_type["DATA"] if r.source_file == 1)
     position = parse(mini, TWO_FILES[0], tree=True).events[0]
-    mutated = smart_insert(mini, pool, 0, position, donor)
+    mutated = smart_insert(mini, pool, 0, position, donor).file
     ok, violation = verify_mini(mutated)
     assert ok, violation
     tree = parse(mini, mutated, tree=True).tree
@@ -154,7 +154,8 @@ def test_insert_grows_chunk_count(mini, pool):
 
 def test_random_mutation_descriptor(mini, pool):
     rng = random.Random(7)
-    mutated, desc = random_smart_mutation(mini, pool, 0, rng)
+    mutated, desc, seed = random_smart_mutation(mini, pool, 0, rng)
+    assert generate_from_seed(mini, seed, evil=pool.evil, budget=pool.budget).file == mutated
     assert desc["ok"] is True
     assert desc["op"] in {"replace", "delete", "insert", "abstract"}
     assert desc["base"] == 0
@@ -212,7 +213,7 @@ def test_mutations_on_pnglite_parse_back(pnglite):
     rng = random.Random(42)
     accepted = 0
     for i in range(30):
-        mutated, desc = random_smart_mutation(pnglite, pool, i % len(files), rng)
+        mutated, desc, _ = random_smart_mutation(pnglite, pool, i % len(files), rng)
         parse(pnglite, mutated)
         accepted += 1
     assert accepted == 30
@@ -234,16 +235,33 @@ def _bundled_files(unit, evil):
 @pytest.mark.parametrize("template", formats.BUNDLED)
 def test_every_record_restores_itself(template, evil):
     # replace-with-self and abstraction fed the record's own decisions
-    # regenerate the base bit-exactly, nested records included
+    # regenerate the base bit-exactly, nested records included; and the
+    # seed of every mutation regenerates its file: abstractions on fixed
+    # rngs, each same-key replacement and each offered delete and insert
     unit = formats.load_template(template)
     files = _bundled_files(unit, evil)
     pool = index_corpus(unit, files, budget=1024)
     assert not pool.failures
+
+    def replays(result):
+        regen = generate_from_seed(unit, result.seed, evil=pool.evil, budget=pool.budget)
+        return regen.file == result.file
+
     for rec in pool.records():
         base = files[rec.source_file]
-        assert smart_replace(unit, pool, rec, rec) == base, rec
+        assert smart_replace(unit, pool, rec, rec).file == base, rec
         own = pool.seeds[rec.source_file][slice(*rec.decision_span)]
-        assert smart_abstract(unit, pool, rec, own) == base, rec
+        assert smart_abstract(unit, pool, rec, own).file == base, rec
+        for k in range(2):
+            assert replays(smart_abstract(unit, pool, rec, random.Random(k))), (rec, k)
+        for donor in pool.donors[rec.key]:
+            assert replays(smart_replace(unit, pool, rec, donor)), (rec, donor)
+    for base, menu in pool.menus.items():
+        for rec in menu.deletable:
+            assert replays(smart_delete(unit, pool, rec)), rec
+        for donor in menu.insert_donors:
+            for position in menu.positions[donor.context]:
+                assert replays(smart_insert(unit, pool, base, position, donor)), (donor, position)
     if template == "pnglite":
         assert {"PNG_CHUNK", "PNG_CHUNK_IHDR", "PNG_CHUNK_TIME", "PNG_CHUNK_PLTE",
                 "PNG_PALETTE_PIXEL"} <= set(pool.by_type)
@@ -372,7 +390,7 @@ def test_end_only_mini_file_keeps_insert(mini):
     base = build_mini_file([])
     combo = index_corpus(mini, [base, TWO_FILES[0]])
     assert combo.menus[0].ops == ["insert"]
-    mutated, desc = random_smart_mutation(mini, combo, 0, random.Random(1))
+    mutated, desc, _ = random_smart_mutation(mini, combo, 0, random.Random(1))
     assert desc["op"] == "insert" and mutated != base
     ok, violation = verify_mini(mutated)
     assert ok, violation
@@ -395,7 +413,7 @@ def test_mini_mutations_change_the_base(mini):
     unchanged = 0
     for i in range(300):
         base = i % len(pool.seeds)
-        mutated, _ = random_smart_mutation(mini, pool, base, rng)
+        mutated, _, _ = random_smart_mutation(mini, pool, base, rng)
         unchanged += mutated == files[base]
     assert unchanged < 15  # under 5%
 
@@ -410,7 +428,7 @@ def test_random_mutation_reports_rejected_attempts(mini, pool, monkeypatch):
     rng = random.Random(3)
     seen = 0
     for _ in range(40):
-        _, desc = random_smart_mutation(mini, pool, 0, rng)
+        _, desc, _ = random_smart_mutation(mini, pool, 0, rng)
         assert desc["op"] != "delete"
         assert all(entry == ["delete", "SpliceMisaligned"] for entry in desc["rejected"])
         seen += len(desc["rejected"])
