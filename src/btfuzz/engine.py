@@ -606,12 +606,11 @@ class _Compiler:
             del self.defs[defs:]
             self.names = {n: self.names[n] for n in names}
 
-    def _slot(self, name: str, use=None) -> str | None:
-        """The Python local that holds name at this use, if any; at a
-        declaration (no use), where it stores its value."""
-        if use is None:
-            return self.slots.get(name) or f"fr[{name!r}]"
-        return None if id(use) in self.scoping.before else self.slots.get(name)
+    def _slot(self, name: str) -> str:
+        """Where a declaration stores name: its Python local, if scoping()
+        keeps it, else the frame.  A use reads the local (self.slots) alike:
+        a declaration covers each use of a kept name."""
+        return self.slots.get(name) or f"fr[{name!r}]"
 
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
@@ -718,7 +717,7 @@ class _Compiler:
         value, target = self.expr(stmt.value), stmt.target
         if isinstance(target, ast.Ident):  # sc.assign tries fr first
             value = self.stored(value, self.typed(stmt.value))
-            slot = self._slot(target.name, target)
+            slot = self.slots.get(target.name)
             self.put(f"{slot} = {value}" if slot else f"sc.assign({target.name!r}, {value})")
         elif isinstance(target, ast.Index):
             v, seq, i = self.temp(), self.temp(), self.temp()
@@ -732,7 +731,7 @@ class _Compiler:
             self.fail("unsupported assignment target")
 
     def _extend(self, stmt: ast.ArrayExtend):
-        arr, values = self._slot(stmt.name, stmt), ", ".join(self.expr(e) for e in stmt.values)
+        arr, values = self.slots.get(stmt.name), ", ".join(self.expr(e) for e in stmt.values)
         read = arr or f"{(arr := self.temp())} := sc.read({stmt.name!r})"
         self.put(f"if not isinstance({read}, list): _fail(EvalError, "
                  f"{f'{stmt.op} target {stmt.name!r} is not a local array'!r})",
@@ -981,7 +980,7 @@ class _Compiler:
         if expr.name in self.scoping.constants:
             return self._constant(expr)
         name = repr(expr.name)
-        return self._slot(expr.name, expr) or f"(fr[{name}] if {name} in fr else sc.read({name}))"
+        return self.slots.get(expr.name) or f"(fr[{name}] if {name} in fr else sc.read({name}))"
 
     def _unary(self, expr: ast.Unary):
         if expr.op == "!":

@@ -10,7 +10,6 @@ from .nodes import (
     ArrayExtend,
     Assign,
     Binary,
-    Break,
     Call,
     Expr,
     Ident,
@@ -231,21 +230,19 @@ class Scoping:
 
     kept: dict[str | None, list[str]]  # in declaration order
     types: dict[str | None, dict[str, object]]
-    before: set[int]  # ids of uses where their body has not declared the name yet
     fresh: set[int]  # ids of scalar input declarations that no earlier one can precede
     constants: dict[str, object]  # globals that nothing binds
 
     def typed(self, expr, body):
         """What expr in body always is: 2 (an int that wrap64 keeps), 1 (an
-        int), bytes, or 0 (not known).  A kept name's value where its body
-        has declared it is what one of the body's own stores gave it."""
+        int), bytes, or 0 (not known).  A kept name's value at each of its
+        uses is what one of the body's own stores gave it."""
         if isinstance(expr, Binary) or isinstance(expr, Unary) and expr.op != "+":
             return 2
         if isinstance(expr, Call) and expr.name in BUILTINS:  # each gives an int
             return 1 if expr.name in _UNBOUNDED else 2
-        if isinstance(expr, Ident) and id(expr) not in self.before:
-            if (t := self.types[body].get(expr.name)) is not None:
-                return t
+        if isinstance(expr, Ident) and (t := self.types[body].get(expr.name)) is not None:
+            return t
         value = self.constants.get(expr.name) if isinstance(expr, Ident) else \
             expr.value if isinstance(expr, (IntLit, StrLit)) else None
         return (2 if -1 << 63 <= value < 1 << 63 else 1) if type(value) is int else \
@@ -261,128 +258,100 @@ class Scoping:
         return types
 
 
-def _join(states):
-    """Where paths meet: declared on each (must), declared on one (may)."""
-    live = [s for s in states if s is not None]
-    return (frozenset.intersection(*(m for m, _ in live)),
-            frozenset.union(*(m for _, m in live))) if live else None
-
-
-class _Flow:
-    """One walk over a body, in text order.  A state is the names the body
-    has declared on every path to a point (must) and on some path (may), or
-    None where no path reaches.  A loop is walked until its head state
-    holds; a break, and any call (a callee's break lands here), leaves the
-    innermost loop or switch."""
+class _Uses:
+    """One walk over a body, in text order.  A use of a name is covered
+    where an earlier statement of its block, or of a block around it,
+    declares the name, or where the body takes it as a parameter; an
+    uncovered use reads the enclosing frames.  A call uses, where it is,
+    what its callee uses outside its own frame."""
 
     def __init__(self, params, free: dict, shared: set[str] | None):
         self.free = free  # what each record or function uses outside its own frame
         self.declared = dict.fromkeys(params)
         self.stores = [(p, 0) for p in params]
-        self.outside, self.mixed, self.unkept, self.before = set(), set(), set(), set()
-        self.breaks, self.loops, self.seen = [], 0, set()
+        self.outside, self.unkept, self.seen, self.loops = set(), set(), set(), 0
         # None in a function body, whose fields go to its caller's record;
         # else the names a function may declare in it first
         self.shared, self.fresh = shared, set()
 
-    def use(self, name: str, node, state):
-        if state is not None and name not in state[0]:
+    def use(self, name: str, covered: set[str]):
+        if name not in covered:
             self.outside.add(name)
-            if name in state[1]:
-                self.mixed.add(name)
-            elif node is not None:
-                self.before.add(id(node))
 
-    def call(self, callee: str, state):
-        for name in self.free[callee]:
-            self.unkept.add(name)
-            self.use(name, None, state)
-        if self.breaks:
-            self.breaks[-1].append(state)
+    def call(self, callee: str, covered: set[str]):
+        self.unkept |= self.free[callee]
+        self.outside |= self.free[callee] - covered
 
-    def expr(self, e, state):
+    def expr(self, e, covered: set[str]):
         if isinstance(e, Ident):
-            return self.use(e.name, e, state)
+            return self.use(e.name, covered)
         if isinstance(e, Call) and e.name == "CodecStream":  # args[0] only names the stream
-            return self.expr(e.args[1], state) or self.expr(e.args[2], state)
+            return self.expr(e.args[1], covered) or self.expr(e.args[2], covered)
         if isinstance(e, Call) and e.name == "ReadBytes" and isinstance(e.args[0], Ident):
             self.unkept.add(e.args[0].name)  # Execution._read_bytes assigns it by name
         elif isinstance(e, Call) and e.name not in BUILTINS:
-            self.call(e.name, state)
+            self.call(e.name, covered)
         elif isinstance(e, Postfix) and isinstance(e.target, Ident):
             self.unkept.add(e.target.name)  # the compiler changes only a frame's names in place
         for name in _EXPR_FIELDS[type(e)]:
             value = getattr(e, name)
             for sub in value if type(value) is list else [value]:
-                self.expr(sub, state)
+                self.expr(sub, covered)
 
-    def block(self, stmts, state):
+    def block(self, stmts, covered):
+        covered = set(covered)  # what the block declares ends with it
         for stmt in stmts:
-            state = self.stmt(stmt, state)
-        return state
+            self.stmt(stmt, covered)
 
-    def stmt(self, s, state):
+    def stmt(self, s, covered: set[str]):
         if isinstance(s, If):
-            exits = []
             for arm in s.arms:
                 if arm.match is not None:
-                    self.expr(arm.match, state)
-                exits.append(self.block(arm.body, state))
-            return _join(exits + [state] * (not s.arms or s.arms[-1].match is not None))
-        if isinstance(s, While):
-            self.breaks.append([])
-            self.loops, head = self.loops + 1, state
-            while True:
-                if s.cond is not None:
-                    self.expr(s.cond, head)
-                if (again := _join([state, self.block(s.body, head)])) == head:
-                    break
-                head = again
+                    self.expr(arm.match, covered)
+                self.block(arm.body, covered)
+        elif isinstance(s, While):
+            if s.cond is not None:
+                self.expr(s.cond, covered)
+            self.loops += 1
+            self.block(s.body, covered)
             self.loops -= 1
-            return _join(self.breaks.pop() + [head] * (s.cond is not None))
-        if isinstance(s, Switch):
+        elif isinstance(s, Switch):
             for e in (s.scrutinee, *(c.match for c in s.cases if c.match is not None)):
-                self.expr(e, state)
-            self.breaks.append([])
-            fall = None  # each case runs from the match, or on from the one before
-            for case in s.cases:
-                fall = self.block(case.body, _join([state, fall]))
-            default = any(c.match is None for c in s.cases)
-            return _join(self.breaks.pop() + [fall] + [state] * (not default))
-        if isinstance(s, Break):
-            if self.breaks:
-                self.breaks[-1].append(state)
-            return None
-        if isinstance(s, Return):
+                self.expr(e, covered)
+            for case in s.cases:  # each a block: entered at its match or from the one before
+                self.block(case.body, covered)
+        elif isinstance(s, Return):
             if s.value is not None:
-                self.expr(s.value, state)
-            return None
-        if isinstance(s, ArrayExtend):
-            self.use(s.name, s, state)
-        if not isinstance(s, (LocalDecl, InputDecl)):  # an assignment, += or -=, or expression
+                self.expr(s.value, covered)
+        elif isinstance(s, (LocalDecl, InputDecl)):
+            self.declare(s, covered)
+        else:  # an assignment, += or -=, or expression
+            if isinstance(s, ArrayExtend):
+                self.use(s.name, covered)
             for name in _EXPR_FIELDS[type(s)]:
                 value = getattr(s, name)
                 for e in value if type(value) is list else [value]:
-                    self.expr(e, state)
+                    self.expr(e, covered)
             if isinstance(s, Assign) and isinstance(s.target, Ident):
                 self.stores.append((s.target.name, s.value))
-            return state
-        # a declaration: its expressions run before it binds
+
+    def declare(self, s, covered: set[str]):
+        """A declaration: its expressions run before it binds."""
         length = [s.array_len] if isinstance(s.array_len, Expr) else []
         if isinstance(s, LocalDecl):
             init = s.init if isinstance(s.init, list) else [s.init] if s.init is not None else []
             for e in length + init:
-                self.expr(e, state)
+                self.expr(e, covered)
             store = 0 if s.array_len is not None or isinstance(s.init, list) else (
                 (bytes if s.type_name == "string" else 2) if s.init is None else s.init)
         else:
             for e in length + s.args:
-                self.expr(e, state)
+                self.expr(e, covered)
             for e in [*(s.init_list or ()), *s.attrs.values()]:
-                self.expr(e, state)
+                self.expr(e, covered)
             tdef, native = s.resolved
             if tdef is not None and tdef.kind == "record":
-                self.call(tdef.name, state)
+                self.call(tdef.name, covered)
             store = 0 if native not in NATIVE_INTS else (bytes if native == "char" else 0) \
                 if s.array_len is not None else 1 if NATIVE_INTS[native] == (8, False) else 2
             if self.shared is not None and s.name not in self.seen | self.shared \
@@ -391,18 +360,17 @@ class _Flow:
             self.seen.add(s.name)
         self.declared.setdefault(s.name)
         self.stores.append((s.name, store))
-        return state and (state[0] | {s.name}, state[1] | {s.name})
+        covered.add(s.name)
 
 
 def scoping(unit: TemplateUnit, globals_: dict[str, object]) -> Scoping:
     """The names each body may keep in a Python local, where nothing can
-    reach them through dynamic scope.  Body B keeps a name x it declares
-    (a local, a field or a parameter) if:
-    - every use of x in B comes where B has either declared x on every
-      path or on none yet; a use before the declaration reads the
-      enclosing frames;
-    - no record or function that B calls, directly or not, uses x where
-      it has not declared x itself;
+    reach them through dynamic scope: C's block scope, over frames.  Body
+    B keeps a name x it declares (a local, a field or a parameter) if:
+    - every use of x in B is covered: an earlier statement declares x in
+      the use's block or in a block around it, or x is B's parameter;
+    - no record or function that B calls, directly or not, uses x outside
+      its own frame (an uncovered use there);
     - x is neither a ReadBytes output nor a ++ or -- target in B.
     The compiler also gives back any name that code it runs apart from B
     names.  A store is a declaration's static type (as typed() gives) or
@@ -418,21 +386,20 @@ def scoping(unit: TemplateUnit, globals_: dict[str, object]) -> Scoping:
     bodies.update((n, ([p for p, _ in f.params], f.body, None)) for n, f in unit.functions.items())
     free = dict.fromkeys(bodies, frozenset())
     while True:  # each pass can only add to what a body uses outside its frame
-        flows = {key: _Flow(params, free, names) for key, (params, _, names) in bodies.items()}
-        for key, flow in flows.items():
-            flow.block(bodies[key][1], (frozenset(flow.declared),) * 2)
-        if (now := {key: frozenset(f.outside) for key, f in flows.items()}) == free:
+        walks = {key: _Uses(params, free, names) for key, (params, _, names) in bodies.items()}
+        for key, walk in walks.items():
+            walk.block(bodies[key][1], bodies[key][0])
+        if (now := {key: frozenset(w.outside) for key, w in walks.items()}) == free:
             break
         free = now
-    kept = {key: [n for n in f.declared if n not in f.mixed and n not in f.unkept]
-            for key, f in flows.items()}
+    kept = {key: [n for n in w.declared if n not in w.outside and n not in w.unkept]
+            for key, w in walks.items()}
     bound = bound_names(unit)  # a global that nothing binds reads alike everywhere
-    scope = Scoping(kept, {key: {} for key in flows},
-                    set().union(*(f.before for f in flows.values())),
-                    set().union(*(f.fresh for f in flows.values())),
+    scope = Scoping(kept, {key: {} for key in walks},
+                    set().union(*(w.fresh for w in walks.values())),
                     {k: v for k, v in globals_.items() if k not in bound})
-    for key, f in flows.items():  # each pass only gains types
-        stores = [(n, store) for n, store in f.stores if n in kept[key]]
+    for key, w in walks.items():  # each pass only gains types
+        stores = [(n, store) for n, store in w.stores if n in kept[key]]
         while (types := scope._infer(key, stores)) != scope.types[key]:
             scope.types[key] = types
     return scope

@@ -41,7 +41,7 @@ from btfuzz.errors import (
     TrailingBytes,
     UnrepresentableValue,
 )
-from btfuzz.formats import template_text
+from btfuzz.formats import BUNDLED, template_text
 from btfuzz.formats.zstream import StoredZlibCodec, adler32
 from btfuzz.runtime import MAX_DEPTH
 from btfuzz.templatelang import parse_template, scoping
@@ -422,6 +422,20 @@ SCOPES = {
         } R;
         R r;
     """, b"\x05\x07"),
+    "a local declared in both arms of an if, read after it": ("""
+        local int x = 9;
+        typedef struct (int c) {
+            if (c) { local int x = 1; } else { local int x = 2; }
+            ubyte v = { x };
+        } R;
+        R a(1);
+        R b(0);
+    """, b"\x01\x02"),
+    "a read before the body declares the name": ("""
+        local int x = 4;
+        typedef struct { ubyte v = { x }; local int x = 5; ubyte w = { x }; } R;
+        R r;
+    """, b"\x04\x05"),
     "a uint64 field copied to a local wraps": ("""
         uint64 big = { 0xFFFFFFFFFFFFFFFF };
         local int64 s = big;
@@ -1023,6 +1037,45 @@ def test_the_four_programs_share_one_scoping(monkeypatch):
         for tree in (True, False):
             compiled(unit, gen, tree)
     assert len(unit.programs) == 4 and len(calls) == 1
+
+
+def _frame_only(*args):
+    """scoping() with every name left in its frame."""
+    scope = scoping(*args)
+    scope.kept = {body: [] for body in scope.kept}
+    scope.types = {body: {} for body in scope.types}
+    return scope
+
+
+def _runs(unit) -> list:
+    """For RNG seeds 0-29, evil on for the even ones, on the tree and lean
+    programs: generate's file, seed and log, then the parse seed; a
+    failure as its class and message."""
+    runs = []
+    for rng_seed in range(30):
+        for tree in (True, False):
+            evil = rng_seed % 2 == 0
+            try:
+                result = generate_random(unit, random.Random(rng_seed), evil=evil, tree=tree)
+                runs.append((result.file, result.seed, result.log))
+                runs.append(parse(unit, result.file, evil=evil, tree=tree).seed)
+            except (GenerationFailed, ParseRejected) as exc:
+                runs.append((type(exc), str(exc)))
+    return runs
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, *SCOPES])
+def test_the_frame_path_alone_gives_the_same_runs(monkeypatch, name):
+    # a Python local only stands in for the frame's dynamic-scope lookup
+    source = SCOPES[name][0] if name in SCOPES else template_text(name)
+    expected = _runs(parse_template(source))
+    monkeypatch.setattr(engine, "scoping", _frame_only)
+    unit = parse_template(source)
+    assert _runs(unit) == expected
+    for gen in (True, False):
+        for tree in (True, False):
+            program = compiled(unit, gen, tree).source
+            assert "fr[" in program and not re.search(r"\bl\d+\b", program)
 
 
 def test_emitted_source_reads_back_by_filename_and_line():
