@@ -161,7 +161,6 @@ class Execution:
         self.covered: set[int] = set()
         self.log: list[tuple[str, str]] = []
         self.events: list[ChoiceEvent] = []
-        self.last_lookahead: ChoiceEvent | None = None
         self.root = ParseNode(0, "<file>", unit.source_name) if tree else None
         self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
@@ -290,7 +289,8 @@ class Execution:
             self._log_lookahead(start, token, spec)
         return token[0]
 
-    def _read_bytes(self, out: str, pos: int, length: int, preferred, possible, prob):
+    def _read_bytes(self, pos: int, length: int, preferred, possible, prob):
+        """The token a ReadBytes lookahead reserved at pos, or None."""
         if not isinstance(preferred, list) or not isinstance(possible, list):
             raise EvalError("ReadBytes preferred/possible must be local arrays")
         if not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
@@ -305,19 +305,15 @@ class Execution:
             token = self.ds.emit_token(spec, self.buf.peek(pos, length))
         if start is not None:
             self._log_lookahead(start, token, spec)
-        if token is None:
-            return 0
-        if len(token) != length:
-            raise EvalError(f"token {token!r} does not have width {length}")
-        self.buf.reserve(pos, token)
-        self.scope.assign(out, token)
-        return 1
+        if token is not None:
+            if len(token) != length:
+                raise EvalError(f"token {token!r} does not have width {length}")
+            self.buf.reserve(pos, token)
+        return token
 
     def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
         """Log a tree run's lookahead whose decisions began at seed offset start."""
-        self.last_lookahead = ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id,
-                                          token, spec)
-        self.events.append(self.last_lookahead)
+        self.events.append(ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id, token, spec))
 
     def _checksum(self, algo: int, start: int, size: int):
         if size < 0 or start < 0:
@@ -456,14 +452,6 @@ def _index(base, idx):
     raise EvalError(f"indexing non-array value {type(base).__name__}")
 
 
-def _postfix(scope: Scope, name: str, delta: int, op: str):
-    old = scope.read(name)
-    if not isinstance(old, int):
-        raise EvalError(f"{op} on non-integer {name!r}")
-    scope.assign(name, wrap64(old + delta))
-    return old
-
-
 def _postfix_slot(seq, idx, delta: int, op: str):
     idx = _int(idx)
     if not isinstance(seq, list) or not 0 <= idx < len(seq):
@@ -504,7 +492,7 @@ _NEEDS = {"fr": "sc", "sd": "ds"}
 # Source that opens a parse tree node, as {0}, with name {1} and type {2};
 # and source that closes the innermost node, {0}.  {3} is the seed's length.
 _PUSH = """{0} = ParseNode(next(ex.ids), {1}, {2}, buf.position, {3})
-if (lead := ex.last_lookahead) is not None and lead.end == {0}.seed_start: {0}.lead = lead
+if ex.events and (lead := ex.events[-1]).end == {0}.seed_start: {0}.lead = lead
 stack[-1].children.append({0})
 stack.append({0})"""
 _POP = """{0}.file_end, {0}.seed_end = buf.position, {1}
@@ -612,6 +600,20 @@ class _Compiler:
         a declaration covers each use of a kept name."""
         return self.slots.get(name) or f"fr[{name!r}]"
 
+    def _store(self, name: str, value: str) -> str:
+        """Source storing value in name's Python local, or in the frames."""
+        slot = self.slots.get(name)
+        return f"({slot} := {value})" if slot else f"sc.assign({name!r}, {value})"
+
+    def _closure(self, source) -> str:
+        """A constant ChoiceSpec by name, else source as a closure of the
+        Execution.  A walrus in a closure binds the closure's own local, so
+        a name that source stores goes back to the frame."""
+        if type(source) is ChoiceSpec:
+            return self.ref(source)
+        self.clash.update(n for n, s in self.slots.items() if re.search(rf"\b{s} :=", source))
+        return f"(lambda ex: {source})"
+
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
         binds = [f"{self._slot(p)} = {self.stored(f'args[{i}]', 0)}" for i, p in enumerate(params)]
@@ -715,10 +717,8 @@ class _Compiler:
 
     def _assign(self, stmt: ast.Assign):
         value, target = self.expr(stmt.value), stmt.target
-        if isinstance(target, ast.Ident):  # sc.assign tries fr first
-            value = self.stored(value, self.typed(stmt.value))
-            slot = self.slots.get(target.name)
-            self.put(f"{slot} = {value}" if slot else f"sc.assign({target.name!r}, {value})")
+        if isinstance(target, ast.Ident):
+            self.put(self._store(target.name, self.stored(value, self.typed(stmt.value))))
         elif isinstance(target, ast.Index):
             v, seq, i = self.temp(), self.temp(), self.temp()
             self.put(f"{v}, {seq} = {value}, {self.expr(target.base)}",
@@ -835,10 +835,6 @@ class _Compiler:
         return f"(ChoiceSpec(width={width}, bounds=({a}, {b})) if ({a} := {lo}) <= ({b} := {hi})" \
                f" else _fail(EvalError, {bad!r} % ({a}, {b})))"
 
-    def _spec_ref(self, spec) -> str:
-        """A spec as a constant ChoiceSpec, or a closure that builds it."""
-        return self.ref(spec) if type(spec) is ChoiceSpec else f"(lambda ex: {spec})"
-
     def _scalar(self, decl, width, signed, label, spec):
         """A scalar field: read or appended inline where FileBuffer._hold allows,
         else by Execution._field."""
@@ -864,7 +860,7 @@ class _Compiler:
                  *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]
         if id(decl) not in self.scoping.fresh:  # else rec.fields cannot hold it yet
             field = [f"if {name} in rec.fields:", f"    v = ex._redeclare(rec, {name}, "
-                     f"{sp if sp != 'sp' else self._spec_ref(spec)}, {signed})", "else:",
+                     f"{sp if sp != 'sp' else self._closure(spec)}, {signed})", "else:",
                      *_indent(field)]
         self.put(*field, f"rec.fields[{name}] = {self._slot(decl.name)} = v")
 
@@ -888,12 +884,12 @@ class _Compiler:
         length.  A repeated declaration (loop body) starts a fresh instance."""
         name, is_char = decl.name, native == "char"
         spec_at = lambda i: self._spec(decl, width, signed, enum_cands, i)  # noqa: E731
-        spec, per_index = spec_at(-1), ", ".join(f"{i}: {self._spec_ref(spec_at(i))}" for n, i
+        spec, per_index = spec_at(-1), ", ".join(f"{i}: {self._closure(spec_at(i))}" for n, i
                                                  in self.unit.magic if n == name and i is not None)
         shared = not per_index and decl.init_list is None
         spec0 = (self.ref(spec) if isinstance(spec, ChoiceSpec) else spec) if shared else "None"
         value = f"ex._elements(n, {spec0}, {{{per_index}}}, " \
-                f"{'None' if shared else self._spec_ref(spec)}, {width}, {signed}, {is_char})"
+                f"{'None' if shared else self._closure(spec)}, {width}, {signed}, {is_char})"
         whole = None
         if is_char and decl.init_list is not None:
             whole = f"_whole({name!r}, n, [{', '.join(self.expr(e) for e in decl.init_list)}])"
@@ -979,8 +975,7 @@ class _Compiler:
     def _ident(self, expr: ast.Ident):
         if expr.name in self.scoping.constants:
             return self._constant(expr)
-        name = repr(expr.name)
-        return self.slots.get(expr.name) or f"(fr[{name}] if {name} in fr else sc.read({name}))"
+        return self.slots.get(expr.name) or f"sc.read({expr.name!r})"
 
     def _unary(self, expr: ast.Unary):
         if expr.op == "!":
@@ -1029,12 +1024,14 @@ class _Compiler:
         return f"({result} if {check} else _binary({op!r}, {left}, {right}))"
 
     def _postfix(self, expr: ast.Postfix):
-        delta, target = 1 if expr.op == "++" else -1, expr.target
+        target, t = expr.target, self.temp()
         if isinstance(target, ast.Ident):
-            return f"_postfix(sc, {target.name!r}, {delta}, {expr.op!r})"
+            step = self._store(target.name, _WRAP.format(f"{t} {expr.op[0]} 1"))
+            return f"(({t}, {step})[0] if type({t} := {self._ident(target)}) is int else " \
+                   f"_fail(EvalError, {f'{expr.op} on non-integer {target.name!r}'!r}))"
         if isinstance(target, ast.Index):
             return f"_postfix_slot({self.expr(target.base)}, {self.expr(target.index)}, " \
-                   f"{delta}, {expr.op!r})"
+                   f"{1 if expr.op == '++' else -1}, {expr.op!r})"
         return f"_fail(EvalError, {expr.op + ' needs a variable or array element'!r})"
 
     def _call(self, expr: ast.Call):
@@ -1043,11 +1040,11 @@ class _Compiler:
         name, args = expr.name, [self.expr(a) for a in expr.args]
         if name in _BUILTINS:
             ints = {f"i{i}": self.integer(e, a) for i, (e, a) in enumerate(zip(expr.args, args))}
-            out = expr.args[0] if expr.args else None
-            if name == "ReadBytes" and not isinstance(out, ast.Ident):
-                return "_fail(EvalError, 'ReadBytes output must be a local variable name')"
-            return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]),
-                                          out=repr(getattr(out, "name", None)))
+            if name == "ReadBytes":
+                if not isinstance(out := expr.args[0], ast.Ident):
+                    return "_fail(EvalError, 'ReadBytes output must be a local variable name')"
+                ints.update(t=(t := self.temp()), store=self._store(out.name, t))
+            return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]))
         return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
 
     def _codec_stream(self, expr: ast.Call):
@@ -1058,8 +1055,8 @@ class _Compiler:
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
         # the stream's length, which only a parse reads: once the node is open
-        length = "None" if self.gen else f"lambda: {self.integer(expr.args[2])}"
-        call = f"return ex._codec_stream({name!r}, codec, {'None' if self.gen else 'length()'})"
+        length = "None" if self.gen else self._closure(self.integer(expr.args[2]))
+        call = f"return ex._codec_stream({name!r}, codec, {'None' if self.gen else 'length(ex)'})"
         codec_call = self._deferred([
             "if not isinstance(codec, bytes): "
             "_fail(EvalError, 'CodecStream codec must be a string')",
@@ -1073,8 +1070,8 @@ class _Compiler:
 
 # How each statement and expression node class compiles, and the source of
 # each builtin the analyzer accepts: {0}.. are its arguments, {i0}.. the
-# same checked to be ints, {rest} all but the first, {out} the name
-# of ReadBytes's output.  An argument a builtin does not use never runs.
+# same checked to be ints, {rest} all but the first; ReadBytes stores its
+# token {t} by {store}.  An argument a builtin does not use never runs.
 _STMT_RULES = {
     ast.InputDecl: _Compiler._input,
     ast.LocalDecl: _Compiler._local,
@@ -1108,7 +1105,8 @@ _BUILTINS = {
     "FEof": "ex._feof()",
     "FileSize": "buf.high_water",
     "ReadByte": "ex._read_byte({i0}, {1})",
-    "ReadBytes": "ex._read_bytes({out}, {i1}, {i2}, {3}, {4}, {5})",
+    "ReadBytes": "(0 if ({t} := ex._read_bytes({i1}, {i2}, {3}, {4}, {5})) is None "
+                 "else ({store}, 1)[1])",
     "Checksum": "ex._checksum({i0}, {i1}, {i2})",
     "SetEvilBit": "(1 if ds.set_evil(_truthy({0})) else 0)",
     "ChangeArrayLength": "ex._change_array_length()",

@@ -269,7 +269,7 @@ class _Uses:
         self.free = free  # what each record or function uses outside its own frame
         self.declared = dict.fromkeys(params)
         self.stores = [(p, 0) for p in params]
-        self.outside, self.unkept, self.seen, self.loops = set(), set(), set(), 0
+        self.outside, self.reached, self.seen, self.loops = set(), set(), set(), 0
         # None in a function body, whose fields go to its caller's record;
         # else the names a function may declare in it first
         self.shared, self.fresh = shared, set()
@@ -279,7 +279,7 @@ class _Uses:
             self.outside.add(name)
 
     def call(self, callee: str, covered: set[str]):
-        self.unkept |= self.free[callee]
+        self.reached |= self.free[callee]
         self.outside |= self.free[callee] - covered
 
     def expr(self, e, covered: set[str]):
@@ -288,11 +288,11 @@ class _Uses:
         if isinstance(e, Call) and e.name == "CodecStream":  # args[0] only names the stream
             return self.expr(e.args[1], covered) or self.expr(e.args[2], covered)
         if isinstance(e, Call) and e.name == "ReadBytes" and isinstance(e.args[0], Ident):
-            self.unkept.add(e.args[0].name)  # Execution._read_bytes assigns it by name
+            self.stores.append((e.args[0].name, bytes))  # the token, if one is reserved
         elif isinstance(e, Call) and e.name not in BUILTINS:
             self.call(e.name, covered)
         elif isinstance(e, Postfix) and isinstance(e.target, Ident):
-            self.unkept.add(e.target.name)  # the compiler changes only a frame's names in place
+            self.stores.append((e.target.name, 2))
         for name in _EXPR_FIELDS[type(e)]:
             value = getattr(e, name)
             for sub in value if type(value) is list else [value]:
@@ -370,14 +370,14 @@ def scoping(unit: TemplateUnit, globals_: dict[str, object]) -> Scoping:
     - every use of x in B is covered: an earlier statement declares x in
       the use's block or in a block around it, or x is B's parameter;
     - no record or function that B calls, directly or not, uses x outside
-      its own frame (an uncovered use there);
-    - x is neither a ReadBytes output nor a ++ or -- target in B.
+      its own frame (an uncovered use there).
     The compiler also gives back any name that code it runs apart from B
-    names.  A store is a declaration's static type (as typed() gives) or
-    the expression it stores.  fresh: a scalar input declaration that
-    comes first among its name's in a record body or the top level, in
-    text order and in no loop, where no function declares an input of
-    that name; it cannot find its name in its fresh RecordVal."""
+    names, and any name that a closure stores.  A store is a declaration's
+    static type (as typed() gives) or the expression it stores.  fresh: a
+    scalar input declaration that comes first among its name's in a record
+    body or the top level, in text order and in no loop, where no function
+    declares an input of that name; it cannot find its name in its fresh
+    RecordVal."""
     shared = {s.name for f in unit.functions.values() for s in _walk(f.body, _STMT_FIELDS)
               if isinstance(s, InputDecl)}
     bodies = {None: ((), unit.toplevel, shared)}
@@ -392,7 +392,7 @@ def scoping(unit: TemplateUnit, globals_: dict[str, object]) -> Scoping:
         if (now := {key: frozenset(w.outside) for key, w in walks.items()}) == free:
             break
         free = now
-    kept = {key: [n for n in w.declared if n not in w.outside and n not in w.unkept]
+    kept = {key: [n for n in w.declared if n not in w.outside and n not in w.reached]
             for key, w in walks.items()}
     bound = bound_names(unit)  # a global that nothing binds reads alike everywhere
     scope = Scoping(kept, {key: {} for key in walks},
@@ -409,20 +409,10 @@ def _path_key(expr: Expr) -> tuple[str, int | None] | None:
     """Field path of a comparison operand: innermost name plus optional
     constant element index.  `sig.btPngSignature[0]` keys as
     ("btPngSignature", 0)."""
-    if isinstance(expr, Index):
-        if not isinstance(expr.index, IntLit):
-            return None
-        base = expr.base
-        if isinstance(base, Ident):
-            return (base.name, expr.index.value)
-        if isinstance(base, Member):
-            return (base.name, expr.index.value)
-        return None
-    if isinstance(expr, Ident):
-        return (expr.name, None)
-    if isinstance(expr, Member):
-        return (expr.name, None)
-    return None
+    index = None
+    if isinstance(expr, Index) and isinstance(expr.index, IntLit):
+        expr, index = expr.base, expr.index.value
+    return (expr.name, index) if isinstance(expr, (Ident, Member)) else None
 
 
 def mine_magic(unit: TemplateUnit) -> dict[tuple[str, int | None], list[object]]:
@@ -438,19 +428,12 @@ def mine_magic(unit: TemplateUnit) -> dict[tuple[str, int | None], list[object]]
         if not isinstance(expr, Binary) or expr.op not in ("==", "!="):
             continue
         for path_side, lit_side in ((expr.left, expr.right), (expr.right, expr.left)):
-            value: object
-            if isinstance(lit_side, IntLit):
-                value = lit_side.value
-            elif isinstance(lit_side, StrLit):
-                value = lit_side.value
-            else:
-                continue
             key = _path_key(path_side)
-            if key is None:
+            if key is None or not isinstance(lit_side, (IntLit, StrLit)):
                 continue
             bucket = table.setdefault(key, [])
-            if value not in bucket:
-                bucket.append(value)
+            if lit_side.value not in bucket:
+                bucket.append(lit_side.value)
     unit.magic.clear()
     unit.magic.update(table)
     return table

@@ -390,6 +390,42 @@ SCOPES = {
         ubyte e = { j };
         R r(4);
     """, bytes([3, 1, 3, 6, 7, 5])),
+    "a for counter, and ++ that wraps": ("""
+        local int i;
+        local int sum = 0;
+        local int j = 5;
+        for (i = 0; i < 3; i++) { sum = sum + i; j--; }
+        local int64 m = 0x7FFFFFFFFFFFFFFF;
+        m++;
+        ubyte a = { sum };
+        ubyte b = { i };
+        ubyte c = { j };
+        ubyte wrapped = { m < 0 };
+    """, bytes([3, 3, 2, 1])),
+    "++ in a fix-up's init list, which runs in a closure": ("""
+        typedef struct { local int i = 5; ubyte x; ubyte x = { i++ }; ubyte y = { i }; } R;
+        R r;
+    """, b"\x00\x05\x06"),
+    "a ReadBytes output stored in a fix-up's init list": ("""
+        typedef struct {
+            local string tok = "";
+            local string pref[] = { "A" };
+            local string poss[] = { "B" };
+            ubyte x;
+            ubyte x = { ReadBytes(tok, FTell() + 1, 1, pref, poss, 0.0) };
+            char c[1];
+            ubyte same = { tok == c };
+        } R;
+        R r;
+    """, b"\x00\x01B\x01"),
+    "a ReadBytes output that a called record reads": ("""
+        local string tok = "";
+        local string pref[] = { "A" };
+        local string poss[] = { "B" };
+        typedef struct { char c[1]; ubyte same = { tok == c }; } R;
+        ReadBytes(tok, FTell(), 1, pref, poss, 0.0);
+        R r;
+    """, b"B\x01"),
     "a block nested 13 deep": (DEEP_BLOCK, b"\x04\x09"),
     "an expression nested 16 deep": (DEEP_EXPR, b"\x15\x02"),
     "a record recursing on its own local": ("""
@@ -725,6 +761,15 @@ def test_codec_stream_rejections_are_typed(stream, message):
     for evil in (False, True):
         with pytest.raises(UnrepresentableValue, match=message):
             parse(unit, bytes([len(stream)]) + stream, evil=evil)
+
+
+def test_a_codec_stream_length_stores_its_bodys_name():
+    # only a parse runs the length, in a closure: k goes back to the frame
+    unit = parse_template('local int k = 3; ubyte n;\n'
+                          'CodecStream(body, "zlib_stored", n + 0 * k++); Printf("%d", k);')
+    stream = StoredZlibCodec.encode(b"ab")
+    for tree in (True, False):
+        assert parse(unit, bytes([len(stream)]) + stream, tree=tree).log == [("printf", "4")]
 
 
 PROBABILITY = """

@@ -136,21 +136,21 @@ def test_snippet_front_end_is_pinned(name):
 
 
 TREE_GEN_SOURCE = {
-    'mini': '6a5bcb35c50259df',
-    'pnglite': '19a5d0612f69c7eb',
-    'magic16': 'ee0024a2bd15fd3c',
+    'mini': '2a66486478aa9159',
+    'pnglite': '0e711edb804e83cf',
+    'magic16': '483fb85afa55c467',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': 'bb9837c9f5abb6be',
-    'positions': '57b1868a1b9ea55b',
-    'operators': '5446408258963956',
-    'statements': '378ba936b1887cfc',
-    'switch': 'f206c043ff84fc7b',
-    'for': 'ee72566ef55b67ac',
-    'attributes': '02b3a5bc97ece341',
-    'magic': '747b31a718b54ad0',
+    'comments': '65264d616725b760',
+    'positions': '8c9807de340cf91f',
+    'operators': 'dad686539386ed70',
+    'statements': 'e1d6f0d230950b2c',
+    'switch': 'df29422ed5efddf6',
+    'for': '00557495a8027702',
+    'attributes': 'bd8984b9c3e80c29',
+    'magic': '78c699b5adceaa6e',
 }
 
 
@@ -162,21 +162,21 @@ def test_program_source_is_pinned(name):
 
 
 TREE_PARSE_SOURCE = {
-    'mini': 'eaad0082eb925b46',
-    'pnglite': '130a8f5663067a18',
-    'magic16': '6603e0e7430b06c3',
+    'mini': '58b6941694764338',
+    'pnglite': 'b10c45fc3a1f5dcd',
+    'magic16': '65d9ca166c313c59',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': 'e5bbeeb62b28a841',
-    'positions': '819a4d67f1948ea1',
-    'operators': '5446408258963956',
-    'statements': '225cefa5a4ffba3a',
-    'switch': 'c3af2dcac735daab',
-    'for': 'edefe66002970543',
-    'attributes': 'bf3edd082783c0d9',
-    'magic': '929c0c19640137ab',
+    'comments': '2855214bc428ba21',
+    'positions': '76f26144b60385a3',
+    'operators': 'dad686539386ed70',
+    'statements': 'e2e8402efd9c7202',
+    'switch': 'b2f0889566b09a3f',
+    'for': '9379e625c315f751',
+    'attributes': '4da9b4c04bbb8bb0',
+    'magic': 'fcec9ba78bf287b1',
 }
 
 
@@ -188,8 +188,8 @@ def test_tree_parse_program_source_is_pinned(name):
 
 
 LEAN_SOURCE = {
-    'mini': '2dd92c5e97f04394',
-    'pnglite': '4b2b49767736040e',
+    'mini': '7cf3b73efc99461e',
+    'pnglite': '646bfdb1bbf45716',
     'magic16': 'c2ba618c1e538a19',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -197,12 +197,12 @@ LEAN_SOURCE = {
     'string': '556b92e75943607c',
     'comments': '400aade41d575b6c',
     'positions': 'f384a906ff919bb2',
-    'operators': '5446408258963956',
-    'statements': 'ca2e2e806652e9e8',
+    'operators': 'dad686539386ed70',
+    'statements': 'd047ff7ede2d4682',
     'switch': '72e3c301985179af',
-    'for': 'c6ed76cd76054a92',
+    'for': '64e13ef3260d4979',
     'attributes': 'dedf48c2b792d55d',
-    'magic': '704d4171e262c61f',
+    'magic': '0055c6853abd8b59',
 }
 
 
@@ -214,8 +214,8 @@ def test_lean_program_source_is_pinned(name):
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': 'e280ae981c115302',
-    'pnglite': '332298a50a039463',
+    'mini': '3d2c27d80469107e',
+    'pnglite': 'c37438a9885f17d4',
     'magic16': 'fb36d7aea306f900',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -223,12 +223,12 @@ LEAN_PARSE_SOURCE = {
     'string': '556b92e75943607c',
     'comments': '619ce235b2e80731',
     'positions': '4cd6ca637ef0172e',
-    'operators': '5446408258963956',
-    'statements': '9bc24ae0f237b2b8',
+    'operators': 'dad686539386ed70',
+    'statements': '6a7b5032a0f962d5',
     'switch': '89a4f228e4bd98ca',
-    'for': 'a010dd3c8fbd4ab3',
+    'for': 'ee76ca69b9dac51a',
     'attributes': 'f70bdaa6e677d561',
-    'magic': 'aba119e45cc39b42',
+    'magic': '2927f000ba0ad8ae',
 }
 
 
@@ -240,8 +240,9 @@ def test_lean_parse_program_source_is_pinned(name):
 
 
 # What each bundled template leaves in a frame dict (fr[...]) rather than a
-# Python local, in all four programs: the ReadBytes outputs.
-IN_FRAME = {"mini": {"tag"}, "pnglite": {"chunk_type"}, "magic16": set()}
+# Python local, in all four programs: nothing, so none of them reads or
+# stores a template name by string.
+IN_FRAME = {"mini": set(), "pnglite": set(), "magic16": set()}
 
 
 @pytest.mark.parametrize("name", formats.BUNDLED)
@@ -251,6 +252,7 @@ def test_only_what_dynamic_scope_reaches_stays_in_the_frame(name):
         for tree in (True, False):
             source = _Compiler(unit, gen=gen, tree=tree).source
             assert set(re.findall(r"fr\['(\w+)'\] = ", source)) == IN_FRAME[name]
+            assert not [by for by in ("fr[", "sc.read(", "sc.assign(") if by in source]
 
 
 ERRORS = {

@@ -33,8 +33,8 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 469_416, "parse": 349_240, "replay": 450_753, "mutate": 582_897,
-           "generate_lean": 320_349, "parse_lean": 242_627, "replay_lean": 314_617}
+COUNTED = {"generate": 463_725, "parse": 344_189, "replay": 445_062, "mutate": 568_196,
+           "generate_lean": 312_699, "parse_lean": 235_637, "replay_lean": 306_967}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
