@@ -117,6 +117,15 @@ class SeedSource:
         self.pos = pos + n
         return out
 
+    def byte(self) -> int:
+        """draw(1)[0], without the slice."""
+        try:
+            b = self.data[self.pos]
+        except IndexError:
+            return self.draw(1)[0]  # raises SeedExhausted
+        self.pos += 1
+        return b
+
 
 class RandomSource:
     """Decision bytes drawn from a PRNG: a Random, or an int or None to seed
@@ -136,6 +145,11 @@ class RandomSource:
         out = self.rng.getrandbits(8 * n).to_bytes(n, "little")  # randbytes(n), one call less
         self.data += out
         return out
+
+    def byte(self) -> int:
+        """draw(1)[0]: the top byte of one MT19937 word."""
+        self.data.append(b := self.rng.getrandbits(8))
+        return b
 
     def draw_singles(self, n: int) -> bytes:
         """The bytes of n successive draw(1) calls, fetched at once.
@@ -229,7 +243,7 @@ class DecisionStream:
     def evil_gate(self) -> bool:
         if not self.evil_enabled:
             return False
-        return self.source.draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE
+        return self.source.byte() % EVIL_MODULUS == EVIL_RESIDUE
 
     def choose_index(self, k: int) -> int:
         if k < 1:
@@ -237,7 +251,7 @@ class DecisionStream:
         if k == 1 and not self.evil_enabled:
             return 0
         if k <= 256:
-            return self.source.draw(1)[0] % k
+            return self.source.byte() % k
         if k <= 65536:
             return int.from_bytes(self.source.draw(2), "little") % k
         raise EvalError(f"a choice among {k} options; at most 65536 are supported")
@@ -245,7 +259,7 @@ class DecisionStream:
     def choose_bounded(self, lo: int, hi: int) -> int:
         """A value in [lo, hi], gate-free (codec payload lengths)."""
         if (span := hi - lo + 1) <= 256:  # bounded_width(span) is 1
-            return lo + self.source.draw(1)[0] % span
+            return lo + self.source.byte() % span
         return lo + int.from_bytes(self.source.draw(bounded_width(span)), "little") % span
 
     def emit_bounded(self, value: int, lo: int, hi: int):
@@ -256,18 +270,51 @@ class DecisionStream:
         self.emit_raw((value - lo).to_bytes(width, "little"))
 
     def choose_value(self, spec: ChoiceSpec):
-        """One field value, decoded (an int or a candidate), or the field's
-        file bytes when the seed gives them verbatim (evil and FULL class)."""
-        source = self.source
-        if self.evil_enabled and source.draw(1)[0] % EVIL_MODULUS == EVIL_RESIDUE:  # evil_gate
-            return source.draw(spec.width)
+        """One field value under spec, by the method of its kind: an int or
+        candidate, or the field's file bytes (evil, or the FULL class)."""
         if spec.candidates:
-            return spec.candidates[self.choose_index(len(spec.candidates))]
-        if spec.bounds is not None:
-            return self.choose_bounded(*spec.bounds)
-        if source.draw(1)[0] % 4 < SMALL_CLASSES:  # the control byte
-            return source.draw(1)[0]
-        return source.draw(spec.width)
+            return self.pick(spec.candidates, spec.width)
+        if (bounds := spec.bounds) is not None:
+            return self.bounded(bounds[0], bounds[1] - bounds[0] + 1, spec.width)
+        return self.plain(spec.width)
+
+    # choose_value by kind, as compiled code calls them.  Each draws the gate
+    # first: an evil one gives the field's width in verbatim bytes.
+
+    def plain(self, width: int):
+        """An unconstrained value: one payload byte (SMALL) or width (FULL)."""
+        source = self.source
+        if self.evil_enabled and _EVIL_MARK[source.byte()] or source.byte() % 4 >= SMALL_CLASSES:
+            return source.draw(width)
+        return source.byte()
+
+    def bounded(self, lo: int, span: int, width: int):
+        """A value in [lo, lo + span), drawn as choose_bounded draws it."""
+        source = self.source
+        if self.evil_enabled and _EVIL_MARK[source.byte()]:
+            return source.draw(width)
+        return lo + (source.byte() if span <= 256 else
+                     int.from_bytes(source.draw(bounded_width(span)), "little")) % span
+
+    def pick(self, cands: list, width: int):
+        """One of cands, indexed as choose_index indexes them."""
+        if self.evil_enabled:
+            if _EVIL_MARK[(source := self.source).byte()]:
+                return source.draw(width)
+        elif len(cands) == 1:
+            return cands[0]
+        return cands[self.source.byte() % k] if 0 < (k := len(cands)) <= 256 else \
+            cands[self.choose_index(k)]
+
+    def forced(self, value, width: int):
+        """pick([value], width): a fix-up's value, whose index costs a byte
+        with evil on."""
+        if not self.evil_enabled:
+            return value
+        if _EVIL_MARK[(source := self.source).byte()]:
+            return source.draw(width)
+        source.byte()
+        return value
 
     def choose_bytes(self, n: int) -> bytes:
         """File bytes of n unconstrained one-byte elements.
@@ -302,43 +349,38 @@ class DecisionStream:
             pending = block[end:]
         return bytes(out)
 
-    def choose_token(self, spec: ChoiceSpec) -> bytes | None:
+    def choose_token(self, width: int, preferred: list, possible: list, prob: float):
         """Token choice for lookahead-driven ordering.
 
         With both candidate arrays empty the answer is a deterministic
         None costing zero bytes.  Otherwise the evil gate may yield a
         random token of the full width.  Otherwise a branch byte below
-        floor(pref_prob * 256) selects the preferred array (empty
-        preferred means None: the stream declines to pick) and any other
-        branch byte selects the possible array, falling back to preferred
-        when possible is empty.
+        floor(prob * 256) selects the preferred array (empty preferred
+        means None: the stream declines to pick) and any other branch
+        byte selects the possible array, falling back to preferred when
+        possible is empty.
         """
-        preferred = spec.preferred or []
-        possible = spec.possible or []
         if not preferred and not possible:
             return None
-        if self.evil_gate():
-            return self.draw_raw(spec.width)
-        threshold = int(spec.pref_prob * 256)
-        branch = self.source.draw(1)[0]
-        if branch < threshold:
-            if not preferred:
-                return None
-            return preferred[self.choose_index(len(preferred))]
-        pool = possible if possible else preferred
-        return pool[self.choose_index(len(pool))]
+        source = self.source
+        if self.evil_enabled and _EVIL_MARK[source.byte()]:
+            return source.draw(width)
+        pool = preferred if source.byte() < int(prob * 256) else possible or preferred
+        if (k := len(pool)) > 1 or k and self.evil_enabled:  # choose_index, one byte up to 256
+            return pool[source.byte() % k] if k <= 256 else pool[self.choose_index(k)]
+        return pool[0] if pool else None
 
     # -- parse-side inverses ----------------------------------------------
 
     def _emit_gate(self, evil: bool):
         if self.evil_enabled:
-            self.emit_raw(bytes([EVIL_RESIDUE if evil else 0]))
+            self._recorded.append(EVIL_RESIDUE if evil else 0)
 
     def emit_index(self, k: int, idx: int):
         if k == 1 and not self.evil_enabled:
             return
         if k <= 256:
-            self.emit_raw(bytes([idx]))
+            self._recorded.append(idx)
         elif k <= 65536:
             self.emit_raw(idx.to_bytes(2, "little"))
         else:
@@ -348,35 +390,48 @@ class DecisionStream:
         self._recorded.extend(payload)
 
     def emit_value(self, spec: ChoiceSpec, value: object, raw: bytes):
-        """Emit the canonical encoding of an observed field value.
-
-        `raw` is the field's file bytes, used for evil and FULL-class
-        encodings.  Prefers the non-evil encoding whenever one exists.
-        """
+        """Inverse of choose_value: the canonical encoding of an observed
+        value, whose file bytes are raw, by the inverse of its kind's method.
+        Each prefers a non-evil encoding where one exists."""
         if spec.candidates:
-            if value in spec.candidates:
-                self._emit_gate(False)
-                self.emit_index(len(spec.candidates), spec.candidates.index(value))
-                return
-        elif spec.bounds is not None:
-            lo, hi = spec.bounds
-            if isinstance(value, int) and lo <= value <= hi:
-                self._emit_gate(False)
-                self.emit_bounded(value, lo, hi)
-                return
+            self.emit_pick(value, raw, spec.candidates)
+        elif (bounds := spec.bounds) is not None:
+            self.emit_within(value, raw, bounds[0], bounds[1] - bounds[0] + 1)
         else:
-            self._emit_gate(False)
-            if isinstance(value, int) and 0 <= value <= 255:
-                self.emit_raw(bytes([0, value]))
-            else:
-                self.emit_raw(bytes([SMALL_CLASSES]) + raw)
-            return
+            self.emit_plain(value, raw)
+
+    def _emit_evil(self, value: object, raw: bytes):
+        if not self.evil_enabled:
+            raise UnrepresentableValue(
+                f"value {value!r} has no encoding under the active constraints with evil disabled")
+        self._recorded += b"\x7f" + raw  # gate EVIL_RESIDUE, then the file bytes
+
+    def emit_plain(self, value: object, raw: bytes):
+        """Inverse of plain."""
+        self._recorded += (b"\x00" if self.evil_enabled else b"") + (
+            bytes((0, value)) if isinstance(value, int) and 0 <= value <= 255
+            else bytes((SMALL_CLASSES,)) + raw)
+
+    def emit_within(self, value: int, raw: bytes, lo: int, span: int):
+        """Inverse of bounded."""
+        if not lo <= value < lo + span:
+            return self._emit_evil(value, raw)
+        self._recorded += (b"\x00" if self.evil_enabled else b"") + (value - lo).to_bytes(
+            1 if span <= 256 else bounded_width(span), "little")
+
+    def emit_pick(self, value: object, raw: bytes, cands: list):
+        """Inverse of pick."""
+        if value not in cands:
+            return self._emit_evil(value, raw)
+        self._emit_gate(False)
+        self.emit_index(len(cands), cands.index(value))
+
+    def emit_forced(self, value: object, raw: bytes, forced):
+        """Inverse of forced."""
+        if value != forced:
+            return self._emit_evil(value, raw)
         if self.evil_enabled:
-            self._emit_gate(True)
-            self.emit_raw(raw)
-            return
-        raise UnrepresentableValue(
-            f"value {value!r} has no encoding under the active constraints with evil disabled")
+            self._recorded += b"\x00\x00"  # the gate, then index 0
 
     def emit_bytes(self, raw: bytes, signed: bool):
         """Inverse of choose_bytes: what emit_value emits for each byte of
@@ -389,35 +444,30 @@ class DecisionStream:
             out[gate::stride] = raw.translate(_SIGNED_CONTROL)
         self._recorded += out
 
-    def emit_token(self, spec: ChoiceSpec, observed: bytes | None) -> bytes | None:
+    def emit_token(self, preferred: list, possible: list, prob: float,
+                   observed: bytes | None) -> bytes | None:
         """Inverse of choose_token.  `observed` is the token found in the
         file, or None at end of input."""
-        preferred = spec.preferred or []
-        possible = spec.possible or []
         if not preferred and not possible:
             return None
-        threshold = int(spec.pref_prob * 256)
+        threshold, pool = int(prob * 256), possible or preferred
         if observed is None:
             if preferred or threshold == 0:
-                raise UnrepresentableValue(
-                    "input ends where the template still requires a token")
-            self._emit_gate(False)
-            self.emit_raw(b"\x00")
-            return None
-        if threshold > 0 and observed in preferred:
-            self._emit_gate(False)
-            self.emit_raw(b"\x00")
-            self.emit_index(len(preferred), preferred.index(observed))
-            return observed
-        pool = possible if possible else preferred
-        if threshold < 256 and observed in pool:
-            self._emit_gate(False)
-            self.emit_raw(bytes([threshold]))
-            self.emit_index(len(pool), pool.index(observed))
-            return observed
-        if self.evil_enabled:
+                raise UnrepresentableValue("input ends where the template still requires a token")
+            branch = 0  # the preferred branch, which declines
+        elif threshold > 0 and observed in preferred:
+            branch, pool = 0, preferred
+        elif threshold < 256 and observed in pool:
+            branch = threshold
+        elif self.evil_enabled:
             self._emit_gate(True)
             self.emit_raw(observed)
             return observed
-        raise UnrepresentableValue(
-            f"token {observed!r} is not among the allowed chunk tokens and evil is disabled")
+        else:
+            raise UnrepresentableValue(f"token {observed!r} is not among the allowed chunk "
+                                       "tokens and evil is disabled")
+        self._emit_gate(False)
+        self._recorded.append(branch)
+        if observed is not None:
+            self.emit_index(len(pool), pool.index(observed))
+        return observed

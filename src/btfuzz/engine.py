@@ -193,50 +193,28 @@ class Execution:
     # -- fields: what compiled code calls outside its scalar fast path -----
 
     def _field(self, spec: ChoiceSpec, signed: bool | None) -> bytes:
-        """One field's file bytes, written (GEN) or read (PARSE) at the
-        current position.  Bytes a lookahead reserved are taken as they
-        are and cost no decision.  signed is None for a whole char array,
-        whose value is its bytes."""
-        buf = self.buf
-        reserved = None if buf.position + spec.width <= buf._free else \
-            buf.reserved_block(buf.position, spec.width)
+        """The file bytes of an array element or a whole char array (signed
+        None), written (GEN) or read (PARSE) at the position; bytes that a
+        lookahead reserved are taken as they are and cost no decision."""
+        buf, width = self.buf, spec.width
         if self.gen:
-            buf.write(raw := self._choose_raw(spec) if reserved is None else reserved)
+            if buf.position + width <= buf._free or (raw := buf.claim(width)) is None:
+                raw = self._put(self.ds.choose_value(spec), width)
             return raw
-        raw = buf.read(spec.width)
+        reserved = None if buf.position + width <= buf._free else \
+            buf.reserved_block(buf.position, width)
+        raw = buf.read(width)
         if reserved is None:
             value = raw if signed is None else int.from_bytes(raw, self.order, signed=signed)
             self.ds.emit_value(spec, value, raw)
         return raw
 
-    def _choose_raw(self, spec: ChoiceSpec) -> bytes:
-        """A drawn value as file bytes; an integer is encoded at the spec's width."""
-        value = self.ds.choose_value(spec)
-        if isinstance(value, bytes):
-            return value
-        return (value & ((1 << (8 * spec.width)) - 1)).to_bytes(spec.width, self.order)
-
-    def _redeclare(self, instance: RecordVal, name: str, spec, signed: bool):
-        """Fix-up declaration: same name, same record instance; gives the
-        value.  The bytes at the current position are written again (GEN)
-        or revalidated (PARSE); in a tree run the scalar's node keeps its
-        decision span and takes the bytes' file span."""
-        if not isinstance(instance.fields[name], int):
-            raise EvalError(f"field {name!r} is redeclared as a scalar, "
-                            "but its current field is not one")
-        if self.root is None:
-            spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
-            return int.from_bytes(self._field(spec, signed), self.order, signed=signed)
-        node = instance.field_nodes[name]
-        self.node_stack.append(node)  # the node a lookahead here runs in
-        try:
-            spec = spec if isinstance(spec, ChoiceSpec) else spec(self)
-            start = self.buf.position
-            value = int.from_bytes(self._field(spec, signed), self.order, signed=signed)
-        finally:
-            self.node_stack.pop()
-        node.file_start, node.file_end = start, self.buf.position
-        return value
+    def _put(self, raw, width: int) -> bytes:
+        """Write a drawn value (an int, encoded at width) or file bytes; gives the bytes."""
+        if isinstance(raw, int):
+            raw = (raw % 256 ** width).to_bytes(width, self.order)  # as C stores it
+        self.buf.write(raw)
+        return raw
 
     def _elements(self, length: int, spec0, per_index, spec, width, signed, is_char):
         """An integer array, in one stream call if it is an unconstrained
@@ -272,55 +250,54 @@ class Execution:
     def _read_byte(self, pos: int, choices):
         if choices is not None and not isinstance(choices, list):
             raise EvalError("ReadByte choices must be a local array")
-        spec = ChoiceSpec(width=1, candidates=[c & 0xFF for c in choices] if choices else None)
+        cands = [c & 0xFF for c in choices] if choices else None
         start = None if self.root is None else self.ds.cursor  # a lean run logs no lookahead
         # a reserved byte is taken as it is and costs no decision
         token = self.buf.reserved_block(pos, 1)
         if token is None:
+            ds = self.ds
             if self.gen:
-                token = self._choose_raw(spec)
+                token = ds.pick(cands, 1) if cands else ds.plain(1)
+                token = token if isinstance(token, bytes) else bytes((token,))
             else:
-                token = self.buf.peek(pos, 1)
-                if token is None:
+                if (token := self.buf.peek(pos, 1)) is None:
                     raise OutOfRange(f"lookahead at {pos} is past the end of input")
-                self.ds.emit_value(spec, token[0], token)
+                ds.emit_pick(token[0], token, cands) if cands else ds.emit_plain(token[0], token)
             self.buf.reserve(pos, token)
-        if start is not None:
-            self._log_lookahead(start, token, spec)
+        if start is not None:  # a tree run's lookahead, whose decisions began at start
+            self.events.append(ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id, token,
+                                           ChoiceSpec(width=1, candidates=cands)))
         return token[0]
 
-    def _read_bytes(self, pos: int, length: int, preferred, possible, prob):
-        """The token a ReadBytes lookahead reserved at pos, or None."""
+    def _read_bytes(self, pos: int, length: int, preferred, possible, prob, known=False):
+        """The token a ReadBytes lookahead reserved at pos, or None; known if
+        the compiler checked prob."""
         if not isinstance(preferred, list) or not isinstance(possible, list):
             raise EvalError("ReadBytes preferred/possible must be local arrays")
-        if not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
+        if not known and (not isinstance(prob, _REAL) or not 0 <= prob <= 1):
             raise EvalError("ReadBytes probability must be a number in [0, 1]")
-        if (start := None if self.root is None else self.ds.cursor) is not None:
-            preferred, possible = list(preferred), list(possible)  # the event keeps them
-        spec = ChoiceSpec(width=length, preferred=preferred, possible=possible,
-                          pref_prob=float(prob))
+        start = None if self.root is None else self.ds.cursor
         if self.gen:
-            token = self.ds.choose_token(spec)
+            token = self.ds.choose_token(length, preferred, possible, prob)
         else:
-            token = self.ds.emit_token(spec, self.buf.peek(pos, length))
-        if start is not None:
-            self._log_lookahead(start, token, spec)
+            token = self.ds.emit_token(preferred, possible, prob, self.buf.peek(pos, length))
+        if start is not None:  # the event keeps copies: the arrays may change
+            self.events.append(ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id, token,
+                                           ChoiceSpec(width=length, preferred=list(preferred),
+                                                      possible=list(possible),
+                                                      pref_prob=float(prob))))
         if token is not None:
             if len(token) != length:
                 raise EvalError(f"token {token!r} does not have width {length}")
             self.buf.reserve(pos, token)
         return token
 
-    def _log_lookahead(self, start: int, token: bytes | None, spec: ChoiceSpec):
-        """Log a tree run's lookahead whose decisions began at seed offset start."""
-        self.events.append(ChoiceEvent(start, self.ds.cursor, self.node_stack[-1].id, token, spec))
-
     def _checksum(self, algo: int, start: int, size: int):
         if size < 0 or start < 0:
             raise EvalError(f"checksum over invalid range [{start}, {start}+{size})")
-        region = self.buf.peek(start, size)
-        if region is None:
+        if start + size > len(data := self.buf.data):
             raise EvalError(f"checksum range [{start}, {start + size}) is not materialized")
+        region = data[start:start + size]
         if algo == CHECKSUM_CRC32:
             return crc32(region)
         if algo == CHECKSUM_SUM8:
@@ -417,6 +394,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _OTHER = {"/": c_div, "%": c_mod, "<<": lambda a, b: wrap64(a << _shift(b)),
           ">>": lambda a, b: wrap64(a >> _shift(b))}
 _INT_OR_BYTES = (int, bytes)  # the operand types == and != take
+_REAL = (int, float)
 
 
 def _binary(op: str, a, b):
@@ -469,6 +447,11 @@ def _whole(name: str, length: int, cands: list) -> ChoiceSpec | None:
         raise EvalError(f"initializer for {name!r} has length {len(bad[0])}, "
                         f"array holds {length}")
     return ChoiceSpec(width=length, candidates=cands)
+
+
+def _varies(spec: ChoiceSpec) -> bool:
+    """Whether the compiler left spec to the run (_Compiler._spec)."""
+    return isinstance((spec.candidates or spec.bounds or (0,))[0], str)
 
 
 def _norm(v: int, width: int, signed: bool) -> int:
@@ -605,12 +588,12 @@ class _Compiler:
         slot = self.slots.get(name)
         return f"({slot} := {value})" if slot else f"sc.assign({name!r}, {value})"
 
-    def _closure(self, source) -> str:
-        """A constant ChoiceSpec by name, else source as a closure of the
-        Execution.  A walrus in a closure binds the closure's own local, so
-        a name that source stores goes back to the frame."""
-        if type(source) is ChoiceSpec:
-            return self.ref(source)
+    def _closure(self, source: str) -> str:
+        """source as a closure of the Execution, unless it names a constant.
+        A walrus in a closure binds the closure's own local, so a name that
+        source stores goes back to the frame."""
+        if source in self.names:
+            return source
         self.clash.update(n for n, s in self.slots.items() if re.search(rf"\b{s} :=", source))
         return f"(lambda ex: {source})"
 
@@ -805,17 +788,19 @@ class _Compiler:
                                 self._spec(decl, width, signed, enum_cands, None))
         self._int_array(decl, native, width, signed, label, enum_cands)
 
-    def _spec(self, decl, width: int, signed: bool, enum_cands, elem_idx):
-        """The ChoiceSpec of a field or array element, or the source of an
-        expression that builds it when it depends on the run."""
+    def _spec(self, decl, width: int, signed: bool, enum_cands, elem_idx) -> ChoiceSpec:
+        """The ChoiceSpec of a field or array element.  Where the run decides
+        it (_varies), it holds source: its candidates' int expressions, or
+        as bounds (a, b, check) the names that check binds to min and max;
+        check fails if min exceeds max."""
         if decl.init_list is not None:
             inits = [self.const(e) for e in decl.init_list]
             if all(type(c) is int for c in inits):
                 return ChoiceSpec(width=width, candidates=[_norm(c, width, signed) for c in inits])
             mask, half = (1 << (8 * width)) - 1, 1 << (8 * width - 1)
             norm = f"((({{}} + {half}) & {mask}) - {half})" if signed else f"({{}} & {mask})"
-            cands = ", ".join(norm.format(self.integer(e)) for e in decl.init_list)
-            return f"ChoiceSpec(width={width}, candidates=[{cands}])"
+            return ChoiceSpec(width=width, candidates=[norm.format(self.integer(e))
+                                                       for e in decl.init_list])
         mined = [_norm(v, width, signed) for v in self.unit.magic.get((decl.name, elem_idx), ())
                  if isinstance(v, int)]
         if mined or enum_cands is not None:
@@ -832,36 +817,81 @@ class _Compiler:
         lo = self.integer(decl.attrs["min"]) if "min" in decl.attrs else repr(type_lo)
         hi = self.integer(decl.attrs["max"]) if "max" in decl.attrs else repr(type_hi)
         a, b, bad = self.temp(), self.temp(), f"field {decl.name!r}: min %s exceeds max %s"
-        return f"(ChoiceSpec(width={width}, bounds=({a}, {b})) if ({a} := {lo}) <= ({b} := {hi})" \
-               f" else _fail(EvalError, {bad!r} % ({a}, {b})))"
+        return ChoiceSpec(width=width, bounds=(a, b, f"(({a} := {lo}) <= ({b} := {hi}) or "
+                                                     f"_fail(EvalError, {bad!r} % ({a}, {b})))"))
+
+    def _spec_source(self, spec: ChoiceSpec) -> str:
+        """Source giving spec: its constant, or what builds it in the run."""
+        if not _varies(spec):
+            return self.ref(spec)
+        if spec.candidates:
+            return f"ChoiceSpec(width={spec.width}, candidates=[{', '.join(spec.candidates)}])"
+        a, b, check = spec.bounds
+        return f"({check} and ChoiceSpec(width={spec.width}, bounds=({a}, {b})))"
+
+    def _decision(self, spec: ChoiceSpec, signed: bool) -> tuple[list[str], str, bool]:
+        """The stream call that draws (GEN) or emits (PARSE: value v, file
+        bytes raw) a scalar under spec; the lines before it that set up
+        what the run decides of it; and whether an int it draws is the value
+        as read back.  One candidate is forced (a fix-up)."""
+        width, setup, exact, varies = spec.width, [], True, _varies(spec)
+        if cands := spec.candidates:  # normalized to the field
+            one = len(cands) == 1
+            draw, emit = ("forced", "emit_forced") if one else ("pick", "emit_pick")
+            arg = (cands[0] if one else f"[{', '.join(cands)}]") if varies else \
+                repr(cands[0]) if one else self.ref(cands)
+            setup, args = ([f"sp = {arg}"], ["sp"]) if varies else ([], [arg])
+        elif spec.bounds is not None:
+            (draw, emit), (lo, hi, *setup) = ("bounded", "emit_within"), spec.bounds
+            exact = not varies and _norm(lo, width, signed) == lo and _norm(hi, width, signed) == hi
+            args = [str(lo), f"{hi} - {lo} + 1" if varies else str(hi - lo + 1)]
+        else:  # a SMALL value is 0..255
+            draw, emit, args, exact = "plain", "emit_plain", [], width > 1 or not signed
+        if self.gen:
+            return setup, f"ds.{draw}({', '.join([*args, str(width)])})", exact
+        return setup, f"ds.{emit}(v, raw{''.join(', ' + a for a in args)})", exact
 
     def _scalar(self, decl, width, signed, label, spec):
-        """A scalar field: read or appended inline where FileBuffer._hold allows,
-        else by Execution._field."""
-        name, decode = repr(decl.name), f"int.from_bytes(raw, ex.order, signed={signed})"
-        sp = self.ref(spec) if isinstance(spec, ChoiceSpec) else "sp"
-        guard = f"if (p := buf.position) + {width} <= buf._hold:"
-        slow = f"ex._field({sp}, {signed})"
+        """A scalar field, by the stream call of its spec's kind: read or
+        appended inline where FileBuffer._hold allows, else through
+        Execution._put or FileBuffer.read and the reservations."""
+        setup, call, exact = self._decision(spec, signed)
+        name, order = repr(decl.name), "ex.order, signed=True" if signed else "ex.order"
         half, mask = 1 << (8 * width - 1), (1 << 8 * width) - 1  # an int drawn is v as it is read
-        wrap = f"((raw + {half}) & {mask}) - {half}" if signed else f"raw & {mask}"
-        field = [guard, f"    if isinstance(raw := ds.choose_value({sp}), int): "
-                 f"raw = (v := {wrap}).to_bytes({width}, ex.order, signed={signed})",
-                 f"    else: v = {decode}", "    buf.data += raw",
-                 f"    buf.position = buf.high_water = p + {width}"] if self.gen else [
-            guard, f"    v = {decode.replace('raw', f'(raw := buf.data[p:p + {width}])')}",
-            f"    buf.position = p + {width}", f"    ds.emit_value({sp}, v, raw)"]
-        field += ["else:", f"    v = {decode.replace('raw', slow)}"]
-        if sp == "sp":  # only a spec that runs template code can raise a break or return
-            field = ["try:", f"    sp = {spec}", *_indent(field), "finally:"] if self.tree \
-                else [f"sp = {spec}", *field]
+        wrap = "raw" if exact else \
+            f"((raw + {half}) & {mask}) - {half}" if signed else f"raw & {mask}"
+        field = [f"if (p := buf.position) + {width} <= buf._hold:"]
+        field += [f"    if isinstance(raw := {call}, int): raw = (v := {wrap}).to_bytes({width}, "
+                  f"{order})", f"    else: v = int.from_bytes(raw, {order})", "    buf.data += raw",
+                  f"    buf.position = buf.high_water = p + {width}", "else:",
+                  f"    v = int.from_bytes(ex._put({call}, {width}) if p + {width} <= buf._free "
+                  f"or (raw := buf.claim({width})) is None else raw, {order})"] if self.gen else [
+            f"    v = int.from_bytes(raw := buf.data[p:p + {width}], {order})",
+            f"    buf.position = p + {width}", f"    {call}", "else:",
+            f"    v = int.from_bytes(raw := buf.read({width}), {order})",
+            f"    if buf.reserved_block(p, {width}) is None: {call}"]
         self._cover(decl)
-        field = [*self._open("node", name, repr(label)), *field,
-                 *_indent(self._shut("node"), 1 if sp == "sp" else 0),
-                 *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]
-        if id(decl) not in self.scoping.fresh:  # else rec.fields cannot hold it yet
-            field = [f"if {name} in rec.fields:", f"    v = ex._redeclare(rec, {name}, "
-                     f"{sp if sp != 'sp' else self._closure(spec)}, {signed})", "else:",
-                     *_indent(field)]
+        shut = self._shut("node")  # only a spec that runs template code can raise a break or return
+        bad = f"not isinstance(rec.fields[{name}], int): _fail(EvalError, " \
+              f"{f'field {name} is redeclared as a scalar, but its current field is not one'!r})"
+        if id(decl) in self.scoping.fresh:  # rec.fields cannot hold it yet
+            field = [*self._open("node", name, repr(label)),
+                     *(["try:", *_indent(setup + field), "finally:", *_indent(shut)]
+                       if setup and self.tree else setup + field + shut),
+                     *([f"rec.field_nodes[{name}] = node"] if self.tree else [])]
+        elif self.tree:  # where rec.fields holds it, a fix-up: its node keeps its decision span
+            fix, start = self.temp(), self.temp()
+            field = [f"if {fix} := {name} in rec.fields:", f"    if {bad}",
+                     f"    stack.append(node := rec.field_nodes[{name}])",  # where a lookahead runs
+                     "else:", *_indent(self._open("node", name, repr(label))),
+                     "try:", *_indent([*setup, f"{start} = buf.position", *field]),
+                     "finally:", f"    if {fix}:", "        stack.pop()", "    else:",
+                     *_indent(shut, 2),
+                     f"if {fix}: node.file_start, node.file_end = {start}, buf.position",
+                     f"else: rec.field_nodes[{name}] = node"]
+        else:
+            field = [*([f"if {name} not in rec.fields: node = next(ex.ids)", f"elif {bad}"]
+                       if self.gen else [f"if {name} in rec.fields and {bad}"]), *setup, *field]
         self.put(*field, f"rec.fields[{name}] = {self._slot(decl.name)} = v")
 
     def _length(self, decl, width: int) -> bool:
@@ -883,13 +913,12 @@ class _Compiler:
         a char array whole: string initializers, or mined strings of its
         length.  A repeated declaration (loop body) starts a fresh instance."""
         name, is_char = decl.name, native == "char"
-        spec_at = lambda i: self._spec(decl, width, signed, enum_cands, i)  # noqa: E731
-        spec, per_index = spec_at(-1), ", ".join(f"{i}: {self._closure(spec_at(i))}" for n, i
-                                                 in self.unit.magic if n == name and i is not None)
+        source = lambda i: self._spec_source(self._spec(decl, width, signed, enum_cands, i))
+        per_index = ", ".join(f"{i}: {self._closure(source(i))}" for n, i in self.unit.magic
+                              if n == name and i is not None)
         shared = not per_index and decl.init_list is None
-        spec0 = (self.ref(spec) if isinstance(spec, ChoiceSpec) else spec) if shared else "None"
-        value = f"ex._elements(n, {spec0}, {{{per_index}}}, " \
-                f"{'None' if shared else self._closure(spec)}, {width}, {signed}, {is_char})"
+        value = f"ex._elements(n, {source(-1) if shared else 'None'}, {{{per_index}}}, " \
+                f"{'None' if shared else self._closure(source(-1))}, {width}, {signed}, {is_char})"
         whole = None
         if is_char and decl.init_list is not None:
             whole = f"_whole({name!r}, n, [{', '.join(self.expr(e) for e in decl.init_list)}])"
@@ -1043,7 +1072,8 @@ class _Compiler:
             if name == "ReadBytes":
                 if not isinstance(out := expr.args[0], ast.Ident):
                     return "_fail(EvalError, 'ReadBytes output must be a local variable name')"
-                ints.update(t=(t := self.temp()), store=self._store(out.name, t))
+                ints.update(t=(t := self.temp()), store=self._store(out.name, t), known=", True"
+                            if type(p := self.const(expr.args[5])) in _REAL and 0 <= p <= 1 else "")
             return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]))
         return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
 
@@ -1070,8 +1100,10 @@ class _Compiler:
 
 # How each statement and expression node class compiles, and the source of
 # each builtin the analyzer accepts: {0}.. are its arguments, {i0}.. the
-# same checked to be ints, {rest} all but the first; ReadBytes stores its
-# token {t} by {store}.  An argument a builtin does not use never runs.
+# same checked to be ints, {b0}.. their truth, {rest} all but the first;
+# ReadBytes stores its token {t} by {store}, and {known} says that its
+# probability is a constant in [0, 1].  An argument a builtin does not use
+# never runs.
 _STMT_RULES = {
     ast.InputDecl: _Compiler._input,
     ast.LocalDecl: _Compiler._local,
@@ -1105,7 +1137,7 @@ _BUILTINS = {
     "FEof": "ex._feof()",
     "FileSize": "buf.high_water",
     "ReadByte": "ex._read_byte({i0}, {1})",
-    "ReadBytes": "(0 if ({t} := ex._read_bytes({i1}, {i2}, {3}, {4}, {5})) is None "
+    "ReadBytes": "(0 if ({t} := ex._read_bytes({i1}, {i2}, {3}, {4}, {5}{known})) is None "
                  "else ({store}, 1)[1])",
     "Checksum": "ex._checksum({i0}, {i1}, {i2})",
     "SetEvilBit": "(1 if ds.set_evil(_truthy({0})) else 0)",

@@ -42,6 +42,11 @@ class ArityError(TemplateError):
     """Parameterized type or function used with the wrong argument count."""
 
 
+class ImpureExpression(TemplateError):
+    """An expression that only one direction runs changes what the run
+    holds: a codec stream's length, which only a parse computes."""
+
+
 # --- generation ----------------------------------------------------------
 
 

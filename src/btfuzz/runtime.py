@@ -40,7 +40,7 @@ class FileBuffer:
         spans, pos = self.spans, self.position  # usually past every span: no search
         self._free = spans[bisect_right(spans, pos, key=_END)][0] if spans and spans[-1][1] > pos \
             else self.budget
-        self._hold = -1 if self._appends and pos != len(self.data) else self._free
+        self._hold = self._free if pos == len(self.data) or not self._appends else -1
 
     def tell(self) -> int:
         return self.position
@@ -71,12 +71,28 @@ class FileBuffer:
             data += payload
             self.position = self.high_water = end
             return
+        if end <= self._free and end <= len(data) and not self._gaps:  # overwrites keep _free
+            data[pos:end] = payload
+            self.position, self._hold = end, self._free if end == len(data) else -1
+            return
         if end > self.budget:
             raise BudgetExceeded(f"write of {len(payload)} bytes at {pos} exceeds budget {self.budget}")
-        if end > self._free and self.reserved_block(pos, end - pos) != payload and \
-                (clash := self._clash(pos, payload)):  # a whole reserved block clashes with none
+        if end > self._free and (clash := self._clash(pos, payload)):
             raise ReservationConflict(f"byte {payload[clash[0] - pos]:#04x} at offset {clash[0]}"
                                       f" conflicts with reserved {clash[1]:#04x}")
+        self._store(payload)
+
+    def claim(self, n: int) -> bytes | None:
+        """Write the n bytes a lookahead reserved at the position, if it
+        reserved all n; gives them, or None."""
+        if (block := self.reserved_block(self.position, n)) is not None:
+            self._store(block)
+        return block
+
+    def _store(self, payload: bytes):
+        """Write payload at the position, which no reservation forbids."""
+        pos, data = self.position, self.data
+        end = pos + len(payload)
         if pos > len(data):  # forward seek left a hole; it must be filled before finalize
             self._gaps.append((len(data), pos))
             data.extend(bytes(pos - len(data)))
@@ -95,27 +111,32 @@ class FileBuffer:
         if not payload:
             return
         data, spans = self.data, self.spans
-        i, j = (bisect_left(spans, pos, key=_END), bisect_right(spans, end, key=_START)) \
-            if spans and spans[-1][1] >= pos else (len(spans),) * 2  # usually past them all
-        clash = self._clash(pos, payload) if i < j else None  # spans[i:j] meet [pos, end)
-        # written bytes are checked one by one only when they differ (never on a parse)
-        if not payload.startswith(data[pos:end]):
-            gaps = self._gaps
-            off = next((o for o, (d, p) in enumerate(zip(data[pos:end], payload), pos)
-                        if d != p and not any(a <= o < b for a, b in gaps)), end)
-            if off < (clash or (end,))[0]:  # a written reserved byte agrees with its reservation
-                raise ReservationConflict(f"reservation {payload[off - pos]:#04x} at offset "
-                                          f"{off} conflicts with written {data[off]:#04x}")
-        if clash:
-            raise ReservationConflict(f"reservation {payload[clash[0] - pos]:#04x} at offset "
-                                      f"{clash[0]} conflicts with reserved {clash[1]:#04x}")
-        if i < j:  # they join it
-            (first, _, head), (last, stop, tail) = spans[i], spans[j - 1]
-            payload = head[:max(pos - first, 0)] + payload + tail[end - last:]
-            pos, end = min(first, pos), max(stop, end)
-        spans[i:j] = [(pos, end, bytes(payload))]
+        if (not spans or spans[-1][1] < pos) and payload.startswith(data[pos:end]):
+            spans.append((pos, end, bytes(payload)))  # past every span, as written: the usual case
+        else:
+            i, j = (bisect_left(spans, pos, key=_END), bisect_right(spans, end, key=_START)) \
+                if spans and spans[-1][1] >= pos else (len(spans),) * 2
+            clash = self._clash(pos, payload) if i < j else None  # spans[i:j] meet [pos, end)
+            # written bytes are checked one by one only when they differ (never on a parse)
+            if not payload.startswith(data[pos:end]):
+                gaps = self._gaps
+                off = next((o for o, (d, p) in enumerate(zip(data[pos:end], payload), pos)
+                            if d != p and not any(a <= o < b for a, b in gaps)), end)
+                if off < (clash or (end,))[0]:  # a written reserved byte matches its reservation
+                    raise ReservationConflict(f"reservation {payload[off - pos]:#04x} at offset "
+                                              f"{off} conflicts with written {data[off]:#04x}")
+            if clash:
+                raise ReservationConflict(f"reservation {payload[clash[0] - pos]:#04x} at offset "
+                                          f"{clash[0]} conflicts with reserved {clash[1]:#04x}")
+            if i < j:  # they join it
+                (first, _, head), (last, stop, tail) = spans[i], spans[j - 1]
+                payload = head[:max(pos - first, 0)] + payload + tail[end - last:]
+                pos, end = min(first, pos), max(stop, end)
+            spans[i:j] = [(pos, end, bytes(payload))]
         if end > self.position and pos < self._free:  # now the first span that ends past it
-            self._free, self._hold = pos, -1 if self._hold < 0 else pos
+            self._free = pos
+            if self._hold >= 0:
+                self._hold = pos
 
     def reserved_block(self, pos: int, length: int) -> bytes | None:
         """The reserved bytes at [pos, pos+length), or None if any is unreserved."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..errors import ArityError, ResolveError
+from ..errors import ArityError, ImpureExpression, ResolveError
 from .nodes import (
     ArrayExtend,
     Assign,
@@ -67,6 +67,13 @@ BUILTINS: dict[str, tuple[int, int | None]] = {
     "LittleEndian": (0, 0),
     "CodecStream": (3, 3),
 }
+
+
+# The builtins whose call changes more than its value: the file buffer, the
+# decision stream, the run's settings or its log.  A body that calls one has
+# _EFFECT among its escapes, where no name can cover it.
+_EFFECTS = frozenset(BUILTINS) - {"FTell", "FileSize", "Checksum"}
+_EFFECT = "()"
 
 
 def _fields_holding(holds) -> dict[type, tuple[str, ...]]:
@@ -263,13 +270,16 @@ class _Uses:
     where an earlier statement of its block, or of a block around it,
     declares the name, or where the body takes it as a parameter; an
     uncovered use reads the enclosing frames.  A call uses, where it is,
-    what its callee uses outside its own frame."""
+    what its callee uses outside its own frame, and stores there what its
+    callee stores there (escapes).  writes counts the stores and the
+    builtin effects so far."""
 
     def __init__(self, params, free: dict, shared: set[str] | None):
-        self.free = free  # what each record or function uses outside its own frame
+        self.free = free  # per record or function: its (outside, escapes)
         self.declared = dict.fromkeys(params)
         self.stores = [(p, 0) for p in params]
         self.outside, self.reached, self.seen, self.loops = set(), set(), set(), 0
+        self.escapes, self.writes = set(), 0
         # None in a function body, whose fields go to its caller's record;
         # else the names a function may declare in it first
         self.shared, self.fresh = shared, set()
@@ -279,20 +289,43 @@ class _Uses:
             self.outside.add(name)
 
     def call(self, callee: str, covered: set[str]):
-        self.reached |= self.free[callee]
-        self.outside |= self.free[callee] - covered
+        outside, escapes = self.free[callee]
+        self.reached |= outside
+        self.outside |= outside - covered
+        self.escapes |= escapes - covered
+        self.writes += bool(escapes)
+
+    def store(self, target, kind, covered: set[str]):
+        """A store to target (a name, or an element or field of one)."""
+        self.writes += 1
+        while isinstance(target, (Index, Member)):
+            target = target.base if isinstance(target, Index) else target.obj
+        if isinstance(target, Ident):
+            if target.name not in covered:
+                self.escapes.add(target.name)
+            if kind is not None:
+                self.stores.append((target.name, kind))
 
     def expr(self, e, covered: set[str]):
         if isinstance(e, Ident):
             return self.use(e.name, covered)
         if isinstance(e, Call) and e.name == "CodecStream":  # args[0] only names the stream
-            return self.expr(e.args[1], covered) or self.expr(e.args[2], covered)
+            self.expr(e.args[1], covered)
+            writes = self.writes
+            self.expr(e.args[2], covered)
+            if self.writes != writes:
+                raise ImpureExpression("a codec stream's length changes what the run holds, "
+                                       "but only a parse computes it")
+            return
         if isinstance(e, Call) and e.name == "ReadBytes" and isinstance(e.args[0], Ident):
-            self.stores.append((e.args[0].name, bytes))  # the token, if one is reserved
+            self.store(e.args[0], bytes, covered)  # the token, if one is reserved
         elif isinstance(e, Call) and e.name not in BUILTINS:
             self.call(e.name, covered)
-        elif isinstance(e, Postfix) and isinstance(e.target, Ident):
-            self.stores.append((e.target.name, 2))
+        elif isinstance(e, Postfix):
+            self.store(e.target, 2 if isinstance(e.target, Ident) else None, covered)
+        if isinstance(e, Call) and e.name in _EFFECTS:
+            self.writes += 1
+            self.escapes.add(_EFFECT)
         for name in _EXPR_FIELDS[type(e)]:
             value = getattr(e, name)
             for sub in value if type(value) is list else [value]:
@@ -332,8 +365,8 @@ class _Uses:
                 value = getattr(s, name)
                 for e in value if type(value) is list else [value]:
                     self.expr(e, covered)
-            if isinstance(s, Assign) and isinstance(s.target, Ident):
-                self.stores.append((s.target.name, s.value))
+            if isinstance(s, Assign):
+                self.store(s.target, s.value if isinstance(s.target, Ident) else None, covered)
 
     def declare(self, s, covered: set[str]):
         """A declaration: its expressions run before it binds."""
@@ -384,12 +417,13 @@ def scoping(unit: TemplateUnit, globals_: dict[str, object]) -> Scoping:
     bodies.update((t.name, ([p for p, _ in t.params], t.body, shared))
                   for t in unit.typedefs.values() if t.kind == "record")
     bodies.update((n, ([p for p, _ in f.params], f.body, None)) for n, f in unit.functions.items())
-    free = dict.fromkeys(bodies, frozenset())
-    while True:  # each pass can only add to what a body uses outside its frame
+    free = dict.fromkeys(bodies, (frozenset(), frozenset()))
+    while True:  # each pass can only add to what a body uses and stores outside its frame
         walks = {key: _Uses(params, free, names) for key, (params, _, names) in bodies.items()}
         for key, walk in walks.items():
             walk.block(bodies[key][1], bodies[key][0])
-        if (now := {key: frozenset(w.outside) for key, w in walks.items()}) == free:
+        if (now := {key: (frozenset(w.outside), frozenset(w.escapes))
+                    for key, w in walks.items()}) == free:
             break
         free = now
     kept = {key: [n for n in w.declared if n not in w.outside and n not in w.reached]

@@ -31,6 +31,7 @@ from btfuzz.errors import (
     BudgetExceeded,
     EvalError,
     GenerationFailed,
+    ImpureExpression,
     LocalArrayTooLarge,
     ParseRejected,
     RecursionTooDeep,
@@ -763,13 +764,38 @@ def test_codec_stream_rejections_are_typed(stream, message):
             parse(unit, bytes([len(stream)]) + stream, evil=evil)
 
 
-def test_a_codec_stream_length_stores_its_bodys_name():
-    # only a parse runs the length, in a closure: k goes back to the frame
-    unit = parse_template('local int k = 3; ubyte n;\n'
-                          'CodecStream(body, "zlib_stored", n + 0 * k++); Printf("%d", k);')
+# Only a parse computes a codec stream's length, so a store in it would
+# leave generate and parse with different values of k (3 and 4), and a
+# decision drawn in it would be in a parse's seed only.
+CODEC_LENGTH = """
+    local int k = 3;
+    int bump() { k = k + 1; return 0; }
+    ubyte n;
+    CodecStream(body, "zlib_stored", %s);
+    ubyte after = { k };
+"""
+
+
+@pytest.mark.parametrize("length", ["n + 0 * k++", "n + bump()", "n + 0 * FEof()"],
+                         ids=["postfix", "assignment-in-a-call", "decision"])
+def test_a_codec_stream_length_that_changes_the_run_is_refused(length):
+    unit = parse_template(CODEC_LENGTH % length)
     stream = StoredZlibCodec.encode(b"ab")
     for tree in (True, False):
-        assert parse(unit, bytes([len(stream)]) + stream, tree=tree).log == [("printf", "4")]
+        with pytest.raises(ImpureExpression, match="codec stream's length changes"):
+            generate_random(unit, random.Random(0), tree=tree)
+        with pytest.raises(ImpureExpression):
+            parse(unit, bytes([len(stream)]) + stream + b"\x04", tree=tree)
+
+
+def test_an_assignment_before_a_codec_stream_reaches_both_directions():
+    unit = parse_template(CODEC_LENGTH.replace("ubyte n;", "ubyte n; k = k + 1;") % "n")
+    stream = StoredZlibCodec.encode(b"ab")
+    data = bytes([len(stream)]) + stream + b"\x04"  # after is k, now 4
+    for tree in (True, False):
+        seed = parse(unit, data, tree=tree).seed
+        assert generate_from_seed(unit, seed, tree=tree).file == data
+    assert generate_random(unit, random.Random(0)).file[-1] == 4
 
 
 PROBABILITY = """

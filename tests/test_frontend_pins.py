@@ -136,21 +136,21 @@ def test_snippet_front_end_is_pinned(name):
 
 
 TREE_GEN_SOURCE = {
-    'mini': '2a66486478aa9159',
-    'pnglite': '0e711edb804e83cf',
-    'magic16': '483fb85afa55c467',
+    'mini': '52a6ef4b6f29f2d8',
+    'pnglite': '74087cad0b36490b',
+    'magic16': '1ef3bf6085dd14a4',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': '65264d616725b760',
-    'positions': '8c9807de340cf91f',
+    'comments': '829a54a10a1d6a63',
+    'positions': '29b42caa74849bba',
     'operators': 'dad686539386ed70',
-    'statements': 'e1d6f0d230950b2c',
-    'switch': 'df29422ed5efddf6',
-    'for': '00557495a8027702',
-    'attributes': 'bd8984b9c3e80c29',
-    'magic': '78c699b5adceaa6e',
+    'statements': '1c902597c68964ed',
+    'switch': '5ca69d466505390c',
+    'for': 'f1b4025f183b8389',
+    'attributes': 'f240401d0678de0c',
+    'magic': '8ebbcb8216d1d1b6',
 }
 
 
@@ -162,21 +162,21 @@ def test_program_source_is_pinned(name):
 
 
 TREE_PARSE_SOURCE = {
-    'mini': '58b6941694764338',
-    'pnglite': 'b10c45fc3a1f5dcd',
-    'magic16': '65d9ca166c313c59',
+    'mini': 'dc9ea380f19aff94',
+    'pnglite': '54f4d54d0eb28952',
+    'magic16': 'd5b073a4b9c402c1',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': '2855214bc428ba21',
-    'positions': '76f26144b60385a3',
+    'comments': '385ceba3d30e4061',
+    'positions': '8ae3abd2322832f3',
     'operators': 'dad686539386ed70',
-    'statements': 'e2e8402efd9c7202',
-    'switch': 'b2f0889566b09a3f',
-    'for': '9379e625c315f751',
-    'attributes': '4da9b4c04bbb8bb0',
-    'magic': 'fcec9ba78bf287b1',
+    'statements': 'dc2f064443f7e66c',
+    'switch': '7e89978d68f5445f',
+    'for': 'aaf38d52ddf7368a',
+    'attributes': 'f72128be64823dcb',
+    'magic': 'a91b58e4c097aa9c',
 }
 
 
@@ -188,21 +188,21 @@ def test_tree_parse_program_source_is_pinned(name):
 
 
 LEAN_SOURCE = {
-    'mini': '7cf3b73efc99461e',
-    'pnglite': '646bfdb1bbf45716',
-    'magic16': 'c2ba618c1e538a19',
+    'mini': 'fd06e370d81cd20e',
+    'pnglite': '5052885f0f62c87b',
+    'magic16': 'af72be496736cf26',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': '400aade41d575b6c',
-    'positions': 'f384a906ff919bb2',
+    'comments': 'fe2691fb82745b24',
+    'positions': '7fa0a7cf6e1e1236',
     'operators': 'dad686539386ed70',
-    'statements': 'd047ff7ede2d4682',
-    'switch': '72e3c301985179af',
-    'for': '64e13ef3260d4979',
-    'attributes': 'dedf48c2b792d55d',
-    'magic': '0055c6853abd8b59',
+    'statements': 'deea63ea6e82de8d',
+    'switch': '1740350f47f9e66d',
+    'for': '94394bc021672883',
+    'attributes': '5be8bd4bbdd4f84b',
+    'magic': 'b9b3db57fb1e7906',
 }
 
 
@@ -214,21 +214,21 @@ def test_lean_program_source_is_pinned(name):
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': '3d2c27d80469107e',
-    'pnglite': 'c37438a9885f17d4',
-    'magic16': 'fb36d7aea306f900',
+    'mini': '7f03f720773b6f01',
+    'pnglite': '1d853913669547c7',
+    'magic16': '965457bba1e285b6',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
     'char': 'e3c961e126f56077',
     'string': '556b92e75943607c',
-    'comments': '619ce235b2e80731',
-    'positions': '4cd6ca637ef0172e',
+    'comments': '97a80558742d72e5',
+    'positions': '0bf042f31d182e3f',
     'operators': 'dad686539386ed70',
-    'statements': '6a7b5032a0f962d5',
-    'switch': '89a4f228e4bd98ca',
-    'for': 'ee76ca69b9dac51a',
-    'attributes': 'f70bdaa6e677d561',
-    'magic': '2927f000ba0ad8ae',
+    'statements': '73eca6f60d5e7494',
+    'switch': '5afced319f8d271f',
+    'for': '38b1b7e5b9c43566',
+    'attributes': 'bf98d48294bebbe5',
+    'magic': '2d3c1a42ff4bd42e',
 }
 
 

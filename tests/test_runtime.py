@@ -316,6 +316,14 @@ def _agree(new: FileBuffer, model: DictBuffer, ops, generating: bool):
                         ("reserved_block", 1, 5), ("write", b"\x00"), ("finalize",)])
 @example(budget=8, ops=[("reserve", 1, b"a"), ("reserve", 2, b"b"),  # joins the last span
                         ("reserved_block", 1, 2)])
+@example(budget=8, ops=[("write", b"\x00a"), ("reserve", 3, b"ab"),  # a fix-up: overwritten
+                        ("seek", 0), ("write", b"b"), ("seek", 2), ("write", b"\x00ab"),
+                        ("finalize",)])
+@example(budget=8, ops=[("write", b"abab"), ("seek", 2), ("write", b"ba"),  # ends at the end
+                        ("write", b"a"), ("finalize",)])
+@example(budget=8, ops=[("seek", 3), ("write", b"a"), ("seek", 1),  # over a gap: slow path
+                        ("write", b"b"), ("finalize",), ("seek", 0), ("write", b"ab"),
+                        ("finalize",)])
 def test_file_buffer_matches_the_dict_model_generating(budget, ops):
     _agree(FileBuffer(budget), DictBuffer(budget), ops, True)
 
