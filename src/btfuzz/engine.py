@@ -5,8 +5,9 @@ first run: one function per record body and per user function, and one
 for the top level, registered with linecache so tracebacks show it.
 Control flow becomes Python statements, each input declaration's work
 runs inline, and what the template fixes statically is bound in then:
-literal operands, constant choice specs, native widths and signs.  A run
-calls a compiled top level on an Execution, which holds the run's state.
+literal operands, each field's stream call and its constant arguments,
+native widths and signs.  A run calls a compiled top level on an
+Execution, which holds the run's state.
 
 Every program runs one direction, fixed when it is compiled.  A generate
 program turns each input declaration's decisions into file bytes; a
@@ -190,24 +191,7 @@ class Execution:
             self.root.file_end, self.root.seed_end = len(data), self.ds.cursor
         return GenResult(data, self.root, self.ds.seed, self.events, self.covered, self.log)
 
-    # -- fields: what compiled code calls outside its scalar fast path -----
-
-    def _field(self, spec: ChoiceSpec, signed: bool | None) -> bytes:
-        """The file bytes of an array element or a whole char array (signed
-        None), written (GEN) or read (PARSE) at the position; bytes that a
-        lookahead reserved are taken as they are and cost no decision."""
-        buf, width = self.buf, spec.width
-        if self.gen:
-            if buf.position + width <= buf._free or (raw := buf.claim(width)) is None:
-                raw = self._put(self.ds.choose_value(spec), width)
-            return raw
-        reserved = None if buf.position + width <= buf._free else \
-            buf.reserved_block(buf.position, width)
-        raw = buf.read(width)
-        if reserved is None:
-            value = raw if signed is None else int.from_bytes(raw, self.order, signed=signed)
-            self.ds.emit_value(spec, value, raw)
-        return raw
+    # -- what compiled code calls outside its inline field path -----------
 
     def _put(self, raw, width: int) -> bytes:
         """Write a drawn value (an int, encoded at width) or file bytes; gives the bytes."""
@@ -215,26 +199,6 @@ class Execution:
             raw = (raw % 256 ** width).to_bytes(width, self.order)  # as C stores it
         self.buf.write(raw)
         return raw
-
-    def _elements(self, length: int, spec0, per_index, spec, width, signed, is_char):
-        """An integer array, in one stream call if it is an unconstrained
-        one-byte array with no reservation over its span.  spec0 serves every
-        element when given, else per_index[i] or spec (or compiled functions)."""
-        buf, pos0 = self.buf, self.buf.position
-        if (width == 1 and spec0 is not None and not spec0.candidates and spec0.bounds is None
-                and min(pos0 + length, buf.budget) <= buf._free):
-            if self.gen:
-                buf.write(raw := self.ds.choose_bytes(length))
-            else:
-                self.ds.emit_bytes(raw := buf.read(length), signed)
-            return raw if is_char else memoryview(raw).cast("b" if signed else "B").tolist()
-        raws, elems = bytearray(), []
-        for i in range(length):
-            s = spec0 or per_index.get(i, spec)
-            raw = self._field(s if isinstance(s, ChoiceSpec) else s(self), signed)
-            raws += raw
-            elems.append(int.from_bytes(raw, self.order, signed=signed))
-        return bytes(raws) if is_char else elems
 
     # -- builtins: each takes its evaluated arguments ----------------------
 
@@ -250,6 +214,8 @@ class Execution:
     def _read_byte(self, pos: int, choices):
         if choices is not None and not isinstance(choices, list):
             raise EvalError("ReadByte choices must be a local array")
+        if choices and not all(isinstance(c, int) for c in choices):
+            raise EvalError("ReadByte choices must be integers")
         cands = [c & 0xFF for c in choices] if choices else None
         start = None if self.root is None else self.ds.cursor  # a lean run logs no lookahead
         # a reserved byte is taken as it is and costs no decision
@@ -438,20 +404,15 @@ def _postfix_slot(seq, idx, delta: int, op: str):
     return old
 
 
-def _whole(name: str, length: int, cands: list) -> ChoiceSpec | None:
-    """The choice that decides a char array with string initializers whole."""
+def _whole(name: str, length: int, cands: list) -> list | None:
+    """The strings that decide a char array with string initializers whole."""
     if not all(isinstance(c, bytes) for c in cands):
         return None
     bad = [c for c in cands if len(c) != length]
     if bad:
         raise EvalError(f"initializer for {name!r} has length {len(bad[0])}, "
                         f"array holds {length}")
-    return ChoiceSpec(width=length, candidates=cands)
-
-
-def _varies(spec: ChoiceSpec) -> bool:
-    """Whether the compiler left spec to the run (_Compiler._spec)."""
-    return isinstance((spec.candidates or spec.bounds or (0,))[0], str)
+    return cands
 
 
 def _norm(v: int, width: int, signed: bool) -> int:
@@ -461,6 +422,8 @@ def _norm(v: int, width: int, signed: bool) -> int:
 
 
 _VARIES = object()  # what _Compiler.const returns for a value only a run knows
+_EMIT = {"plain": "emit_plain", "bounded": "emit_within", "pick": "emit_pick",
+         "forced": "emit_forced"}  # the inverse of each kind of stream call
 _WRAP = f"(((({{}}) + {_SIGN}) & {_U64}) - {_SIGN})"  # wrap64, as source
 
 # Locals a compiled function sets up when its source names them, in this
@@ -587,15 +550,6 @@ class _Compiler:
         """Source storing value in name's Python local, or in the frames."""
         slot = self.slots.get(name)
         return f"({slot} := {value})" if slot else f"sc.assign({name!r}, {value})"
-
-    def _closure(self, source: str) -> str:
-        """source as a closure of the Execution, unless it names a constant.
-        A walrus in a closure binds the closure's own local, so a name that
-        source stores goes back to the frame."""
-        if source in self.names:
-            return source
-        self.clash.update(n for n, s in self.slots.items() if re.search(rf"\b{s} :=", source))
-        return f"(lambda ex: {source})"
 
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
@@ -784,94 +738,82 @@ class _Compiler:
         label = tdef.name if tdef is not None else native
         width, signed = NATIVE_INTS[native]
         if decl.array_len is None:
-            return self._scalar(decl, width, signed, label,
-                                self._spec(decl, width, signed, enum_cands, None))
+            mined = [v for v in self.unit.magic.get((decl.name, None), ()) if isinstance(v, int)]
+            return self._scalar(decl, width, signed, label, mined or enum_cands)
         self._int_array(decl, native, width, signed, label, enum_cands)
 
-    def _spec(self, decl, width: int, signed: bool, enum_cands, elem_idx) -> ChoiceSpec:
-        """The ChoiceSpec of a field or array element.  Where the run decides
-        it (_varies), it holds source: its candidates' int expressions, or
-        as bounds (a, b, check) the names that check binds to min and max;
-        check fails if min exceeds max."""
+    def _decision(self, decl, width: int, signed: bool, cands):
+        """How a field or an array's element is decided: the lines before
+        its stream call that set up what the run decides of it, the call's
+        kind (see _stream_call) and arguments, and whether an int the call
+        draws is the value as read back.  The candidates of an init list,
+        else cands (mined magic values or an enum's, or None), are
+        normalized to the field; one candidate is forced (a fix-up).  A
+        field without any may have <min, max>; at run time, a min that
+        exceeds max fails."""
         if decl.init_list is not None:
-            inits = [self.const(e) for e in decl.init_list]
-            if all(type(c) is int for c in inits):
-                return ChoiceSpec(width=width, candidates=[_norm(c, width, signed) for c in inits])
-            mask, half = (1 << (8 * width)) - 1, 1 << (8 * width - 1)
-            norm = f"((({{}} + {half}) & {mask}) - {half})" if signed else f"({{}} & {mask})"
-            return ChoiceSpec(width=width, candidates=[norm.format(self.integer(e))
-                                                       for e in decl.init_list])
-        mined = [_norm(v, width, signed) for v in self.unit.magic.get((decl.name, elem_idx), ())
-                 if isinstance(v, int)]
-        if mined or enum_cands is not None:
-            return ChoiceSpec(width=width, candidates=mined or [
-                _norm(c, width, signed) for c in enum_cands])
-        if not decl.attrs:
-            return ChoiceSpec(width=width)
-        type_lo = -(1 << (8 * width - 1)) if signed else 0
-        type_hi = (1 << (8 * width - 1)) - 1 if signed else (1 << (8 * width)) - 1
-        lo = self.const(decl.attrs["min"]) if "min" in decl.attrs else type_lo
-        hi = self.const(decl.attrs["max"]) if "max" in decl.attrs else type_hi
-        if type(lo) is int and type(hi) is int and lo <= hi:
-            return ChoiceSpec(width=width, bounds=(lo, hi))
-        lo = self.integer(decl.attrs["min"]) if "min" in decl.attrs else repr(type_lo)
-        hi = self.integer(decl.attrs["max"]) if "max" in decl.attrs else repr(type_hi)
-        a, b, bad = self.temp(), self.temp(), f"field {decl.name!r}: min %s exceeds max %s"
-        return ChoiceSpec(width=width, bounds=(a, b, f"(({a} := {lo}) <= ({b} := {hi}) or "
-                                                     f"_fail(EvalError, {bad!r} % ({a}, {b})))"))
+            cands = [self.const(e) for e in decl.init_list]
+            if not all(type(c) is int for c in cands):
+                mask, half = (1 << (8 * width)) - 1, 1 << (8 * width - 1)
+                norm = f"((({{}} + {half}) & {mask}) - {half})" if signed else f"({{}} & {mask})"
+                cands = [norm.format(self.integer(e)) for e in decl.init_list]
+                one = len(cands) == 1
+                return ([f"sp = {cands[0] if one else '[' + ', '.join(cands) + ']'}"],
+                        "forced" if one else "pick", ["sp"], True)
+        if cands is None and decl.attrs:
+            type_lo = -(1 << (8 * width - 1)) if signed else 0
+            type_hi = (1 << (8 * width - 1)) - 1 if signed else (1 << (8 * width)) - 1
+            lo = self.const(decl.attrs["min"]) if "min" in decl.attrs else type_lo
+            hi = self.const(decl.attrs["max"]) if "max" in decl.attrs else type_hi
+            if type(lo) is int and type(hi) is int and lo <= hi:
+                exact = _norm(lo, width, signed) == lo and _norm(hi, width, signed) == hi
+                return [], "bounded", [str(lo), str(hi - lo + 1)], exact
+            lo = self.integer(decl.attrs["min"]) if "min" in decl.attrs else repr(type_lo)
+            hi = self.integer(decl.attrs["max"]) if "max" in decl.attrs else repr(type_hi)
+            a, b, bad = self.temp(), self.temp(), f"field {decl.name!r}: min %s exceeds max %s"
+            check = f"(({a} := {lo}) <= ({b} := {hi}) or _fail(EvalError, {bad!r} % ({a}, {b})))"
+            return [check], "bounded", [a, f"{b} - {a} + 1"], False
+        if cands := [_norm(c, width, signed) for c in cands or ()]:
+            if len(cands) == 1:
+                return [], "forced", [repr(cands[0])], True
+            return [], "pick", [self.ref(cands)], True
+        return [], "plain", [], width > 1 or not signed  # a SMALL value is 0..255
 
-    def _spec_source(self, spec: ChoiceSpec) -> str:
-        """Source giving spec: its constant, or what builds it in the run."""
-        if not _varies(spec):
-            return self.ref(spec)
-        if spec.candidates:
-            return f"ChoiceSpec(width={spec.width}, candidates=[{', '.join(spec.candidates)}])"
-        a, b, check = spec.bounds
-        return f"({check} and ChoiceSpec(width={spec.width}, bounds=({a}, {b})))"
-
-    def _decision(self, spec: ChoiceSpec, signed: bool) -> tuple[list[str], str, bool]:
-        """The stream call that draws (GEN) or emits (PARSE: value v, file
-        bytes raw) a scalar under spec; the lines before it that set up
-        what the run decides of it; and whether an int it draws is the value
-        as read back.  One candidate is forced (a fix-up)."""
-        width, setup, exact, varies = spec.width, [], True, _varies(spec)
-        if cands := spec.candidates:  # normalized to the field
-            one = len(cands) == 1
-            draw, emit = ("forced", "emit_forced") if one else ("pick", "emit_pick")
-            arg = (cands[0] if one else f"[{', '.join(cands)}]") if varies else \
-                repr(cands[0]) if one else self.ref(cands)
-            setup, args = ([f"sp = {arg}"], ["sp"]) if varies else ([], [arg])
-        elif spec.bounds is not None:
-            (draw, emit), (lo, hi, *setup) = ("bounded", "emit_within"), spec.bounds
-            exact = not varies and _norm(lo, width, signed) == lo and _norm(hi, width, signed) == hi
-            args = [str(lo), f"{hi} - {lo} + 1" if varies else str(hi - lo + 1)]
-        else:  # a SMALL value is 0..255
-            draw, emit, args, exact = "plain", "emit_plain", [], width > 1 or not signed
+    def _stream_call(self, kind: str, args: list[str], width, read: str = "v, raw") -> str:
+        """The stream call of a decision's kind (plain, bounded, pick or
+        forced): what draws it (GEN), or its inverse, which emits the value
+        and file bytes that read gives (PARSE)."""
         if self.gen:
-            return setup, f"ds.{draw}({', '.join([*args, str(width)])})", exact
-        return setup, f"ds.{emit}(v, raw{''.join(', ' + a for a in args)})", exact
+            return f"ds.{kind}({', '.join([*args, str(width)])})"
+        return f"ds.{_EMIT[kind]}({read}{''.join(', ' + a for a in args)})"
 
-    def _scalar(self, decl, width, signed, label, spec):
-        """A scalar field, by the stream call of its spec's kind: read or
-        appended inline where FileBuffer._hold allows, else through
-        Execution._put or FileBuffer.read and the reservations."""
-        setup, call, exact = self._decision(spec, signed)
-        name, order = repr(decl.name), "ex.order, signed=True" if signed else "ex.order"
+    def _field(self, call: str, width: int, signed: bool, exact: bool) -> list[str]:
+        """Source that decides a value by call, as v, and writes (GEN) or
+        reads (PARSE, also binding its bytes as raw) its bytes: inline where
+        FileBuffer._hold allows, else through Execution._put or
+        FileBuffer.read and the reservations, which are taken as they are."""
+        order = "ex.order, signed=True" if signed else "ex.order"
         half, mask = 1 << (8 * width - 1), (1 << 8 * width) - 1  # an int drawn is v as it is read
         wrap = "raw" if exact else \
             f"((raw + {half}) & {mask}) - {half}" if signed else f"raw & {mask}"
-        field = [f"if (p := buf.position) + {width} <= buf._hold:"]
-        field += [f"    if isinstance(raw := {call}, int): raw = (v := {wrap}).to_bytes({width}, "
-                  f"{order})", f"    else: v = int.from_bytes(raw, {order})", "    buf.data += raw",
-                  f"    buf.position = buf.high_water = p + {width}", "else:",
-                  f"    v = int.from_bytes(ex._put({call}, {width}) if p + {width} <= buf._free "
-                  f"or (raw := buf.claim({width})) is None else raw, {order})"] if self.gen else [
+        return [f"if (p := buf.position) + {width} <= buf._hold:"] + ([
+            f"    if isinstance(raw := {call}, int): raw = (v := {wrap}).to_bytes({width}, "
+            f"{order})", f"    else: v = int.from_bytes(raw, {order})", "    buf.data += raw",
+            f"    buf.position = buf.high_water = p + {width}", "else:",
+            f"    v = int.from_bytes(ex._put({call}, {width}) if p + {width} <= buf._free "
+            f"or (raw := buf.claim({width})) is None else raw, {order})"] if self.gen else [
             f"    v = int.from_bytes(raw := buf.data[p:p + {width}], {order})",
             f"    buf.position = p + {width}", f"    {call}", "else:",
             f"    v = int.from_bytes(raw := buf.read({width}), {order})",
-            f"    if buf.reserved_block(p, {width}) is None: {call}"]
+            f"    if buf.reserved_block(p, {width}) is None: {call}"])
+
+    def _scalar(self, decl, width, signed, label, cands):
+        """A scalar field, decided by its stream call."""
+        setup, kind, args, exact = self._decision(decl, width, signed, cands)
+        field = self._field(self._stream_call(kind, args, width), width, signed, exact)
+        name = repr(decl.name)
         self._cover(decl)
-        shut = self._shut("node")  # only a spec that runs template code can raise a break or return
+        shut = self._shut("node")  # only set-up that runs template code can raise a break or return
         bad = f"not isinstance(rec.fields[{name}], int): _fail(EvalError, " \
               f"{f'field {name} is redeclared as a scalar, but its current field is not one'!r})"
         if id(decl) in self.scoping.fresh:  # rec.fields cannot hold it yet
@@ -909,31 +851,58 @@ class _Compiler:
         return True
 
     def _int_array(self, decl, native, width, signed, label, enum_cands):
-        """An integer array (see Execution._elements), unless one choice decides
-        a char array whole: string initializers, or mined strings of its
-        length.  A repeated declaration (loop body) starts a fresh instance."""
+        """An integer array, by one element body that decides element i as
+        a scalar is decided; where magic values were mined for element i,
+        i picks its stream call.  Unconstrained bytes take one stream call
+        for the array (choose_bytes) where nothing is reserved over it.  A
+        char array is decided whole by one choice among its string
+        initializers, or among the mined strings of its length.  A repeated
+        declaration (loop body) starts a fresh instance."""
         name, is_char = decl.name, native == "char"
-        source = lambda i: self._spec_source(self._spec(decl, width, signed, enum_cands, i))
-        per_index = ", ".join(f"{i}: {self._closure(source(i))}" for n, i in self.unit.magic
-                              if n == name and i is not None)
-        shared = not per_index and decl.init_list is None
-        value = f"ex._elements(n, {source(-1) if shared else 'None'}, {{{per_index}}}, " \
-                f"{'None' if shared else self._closure(source(-1))}, {width}, {signed}, {is_char})"
+        setup, kind, args, exact = self._decision(decl, width, signed, enum_cands)
+        call = self._stream_call(kind, args, width)
+        own = {} if decl.init_list is not None else {  # an init list serves every element
+            i: mined for (n, i), values in self.unit.magic.items() if n == name and i is not None
+            and (mined := [_norm(v, width, signed) for v in values if isinstance(v, int)])}
+        if own:  # forced(x) draws as pick([x]) does
+            one = all(len(mined) == 1 for mined in own.values())
+            table = self.ref({i: mined[0] if one else mined for i, mined in own.items()})
+            call = f"({self._stream_call('forced' if one else 'pick', [f'{table}[i]'], width)} " \
+                   f"if i in {table} else {call})"
+        # an init list runs per element; <min, max> once per array, but only
+        # for the elements without mined values if some have them
+        each = setup if decl.init_list is not None else \
+            [f"if i not in {table}:", *_indent(setup)] if own and setup else []
+        body = [*each, *self._field(call, width, signed, exact),
+                "e.append(v & 255)" if is_char else "e.append(v)"]
+        lines = [*([] if each else setup), f"e = {'bytearray()' if is_char else '[]'}",
+                 "for i in range(n):", *_indent(body), f"v = {'bytes(e)' if is_char else 'e'}"]
+        if kind == "plain" and width == 1 and not own:
+            kernel = "buf.write(v := ds.choose_bytes(n))" if self.gen else \
+                f"ds.emit_bytes(v := buf.read(n), {signed})"
+            cast = f"v = memoryview(v).cast({'b' if signed else 'B'!r}).tolist()"
+            lines = ["if min(buf.position + n, buf.budget) <= buf._free:", f"    {kernel}",
+                     *([] if is_char else [f"    {cast}"]), "else:", *_indent(lines)]
         whole = None
         if is_char and decl.init_list is not None:
             whole = f"_whole({name!r}, n, [{', '.join(self.expr(e) for e in decl.init_list)}])"
         elif is_char:
             strings = [v for v in self.unit.magic.get((name, None), ()) if isinstance(v, bytes)]
-            mined = {n: ChoiceSpec(width=n, candidates=[v for v in strings if len(v) == n])
-                     for n in map(len, strings)}  # by length
+            mined = {n: [v for v in strings if len(v) == n] for n in map(len, strings)}  # by length
             whole = f"{self.ref(mined)}.get(n)" if mined else None
-        if whole is not None:
-            value = f"(ex._field(sp, None) if (sp := {whole}) is not None else {value})"
+        if whole is not None:  # an empty init list is plain, as for a scalar
+            kind, args = ("pick", ["sp"]) if decl.init_list != [] else ("plain", [])
+            call = self._stream_call(kind, args, "n", "v := buf.read(n), v")
+            lines = [f"if (sp := {whole}) is not None:", *([
+                f"    v = ex._put({call}, n) if buf.position + n <= buf._free "
+                "or (v := buf.claim(n)) is None else v"] if self.gen else [
+                f"    if (p := buf.position) + n <= buf._free or buf.reserved_block(p, n) is None: "
+                f"{call}", "    else: v = buf.read(n)"]), "else:", *_indent(lines)]
         self._cover(decl)
         if self._length(decl, width):
             self.put(*self._open("node", repr(name), f"'%s[%s]' % ({label!r}, n)"),
-                     *(["try:", f"    v = {value}", "finally:", *_indent(self._shut("node"))]
-                       if self.tree else [f"v = {value}"]),
+                     *(["try:", *_indent(lines), "finally:", *_indent(self._shut("node"))]
+                       if self.tree else lines),
                      f"rec.fields[{name!r}] = {self._slot(name)} = v")
 
     def _record(self, decl: ast.InputDecl, tdef):
@@ -1084,8 +1053,9 @@ class _Compiler:
             "latin-1") if isinstance(named, ast.StrLit) else None
         if name is None:
             return "_fail(EvalError, 'CodecStream stream name must be an identifier')"
-        # the stream's length, which only a parse reads: once the node is open
-        length = "None" if self.gen else self._closure(self.integer(expr.args[2]))
+        # the stream's length, which only a parse reads: once the node is open.
+        # analysis refuses a length that stores, which would bind the lambda's own local
+        length = "None" if self.gen else f"(lambda ex: {self.integer(expr.args[2])})"
         call = f"return ex._codec_stream({name!r}, codec, {'None' if self.gen else 'length(ex)'})"
         codec_call = self._deferred([
             "if not isinstance(codec, bytes): "

@@ -211,6 +211,22 @@ FEATURES = {
         lambda file, seed: len(file) == 1),
     "break-outside-a-loop": ("ubyte a; break;",
                              (EvalError, "break outside of a loop or switch")),
+    # when an array's run-time expressions run: a shared <min, max> once per
+    # array, an init list once per element, and the default's bounds never
+    # for an element with mined values of its own (a[1] here)
+    "array-bounds-run-once": (
+        "local int c = 0; int f() { c++; return 9; } ubyte a[3] <min=0, max=f()>; "
+        "ubyte n = { c };", lambda file, seed: file[3] == 1),
+    "array-init-list-runs-per-element": (
+        "local int c = 0; int f() { c++; return 9; } ubyte a[3] = { f() }; ubyte n = { c };",
+        lambda file, seed: file == b"\x09\x09\x09\x03"),
+    "array-bounds-skip-mined-elements": (
+        "local int c = 0; int f() { c++; return 9; } ubyte a[3] <min=0, max=f()>; "
+        "if (a[1] == 7) { c = c; } ubyte n = { c };", lambda file, seed: file[3] == 2),
+    "array-min-exceeds-max-at-run-time": ("local int lo = 9; ubyte a[2] <min=lo, max=3>;",
+                                          (EvalError, "field 'a': min 9 exceeds max 3")),
+    "array-element-mined-per-index": ("uint16 s[2]; if (s[1] != 0x1234) { return -1; }",
+                                      lambda file, seed: file[2:] == b"\x34\x12"),
 }
 
 
@@ -676,6 +692,14 @@ def test_read_byte_lookahead_reserves(magic16):
     assert [n.name for n in ob.tree.walk()][-1] == "b"
     with pytest.raises(ParseRejected):
         parse(unit, b"\x05", evil=False)
+
+
+@pytest.mark.parametrize("gen", [True, False], ids=["generate", "parse"])
+def test_read_byte_over_strings_is_a_typed_error(gen):
+    unit = parse_template('local string s[] = { "a" }; ReadByte(0, s); ubyte x;')
+    with pytest.raises(EvalError if gen else ParseRejected, match="ReadByte choices must be "
+                                                                  "integers"):
+        generate_random(unit, random.Random(0)) if gen else parse(unit, b"\x00")
 
 
 def test_read_byte_reservation_meets_an_earlier_write():

@@ -136,8 +136,8 @@ def test_snippet_front_end_is_pinned(name):
 
 
 TREE_GEN_SOURCE = {
-    'mini': '52a6ef4b6f29f2d8',
-    'pnglite': '74087cad0b36490b',
+    'mini': '649e33815c14d5a8',
+    'pnglite': '3793d982f30ae0d6',
     'magic16': '1ef3bf6085dd14a4',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -146,11 +146,11 @@ TREE_GEN_SOURCE = {
     'comments': '829a54a10a1d6a63',
     'positions': '29b42caa74849bba',
     'operators': 'dad686539386ed70',
-    'statements': '1c902597c68964ed',
+    'statements': '8fcaf08cc84c1adc',
     'switch': '5ca69d466505390c',
     'for': 'f1b4025f183b8389',
-    'attributes': 'f240401d0678de0c',
-    'magic': '8ebbcb8216d1d1b6',
+    'attributes': '103924eb7fd4f1c8',
+    'magic': 'bf18eb2d807b8444',
 }
 
 
@@ -162,8 +162,8 @@ def test_program_source_is_pinned(name):
 
 
 TREE_PARSE_SOURCE = {
-    'mini': 'dc9ea380f19aff94',
-    'pnglite': '54f4d54d0eb28952',
+    'mini': '2152044afbcd8e14',
+    'pnglite': 'c09103a918fcba03',
     'magic16': 'd5b073a4b9c402c1',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -172,11 +172,11 @@ TREE_PARSE_SOURCE = {
     'comments': '385ceba3d30e4061',
     'positions': '8ae3abd2322832f3',
     'operators': 'dad686539386ed70',
-    'statements': 'dc2f064443f7e66c',
+    'statements': '014c4356fe40633b',
     'switch': '7e89978d68f5445f',
     'for': 'aaf38d52ddf7368a',
-    'attributes': 'f72128be64823dcb',
-    'magic': 'a91b58e4c097aa9c',
+    'attributes': '4a906d48acd61f66',
+    'magic': '3e73db55e302d1f9',
 }
 
 
@@ -188,8 +188,8 @@ def test_tree_parse_program_source_is_pinned(name):
 
 
 LEAN_SOURCE = {
-    'mini': 'fd06e370d81cd20e',
-    'pnglite': '5052885f0f62c87b',
+    'mini': '13a48faae38b8411',
+    'pnglite': '8265afa273f083c2',
     'magic16': 'af72be496736cf26',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -198,11 +198,11 @@ LEAN_SOURCE = {
     'comments': 'fe2691fb82745b24',
     'positions': '7fa0a7cf6e1e1236',
     'operators': 'dad686539386ed70',
-    'statements': 'deea63ea6e82de8d',
+    'statements': 'a5ff150ae505f64c',
     'switch': '1740350f47f9e66d',
     'for': '94394bc021672883',
-    'attributes': '5be8bd4bbdd4f84b',
-    'magic': 'b9b3db57fb1e7906',
+    'attributes': '4034fd7d8c3029b5',
+    'magic': '68e737d0c21b15f2',
 }
 
 
@@ -214,8 +214,8 @@ def test_lean_program_source_is_pinned(name):
 
 
 LEAN_PARSE_SOURCE = {
-    'mini': '7f03f720773b6f01',
-    'pnglite': '1d853913669547c7',
+    'mini': '0d523e6e85713d7e',
+    'pnglite': '216e350b9c80bd8d',
     'magic16': '965457bba1e285b6',
     'hex': 'decbf010d92003c7',
     'float': '65fe558f505105da',
@@ -224,11 +224,11 @@ LEAN_PARSE_SOURCE = {
     'comments': '97a80558742d72e5',
     'positions': '0bf042f31d182e3f',
     'operators': 'dad686539386ed70',
-    'statements': '73eca6f60d5e7494',
+    'statements': '7c5911cc098b52f1',
     'switch': '5afced319f8d271f',
     'for': '38b1b7e5b9c43566',
-    'attributes': 'bf98d48294bebbe5',
-    'magic': '2d3c1a42ff4bd42e',
+    'attributes': '654066aeeab438a0',
+    'magic': 'dfd749ed752b8014',
 }
 
 

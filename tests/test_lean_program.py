@@ -2,7 +2,8 @@
 
 Each of a unit's four programs runs one direction: no generate program
 reads the file or emits a decision, no parse program draws a decision,
-writes the file or splices, and none branches on a direction.
+writes the file or splices, and none branches on a direction or hands a
+ChoiceSpec to the decision stream.
 
 generate_random, generate_from_seed, run_with_splice and parse run a
 unit's lean program of their direction unless passed tree=True: it opens
@@ -59,16 +60,19 @@ def _same_on_both(run):
     return tree
 
 
-# what only a program of the other direction may call
-NOT_IN = {True: ("emit_value", "buf.read("),
-          False: ("choose_value", "draw_raw", "buf.write(", "ex.splice")}
+# what only a program of the other direction may call; and what no program
+# calls, since the compiler picks each field's stream call
+NOT_IN = {True: ("ds.emit_", "buf.read("),
+          False: ("ds.plain(", "ds.bounded(", "ds.pick(", "ds.forced(", "choose_bytes",
+                  "draw_raw", "buf.write(", "ex.splice")}
+SPEC_LEVEL = ("ChoiceSpec", "choose_value", "emit_value")
 
 
 def test_every_program_runs_one_direction(unit):
     for gen in (True, False):
         for tree in (True, False):
             source = compiled(unit, gen, tree).source
-            assert not [call for call in NOT_IN[gen] if call in source], (gen, tree)
+            assert not [call for call in NOT_IN[gen] + SPEC_LEVEL if call in source], (gen, tree)
             tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             assert "gen" not in {tok.string for tok in tokens if tok.type == tokenize.NAME}
 

@@ -36,8 +36,8 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 401_109, "parse": 299_842, "replay": 380_260, "mutate": 451_858,
-           "generate_lean": 247_439, "parse_lean": 188_959, "replay_lean": 239_521}
+COUNTED = {"generate": 392_415, "parse": 288_631, "replay": 371_566, "mutate": 434_756,
+           "generate_lean": 238_745, "parse_lean": 177_748, "replay_lean": 230_827}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
