@@ -414,6 +414,34 @@ def _ops_line(ops: dict) -> str:
     return json.dumps({"mutations": dict(sorted(ops.items()))})
 
 
+@contextlib.contextmanager
+def _cpus_apart(target: _Target, jobs: int, worker: int):
+    """Pin the calling thread, fuzz worker `worker` of `jobs`, and `target`'s
+    fork server to CPUs of their own, as _fuzz_worker says, and yield the
+    split, {"worker": [...], "server": [...]}; restore the thread's mask on
+    the way out.  Yields None, and pins nothing, on the spawn path, with
+    fewer than two CPUs per job, or when the platform or the kernel refuses."""
+    split = None
+    if target.delivery == "fork-server":
+        with contextlib.suppress(AttributeError, OSError):  # no sched_*affinity
+            mask = os.sched_getaffinity(0)
+            cpus = sorted(mask)
+            if len(cpus) >= 2 * jobs:
+                split = {"worker": [cpus[worker]], "server": cpus[jobs:]}
+    if split is not None:
+        try:
+            os.sched_setaffinity(0, split["worker"])
+            os.sched_setaffinity(target.proc.pid, split["server"])
+        except OSError:
+            split = None
+            os.sched_setaffinity(0, mask)
+    try:
+        yield split
+    finally:
+        if split is not None:
+            os.sched_setaffinity(0, mask)
+
+
 def _fuzz_worker(cfg: dict) -> dict:
     """One fuzzing loop; top-level so a worker process can unpickle it.
 
@@ -421,6 +449,16 @@ def _fuzz_worker(cfg: dict) -> dict:
     while target i runs, then target i is settled (counted, persisted if it
     is a finding) and target i+1 started.  Every input comes from its own
     iteration's rng, so counts and findings do not depend on the overlap.
+
+    The overlap needs a CPU for each stage.  Sending the fork server its go
+    word wakes the server, which forks the child at once; on a CPU they
+    share with the worker, the two run first and the worker waits, so the
+    next input is built only after the target ran.  So when every worker
+    can have a CPU of its own and there are as many left for the servers
+    (at least 2 * jobs CPUs in the caller's mask), worker w pins its thread
+    to the w-th CPU and its server, whose children inherit the mask, to the
+    CPUs after the first `jobs`.  The thread's mask is restored when the
+    loop ends; under --jobs 1 the loop runs in the caller's own thread.
     """
     unit = load_template(cfg["template"])
     evil, budget = cfg["evil"], cfg["budget"]
@@ -449,7 +487,7 @@ def _fuzz_worker(cfg: dict) -> dict:
 
     counts: Counter = Counter()
     findings = []
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.thread_time()
     done = 0
     produce_s = spawn_s = blocked_s = 0.0
     running = None  # (index, data, seed) of the target in flight
@@ -479,7 +517,8 @@ def _fuzz_worker(cfg: dict) -> dict:
         settle(outcome.kind)
 
     interrupted = False
-    with _open_target(cfg["target"], cfg["timeout_ms"], cfg["tmp_dir"]) as target:
+    with _open_target(cfg["target"], cfg["timeout_ms"], cfg["tmp_dir"]) as target, \
+            _cpus_apart(target, cfg["jobs"], cfg["worker"]) as cpus:
         try:
             began = time.perf_counter()
             for index in range(cfg["start"], cfg["start"] + cfg["count"]):
@@ -505,6 +544,7 @@ def _fuzz_worker(cfg: dict) -> dict:
     return {"counts": dict(counts), "findings": findings,
             "duration": time.perf_counter() - started, "delivery": target.delivery,
             "produce_s": produce_s, "spawn_s": spawn_s, "blocked_s": blocked_s,
+            "cpu_s": time.thread_time() - cpu_started, "cpus": cpus,
             "interrupted": interrupted, "mutation_ops": ops,
             "gen_failed_errors": dict(gen_failed)}
 
@@ -704,6 +744,7 @@ def cmd_fuzz(args) -> int:
         "pool": pool,
         "rng_seed": master,
         "tmp_dir": tmp_dir,
+        "jobs": args.jobs,
     }
     per = [args.count // args.jobs + (1 if w < args.count % args.jobs else 0)
            for w in range(args.jobs)]
@@ -759,6 +800,8 @@ def cmd_fuzz(args) -> int:
                  produce_s=[round(res["produce_s"], 3) for res in results],
                  spawn_s=[round(res["spawn_s"], 3) for res in results],
                  blocked_s=[round(res["blocked_s"], 3) for res in results],
+                 cpu_s=[round(res["cpu_s"], 3) for res in results],
+                 cpus=[res["cpus"] for res in results],
                  gen_failed_errors=dict(sorted(gen_failed.items())), mutation_ops=ops,
                  worker_mutation_ops=[res["mutation_ops"] for res in results])
     (out_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n")

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -801,6 +802,7 @@ def _deliveries(tmp_path, monkeypatch):
 
 
 def test_fuzz_leaves_no_input_file_or_child(tmp_path, monkeypatch, spawned, runs):
+    mask = os.sched_getaffinity(0)
     for delivery in _deliveries(tmp_path, monkeypatch):
         spawned.clear()
         runs.clear()
@@ -808,6 +810,7 @@ def test_fuzz_leaves_no_input_file_or_child(tmp_path, monkeypatch, spawned, runs
         rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} -c pass {{}}",
                      "--count", 6, "--rng-seed", 2, "--out", out)
         assert rc == 0
+        assert os.sched_getaffinity(0) == mask
         assert json.loads((out / "stats.json").read_text())["delivery"] == [delivery]
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)  # the targets, or the server
@@ -831,6 +834,7 @@ def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, runs, mon
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    mask = os.sched_getaffinity(0)
     for delivery in _deliveries(tmp_path, monkeypatch):
         spawned.clear()
         runs.clear()
@@ -839,6 +843,7 @@ def test_fuzz_error_mid_loop_kills_target_in_flight(tmp_path, spawned, runs, mon
                     "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
                     "--count", 5, "--rng-seed", 2, "--timeout-ms", 60000,
                     "--out", tmp_path / delivery)
+        assert os.sched_getaffinity(0) == mask
         assert list((tmp_path / "tmp").iterdir()) == []
         _assert_reaped(spawned)
         assert len(runs) == 1
@@ -862,6 +867,7 @@ def test_fuzz_ctrl_c_writes_partial_stats(tmp_path, spawned, runs, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "a.mini").write_bytes(b"MINI\x01\x01\x00AA\xff")
+    mask = os.sched_getaffinity(0)
     for delivery in _deliveries(tmp_path, monkeypatch):
         spawned.clear()
         runs.clear()
@@ -870,6 +876,7 @@ def test_fuzz_ctrl_c_writes_partial_stats(tmp_path, spawned, runs, monkeypatch):
                      "--target", f"{PY} -c 'import time; time.sleep(30)' {{}}",
                      "--count", 10, "--rng-seed", 2, "--timeout-ms", 200, "--out", out)
         assert rc == 130
+        assert os.sched_getaffinity(0) == mask
         stats = json.loads((out / "stats.json").read_text())
         assert stats["interrupted"] is True and stats["delivery"] == [delivery]
         assert stats["iterations"] == stats["timeout"] == 2
@@ -1018,6 +1025,114 @@ def test_fuzz_accounts_for_spawn_time(tmp_path, monkeypatch):
         assert res["produce_s"] + res["spawn_s"] + res["blocked_s"] <= res["duration"]
         stats = json.loads((out / "stats.json").read_text())
         assert stats["spawn_s"] == [round(res["spawn_s"], 3)]
+
+
+class _FakeAffinity:
+    """os.sched_getaffinity and os.sched_setaffinity over a made-up mask;
+    a set on any pid but 0 (the calling thread) fails with `server_error`."""
+
+    def __init__(self, monkeypatch, cpus, server_error=None):
+        self.mask, self.calls, self.server_error = set(cpus), [], server_error
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(self.mask))
+        monkeypatch.setattr(os, "sched_setaffinity", self.set)
+
+    def set(self, pid, cpus):
+        self.calls.append((pid, sorted(cpus)))
+        if pid != 0 and self.server_error is not None:
+            raise self.server_error
+        if pid == 0:
+            self.mask = set(cpus)
+
+
+def _fake_server(delivery="fork-server"):
+    return SimpleNamespace(delivery=delivery, proc=SimpleNamespace(pid=4242))
+
+
+@pytest.mark.parametrize("cpus, jobs, split", [
+    ([0, 1], 1, [{"worker": [0], "server": [1]}]),
+    ([0, 1], 2, [None, None]),
+    ([0, 1, 2], 2, [None, None]),
+    ([0, 1, 2, 3], 2, [{"worker": [0], "server": [2, 3]},
+                       {"worker": [1], "server": [2, 3]}]),
+    ([3, 5, 8], 1, [{"worker": [3], "server": [5, 8]}]),
+    ([4], 1, [None]),
+])
+def test_cpu_split_rule(monkeypatch, cpus, jobs, split):
+    for worker in range(jobs):
+        fake = _FakeAffinity(monkeypatch, cpus)
+        with harness._cpus_apart(_fake_server(), jobs, worker) as got:
+            assert got == split[worker]
+            assert fake.mask == set(cpus if got is None else got["worker"])
+        assert fake.mask == set(cpus)
+        pins = [] if got is None else [(0, got["worker"]), (4242, got["server"]), (0, cpus)]
+        assert fake.calls == pins  # the thread, its server, the thread restored
+
+
+@pytest.mark.parametrize("case", ["spawn", "server-refused", "no-affinity"])
+def test_cpus_apart_pins_nothing(monkeypatch, case):
+    fake = _FakeAffinity(monkeypatch, [0, 1, 2],
+                         PermissionError("refused") if case == "server-refused" else None)
+    if case == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    target = _fake_server("spawn" if case == "spawn" else "fork-server")
+    with harness._cpus_apart(target, 1, 0) as split:
+        assert split is None and fake.mask == {0, 1, 2}
+    assert fake.mask == {0, 1, 2}
+    undone = [(0, [0]), (4242, [1, 2]), (0, [0, 1, 2])]  # the thread's pin is undone at once
+    assert fake.calls == (undone if case == "server-refused" else [])
+
+
+def test_fork_server_runs_apart_from_its_worker(tmp_path, monkeypatch):
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("one CPU: the worker and the server share it")
+    cpus = sorted(mask)
+    seen = tmp_path / "masks"
+    code = ("import os, sys; open(sys.argv[1], 'a')"
+            ".write(' '.join(map(str, sorted(os.sched_getaffinity(0)))) + '\\n')")
+    producing = []
+
+    def recording(*args, real=harness.generate_random, **kwargs):
+        producing.append(os.sched_getaffinity(0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_random", recording)
+    out = tmp_path / "out"
+    rc = run_cli("fuzz", "--template", "mini", "--target", f'{PY} -c "{code}" {seen} {{}}',
+                 "--count", 4, "--rng-seed", 3, "--out", out)
+    assert rc == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["delivery"] == ["fork-server"] and stats["valid"] == 4
+    assert stats["cpus"] == [{"worker": [cpus[0]], "server": cpus[1:]}]
+    assert producing == [{cpus[0]}] * 4
+    assert seen.read_text().splitlines() == [" ".join(map(str, cpus[1:]))] * 4
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_one_cpu_fuzz_splits_nothing_and_finds_the_same(tmp_path):
+    def campaign(out):
+        rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} {STUB}",
+                     "--count", 24, "--rng-seed", 5, "--timeout-ms", 10000, "--out", out)
+        assert rc == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["delivery"] == ["fork-server"]
+        assert 0 < stats["cpu_s"][0] <= stats["duration_s"]
+        persisted = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".json"}
+        return stats, persisted
+
+    mask = os.sched_getaffinity(0)
+    stats, persisted = campaign(tmp_path / "all")
+    assert (stats["cpus"] == [None]) == (len(mask) < 2)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        alone, alone_persisted = campaign(tmp_path / "one")
+        assert os.sched_getaffinity(0) == {min(mask)}
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert alone["cpus"] == [None]
+    assert [alone[k] for k in harness.OUTCOME_KINDS] == [stats[k] for k in harness.OUTCOME_KINDS]
+    assert alone["findings"] == stats["findings"] and stats["crash"] > 0
+    assert alone_persisted == persisted
 
 
 @pytest.mark.parametrize("preload", [None, "libm.so.6"])
