@@ -414,20 +414,27 @@ def _ops_line(ops: dict) -> str:
     return json.dumps({"mutations": dict(sorted(ops.items()))})
 
 
+def _cpu_now() -> int:
+    """The CPU that the calling thread is running on (field 39 of its stat)."""
+    with open("/proc/thread-self/stat", "rb") as f:
+        return int(f.read().rpartition(b")")[2].split()[36])
+
+
 @contextlib.contextmanager
-def _cpus_apart(target: _Target, jobs: int, worker: int):
-    """Pin the calling thread, fuzz worker `worker` of `jobs`, and `target`'s
-    fork server to CPUs of their own, as _fuzz_worker says, and yield the
-    split, {"worker": [...], "server": [...]}; restore the thread's mask on
-    the way out.  Yields None, and pins nothing, on the spawn path, with
-    fewer than two CPUs per job, or when the platform or the kernel refuses."""
+def _cpus_apart(target: _Target, jobs: int):
+    """Pin the calling thread, a --jobs 1 fuzz worker, to the CPU it runs on
+    and `target`'s fork server to the other CPU of a two-CPU mask, as
+    _fuzz_worker says; yield the split, {"worker": [...], "server": [...]},
+    and restore the thread's mask on the way out.  Yields None, and pins
+    nothing, on the spawn path, under more jobs, with any other number of
+    CPUs, or when the platform or the kernel refuses."""
     split = None
-    if target.delivery == "fork-server":
-        with contextlib.suppress(AttributeError, OSError):  # no sched_*affinity
+    if target.delivery == "fork-server" and jobs == 1:
+        with contextlib.suppress(AttributeError, OSError):  # no sched_*affinity or /proc
             mask = os.sched_getaffinity(0)
-            cpus = sorted(mask)
-            if len(cpus) >= 2 * jobs:
-                split = {"worker": [cpus[worker]], "server": cpus[jobs:]}
+            here = _cpu_now()
+            if len(mask) == 2 and here in mask:
+                split = {"worker": [here], "server": sorted(mask - {here})}
     if split is not None:
         try:
             os.sched_setaffinity(0, split["worker"])
@@ -450,15 +457,16 @@ def _fuzz_worker(cfg: dict) -> dict:
     is a finding) and target i+1 started.  Every input comes from its own
     iteration's rng, so counts and findings do not depend on the overlap.
 
-    The overlap needs a CPU for each stage.  Sending the fork server its go
-    word wakes the server, which forks the child at once; on a CPU they
-    share with the worker, the two run first and the worker waits, so the
-    next input is built only after the target ran.  So when every worker
-    can have a CPU of its own and there are as many left for the servers
-    (at least 2 * jobs CPUs in the caller's mask), worker w pins its thread
-    to the w-th CPU and its server, whose children inherit the mask, to the
-    CPUs after the first `jobs`.  The thread's mask is restored when the
-    loop ends; under --jobs 1 the loop runs in the caller's own thread.
+    On a two-CPU host the overlap needs the CPUs split.  Sending the fork
+    server its go word wakes the server, which forks the child at once; when
+    the scheduler wakes them on the worker's CPU, the two run first and the
+    worker waits, so the next input is built only after the target ran.  So
+    under --jobs 1 with the fork server and a two-CPU mask, the worker pins
+    its thread to the CPU it is running on and the server, whose children
+    inherit the mask, to the other; the thread's mask is restored when the
+    loop ends (the loop runs in the caller's own thread).  Nothing is pinned
+    elsewhere: the split was measured only there, and on a larger mask or
+    under more jobs the scheduler keeps its freedom to spread the work.
     """
     unit = load_template(cfg["template"])
     evil, budget = cfg["evil"], cfg["budget"]
@@ -518,7 +526,7 @@ def _fuzz_worker(cfg: dict) -> dict:
 
     interrupted = False
     with _open_target(cfg["target"], cfg["timeout_ms"], cfg["tmp_dir"]) as target, \
-            _cpus_apart(target, cfg["jobs"], cfg["worker"]) as cpus:
+            _cpus_apart(target, cfg["jobs"]) as cpus:
         try:
             began = time.perf_counter()
             for index in range(cfg["start"], cfg["start"] + cfg["count"]):

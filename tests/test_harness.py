@@ -1028,13 +1028,15 @@ def test_fuzz_accounts_for_spawn_time(tmp_path, monkeypatch):
 
 
 class _FakeAffinity:
-    """os.sched_getaffinity and os.sched_setaffinity over a made-up mask;
-    a set on any pid but 0 (the calling thread) fails with `server_error`."""
+    """os.sched_getaffinity and os.sched_setaffinity over a made-up mask, and
+    harness._cpu_now reporting `here`; a set on any pid but 0 (the calling
+    thread) fails with `server_error`."""
 
-    def __init__(self, monkeypatch, cpus, server_error=None):
+    def __init__(self, monkeypatch, cpus, here, server_error=None):
         self.mask, self.calls, self.server_error = set(cpus), [], server_error
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(self.mask))
         monkeypatch.setattr(os, "sched_setaffinity", self.set)
+        monkeypatch.setattr(harness, "_cpu_now", lambda: here)
 
     def set(self, pid, cpus):
         self.calls.append((pid, sorted(cpus)))
@@ -1048,45 +1050,64 @@ def _fake_server(delivery="fork-server"):
     return SimpleNamespace(delivery=delivery, proc=SimpleNamespace(pid=4242))
 
 
-@pytest.mark.parametrize("cpus, jobs, split", [
-    ([0, 1], 1, [{"worker": [0], "server": [1]}]),
-    ([0, 1], 2, [None, None]),
-    ([0, 1, 2], 2, [None, None]),
-    ([0, 1, 2, 3], 2, [{"worker": [0], "server": [2, 3]},
-                       {"worker": [1], "server": [2, 3]}]),
-    ([3, 5, 8], 1, [{"worker": [3], "server": [5, 8]}]),
-    ([4], 1, [None]),
+@pytest.mark.parametrize("cpus, here, jobs, split", [
+    ([0, 1], 0, 1, {"worker": [0], "server": [1]}),
+    ([0, 1], 1, 1, {"worker": [1], "server": [0]}),
+    ([3, 8], 8, 1, {"worker": [8], "server": [3]}),
+    ([0, 1], 0, 2, None),
+    ([0, 1, 2], 2, 1, None),  # more than two CPUs: left to the scheduler
+    ([0, 1, 2, 3], 1, 2, None),
+    ([4], 4, 1, None),
+    ([0, 1], 5, 1, None),  # the reported CPU is not in the mask
 ])
-def test_cpu_split_rule(monkeypatch, cpus, jobs, split):
-    for worker in range(jobs):
-        fake = _FakeAffinity(monkeypatch, cpus)
-        with harness._cpus_apart(_fake_server(), jobs, worker) as got:
-            assert got == split[worker]
-            assert fake.mask == set(cpus if got is None else got["worker"])
-        assert fake.mask == set(cpus)
-        pins = [] if got is None else [(0, got["worker"]), (4242, got["server"]), (0, cpus)]
-        assert fake.calls == pins  # the thread, its server, the thread restored
+def test_cpu_split_rule(monkeypatch, cpus, here, jobs, split):
+    fake = _FakeAffinity(monkeypatch, cpus, here)
+    with harness._cpus_apart(_fake_server(), jobs) as got:
+        assert got == split
+        assert fake.mask == set(cpus if got is None else got["worker"])
+    assert fake.mask == set(cpus)
+    pins = [] if got is None else [(0, got["worker"]), (4242, got["server"]), (0, cpus)]
+    assert fake.calls == pins  # the thread, its server, the thread restored
 
 
-@pytest.mark.parametrize("case", ["spawn", "server-refused", "no-affinity"])
+@pytest.mark.parametrize("case", ["spawn", "server-refused", "no-affinity", "no-proc"])
 def test_cpus_apart_pins_nothing(monkeypatch, case):
-    fake = _FakeAffinity(monkeypatch, [0, 1, 2],
+    fake = _FakeAffinity(monkeypatch, [0, 1], 0,
                          PermissionError("refused") if case == "server-refused" else None)
     if case == "no-affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
+    if case == "no-proc":
+        monkeypatch.setattr(harness, "_cpu_now", lambda: open("/no/such/stat"))
     target = _fake_server("spawn" if case == "spawn" else "fork-server")
-    with harness._cpus_apart(target, 1, 0) as split:
-        assert split is None and fake.mask == {0, 1, 2}
-    assert fake.mask == {0, 1, 2}
-    undone = [(0, [0]), (4242, [1, 2]), (0, [0, 1, 2])]  # the thread's pin is undone at once
+    with harness._cpus_apart(target, 1) as split:
+        assert split is None and fake.mask == {0, 1}
+    assert fake.mask == {0, 1}
+    undone = [(0, [0]), (4242, [1]), (0, [0, 1])]  # the thread's pin is undone at once
     assert fake.calls == (undone if case == "server-refused" else [])
 
 
-def test_fork_server_runs_apart_from_its_worker(tmp_path, monkeypatch):
+@pytest.fixture
+def two_cpus():
+    """The test's thread masked to the first two CPUs of its mask (restored
+    after); skips on one CPU."""
     mask = os.sched_getaffinity(0)
     if len(mask) < 2:
         pytest.skip("one CPU: the worker and the server share it")
-    cpus = sorted(mask)
+    two = set(sorted(mask)[:2])
+    os.sched_setaffinity(0, two)
+    try:
+        yield two
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def test_cpu_now_is_the_pinned_cpu(two_cpus):
+    for cpu in sorted(two_cpus):
+        os.sched_setaffinity(0, {cpu})
+        assert harness._cpu_now() == cpu
+
+
+def test_fork_server_runs_apart_from_its_worker(tmp_path, monkeypatch, two_cpus):
     seen = tmp_path / "masks"
     code = ("import os, sys; open(sys.argv[1], 'a')"
             ".write(' '.join(map(str, sorted(os.sched_getaffinity(0)))) + '\\n')")
@@ -1103,13 +1124,15 @@ def test_fork_server_runs_apart_from_its_worker(tmp_path, monkeypatch):
     assert rc == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["delivery"] == ["fork-server"] and stats["valid"] == 4
-    assert stats["cpus"] == [{"worker": [cpus[0]], "server": cpus[1:]}]
-    assert producing == [{cpus[0]}] * 4
-    assert seen.read_text().splitlines() == [" ".join(map(str, cpus[1:]))] * 4
-    assert os.sched_getaffinity(0) == mask
+    [split] = stats["cpus"]
+    [worker], [server] = split["worker"], split["server"]
+    assert {worker, server} == two_cpus
+    assert producing == [{worker}] * 4
+    assert seen.read_text().splitlines() == [str(server)] * 4
+    assert os.sched_getaffinity(0) == two_cpus
 
 
-def test_one_cpu_fuzz_splits_nothing_and_finds_the_same(tmp_path):
+def test_one_cpu_fuzz_splits_nothing_and_finds_the_same(tmp_path, two_cpus):
     def campaign(out):
         rc = run_cli("fuzz", "--template", "mini", "--target", f"{PY} {STUB}",
                      "--count", 24, "--rng-seed", 5, "--timeout-ms", 10000, "--out", out)
@@ -1120,19 +1143,16 @@ def test_one_cpu_fuzz_splits_nothing_and_finds_the_same(tmp_path):
         persisted = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".json"}
         return stats, persisted
 
-    mask = os.sched_getaffinity(0)
-    stats, persisted = campaign(tmp_path / "all")
-    assert (stats["cpus"] == [None]) == (len(mask) < 2)
-    os.sched_setaffinity(0, {min(mask)})
-    try:
-        alone, alone_persisted = campaign(tmp_path / "one")
-        assert os.sched_getaffinity(0) == {min(mask)}
-    finally:
-        os.sched_setaffinity(0, mask)
+    split, split_persisted = campaign(tmp_path / "two")
+    assert split["cpus"] != [None]
+    one = {min(two_cpus)}
+    os.sched_setaffinity(0, one)
+    alone, alone_persisted = campaign(tmp_path / "one")
+    assert os.sched_getaffinity(0) == one
     assert alone["cpus"] == [None]
-    assert [alone[k] for k in harness.OUTCOME_KINDS] == [stats[k] for k in harness.OUTCOME_KINDS]
-    assert alone["findings"] == stats["findings"] and stats["crash"] > 0
-    assert alone_persisted == persisted
+    assert [alone[k] for k in harness.OUTCOME_KINDS] == [split[k] for k in harness.OUTCOME_KINDS]
+    assert alone["findings"] == split["findings"] and split["crash"] > 0
+    assert alone_persisted == split_persisted
 
 
 @pytest.mark.parametrize("preload", [None, "libm.so.6"])
