@@ -7,7 +7,8 @@ Control flow becomes Python statements, each input declaration's work
 runs inline, and what the template fixes statically is bound in then:
 literal operands, each field's stream call and its constant arguments,
 native widths and signs.  A run calls a compiled top level on an
-Execution, which holds the run's state.
+Execution, which holds the run's state; an activation's state is its
+compiled function's arguments.
 
 Every program runs one direction, fixed when it is compiled.  A generate
 program turns each input declaration's decisions into file bytes; a
@@ -42,7 +43,7 @@ from .errors import (
     SeedExhausted, SpliceMisaligned, StepBudgetExceeded, TemplateAbort, TrailingBytes,
     UnrepresentableValue)
 from .formats.zstream import StoredZlibCodec
-from .runtime import DEFAULT_BUDGET, FileBuffer, ParseNode, RecordVal, Scope
+from .runtime import DEFAULT_BUDGET, MAX_DEPTH, FileBuffer, ParseNode, RecordVal
 from .templatelang import NATIVE_INTS, TemplateUnit, scoping
 from .templatelang import nodes as ast
 
@@ -156,7 +157,6 @@ class Execution:
         self.gen = ds.source is not None
         self.program = compiled(unit, self.gen, tree)
         self.ds, self.buf = ds, buf
-        self.scope = Scope(self.program.globals)
         self.order, self.hint_mode = "little", False  # byte order of integer fields
         self.steps = 0  # loop iterations so far
         self.covered: set[int] = set()
@@ -165,14 +165,14 @@ class Execution:
         self.root = ParseNode(0, "<file>", unit.source_name) if tree else None
         self.ids = itertools.count(1)  # of the parse tree's nodes after the root
         self.node_stack = [self.root]
-        self.record_stack = [RecordVal("<toplevel>")]
         self.splice = splice
         self.splice_id = -1 if splice is None else splice.node_id  # -1 matches no node
 
     def run(self) -> GenResult:
         """Execute the template; what the run generated or parsed."""
         try:
-            code = self.program.toplevel(self)
+            code = self.program.toplevel(self, RecordVal("<toplevel>"), 0,
+                                         (dict(self.program.globals), None))
         except _ReturnSignal as sig:  # from a record body or a split-off block
             code = sig.args[0]
         except _BreakSignal:
@@ -332,6 +332,26 @@ def _fail(cls, message: str):
     raise cls(message)
 
 
+def _read_var(env, name: str):
+    """name's value in the innermost frame that binds it.  env is the frame
+    chain, innermost first, as (frame, outer) pairs that end in None."""
+    while env is not None:
+        frame, env = env
+        if name in frame:
+            return frame[name]
+    raise EvalError(f"undefined variable {name!r}")
+
+
+def _assign_var(env, name: str, value):
+    """Rebind name in the innermost frame that binds it."""
+    while env is not None:
+        frame, env = env
+        if name in frame:
+            frame[name] = value
+            return
+    raise EvalError(f"assignment to undefined variable {name!r}")
+
+
 def _int(value) -> int:
     if not isinstance(value, int):
         raise EvalError(f"expected an integer, got {type(value).__name__}")
@@ -426,13 +446,18 @@ _EMIT = {"plain": "emit_plain", "bounded": "emit_within", "pick": "emit_pick",
          "forced": "emit_forced"}  # the inverse of each kind of stream call
 _WRAP = f"(((({{}}) + {_SIGN}) & {_U64}) - {_SIGN})"  # wrap64, as source
 
-# Locals a compiled function sets up when its source names them, in this
-# order; each may use the ones before it.
-_LOCALS = {"sc": "sc = ex.scope", "fr": "fr = sc.frame", "rec": "rec = ex.record_stack[-1]",
-           "buf": "buf = ex.buf", "ds": "ds = ex.ds",
+# Locals a compiled function sets up when its source holds their key, in
+# this order; each may use the ones before it.  The innermost frame, fr,
+# is keyed on a store into it, which no other source spells.
+_LOCALS = {"fr[": "fr = env[0]", "buf": "buf = ex.buf", "ds": "ds = ex.ds",
            "sd": "sd = ds._recorded",  # a parse's seed so far: its length is ds.cursor
            "stack": "stack = ex.node_stack", "cov": "cov = ex.covered"}
-_NEEDS = {"fr": "sc", "sd": "ds"}
+_NEEDS = {"sd": "ds"}
+
+# What a record or function body runs first: the depth bound, then its own
+# frame, which goes when the body returns or raises.
+_ACTIVATE = [f"if d > {MAX_DEPTH}: _fail(RecursionTooDeep, "
+             f"{f'records and functions nested deeper than {MAX_DEPTH}'!r})", "env = {}, env"]
 
 
 # Source that opens a parse tree node, as {0}, with name {1} and type {2};
@@ -458,7 +483,9 @@ class _Compiler:
     """A TemplateUnit compiled into Python source, and its functions: one
     per record body (r<i>), user function (f<i>), block or expression too
     deep for one function and codec stream call (s<i>), and `toplevel`.
-    Each takes the Execution.  A name that dynamic scope cannot reach
+    Each takes the Execution and the activation's state: the record that
+    input declarations write to (rec, a record body's own), the depth (d)
+    and the frame chain (env).  A name that dynamic scope cannot reach
     (scoping()) is a Python local (l<i>), else it lives in a frame dict.
     Template text enters the source only as repr() of a name or literal,
     or as a named constant (c<i>).  Records and functions are called by
@@ -490,7 +517,8 @@ class _Compiler:
             self._scoped(t.name, self._record_body, t)
         for name, fdef in unit.functions.items():
             self._scoped(name, self._function_body, name, fdef)
-        self._scoped(None, lambda: self._define("def toplevel(ex):", self.body(unit.toplevel, 0)))
+        self._scoped(None, lambda: self._define("def toplevel(ex, rec, d, env):",
+                                                self.body(unit.toplevel, 0)))
         self.source = source = "\n".join(self.defs) + "\n"
         stem = f"<btfuzz:{unit.source_name}" + (("" if gen else ":parse") if tree
                                                  else ":lean" if gen else ":lean-parse")
@@ -509,19 +537,19 @@ class _Compiler:
 
     # -- functions --------------------------------------------------------
 
-    def _define(self, header: str, lines: list[str], given=()):
-        """Add a function: header, the _LOCALS its lines name, then lines."""
+    def _define(self, header: str, lines: list[str], opening=()):
+        """Add a function: header, opening, the _LOCALS its lines name, then lines."""
         text = "\n".join(lines)
-        given = (*given, *(() if self.tree else ("stack", "cov")))  # lean: never named
-        used = {n for n in _LOCALS if n in text and n not in given}  # maybe one too many
+        # maybe one too many; a lean program never names stack or cov
+        used = {n for n in _LOCALS if n in text and (self.tree or n not in ("stack", "cov"))}
         used |= {_NEEDS[n] for n in used if n in _NEEDS}
-        self.defs.append("\n".join([header, *_indent([v for n, v in _LOCALS.items() if n in used]
-                                                     + lines)]))
+        self.defs.append("\n".join([header, *_indent([*opening, *(v for n, v in _LOCALS.items()
+                                                                   if n in used), *lines])]))
 
     def _deferred(self, lines: list[str], params: str = "") -> str:
-        """A function of the Execution (and params), run where it is called."""
+        """A function of the activation's state (and params), run where it is called."""
         name = f"s{len(self.defs)}"
-        self._define(f"def {name}(ex{params}):", lines)
+        self._define(f"def {name}(ex, rec, d, env{params}):", lines)
         self.clash.update(n for n, s in self.slots.items() if re.search(rf"\b{s}\b", self.defs[-1]))
         return name
 
@@ -549,7 +577,7 @@ class _Compiler:
     def _store(self, name: str, value: str) -> str:
         """Source storing value in name's Python local, or in the frames."""
         slot = self.slots.get(name)
-        return f"({slot} := {value})" if slot else f"sc.assign({name!r}, {value})"
+        return f"({slot} := {value})" if slot else f"_assign_var(env, {name!r}, {value})"
 
     def _record_body(self, tdef):
         params = [p for p, _ in tdef.params]
@@ -558,24 +586,23 @@ class _Compiler:
         # a splice opens and closes at a record; a parse never splices
         begin, end = ([f"if {rid} == ex.splice_id: ex.splice.{step}()"] if self.gen else []
                       for step in ("begin_alt", "end_alt"))
-        lines = ["fr = sc.push_activation()", *self._open("rn", "name", repr(tdef.name)), *begin,
+        close = [*self._shut("rn"), *end]  # what runs however the body ends
+        body = self.body(tdef.body, 1 if close else 0, True)
+        lines = [*self._open("rn", "name", repr(tdef.name)), *begin,
                  *(["rn.args = tuple(tuple(a) if isinstance(a, list) else a for a in args)"]
                    if params and self.tree else []),  # a snapshot: local arrays may change
-                 f"rec = RecordVal({tdef.name!r})", "ex.record_stack.append(rec)",
-                 "try:", *_indent(binds), *self.body(tdef.body, 1, True), "finally:",
-                 *_indent(["sc.pop_activation()", "ex.record_stack.pop()", *self._shut("rn"),
-                           *end]),
+                 f"rec = RecordVal({tdef.name!r})",
+                 *(["try:", *_indent(binds), *body, "finally:", *_indent(close)] if close
+                   else binds + body),
                  "return rec"]
-        self._define(f"def {self.records[tdef.name]}(ex, name, args):", lines,
-                     given=("fr", "rec"))
+        self._define(f"def {self.records[tdef.name]}(ex, d, env, name, args):", lines, _ACTIVATE)
 
     def _function_body(self, name: str, fdef):
         params = [p for p, _ in fdef.params]
-        lines = ["fr = sc.push_activation()", "try:",
-                 *_indent(f"{self._slot(p)} = args[{i}]" for i, p in enumerate(params)),
+        lines = ["try:", *_indent(f"{self._slot(p)} = args[{i}]" for i, p in enumerate(params)),
                  *self.body(fdef.body, 1), "    return 0", "except _ReturnSignal as sig:",
-                 "    return sig.args[0]", "finally:", "    sc.pop_activation()"]
-        self._define(f"def {self.functions[name]}(ex, *args):", lines, given=("fr",))
+                 "    return sig.args[0]"]
+        self._define(f"def {self.functions[name]}(ex, rec, d, env, *args):", lines, _ACTIVATE)
 
     def ref(self, value) -> str:
         """The name under which the source refers to a constant."""
@@ -618,7 +645,8 @@ class _Compiler:
         before = len(self.lines)
         if self.depth > 12 and stmts:
             state = self.lines, self.depth, self.loops, self.in_record
-            call = self._deferred(self.body(stmts, 0, True)) + "(ex)"  # break, return raise
+            # break and return raise out of it
+            call = self._deferred(self.body(stmts, 0, True)) + "(ex, rec, d, env)"
             self.lines, self.depth, self.loops, self.in_record = state
             self.put(call)
         else:
@@ -669,7 +697,7 @@ class _Compiler:
 
     def _extend(self, stmt: ast.ArrayExtend):
         arr, values = self.slots.get(stmt.name), ", ".join(self.expr(e) for e in stmt.values)
-        read = arr or f"{(arr := self.temp())} := sc.read({stmt.name!r})"
+        read = arr or f"{(arr := self.temp())} := _read_var(env, {stmt.name!r})"
         self.put(f"if not isinstance({read}, list): _fail(EvalError, "
                  f"{f'{stmt.op} target {stmt.name!r} is not a local array'!r})",
                  f"for v in [{values}]:", f"    while v in {arr}: {arr}.remove(v)"
@@ -911,7 +939,7 @@ class _Compiler:
         if decl.init_list is not None or decl.attrs:
             return self.fail(f"record field {decl.name!r} takes no initializer or bounds")
         name, args = repr(decl.name), "".join(self.expr(a) + ", " for a in decl.args)
-        call = f"{self.records[tdef.name]}(ex, {name}, ({args}))"
+        call = f"{self.records[tdef.name]}(ex, d + 1, env, {name}, ({args}))"
         self._cover(decl)
         if decl.array_len is None:
             self.put(f"v = {call}")
@@ -949,7 +977,8 @@ class _Compiler:
         """The source of an expression level that nesting += 1 opened.
         Python parses only 200 nested parentheses: deep ones run apart."""
         self.nesting -= 1
-        return self._deferred([f"return {source}"]) + "(ex)" if self.nesting % 16 == 15 else source
+        return self._deferred([f"return {source}"]) + "(ex, rec, d, env)" \
+            if self.nesting % 16 == 15 else source
 
     def integer(self, expr, source: str | None = None) -> str:
         """expr's source (or source, if given), checked to be an int."""
@@ -973,7 +1002,7 @@ class _Compiler:
     def _ident(self, expr: ast.Ident):
         if expr.name in self.scoping.constants:
             return self._constant(expr)
-        return self.slots.get(expr.name) or f"sc.read({expr.name!r})"
+        return self.slots.get(expr.name) or f"_read_var(env, {expr.name!r})"
 
     def _unary(self, expr: ast.Unary):
         if expr.op == "!":
@@ -1044,7 +1073,7 @@ class _Compiler:
                 ints.update(t=(t := self.temp()), store=self._store(out.name, t), known=", True"
                             if type(p := self.const(expr.args[5])) in _REAL and 0 <= p <= 1 else "")
             return _BUILTINS[name].format(*args, **ints, rest=", ".join(args[1:]))
-        return f"{self.functions[name]}(ex{''.join(', ' + a for a in args)})"
+        return f"{self.functions[name]}(ex, rec, d + 1, env{''.join(', ' + a for a in args)})"
 
     def _codec_stream(self, expr: ast.Call):
         """A codec stream's call: its own function, which opens its node."""
@@ -1065,7 +1094,7 @@ class _Compiler:
             *self._open("node", repr(name), "codec_name"),
             *(["try:", f"    {call}", "finally:", *_indent(self._shut("node"))]
               if self.tree else [call])], ", codec, length")
-        return f"{codec_call}(ex, {self.expr(expr.args[1])}, {length})"
+        return f"{codec_call}(ex, rec, d, env, {self.expr(expr.args[1])}, {length})"
 
 
 # How each statement and expression node class compiles, and the source of

@@ -1,4 +1,4 @@
-"""Execution-time state: file buffer, variable scope, and parse tree.
+"""Execution-time state: file buffer, record values, and parse tree.
 
 The same FileBuffer type backs both directions.  Generating writes into a
 growable buffer capped by a byte budget; parsing reads the input bytes
@@ -11,13 +11,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .errors import (BudgetExceeded, EvalError, GenerationFailed, OutOfRange, RecursionTooDeep,
-                     ReservationConflict)
+from .errors import BudgetExceeded, GenerationFailed, OutOfRange, ReservationConflict
 
 DEFAULT_BUDGET = 65536
 
 # Record and function activations nested at once, far above what a
-# bundled template needs.
+# bundled template needs; each compiled record and function body checks
+# its depth against it first.
 MAX_DEPTH = 100
 
 _START, _END = itemgetter(0), itemgetter(1)  # of a span
@@ -172,45 +172,6 @@ class FileBuffer:
         if pos + n > len(self.data):
             return None
         return bytes(self.data[pos:pos + n])
-
-
-class Scope:
-    """Name bindings, one frame per activation.
-
-    Reads and assignments fall through every frame, so record and function
-    bodies can consult and update enclosing locals.  A declaration binds in
-    the innermost frame, `frame`: it rebinds a name declared earlier in the
-    same activation (so loop-carried state survives braces) and shadows one
-    that lives outside it from that declaration on.
-    """
-
-    def __init__(self, bindings: dict[str, object] | None = None):
-        self.frame: dict[str, object] = dict(bindings or {})
-        self.frames = [self.frame]
-
-    def push_activation(self) -> dict[str, object]:
-        if len(self.frames) > MAX_DEPTH:
-            raise RecursionTooDeep(f"records and functions nested deeper than {MAX_DEPTH}")
-        self.frame = {}
-        self.frames.append(self.frame)
-        return self.frame
-
-    def pop_activation(self):
-        self.frames.pop()
-        self.frame = self.frames[-1]
-
-    def read(self, name: str) -> object:
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        raise EvalError(f"undefined variable {name!r}")
-
-    def assign(self, name: str, value: object):
-        for frame in reversed(self.frames):
-            if name in frame:
-                frame[name] = value
-                return
-        raise EvalError(f"assignment to undefined variable {name!r}")
 
 
 class RecordVal:

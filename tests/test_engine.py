@@ -489,6 +489,13 @@ SCOPES = {
         typedef struct { ubyte v = { x }; local int x = 5; ubyte w = { x }; } R;
         R r;
     """, b"\x04\x05"),
+    "a callee assigns the innermost binding": ("""
+        local int k = 1;
+        int bump() { k = k + 10; return k; }
+        typedef struct { local int k = 2; ubyte a = { bump() }; ubyte b = { k }; } R;
+        R r;
+        ubyte c = { k };
+    """, b"\x0c\x0c\x01"),
     "a uint64 field copied to a local wraps": ("""
         uint64 big = { 0xFFFFFFFFFFFFFFFF };
         local int64 s = big;
@@ -1278,15 +1285,18 @@ def test_choice_among_more_than_65536_options_is_a_typed_error():
             parse(unit, data)
 
 
-@pytest.mark.parametrize("template", [
-    "int f(int n) {{ if (n > 1) return f(n - 1); return 0; }}\nlocal int x = f({depth});",
-    "typedef struct (int n) {{ ubyte b; if (n > 1) R r(n - 1); }} R;\nR top({depth});",
-], ids=["function", "record"])
-def test_nesting_depth_is_the_engines_own_limit(template):
-    # MAX_DEPTH activations nest; one more is a typed error, not Python's
-    deepest = parse_template(template.format(depth=MAX_DEPTH))
+@pytest.mark.parametrize("template, per_level", [
+    ("int f(int n) {{ if (n > 1) return f(n - 1); return 0; }}\nlocal int x = f({depth});", 1),
+    ("typedef struct (int n) {{ ubyte b; if (n > 1) R r(n - 1); }} R;\nR top({depth});", 1),
+    ("typedef struct (int n) {{ ubyte b; if (n > 1) local int x = g(n - 1); }} R;\n"
+     "int g(int n) {{ R r(n); return 0; }}\nR top({depth});", 2),
+], ids=["function", "record", "record and function"])
+def test_nesting_depth_is_the_engines_own_limit(template, per_level):
+    # MAX_DEPTH activations nest, records and functions counted together;
+    # one more is a typed error, not Python's
+    deepest = parse_template(template.format(depth=MAX_DEPTH // per_level))
     generate_random(deepest, random.Random(0))
-    too_deep = parse_template(template.format(depth=MAX_DEPTH + 1))
+    too_deep = parse_template(template.format(depth=MAX_DEPTH // per_level + 1))
     with pytest.raises(RecursionTooDeep, match=f"deeper than {MAX_DEPTH}"):
         generate_random(too_deep, random.Random(0))
 

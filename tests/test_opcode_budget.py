@@ -36,8 +36,8 @@ from btfuzz.mutation import index_corpus, random_smart_mutation
 
 RNG_SEEDS = range(20)
 MUTATIONS = range(40)
-COUNTED = {"generate": 392_415, "parse": 288_631, "replay": 371_566, "mutate": 434_756,
-           "generate_lean": 238_745, "parse_lean": 177_748, "replay_lean": 230_827}
+COUNTED = {"generate": 382_255, "parse": 278_471, "replay": 361_406, "mutate": 414_736,
+           "generate_lean": 228_585, "parse_lean": 167_156, "replay_lean": 220_667}
 LEAN_SHARE = 0.8
 CEILING = {stage: int(n * 1.05) for stage, n in COUNTED.items()}
 
