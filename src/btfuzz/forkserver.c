@@ -3,15 +3,23 @@
  * btfuzz starts the target once with BTFUZZ_FORKSRV set to "CTL,ST", or to
  * "CTL,ST=PRELOAD" when the user had LD_PRELOAD set to PRELOAD.  Before main
  * runs, this constructor restores the user's LD_PRELOAD, so that processes
- * the target starts never run a server, and says hello on ST.  Then, for
- * each go word read from CTL, it forks: the child returns into main on the
- * input btfuzz has just written, and the server reports the child's pid and
- * then its raw wait status on ST.  Each child leads a process group of its
- * own, made before its pid is reported, so that btfuzz can kill it and the
+ * the target starts never run a server, and says hello on ST.  The server
+ * forks one child per input and reports the child's pid and then its raw
+ * wait status on ST.  It forks ahead: as soon as it has written a child's
+ * status it forks the next child, which waits for its go word on CTL and
+ * then returns into main on the input btfuzz has just written, so the fork
+ * is off btfuzz's critical path.  Only the first child is forked after its
+ * go word, which the server reads itself: by then btfuzz may have pinned the
+ * server to a CPU, and each child inherits the server's mask.  At most one
+ * child exists at a time.  Each child leads a process group of its own,
+ * made before its pid is reported, so that btfuzz can kill it and the
  * processes it starts without signalling the server.  EOF on CTL ends the
- * server.
+ * server: the server reads it before the first child, or sees it after a
+ * status; a child waiting for its go word reads it and exits, and the
+ * server sees it after that child's status.
  */
 #define _GNU_SOURCE
+#include <poll.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -35,15 +43,19 @@ __attribute__((constructor)) static void btfuzz_forkserver(void) {
     pid_t server = getpid();
     if (write(st, "BTFZ", 4) != 4)
         _exit(1);
-    while (read(ctl, &go, sizeof go) == sizeof go) {
+    if (read(ctl, &go, sizeof go) != sizeof go)
+        _exit(0);
+    for (int ahead = 0;; ahead = 1) {
         pid_t pid = fork();
         if (pid == 0) {
             setpgid(0, 0);
             prctl(PR_SET_PDEATHSIG, SIGKILL);
             if (getppid() != server) /* the server died before prctl */
                 _exit(1);
-            close(ctl);
             close(st);
+            if (ahead && read(ctl, &go, sizeof go) != sizeof go)
+                _exit(0);
+            close(ctl);
             lseek(0, 0, SEEK_SET); /* stdin is the input file, or not seekable */
             return;
         }
@@ -51,6 +63,8 @@ __attribute__((constructor)) static void btfuzz_forkserver(void) {
             setpgid(pid, pid); /* whichever of the two runs first */
         if (pid < 0 || !put(st, pid) || waitpid(pid, &status, 0) != pid || !put(st, status))
             _exit(1);
+        struct pollfd hup = {.fd = ctl, .events = POLLIN};
+        if (poll(&hup, 1, 0) == 1 && !(hup.revents & POLLIN))
+            _exit(0); /* CTL hung up with no go word pending */
     }
-    _exit(0);
 }

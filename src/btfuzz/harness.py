@@ -240,6 +240,11 @@ class _ForkServer(_Target):
     The server reports the child's pid, then its wait status.  The child
     leads a process group of its own, which the server is not in.
 
+    The server forks ahead: each child but the first is forked, and its pid
+    reported, as soon as the previous child's status is written; it then
+    waits for its own go word.  So a pid is usually readable before spawn()
+    sends the go word, and the deadline still runs from that word.
+
     The input file is _Target's.  A stdin target's file is the server's
     stdin, and each child seeks it back to 0.  The constructor raises
     _NoForkServer when the shim cannot be built, or when the target exits
@@ -293,7 +298,8 @@ class _ForkServer(_Target):
         return os.read(self.replies, 4)
 
     def spawn(self, data: bytes) -> None:
-        """Fork the target on `data`."""
+        """Run the target on `data`: the go word starts the child that the
+        server forked ahead, or has the server fork the first one."""
         self._write(data)
         os.write(self.ctl, b"\0\0\0\0")
         self.started = time.perf_counter()
@@ -337,7 +343,8 @@ class _ForkServer(_Target):
             pass  # the server died, and PR_SET_PDEATHSIG took the child along
 
     def close(self) -> None:
-        """Kill and reap the server, whose children are already settled."""
+        """Kill and reap the server.  Its children are settled but for the
+        one forked ahead and idle, which PR_SET_PDEATHSIG kills with it."""
         try:
             if self.proc is not None:
                 self.proc.kill()
@@ -458,15 +465,17 @@ def _fuzz_worker(cfg: dict) -> dict:
     iteration's rng, so counts and findings do not depend on the overlap.
 
     On a two-CPU host the overlap needs the CPUs split.  Sending the fork
-    server its go word wakes the server, which forks the child at once; when
-    the scheduler wakes them on the worker's CPU, the two run first and the
-    worker waits, so the next input is built only after the target ran.  So
-    under --jobs 1 with the fork server and a two-CPU mask, the worker pins
-    its thread to the CPU it is running on and the server, whose children
-    inherit the mask, to the other; the thread's mask is restored when the
-    loop ends (the loop runs in the caller's own thread).  Nothing is pinned
-    elsewhere: the split was measured only there, and on a larger mask or
-    under more jobs the scheduler keeps its freedom to spread the work.
+    server its go word wakes the child that the server forked ahead, which
+    runs at once; when the scheduler wakes it on the worker's CPU, it runs
+    first and the worker waits, so the next input is built only after the
+    target ran.  So under --jobs 1 with the fork server and a two-CPU mask,
+    the worker pins its thread to the CPU it is running on and the server,
+    whose children inherit the mask, to the other (the server forks its
+    first child only on the first go word, after the pin); the thread's mask
+    is restored when the loop ends (the loop runs in the caller's own
+    thread).  Nothing is pinned elsewhere: the split was measured only
+    there, and on a larger mask or under more jobs the scheduler keeps its
+    freedom to spread the work.
     """
     unit = load_template(cfg["template"])
     evil, budget = cfg["evil"], cfg["budget"]

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -1172,6 +1173,63 @@ def test_fork_server_restores_ld_preload(tmp_path, monkeypatch, preload):
     with harness._ForkServer(target, timeout_ms=10000) as tgt:
         tgt.spawn(b"")
         assert tgt.finish().kind == "valid"
+
+
+def _readable(fd: int, seconds: float) -> bool:
+    return bool(select.select([fd], [], [], seconds)[0])
+
+
+def test_fork_server_forks_the_next_child_ahead(tmp_path):
+    log = tmp_path / "pids"
+    code = "import os, sys; open(sys.argv[1], 'a').write('%d\\n' % os.getpid())"
+    reported = []
+    with harness._ForkServer(f'{PY} -c "{code}" {log}', timeout_ms=10000) as tgt:
+        assert not _readable(tgt.replies, 0.2)  # no child before the first go word
+        tgt.spawn(b"first")
+        assert tgt.finish().kind == "valid"
+        reported.append(tgt.pid)
+        assert _readable(tgt.replies, 1)  # the next child's pid, with no go word sent
+        tgt.spawn(b"second")
+        assert tgt.finish().kind == "valid"
+        reported.append(tgt.pid)
+    assert log.read_text().split() == [str(pid) for pid in reported]
+
+
+@pytest.mark.parametrize("inputs", [0, 1])
+def test_fork_server_exits_when_its_control_pipe_closes(inputs):
+    with harness._ForkServer(f"{PY} -c pass", timeout_ms=10000) as tgt:
+        for _ in range(inputs):
+            tgt.spawn(b"")
+            assert tgt.finish().kind == "valid"
+        os.close(tgt.ctl)  # the idle child, if any, reads EOF, and the server sees it
+        tgt.ctl = None
+        assert tgt.proc.wait(timeout=1) == 0
+
+
+def test_idle_child_goes_with_its_server():
+    with harness._ForkServer(f"{PY} -c pass", timeout_ms=10000) as tgt:
+        tgt.spawn(b"")
+        assert tgt.finish().kind == "valid"
+        idle = []  # the word after the last status: the pid of the child forked ahead
+        if _readable(tgt.replies, 1):
+            idle.append(int.from_bytes(os.read(tgt.replies, 4), sys.byteorder, signed=True))
+        assert not any(map(_gone_or_zombie, idle))
+    deadline = time.perf_counter() + 5
+    while time.perf_counter() < deadline and not all(map(_gone_or_zombie, idle)):
+        time.sleep(0.01)
+    assert all(map(_gone_or_zombie, idle))
+
+
+def test_fork_server_shim_builds_without_warnings(tmp_path):
+    from importlib import resources
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc to build the shim with")
+    source = resources.files("btfuzz").joinpath("forkserver.c").read_bytes()
+    built = subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                            "-o", tmp_path / "shim.so", "-x", "c", "-"],
+                           input=source, capture_output=True)
+    assert built.returncode == 0, built.stderr.decode(errors="replace")
 
 
 VALIDATOR_C = r"""
